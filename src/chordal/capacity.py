@@ -16,7 +16,7 @@ sweeps break ties by lowest sample index.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -63,6 +63,7 @@ class CapacityReport:
     d_interval: float
     ratio: float
     verdict: str
+    curve: BoundaryCurve = field(compare=False, repr=False)  # the traced boundary
 
 
 def _proper_crossings(pts: np.ndarray) -> bool:
@@ -214,6 +215,8 @@ def hayman_report(
     """
     if not isinstance(mu, RealMeasure):
         raise InvalidInputError("mu must be a RealMeasure")
+    if not mu.is_probability:
+        raise InvalidInputError("mu must be a probability measure")
     lo, hi = mu.support
     if not hi > lo:
         raise InvalidInputError("degenerate support: diagnostic needs A < B")
@@ -242,4 +245,5 @@ def hayman_report(
         d_interval=d_interval,
         ratio=ratio,
         verdict=verdict,
+        curve=curve,
     )

@@ -14,9 +14,9 @@ constraint violations), 1 numerical non-convergence.
 from __future__ import annotations
 
 import argparse
+import cmath
 import json
 import sys
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -26,25 +26,9 @@ from . import loewner as _loewner
 from . import measures as _measures
 from .errors import InvalidInputError, NonConvergenceError
 
-__all__ = ["RunConfig", "run", "main", "parse_complex"]
+__all__ = ["run", "main", "parse_complex"]
 
 _EPS = float(np.finfo(float).eps)
-
-
-@dataclass(frozen=True)
-class RunConfig:
-    """Resolved invocation: one subcommand, its input file, overrides."""
-
-    subcommand: str
-    input_path: str | None
-    tolerance: float | None
-    output_format: str
-
-    def __post_init__(self) -> None:
-        if self.tolerance is not None and not self.tolerance > 0:
-            raise InvalidInputError("tolerance overrides must be positive")
-        if self.output_format not in ("csv", "json"):
-            raise InvalidInputError("output format must be csv or json")
 
 
 def parse_complex(text: str) -> complex:
@@ -58,9 +42,12 @@ def parse_complex(text: str) -> complex:
         if s in ("j", "+j", "-j") or s[-2] in "+-":
             s = s[:-1] + "1j"
     try:
-        return complex(s)
+        z = complex(s)
     except ValueError as exc:
         raise InvalidInputError(f"malformed complex number {text!r}") from exc
+    if not cmath.isfinite(z):
+        raise InvalidInputError(f"complex number {text!r} must be finite")
+    return z
 
 
 def _fmt(x: float) -> str:
@@ -193,15 +180,10 @@ def _cmd_hayman(args) -> None:
     mu = _measure_arg(args.measure)
     report = _capacity.hayman_report(
         mu, n=args.n, resolution=args.resolution, epsilon=args.eps)
-    curve = None
     if args.curve_csv is not None:
-        curve = _capacity.boundary_image(
-            mu, resolution=args.resolution,
-            epsilon=args.eps if args.eps is not None
-            else 1e-3 * (mu.support[1] - mu.support[0]))
         with open(args.curve_csv, "w", encoding="utf-8") as fh:
             fh.write("re,im\n")
-            for p in curve.points:
+            for p in report.curve.points:
                 fh.write(f"{_fmt(p.real)},{_fmt(p.imag)}\n")
     _emit_json({
         "n_points": report.n_points,
@@ -225,14 +207,14 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--measure", required=True, help="measure JSON file")
     p.add_argument("--z", help="evaluation point, a+bi")
     p.add_argument("--op", choices=("cauchy", "reciprocal", "nevanlinna"), default="cauchy")
-    p.set_defaults(func=_cmd_transform, input_arg="measure")
+    p.set_defaults(func=_cmd_transform)
 
     p = sub.add_parser("invert", help="Stieltjes inversion over an interval")
     p.add_argument("--measure", required=True, help="measure JSON file")
     p.add_argument("--interval", required=True, help="a,b")
     p.add_argument("--eps-ladder", required=True, dest="eps_ladder",
                    help="strictly decreasing positive heights, e1,e2,...")
-    p.set_defaults(func=_cmd_invert, input_arg="measure")
+    p.set_defaults(func=_cmd_invert)
 
     p = sub.add_parser("evolve", help="solve the flow map f(t; z) = B(0, t; z)")
     p.add_argument("--driver", required=True, help="driver JSON file")
@@ -240,14 +222,14 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--z", help="single point, a+bi")
     p.add_argument("--grid", help="JSON file with a list of [re, im] pairs")
     p.add_argument("--tol", type=float, help="solver tolerance override")
-    p.set_defaults(func=_cmd_evolve, input_arg="driver")
+    p.set_defaults(func=_cmd_evolve)
 
     p = sub.add_parser("grunsky", help="univalence certificate from moments")
     p.add_argument("--moments", help="a0,a1,... (a0 = 1)")
     p.add_argument("--measure", help="measure JSON file")
     p.add_argument("--order", required=True, type=int)
     p.add_argument("--boundary-tol", dest="boundary_tol", type=float, default=1e-8)
-    p.set_defaults(func=_cmd_grunsky, input_arg="measure")
+    p.set_defaults(func=_cmd_grunsky)
 
     p = sub.add_parser("hayman", help="transfinite-diameter diagnostic")
     p.add_argument("--measure", required=True, help="measure JSON file")
@@ -256,7 +238,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--eps", type=float, default=None)
     p.add_argument("--curve-csv", dest="curve_csv",
                    help="also write the boundary trace to this CSV file")
-    p.set_defaults(func=_cmd_hayman, input_arg="measure")
+    p.set_defaults(func=_cmd_hayman)
 
     return parser
 
@@ -288,12 +270,6 @@ def run(argv) -> int:
         code = exc.code
         return int(code) if code is not None else 0
     try:
-        RunConfig(
-            subcommand=args.subcommand,
-            input_path=getattr(args, args.input_arg, None),
-            tolerance=getattr(args, "tol", None),
-            output_format="csv" if args.subcommand == "evolve" else "json",
-        )
         args.func(args)
         return 0
     except NonConvergenceError as exc:

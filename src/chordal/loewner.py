@@ -16,18 +16,24 @@ weighted by a Schwarz-Pick amplification factor so that the pointwise error
 of the chained result stays below ``config.tol``; the achieved (usually much
 smaller) bound is reported alongside every value.
 
-Two driver variants are supported: piecewise-constant measure families and a
-moving atom along a piecewise-linear path.  Per substep the iterates live on
-a Chebyshev-Lobatto grid; time integrals are exact antiderivatives of the
-interpolant for constant drivers and converged composite Simpson sums for
-the moving atom.
+One Picard loop, ``_picard``, serves every driver.  Per substep the
+iterates live on a Chebyshev-Lobatto grid, and the loop takes from the
+driver only ``integrate(B)``: the suffix integrals over the standard grid of
+the driver's Cauchy transform at the node values ``B``.  A driver is a
+``DriverFamily`` subclass that supplies its measure lookup, its ``_seams``
+(times no substep may straddle) and ``_substep``, which builds
+``integrate``, runs the loop and splits the substep budget between the
+certified Picard tail and its integration allowance.  Two drivers exist:
+piecewise-constant measure families, integrated exactly through the
+antiderivative of the interpolant, and a moving atom along a
+piecewise-linear path, integrated by converged composite Simpson sums.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
-from typing import Callable, Sequence
+from typing import Callable, ClassVar, Sequence
 
 import numpy as np
 from numpy.polynomial.chebyshev import chebval
@@ -79,7 +85,7 @@ class SolverConfig:
 
     def __post_init__(self) -> None:
         if not (self.tol >= 1e-14 and math.isfinite(self.tol)):
-            raise InvalidInputError("tol must be finite and at least 1e-14")
+            raise InvalidInputError("tol must be positive, finite and at least 1e-14")
         if not (self.max_step > 0 and math.isfinite(self.max_step)):
             raise InvalidInputError("max_step must be finite and positive")
         if not (0.0 < self.contraction_margin <= 0.5):
@@ -94,6 +100,7 @@ class SolverConfig:
 _DEFAULT_CONFIG = SolverConfig()
 
 
+@dataclass(frozen=True, eq=False)
 class DriverFamily:
     """A time-indexed family of probability measures on the real line.
 
@@ -104,22 +111,15 @@ class DriverFamily:
     * ``moving_atom`` -- a unit point mass at ``U(t)``, with ``U`` the
       piecewise-linear interpolant of strictly increasing time samples.
 
-    Instances are immutable; build them through the classmethods.
+    Instances are immutable; build them through the classmethods.  Each
+    variant supplies the measure lookup and one Picard substep; ``_seams``
+    are the times where the driver changes form, which no substep straddles.
     """
 
-    __slots__ = (
-        "kind", "horizon", "support_bound",
-        "_breaks", "_measures", "_pos", "_wts",
-        "_times", "_positions", "_seams",
-    )
-
-    def __init__(self, *, _kind: str, **state) -> None:
-        object.__setattr__(self, "kind", _kind)
-        for key, value in state.items():
-            object.__setattr__(self, key, value)
-
-    def __setattr__(self, name, value):  # pragma: no cover - guard only
-        raise AttributeError("DriverFamily is immutable")
+    kind: ClassVar[str]
+    horizon: float
+    support_bound: float
+    _seams: np.ndarray
 
     # -- constructors -----------------------------------------------------
 
@@ -150,20 +150,9 @@ class DriverFamily:
             raise InvalidInputError("horizon must be positive")
         if hor < b[-1]:
             raise InvalidInputError("horizon lies before the last breakpoint")
-        nodes = [mu.nodes() for mu in ms]
-        bound = max(float(np.max(np.abs(p))) if p.size else 0.0 for p, _ in nodes)
-        return cls(
-            _kind="piecewise_constant",
-            horizon=hor,
-            support_bound=bound,
-            _breaks=b,
-            _measures=ms,
-            _pos=tuple(p for p, _ in nodes),
-            _wts=tuple(w for _, w in nodes),
-            _times=None,
-            _positions=None,
-            _seams=b[1:],
-        )
+        # unit mass guarantees every node array is non-empty
+        bound = max(float(np.max(np.abs(mu.nodes()[0]))) for mu in ms)
+        return _PiecewiseConstant(hor, bound, b[1:], b, ms)
 
     @classmethod
     def constant(cls, measure: RealMeasure, horizon: float | None = None) -> "DriverFamily":
@@ -190,18 +179,8 @@ class DriverFamily:
             raise InvalidInputError("horizon must be positive")
         if hor > times[-1]:
             raise InvalidInputError("samples do not reach the requested horizon")
-        return cls(
-            _kind="moving_atom",
-            horizon=hor,
-            support_bound=float(np.max(np.abs(positions))),
-            _breaks=None,
-            _measures=None,
-            _pos=None,
-            _wts=None,
-            _times=times,
-            _positions=positions,
-            _seams=times[1:-1],
-        )
+        return _MovingAtom(
+            hor, float(np.max(np.abs(positions))), times[1:-1], times, positions)
 
     # -- queries -----------------------------------------------------------
 
@@ -211,11 +190,100 @@ class DriverFamily:
             raise InvalidInputError("time must be non-negative")
         if t > self.horizon:
             raise InvalidInputError(f"time {t} lies beyond the driver horizon {self.horizon}")
-        if self.kind == "piecewise_constant":
-            k = int(np.searchsorted(self._breaks, t, side="right")) - 1
-            return self._measures[k]
-        u = float(np.interp(t, self._times, self._positions))
-        return point_mass(u)
+        return self._measure(t)
+
+    def _measure(self, t: float) -> RealMeasure:
+        raise NotImplementedError
+
+    def _substep(self, s0, h, w0, eta, budget):
+        """Picard-solve the substeps ``[s0, s0 + h]`` entered at ``w0``.
+
+        Returns the node values, the certified Picard tail and the
+        integration allowance; tail plus allowance is at most ``budget``.
+        """
+        raise NotImplementedError
+
+
+@dataclass(frozen=True, eq=False)
+class _PiecewiseConstant(DriverFamily):
+    kind: ClassVar[str] = "piecewise_constant"
+    breaks: np.ndarray
+    measures: tuple[RealMeasure, ...]
+
+    def _measure(self, t: float) -> RealMeasure:
+        return self.measures[int(np.searchsorted(self.breaks, t, side="right")) - 1]
+
+    def _substep(self, s0, h, w0, eta, budget):
+        # The Picard tail gets 0.8 of the budget; the h-rule keeps the
+        # interpolation error under the other 0.2.  Each sweep integrates
+        # the degree-(M-1) interpolant of the sampled integrand exactly.
+        _, _, tails = cheb_grid(_NODES)
+        target = 0.8 * budget
+        idx = np.searchsorted(self.breaks, s0, side="right") - 1
+        B = np.empty((w0.size, _NODES), dtype=complex)
+        tail = np.empty(w0.size)
+        for k in np.unique(idx):
+            m = idx == k
+            pos, wts = self.measures[k].nodes()
+            B[m], tail[m] = _picard(
+                w0[m], h[m], eta[m], target[m],
+                lambda V: (wts / (V[:, :, None] - pos)).sum(axis=2) @ tails.T,
+            )
+        return B, tail, 0.2 * budget
+
+
+@dataclass(frozen=True, eq=False)
+class _MovingAtom(DriverFamily):
+    kind: ClassVar[str] = "moving_atom"
+    times: np.ndarray
+    positions: np.ndarray
+
+    def _measure(self, t: float) -> RealMeasure:
+        return point_mass(float(np.interp(t, self.times, self.positions)))
+
+    def _substep(self, s0, h, w0, eta, budget):
+        # Simpson converges to budget/15 so that its three injections and
+        # the interpolation share stay under 0.4 of the budget.
+        sim_target = budget / 15.0
+        B, tail = _picard(
+            w0, h, eta, 0.6 * budget,
+            lambda V: self._tails(s0, h, V, sim_target),
+        )
+        return B, tail, 0.2 * budget + 3.0 * sim_target
+
+    def _tails(self, s0, h, B, sim_target):
+        """Suffix integrals of 1/(B(s) - U(s)) over the standard grid.
+
+        Composite Simpson per collocation panel, doubled until consecutive
+        levels agree within ``sim_target``; the iterate is evaluated between
+        nodes through its Chebyshev coefficients.
+        """
+        g, M = B.shape
+        xstd, vinv, _ = cheb_grid(_NODES)
+        coeff = vinv @ B.T
+        widths = np.diff(xstd)
+        T = np.zeros((g, M), dtype=complex)
+        act = np.arange(g)
+        prev = None
+        for level in range(_SIMPSON_BASE, _SIMPSON_MAX + 1):
+            xs, pat = _simpson_rule(level)
+            vals = chebval(xs, coeff[:, act])  # (act, panel, point)
+            tt = s0[act, None, None] + (xs[None] + 1.0) * (0.5 * h[act])[:, None, None]
+            u = np.interp(tt.ravel(), self.times, self.positions).reshape(tt.shape)
+            panel = ((1.0 / (vals - u)) @ pat) * (widths / (3 * (1 << level)))
+            Tl = np.zeros((act.size, M), dtype=complex)
+            Tl[:, :-1] = panel[:, ::-1].cumsum(axis=1)[:, ::-1]
+            if prev is None:
+                prev = Tl
+                continue
+            diff = np.abs(Tl - prev).max(axis=1) * 0.5 * h[act]
+            done = diff <= sim_target[act]
+            T[act[done]] = Tl[done]
+            act = act[~done]
+            if act.size == 0:
+                return T
+            prev = Tl[~done]
+        raise NonConvergenceError("time quadrature for the moving atom stalled")
 
 
 def driver_measure_at(family: DriverFamily, t: float) -> RealMeasure:
@@ -283,19 +351,17 @@ def _simpson_rule(level: int) -> tuple[np.ndarray, np.ndarray]:
     return xs, pat
 
 
-def _picard_const(
-    pos: np.ndarray,
-    wts: np.ndarray,
+def _picard(
     w0: np.ndarray,
     h: np.ndarray,
     eta: np.ndarray,
     target: np.ndarray,
-    tails: np.ndarray,
+    integrate: Callable[[np.ndarray], np.ndarray],
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Fixed-point iteration on one substep under a fixed measure.
+    """Fixed-point iteration for one substep per point.
 
-    Iterates live as values on the Lobatto grid; each sweep integrates the
-    degree-(M-1) interpolant of the sampled integrand exactly via ``tails``.
+    Iterates live as values on the Lobatto grid; ``integrate`` maps them to
+    the suffix integrals of the Cauchy transform over the standard grid.
     Returns the accepted node values and the certified remainder per point.
     """
     B = np.repeat(w0[:, None], _NODES, axis=1)
@@ -304,81 +370,7 @@ def _picard_const(
     inv_eta2 = 1.0 / (eta * eta)
     bound = h / eta
     for n in range(1, _MAX_PICARD + 1):
-        integ = (wts / (B[:, :, None] - pos)).sum(axis=2)
-        Bn = w_col - (integ @ tails.T) * half_h
-        if _PICARD_OBSERVER is not None:
-            _PICARD_OBSERVER(np.abs(Bn - B).max(axis=1), bound)
-        bound = bound * h * inv_eta2 / (n + 1.0)
-        q = h * inv_eta2 / (n + 2.0)
-        tail = bound / (1.0 - q)
-        B = Bn
-        if np.all(tail <= target):
-            return B, tail
-    raise NonConvergenceError("Picard iteration failed to certify within 64 sweeps")
-
-
-def _atom_tails(
-    family: DriverFamily,
-    s0: np.ndarray,
-    h: np.ndarray,
-    B: np.ndarray,
-    vinv: np.ndarray,
-    sim_target: np.ndarray,
-) -> tuple[np.ndarray, np.ndarray]:
-    """Suffix integrals of 1/(B(s) - U(s)) over the standard grid.
-
-    Composite Simpson per collocation panel, doubled until consecutive
-    levels agree within ``sim_target``; the iterate is evaluated between
-    nodes through its Chebyshev coefficients.
-    """
-    g, M = B.shape
-    coeff = vinv @ B.T
-    xstd, _, _ = cheb_grid(_NODES)
-    widths = np.diff(xstd)
-    T = np.zeros((g, M), dtype=complex)
-    est = np.zeros(g)
-    act = np.arange(g)
-    prev = None
-    for level in range(_SIMPSON_BASE, _SIMPSON_MAX + 1):
-        xs, pat = _simpson_rule(level)
-        vals = chebval(xs, coeff[:, act])  # (act, panel, point)
-        tt = s0[act, None, None] + (xs[None] + 1.0) * (0.5 * h[act])[:, None, None]
-        u = np.interp(tt.ravel(), family._times, family._positions).reshape(tt.shape)
-        panel = ((1.0 / (vals - u)) @ pat) * (widths / (3 * (1 << level)))
-        Tl = np.zeros((act.size, M), dtype=complex)
-        Tl[:, :-1] = panel[:, ::-1].cumsum(axis=1)[:, ::-1]
-        if prev is None:
-            prev = Tl
-            continue
-        diff = np.abs(Tl - prev).max(axis=1) * 0.5 * h[act]
-        done = diff <= sim_target[act]
-        T[act[done]] = Tl[done]
-        est[act[done]] = diff[done]
-        act = act[~done]
-        if act.size == 0:
-            return T, est
-        prev = Tl[~done]
-    raise NonConvergenceError("time quadrature for the moving atom stalled")
-
-
-def _picard_atom(
-    family: DriverFamily,
-    s0: np.ndarray,
-    h: np.ndarray,
-    w0: np.ndarray,
-    eta: np.ndarray,
-    target: np.ndarray,
-    sim_target: np.ndarray,
-    vinv: np.ndarray,
-) -> tuple[np.ndarray, np.ndarray]:
-    B = np.repeat(w0[:, None], _NODES, axis=1)
-    w_col = w0[:, None]
-    half_h = 0.5 * h[:, None]
-    inv_eta2 = 1.0 / (eta * eta)
-    bound = h / eta
-    for n in range(1, _MAX_PICARD + 1):
-        tails_val, _ = _atom_tails(family, s0, h, B, vinv, sim_target)
-        Bn = w_col - tails_val * half_h
+        Bn = w_col - integrate(B) * half_h
         if _PICARD_OBSERVER is not None:
             _PICARD_OBSERVER(np.abs(Bn - B).max(axis=1), bound)
         bound = bound * h * inv_eta2 / (n + 1.0)
@@ -397,7 +389,6 @@ def _evolve_chunk(
     z: np.ndarray,
     cfg: SolverConfig,
 ) -> tuple[np.ndarray, np.ndarray]:
-    xstd, vinv, tails = cheb_grid(_NODES)
     w = z.astype(complex, copy=True)
     err = np.zeros(z.size)
     s = b.astype(float, copy=True)
@@ -438,30 +429,7 @@ def _evolve_chunk(
 
         amp = 1.0 + (s0 - a[act]) * inv_eta2
         budget = cfg.tol * h / (span[act] * amp)
-
-        # Budget split: certified Picard tail vs integration slop.  The
-        # h-rule keeps the interpolation share under 0.2 * budget; the
-        # moving atom additionally converges Simpson to budget/15 so three
-        # injections stay under another 0.2.
-        if family.kind == "piecewise_constant":
-            allowance = 0.2 * budget
-            target = 0.8 * budget
-            idx = np.searchsorted(family._breaks, s0, side="right") - 1
-            Bn = np.empty((act.size, _NODES), dtype=complex)
-            tail = np.empty(act.size)
-            for k in np.unique(idx):
-                m = idx == k
-                Bn[m], tail[m] = _picard_const(
-                    family._pos[k], family._wts[k],
-                    w[act[m]], h[m], eta[m], target[m], tails,
-                )
-        else:
-            sim_target = budget / 15.0
-            allowance = 0.2 * budget + 3.0 * sim_target
-            target = 0.6 * budget
-            Bn, tail = _picard_atom(
-                family, s0, h, w[act], eta, target, sim_target, vinv,
-            )
+        Bn, tail, allowance = family._substep(s0, h, w[act], eta, budget)
 
         w[act] = Bn[:, 0]
         err[act] += (tail + allowance) * amp

@@ -218,9 +218,15 @@ def measure_from_dict(obj: dict) -> RealMeasure:
     """
     if not isinstance(obj, dict):
         raise InvalidInputError("measure JSON must be an object")
-    atoms = obj.get("atoms", [])
+    try:
+        atoms = [(float(x), float(w)) for x, w in obj.get("atoms", [])]
+    except (TypeError, ValueError) as exc:
+        raise InvalidInputError("atoms must be a list of [position, weight] pairs") from exc
+    segments = obj.get("segments", [])
+    if not isinstance(segments, (list, tuple)):
+        raise InvalidInputError("segments must be a list")
     segs = []
-    for s in obj.get("segments", []):
+    for s in segments:
         try:
             lo, hi = (float(v) for v in s["interval"])
         except (KeyError, TypeError, ValueError) as exc:
@@ -229,9 +235,17 @@ def measure_from_dict(obj: dict) -> RealMeasure:
         if not isinstance(name, str):
             raise InvalidInputError("segment density must be a name string")
         dens, cheb = named_density(name, lo, hi)
-        order = s.get("order", 64)
-        segs.append(DensitySegment(lo, hi, dens, int(order), cheb))
-    return RealMeasure(atoms, segs, mass=obj.get("mass"))
+        try:
+            order = int(s.get("order", 64))
+        except (TypeError, ValueError, OverflowError) as exc:
+            raise InvalidInputError("segment order must be an integer") from exc
+        segs.append(DensitySegment(lo, hi, dens, order, cheb))
+    mass = obj.get("mass")
+    try:
+        mass = None if mass is None else float(mass)
+    except (TypeError, ValueError) as exc:
+        raise InvalidInputError("declared mass must be a number") from exc
+    return RealMeasure(atoms, segs, mass=mass)
 
 
 # ---------------------------------------------------------------------------

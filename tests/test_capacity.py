@@ -18,6 +18,7 @@ from chordal.capacity import (
 )
 from chordal.errors import InvalidInputError
 from chordal.measures import (
+    RealMeasure,
     affine_pushforward,
     arcsine,
     bernoulli,
@@ -190,6 +191,8 @@ def test_hayman_validation():
         hayman_report(point_mass(0.0))
     with pytest.raises(InvalidInputError):
         hayman_report([1, 2, 3])
+    with pytest.raises(InvalidInputError):
+        hayman_report(RealMeasure())
 
 
 def test_report_is_frozen():

@@ -65,7 +65,8 @@ def test_parse_complex_accepts_the_documented_forms():
     assert parse_complex("1e-3+2e2i") == complex(1e-3, 200.0)
 
 
-@pytest.mark.parametrize("bad", ["", "1 + 2i", "abc", "1+2x", "--", "i2"])
+@pytest.mark.parametrize("bad", ["", "1 + 2i", "abc", "1+2x", "--", "i2",
+                                 "nan+1i", "inf+1i", "1+nani"])
 def test_parse_complex_rejects_garbage(bad):
     with pytest.raises(InvalidInputError):
         parse_complex(bad)
@@ -272,6 +273,22 @@ def test_malformed_json_is_an_input_error(capsys, tmp_path):
     bad.write_text("{not json")
     assert run(["transform", "--measure", str(bad), "--z", "i"]) == 2
     assert "malformed JSON" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("measure", [
+    {"atoms": [[None, 1]]},
+    {"atoms": 5},
+    {"atoms": [[0.0]]},
+    {"segments": 3},
+    {"segments": [{"interval": [-2.0, 2.0], "density": "semicircle", "order": None}]},
+    {"atoms": [[0.0, 1.0]], "mass": [1.0]},
+])
+def test_malformed_measure_is_an_input_error(capsys, tmp_path, measure):
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(measure))
+    assert run(["transform", "--measure", str(path), "--z", "i"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "Traceback" not in err
 
 
 def test_malformed_z_is_an_input_error(capsys, atom_path):

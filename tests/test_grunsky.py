@@ -139,16 +139,14 @@ def test_grunsky_needs_enough_tail():
 # eigenvalues
 
 
-def test_jacobi_matches_reference_solver():
-    # numpy's eigvalsh is the cross-check oracle only; the package itself
-    # never calls into numpy.linalg for the certificate
+def test_symmetric_eigenvalues_of_a_rotated_diagonal():
+    # Q diag(d) Q^T has eigenvalues d for any orthogonal Q
     rng = np.random.default_rng(31)
-    for n in (1, 2, 3, 5, 8, 12):
-        a = rng.standard_normal((n, n))
-        a = 0.5 * (a + a.T)
-        got = symmetric_eigenvalues(a)
-        ref = np.linalg.eigvalsh(a)
-        assert np.abs(got - ref).max() < 1e-12 * max(1.0, np.abs(ref).max())
+    for n in (1, 2, 3, 5, 8, 12, 32):
+        q, _ = np.linalg.qr(rng.standard_normal((n, n)))
+        d = np.sort(rng.uniform(-2.0, 2.0, n))
+        got = symmetric_eigenvalues(q @ np.diag(d) @ q.T)
+        assert np.abs(got - d).max() < 1e-13
 
 
 def test_jacobi_edge_cases():
@@ -158,6 +156,8 @@ def test_jacobi_edge_cases():
         symmetric_eigenvalues(np.zeros((2, 3)))
     with pytest.raises(InvalidInputError):
         symmetric_eigenvalues([[0.0, 1.0], [0.0, 0.0]])
+    with pytest.raises(InvalidInputError):
+        symmetric_eigenvalues([[np.nan]])
 
 
 def test_jacobi_accepts_roundoff_asymmetry():
@@ -182,6 +182,13 @@ def test_certificate_bernoulli_fails():
     report = univalence_certificate(BERNOULLI_PM1, 2)
     assert report.verdict == "fail"
     assert np.abs(np.sort(report.eigenvalues) - [0.0, 2.0]).max() < 1e-8
+
+
+def test_certificate_bernoulli_fails_at_order_16():
+    # the two-atom measure at +-1 is never univalent; at this order the
+    # old Jacobi sweeps overflowed instead of reaching the verdict
+    report = univalence_certificate([1.0 - n % 2 for n in range(33)], 16)
+    assert report.verdict == "fail"
 
 
 def test_certificate_arcsine_boundary():
@@ -220,6 +227,8 @@ def test_certificate_input_validation():
     # unit atom at 2.5: m_2 = 6.25 certifies support outside [-2, 2]
     with pytest.raises(InvalidInputError):
         univalence_certificate([1, 2.5, 6.25, 15.625, 39.0625], 2)
+    with pytest.raises(InvalidInputError):
+        univalence_certificate([1, math.inf, 1, 0, 2], 2)
 
 
 def test_report_is_frozen():

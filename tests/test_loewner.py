@@ -56,6 +56,12 @@ def test_solver_config_validation():
 def test_driver_family_is_immutable():
     with pytest.raises(AttributeError):
         DELTA0.horizon = 1.0
+    atom = DriverFamily.moving_atom([(0.0, 0.0), (1.0, 1.0)])
+    for fam in (DELTA0, atom):
+        assert isinstance(fam, DriverFamily)
+        with pytest.raises(AttributeError):
+            fam.kind = "moving_atom"
+    assert (DELTA0.kind, atom.kind) == ("piecewise_constant", "moving_atom")
 
 
 def test_piecewise_constant_validation():
