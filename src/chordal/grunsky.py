@@ -21,6 +21,7 @@ from .errors import InvalidInputError, NonConvergenceError
 SUPPORT_HALF_WIDTH = 2.0  # certificate applies to measures supported in [-2, 2]
 _SERIES_LEADING_TOL = 1e-12
 MAX_CERTIFICATE_ORDER = 32  # series data capped at 2N = 64 coefficients
+_SYMMETRY_TOL = 1e-9  # largest |c - c^T| symmetrized before eigvalsh
 
 
 @dataclass(frozen=True)
@@ -176,8 +177,8 @@ def symmetric_eigenvalues(matrix) -> np.ndarray:
         raise InvalidInputError("need a square matrix")
     if not np.all(np.isfinite(a)):
         raise InvalidInputError("matrix entries must be finite")
-    if a.size and np.max(np.abs(a - a.T)) >= 1e-9:
-        raise InvalidInputError("matrix is asymmetric beyond 1e-9")
+    if a.size and np.max(np.abs(a - a.T)) >= _SYMMETRY_TOL:
+        raise InvalidInputError(f"matrix is asymmetric beyond {_SYMMETRY_TOL:g}")
     return np.linalg.eigvalsh(0.5 * (a + a.T))
 
 
@@ -213,13 +214,23 @@ def univalence_certificate(mu_moments, order: int, boundary_tol: float = 1e-8) -
             raise InvalidInputError(
                 "even moments exceed the support window [-2, 2]; certificate not applicable"
             )
-    beta = alpha_to_beta(moments_to_alpha(a))
-    g = SeriesCoefficients(beta)
-    bmat = grunsky_coefficients(g, order)
-    ks = np.arange(1, order + 1, dtype=float)
-    cmat = np.sqrt(ks[None, :] / ks[:, None]) * bmat
+    # Huge finite moments overflow mid-pipeline; the non-finite check below
+    # turns that into a refusal, so numpy need not warn about it.
+    with np.errstate(over="ignore", invalid="ignore"):
+        beta = alpha_to_beta(moments_to_alpha(a))
+        g = SeriesCoefficients(beta)
+        bmat = grunsky_coefficients(g, order)
+        ks = np.arange(1, order + 1, dtype=float)
+        cmat = np.sqrt(ks[None, :] / ks[:, None]) * bmat
     if not np.all(np.isfinite(cmat)):
         raise NonConvergenceError("Grunsky matrix overflowed")
+    # The exact matrix is symmetric, so any asymmetry is rounding in the
+    # pipeline above: a numerical breakdown, not a fault in the input.
+    asym = float(np.max(np.abs(cmat - cmat.T)))
+    if asym >= _SYMMETRY_TOL:
+        raise NonConvergenceError(
+            f"Grunsky matrix lost symmetry to rounding ({asym:.1e}) at order {order}"
+        )
     eigs = symmetric_eigenvalues(cmat)
     mx = float(np.max(np.abs(eigs))) if eigs.size else 0.0
     if mx > 1.0 + boundary_tol:

@@ -26,7 +26,10 @@ the driver's Cauchy transform at the node values ``B``.  A driver is a
 certified Picard tail and its integration allowance.  Two drivers exist:
 piecewise-constant measure families, integrated exactly through the
 antiderivative of the interpolant, and a moving atom along a
-piecewise-linear path, integrated by converged composite Simpson sums.
+piecewise-linear path.  The atom's integrand ``1/(B - U)`` is summed by
+composite Simpson rules, doubled until consecutive levels agree; ``U`` is
+affine on each substep, so ``B - U`` is known by its node values, and one
+cached matrix per Simpson level takes them to the Simpson points.
 """
 
 from __future__ import annotations
@@ -36,7 +39,7 @@ from dataclasses import dataclass, replace
 from typing import Callable, ClassVar, Sequence
 
 import numpy as np
-from numpy.polynomial.chebyshev import chebval
+from numpy.polynomial.chebyshev import chebvander
 
 from .errors import InvalidInputError, NonConvergenceError
 from .measures import RealMeasure, measure_from_dict, point_mass, y_ladder
@@ -242,35 +245,42 @@ class _MovingAtom(DriverFamily):
         return point_mass(float(np.interp(t, self.times, self.positions)))
 
     def _substep(self, s0, h, w0, eta, budget):
+        # No substep straddles a seam, so U is affine on [s0, s0 + h] and
+        # its two end values give it at every Lobatto node.
+        xstd, _, _ = cheb_grid(_NODES)
+        u0 = np.interp(s0, self.times, self.positions)
+        du = np.interp(s0 + h, self.times, self.positions) - u0
+        u = u0[:, None] + (0.5 * (xstd + 1.0)) * du[:, None]
         # Simpson converges to budget/15 so that its three injections and
         # the interpolation share stay under 0.4 of the budget.
         sim_target = budget / 15.0
         B, tail = _picard(
             w0, h, eta, 0.6 * budget,
-            lambda V: self._tails(s0, h, V, sim_target),
+            lambda V: self._tails(h, V - u, sim_target),
         )
         return B, tail, 0.2 * budget + 3.0 * sim_target
 
-    def _tails(self, s0, h, B, sim_target):
+    @staticmethod
+    def _tails(h, D, sim_target):
         """Suffix integrals of 1/(B(s) - U(s)) over the standard grid.
 
-        Composite Simpson per collocation panel, doubled until consecutive
-        levels agree within ``sim_target``; the iterate is evaluated between
-        nodes through its Chebyshev coefficients.
+        ``D`` holds ``B - U`` at the Lobatto nodes; with ``U`` affine it is
+        a polynomial of the iterate's degree, so one cached matrix per
+        Simpson level takes it to the Simpson points.  Composite Simpson
+        per collocation panel is doubled until consecutive levels agree
+        within ``sim_target``.
         """
-        g, M = B.shape
-        xstd, vinv, _ = cheb_grid(_NODES)
-        coeff = vinv @ B.T
+        g, M = D.shape
+        xstd, _, _ = cheb_grid(_NODES)
         widths = np.diff(xstd)
         T = np.zeros((g, M), dtype=complex)
         act = np.arange(g)
         prev = None
         for level in range(_SIMPSON_BASE, _SIMPSON_MAX + 1):
-            xs, pat = _simpson_rule(level)
-            vals = chebval(xs, coeff[:, act])  # (act, panel, point)
-            tt = s0[act, None, None] + (xs[None] + 1.0) * (0.5 * h[act])[:, None, None]
-            u = np.interp(tt.ravel(), self.times, self.positions).reshape(tt.shape)
-            panel = ((1.0 / (vals - u)) @ pat) * (widths / (3 * (1 << level)))
+            xs, pat, interp = _simpson_rule(level)
+            f = (D[act] @ interp).reshape(act.size, *xs.shape)  # (act, panel, point)
+            np.reciprocal(f, out=f)
+            panel = (f @ pat) * (widths / (3 * (1 << level)))
             Tl = np.zeros((act.size, M), dtype=complex)
             Tl[:, :-1] = panel[:, ::-1].cumsum(axis=1)[:, ::-1]
             if prev is None:
@@ -331,24 +341,28 @@ def _solve_rho(R: np.ndarray) -> np.ndarray:
     return rho
 
 
-_SIMPSON_CACHE: dict[int, tuple[np.ndarray, np.ndarray]] = {}
+_SIMPSON_CACHE: dict[int, tuple[np.ndarray, np.ndarray, np.ndarray]] = {}
 
 
-def _simpson_rule(level: int) -> tuple[np.ndarray, np.ndarray]:
-    # Nodes (panel, point) on the standard interval and Simpson pattern.
+def _simpson_rule(level: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    # Nodes (panel, point) on the standard interval, the Simpson pattern,
+    # and the (node, panel * point) matrix taking Lobatto node values to
+    # the interpolant's values at those nodes.
     try:
         return _SIMPSON_CACHE[level]
     except KeyError:
         pass
-    xstd, _, _ = cheb_grid(_NODES)
+    xstd, vinv, _ = cheb_grid(_NODES)
     m = 1 << level
     frac = np.arange(m + 1) / m
     xs = xstd[:-1, None] + np.diff(xstd)[:, None] * frac[None, :]
     pat = np.ones(m + 1)
     pat[1:-1:2] = 4.0
     pat[2:-1:2] = 2.0
-    _SIMPSON_CACHE[level] = (xs, pat)
-    return xs, pat
+    # stored complex: a real matrix would be cast on every complex product
+    interp = (vinv.T @ chebvander(xs.ravel(), _NODES - 1).T).astype(complex)
+    _SIMPSON_CACHE[level] = (xs, pat, interp)
+    return xs, pat, interp
 
 
 def _picard(

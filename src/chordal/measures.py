@@ -236,10 +236,12 @@ def measure_from_dict(obj: dict) -> RealMeasure:
             raise InvalidInputError("segment density must be a name string")
         dens, cheb = named_density(name, lo, hi)
         try:
-            order = int(s.get("order", 64))
+            order = float(s.get("order", 64))
         except (TypeError, ValueError, OverflowError) as exc:
             raise InvalidInputError("segment order must be an integer") from exc
-        segs.append(DensitySegment(lo, hi, dens, order, cheb))
+        if not order.is_integer():
+            raise InvalidInputError("segment order must be an integer")
+        segs.append(DensitySegment(lo, hi, dens, int(order), cheb))
     mass = obj.get("mass")
     try:
         mass = None if mass is None else float(mass)

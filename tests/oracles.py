@@ -2,8 +2,9 @@
 
 Everything here is written against the defining formulas, not against the
 package code: Laurent series as {power: coeff} dicts, Faber polynomials by
-triangular elimination on powers of g, the slit-map closed forms, and a
-plain RK4 integrator for the downward Loewner equation.
+triangular elimination on powers of g, the slit-map closed forms, a plain
+RK4 integrator for the downward Loewner equation, and the first integral of
+that equation for an atom driven linearly.
 """
 
 import numpy as np
@@ -117,4 +118,42 @@ def rk4_transition(u_of_a, a, b, z, steps=4000):
         k4 = 1.0 / (w + h * k3 - u_of_a(s + h))
         w = w + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
         s += h
+    return w
+
+
+# ---------------------------------------------------------------------------
+# linear driving: W = B - U with U(s) = u + k s solves dW/ds = 1/W - k, so
+# Phi(W) = -W/k - log(1 - kW)/k^2 (W^2/2 for k = 0) has dPhi/ds = 1 exactly
+# (Kager, Nienhuis & Kadanoff, J. Stat. Phys. 115, 2004).
+
+
+def linear_first_integral(w, k):
+    """Phi with Phi'(w) = w / (1 - k w); Im(1 - kw) keeps one sign in the
+    upper half-plane, so the principal logarithm is continuous there."""
+    if k == 0.0:
+        return 0.5 * w * w
+    return -w / k - np.log(1.0 - k * w) / (k * k)
+
+
+def moving_atom_transition(samples, a, b, z):
+    """B(a, b; z) for a unit atom on the piecewise-linear path ``samples``.
+
+    Walks the pieces from b down to a; on each, Phi(W_lo) = Phi(W_hi) -
+    (hi - lo) is solved by Newton, started from a coarse RK4 step.
+    """
+    ts = np.array([p[0] for p in samples], dtype=float)
+    us = np.array([p[1] for p in samples], dtype=float)
+    u = lambda s: float(np.interp(s, ts, us))
+    cuts = [b, *ts[(ts > a) & (ts < b)][::-1], a]
+    w = complex(z)
+    for hi, lo in zip(cuts, cuts[1:]):
+        k = (u(hi) - u(lo)) / (hi - lo)
+        target = linear_first_integral(w - u(hi), k) - (hi - lo)
+        W = rk4_transition(u, lo, hi, w, steps=32) - u(lo)
+        for _ in range(40):
+            step = (linear_first_integral(W, k) - target) * (1.0 - k * W) / W
+            W -= step
+            if abs(step) <= 1e-15 * abs(W):
+                break
+        w = W + u(lo)
     return w

@@ -226,6 +226,24 @@ def test_grunsky_boundary_case(capsys):
     assert abs(out["max_abs_eigenvalue"] - 1.0) <= out["boundary_tol"]
 
 
+def test_grunsky_numerical_breakdown_exits_1(capsys):
+    # +-1 atom pair at order 24: rounding in the pipeline, not bad input
+    moments = ",".join(["1,0"] * 24 + ["1"])
+    assert run(["grunsky", "--moments", moments, "--order", "24"]) == 1
+    assert capsys.readouterr().err.startswith("non-convergence: ")
+
+
+def test_grunsky_huge_moments_refuse_on_one_line():
+    # run as a process so that a leaked numpy warning would reach stderr
+    proc = subprocess.run(
+        [sys.executable, "-m", "chordal.cli", "grunsky",
+         "--moments", "1,1e200,1,0,2", "--order", "2"],
+        capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 1
+    assert proc.stdout == ""
+    assert proc.stderr == "non-convergence: Grunsky matrix overflowed\n"
+
+
 def test_grunsky_needs_exactly_one_source(capsys, semi_path):
     assert run(["grunsky", "--order", "4"]) == 2
     capsys.readouterr()
@@ -282,6 +300,7 @@ def test_malformed_json_is_an_input_error(capsys, tmp_path):
     {"segments": 3},
     {"segments": [{"interval": [-2.0, 2.0], "density": "semicircle", "order": None}]},
     {"atoms": [[0.0, 1.0]], "mass": [1.0]},
+    {"segments": [{"interval": [-2.0, 2.0], "density": "semicircle", "order": 2.5}]},
 ])
 def test_malformed_measure_is_an_input_error(capsys, tmp_path, measure):
     path = tmp_path / "bad.json"

@@ -5,7 +5,7 @@ import math
 import numpy as np
 import pytest
 
-from chordal.errors import InvalidInputError
+from chordal.errors import InvalidInputError, NonConvergenceError
 from chordal.grunsky import (
     GrunskyReport,
     SeriesCoefficients,
@@ -229,6 +229,25 @@ def test_certificate_input_validation():
         univalence_certificate([1, 2.5, 6.25, 15.625, 39.0625], 2)
     with pytest.raises(InvalidInputError):
         univalence_certificate([1, math.inf, 1, 0, 2], 2)
+
+
+def test_certificate_huge_moments_refuse_without_warnings():
+    # finite but huge moments overflow inside the pipeline; RuntimeWarnings
+    # are errors under pytest, so a leaked one would fail here first
+    with pytest.raises(NonConvergenceError, match="overflowed"):
+        univalence_certificate([1, 1e200, 1, 0, 2], 2)
+
+
+def test_certificate_rounding_asymmetry_is_a_refusal():
+    # the exact Grunsky matrix of the +-1 atom pair is symmetric; at order
+    # 24 the pipeline's own rounding breaks that, which is no input error
+    with pytest.raises(NonConvergenceError, match="symmetry"):
+        univalence_certificate([1, 0] * 24 + [1], 24)
+
+
+def test_asymmetric_user_matrix_is_an_input_error():
+    with pytest.raises(InvalidInputError, match="asymmetric"):
+        symmetric_eigenvalues([[1.0, 2.0], [2.0 + 1e-6, 1.0]])
 
 
 def test_report_is_frozen():

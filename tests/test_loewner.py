@@ -5,6 +5,7 @@ import math
 
 import numpy as np
 import pytest
+from numpy.polynomial.chebyshev import chebval
 
 import chordal.loewner as loewner
 from chordal.errors import InvalidInputError, NonConvergenceError
@@ -22,15 +23,24 @@ from chordal.loewner import (
     univalence_probe,
 )
 from chordal.measures import RealMeasure, bernoulli, point_mass, semicircle
+from chordal.numerics import cheb_grid
 
-from oracles import rk4_transition, shifted_slit_map, slit_map
+from oracles import moving_atom_transition, rk4_transition, shifted_slit_map, slit_map
 
 DELTA0 = DriverFamily.constant(point_mass(0.0), horizon=4.0)
+LINEAR_ATOM = [(0.0, 0.0), (4.0, 2.0)]
+SEAMED_ATOM = [(0.0, 0.0), (1.0, 1.0), (2.0, -0.5), (4.0, 0.5)]
 
 
 def small_grid():
     re = np.linspace(-3.0, 3.0, 7)
     im = np.linspace(0.3, 4.0, 5)
+    return (re[:, None] + 1j * im[None, :]).ravel()
+
+
+def acceptance_grid():
+    re = np.linspace(-4.0, 4.0, 20)
+    im = np.linspace(0.2, 4.0, 10)
     return (re[:, None] + 1j * im[None, :]).ravel()
 
 
@@ -225,6 +235,45 @@ def test_kinked_atom_against_rk4():
         ref = rk4_transition(u, 0.5, 1.5, ref, steps=4000)
         ref = rk4_transition(u, 0.25, 0.5, ref, steps=1500)
         assert abs(got - ref) < 1e-8
+
+
+def test_linear_driving_oracle_matches_rk4():
+    u = lambda s: 0.5 * s
+    for z in (1j, -1.0 + 0.5j, 3.0 + 0.2j, -4.0 + 4.0j):
+        ref = rk4_transition(u, 0.0, 2.0, z, steps=8000)
+        assert abs(moving_atom_transition(LINEAR_ATOM, 0.0, 2.0, z) - ref) < 1e-12
+
+
+def test_linear_atom_grid_within_bound():
+    zs = acceptance_grid()
+    vals, errs = transition_grid(DriverFamily.moving_atom(LINEAR_ATOM), 0.0, 2.0, zs)
+    ref = np.array([moving_atom_transition(LINEAR_ATOM, 0.0, 2.0, z) for z in zs])
+    assert np.all(np.abs(vals - ref) <= errs)
+    assert errs.max() <= SolverConfig().tol
+
+
+def test_seamed_atom_between_sample_times():
+    # both ends sit exactly on samples, so every substep meets a seam or an
+    # end of the path; the driver's affine pieces must match on both sides
+    fam = DriverFamily.moving_atom(SEAMED_ATOM)
+    zs = small_grid()
+    for a, b in ((1.0, 2.0), (1.0, 4.0)):
+        vals, errs = transition_grid(fam, a, b, zs)
+        ref = np.array([moving_atom_transition(SEAMED_ATOM, a, b, z) for z in zs])
+        assert np.all(np.abs(vals - ref) <= errs)
+
+
+def test_simpson_matrices_match_chebval():
+    # each level's cached matrix is the Lobatto interpolant evaluated at
+    # that level's Simpson points
+    rng = np.random.default_rng(7)
+    _, vinv, _ = cheb_grid(loewner._NODES)
+    for level in range(2, 9):
+        xs, _, interp = loewner._simpson_rule(level)
+        v = rng.standard_normal(loewner._NODES) + 1j * rng.standard_normal(loewner._NODES)
+        want = chebval(xs, vinv @ v)
+        got = (v @ interp).reshape(xs.shape)
+        assert np.abs(got - want).max() <= 1e-13 * np.abs(want).max()
 
 
 def test_piecewise_semicircle_against_rk4_wide():
