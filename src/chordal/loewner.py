@@ -408,6 +408,13 @@ def _evolve_chunk(
     s = b.astype(float, copy=True)
     span = np.maximum(b - a, _MIN_STEP)  # budget scale only; a == b never iterates
     seams = family._seams
+    # Im w never decreases along the path, so the substep parameter R of
+    # the loop below is largest on the first round: refuse here if it
+    # overflows rather than iterate on infinities.
+    with np.errstate(over="ignore"):
+        worst_r = 120.0 * span * (1.0 + (b - a) / (z.imag * z.imag)) / (z.imag * cfg.tol)
+    if not np.all(np.isfinite(worst_r)):
+        raise NonConvergenceError("time span too long for the requested tolerance")
 
     for _ in range(_MAX_ROUNDS):
         act = np.flatnonzero(s > a)

@@ -28,19 +28,21 @@ Y_DOUBLINGS = 10
 
 MASS_TOL = 1e-12
 _MAX_DENSE_NODES = 400_000
+_CAUCHY_BLOCK = 1 << 18  # (point, node) pairs per block of cauchy_transform
 
 
 def y_ladder() -> np.ndarray:
     return Y_BASE * 2.0 ** np.arange(Y_DOUBLINGS + 1)
 
 
-def _eval_density(density, x: np.ndarray) -> np.ndarray:
+def _eval_array(fn, x: np.ndarray, dtype=float) -> np.ndarray:
+    # fn on the whole array, or point by point when it takes scalars only
     try:
-        vals = np.asarray(density(x), dtype=float)
+        vals = np.asarray(fn(x), dtype=dtype)
         if vals.shape != x.shape:
             raise TypeError
     except TypeError:
-        vals = np.array([float(density(xi)) for xi in x])
+        vals = np.array([dtype(fn(xi)) for xi in x], dtype=dtype)
     return vals
 
 
@@ -77,7 +79,7 @@ class DensitySegment:
         else:
             x = mid + rad * t
             jac = np.full_like(x, rad)
-        dens = _eval_density(self.density, x)
+        dens = _eval_array(self.density, x)
         if np.any(dens < -1e-12) or not np.all(np.isfinite(dens)):
             raise InvalidInputError("density must be finite and nonnegative on nodes")
         return x, dens * jac * w
@@ -165,13 +167,13 @@ class RealMeasure:
                 n = min(n, _MAX_DENSE_NODES)
                 theta = np.pi * (np.arange(n) + 0.5) / n
                 x = mid + rad * np.cos(theta)
-                w = _eval_density(seg.density, x) * rad * np.sin(theta) * (np.pi / n)
+                w = _eval_array(seg.density, x) * rad * np.sin(theta) * (np.pi / n)
             else:
                 n = max(int(seg.order), int(np.ceil((seg.hi - seg.lo) / spacing)) + 1)
                 n = min(n, _MAX_DENSE_NODES)
                 step = (seg.hi - seg.lo) / n
                 x = seg.lo + step * (np.arange(n) + 0.5)
-                w = _eval_density(seg.density, x) * step
+                w = _eval_array(seg.density, x) * step
             pos.append(x)
             wts.append(w)
         return np.concatenate(pos), np.concatenate(wts)
@@ -254,7 +256,10 @@ def measure_from_dict(obj: dict) -> RealMeasure:
 # transform calculus
 
 def _require_upper(z):
-    if np.any(np.asarray(z).imag <= 0):
+    zz = np.asarray(z)
+    if not np.all(np.isfinite(zz)):
+        raise InvalidInputError("z must be finite")
+    if np.any(zz.imag <= 0):
         raise InvalidInputError("z must lie in the open upper half-plane")
 
 
@@ -265,7 +270,13 @@ def cauchy_transform(mu: RealMeasure, z):
     zz = np.asarray(z, dtype=complex)
     if zz.ndim == 0:
         return complex((wts / (complex(z) - pos)).sum())
-    return (wts / (zz[..., None] - pos)).sum(axis=-1)
+    # blocks of points keep the (point, node) temporaries bounded
+    flat = zz.ravel()
+    out = np.empty(flat.size, dtype=complex)
+    step = max(1, _CAUCHY_BLOCK // max(pos.size, 1))
+    for lo in range(0, flat.size, step):
+        out[lo:lo + step] = (wts / (flat[lo:lo + step, None] - pos)).sum(axis=-1)
+    return out.reshape(zz.shape)
 
 
 def reciprocal_cauchy(mu: RealMeasure, z):
@@ -338,18 +349,32 @@ def stieltjes_invert(G, interval: tuple[float, float], eps_ladder: Sequence[floa
     Integrates -(2/pi) Im G(x + i*eps) over (a, b) by adaptive Simpson for
     each rung, then extrapolates the ladder to eps = 0. Interior atoms count
     twice, endpoint atoms once, matching the open/closed average.
+
+    G is called on 1-D complex arrays of points, one call per Simpson
+    level and slice; a G that raises TypeError on an array, or returns the
+    wrong shape, is called point by point instead.
     """
     a, b = (float(v) for v in interval)
+    if not (math.isfinite(a) and math.isfinite(b)):
+        raise InvalidInputError("interval endpoints must be finite")
     if not b > a:
         raise InvalidInputError("interval needs a < b")
+    if not math.isfinite(b - a):
+        raise InvalidInputError("interval width b - a overflows")
     eps = np.asarray(list(eps_ladder), dtype=float)
+    if not np.all(np.isfinite(eps)):
+        raise InvalidInputError("eps ladder must be finite")
     if eps.size < 2 or np.any(eps <= 0) or np.any(np.diff(eps) >= 0):
         raise InvalidInputError("eps ladder must be positive, strictly decreasing, length >= 2")
+    tol = 1e-10 * max(1.0, b - a)
     vals = []
     for e in eps:
-        integrand = lambda x, _e=e: complex(G(x + 1j * _e)).imag
-        vals.append(-(2.0 / np.pi) * adaptive_simpson(integrand, a, b, tol=1e-10 * max(1.0, b - a)))
-    value, diff = neville_zero(eps, vals)
+        integrand = lambda x, _e=e: _eval_array(G, x + 1j * _e, complex).imag
+        vals.append(-(2.0 / np.pi) * adaptive_simpson(integrand, a, b, tol=tol))
+    with np.errstate(over="ignore", invalid="ignore"):
+        value, diff = neville_zero(eps, vals)
+    if not math.isfinite(value):
+        raise NonConvergenceError("eps ladder extrapolated to a non-finite value")
     if diff > 1e-3 * max(1.0, abs(value)):
         raise NonConvergenceError("eps ladder failed to converge")
     return float(value)
@@ -363,7 +388,7 @@ def affine_pushforward(mu: RealMeasure, scale: float, shift: float) -> RealMeasu
     segs = []
     for seg in mu.segments:
         def dens(y, _d=seg.density, _s=scale, _c=shift):
-            return _eval_density(_d, (np.asarray(y, dtype=float) - _c) / _s) / _s
+            return _eval_array(_d, (np.asarray(y, dtype=float) - _c) / _s) / _s
         segs.append(
             DensitySegment(scale * seg.lo + shift, scale * seg.hi + shift, dens, seg.order, seg.chebyshev)
         )

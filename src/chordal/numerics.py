@@ -1,8 +1,14 @@
 """Shared numerical plumbing: quadrature nodes, spectral integration on
-Chebyshev grids, adaptive Simpson, and limit extrapolation ladders."""
+Chebyshev grids, adaptive Simpson, and limit extrapolation ladders.
+
+Adaptive Simpson refines all open intervals of one level together, so its
+integrand is called on arrays: once per level, in slices of at most 4096
+points, and at most 2**22 points per integral in all.
+"""
 
 from __future__ import annotations
 
+import math
 from functools import lru_cache
 
 import numpy as np
@@ -48,32 +54,68 @@ def cheb_grid(m: int):
     return x, vinv, tails
 
 
+_SLICE = 4096            # most integrand points handed to one call
+_MAX_EVALS = 1 << 22     # integrand points one integral may spend
+
+
+def _sample(f, x: np.ndarray) -> np.ndarray:
+    out = np.empty(x.size)
+    for lo in range(0, x.size, _SLICE):
+        out[lo:lo + _SLICE] = f(x[lo:lo + _SLICE])
+    return out
+
+
+def _simpson(lo, hi, flo, fmid, fhi):
+    return (hi - lo) * (flo + 4.0 * fmid + fhi) / 6.0
+
+
 def adaptive_simpson(f, a: float, b: float, tol: float, max_depth: int = 48) -> float:
-    """Recursive adaptive Simpson for a scalar real integrand."""
+    """Adaptive Simpson for a real integrand, refined level by level.
 
-    def simp(lo, hi, flo, fmid, fhi):
-        return (hi - lo) * (flo + 4.0 * fmid + fhi) / 6.0
-
-    def recurse(lo, hi, flo, fmid, fhi, whole, tol, depth):
-        mid = 0.5 * (lo + hi)
-        fl = f(0.5 * (lo + mid))
-        fr = f(0.5 * (mid + hi))
-        left = simp(lo, mid, flo, fl, fmid)
-        right = simp(mid, hi, fmid, fr, fhi)
-        err = left + right - whole
-        if abs(err) <= 15.0 * tol:
-            return left + right + err / 15.0
-        if depth >= max_depth:
-            raise NonConvergenceError("adaptive Simpson depth exhausted")
-        return recurse(lo, mid, flo, fl, fmid, left, 0.5 * tol, depth + 1) + recurse(
-            mid, hi, fmid, fr, fhi, right, 0.5 * tol, depth + 1
-        )
-
+    ``f`` maps a 1-D float array of points to their values; it is called
+    once per level on the quarter points of every interval still open, in
+    slices of at most ``_SLICE`` points.  An interval at depth ``d`` is
+    accepted, with its Richardson correction, when its two halves change
+    the Simpson value by at most ``15 * tol / 2**d``; the rest are split.
+    The decisions are those of the classic recursive routine, so only the
+    summation order differs from it.  Raises NonConvergenceError on a
+    non-finite value, past ``max_depth`` levels, or when the next level
+    would take the integral past ``_MAX_EVALS`` integrand points.
+    """
     if not b > a:
         raise ValueError("empty integration interval")
-    fa, fm, fb = f(a), f(0.5 * (a + b)), f(b)
-    whole = simp(a, b, fa, fm, fb)
-    return recurse(a, b, fa, fm, fb, whole, tol, 0)
+    lo, hi = np.array([a], dtype=float), np.array([b], dtype=float)
+    flo, fmid, fhi = np.split(_sample(f, np.array([a, 0.5 * (a + b), b])), 3)
+    evals = 3
+    accepted = []
+    depth = 0
+    while True:
+        evals += 2 * lo.size
+        if evals > _MAX_EVALS:
+            raise NonConvergenceError("adaptive Simpson exceeded its evaluation cap")
+        mid = 0.5 * (lo + hi)
+        fl, fr = np.split(_sample(f, np.concatenate([0.5 * (lo + mid), 0.5 * (mid + hi)])), 2)
+        with np.errstate(over="ignore", invalid="ignore"):
+            left = _simpson(lo, mid, flo, fl, fmid)
+            right = _simpson(mid, hi, fmid, fr, fhi)
+            err = left + right - _simpson(lo, hi, flo, fmid, fhi)
+        if not np.all(np.isfinite(err)):
+            raise NonConvergenceError("adaptive Simpson met a non-finite value")
+        done = np.abs(err) <= 15.0 * tol
+        accepted.append(left[done] + right[done] + err[done] / 15.0)
+        split = np.flatnonzero(~done)
+        if split.size == 0:
+            return math.fsum(np.concatenate(accepted))
+        if depth >= max_depth:
+            raise NonConvergenceError("adaptive Simpson depth exhausted")
+        # the split intervals' halves: left halves first, then right halves
+        lo, hi = (np.concatenate([lo[split], mid[split]]),
+                  np.concatenate([mid[split], hi[split]]))
+        flo, fmid, fhi = (np.concatenate([flo[split], fmid[split]]),
+                          np.concatenate([fl[split], fr[split]]),
+                          np.concatenate([fmid[split], fhi[split]]))
+        tol *= 0.5
+        depth += 1
 
 
 def neville_zero(hs, vals):

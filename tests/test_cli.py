@@ -131,6 +131,25 @@ def test_invert_interval_parse_error(capsys, semi_path):
     assert "error:" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("interval, ladder", [
+    ("-1e308,1e308", "0.4,0.2,0.1"),  # width overflows
+    ("0,inf", "0.4,0.2,0.1"),
+    ("nan,1", "0.4,0.2,0.1"),
+    ("0,1", "0.4,nan"),
+    ("0,1", "inf,0.4"),
+])
+def test_invert_non_finite_input_exits_2_on_one_line(atom_path, interval, ladder):
+    # run as a process so that a leaked numpy warning would reach stderr
+    proc = subprocess.run(
+        [sys.executable, "-m", "chordal.cli", "invert", "--measure", atom_path,
+         f"--interval={interval}", "--eps-ladder", ladder],
+        capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 2
+    assert proc.stdout == ""
+    assert proc.stderr.startswith("error: ")
+    assert proc.stderr.count("\n") == 1
+
+
 # ---------------------------------------------------------------------------
 # evolve
 
@@ -180,6 +199,20 @@ def test_evolve_needs_exactly_one_input(capsys, tmp_path, driver_path):
 def test_evolve_beyond_horizon(capsys, driver_path):
     assert run(["evolve", "--driver", driver_path, "--t", "3.0", "--z", "i"]) == 2
     assert "error:" in capsys.readouterr().err
+
+
+def test_evolve_huge_span_refuses_on_one_line(tmp_path):
+    # no horizon, t = 1e300: the substep rule overflows before the first step
+    driver = tmp_path / "unbounded.json"
+    driver.write_text(json.dumps({"driver": {
+        "type": "piecewise_constant", "breaks": [0.0], "measures": [{"atoms": [[0.0, 1.0]]}]}}))
+    proc = subprocess.run(
+        [sys.executable, "-m", "chordal.cli", "evolve", "--driver", str(driver),
+         "--t", "1e300", "--z", "1i"],
+        capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 1
+    assert proc.stdout == ""
+    assert proc.stderr == "non-convergence: time span too long for the requested tolerance\n"
 
 
 def test_evolve_rejects_bad_tol(capsys, driver_path):

@@ -215,6 +215,26 @@ def test_cauchy_rejects_lower_half_plane():
             cauchy_transform(mu, z)
 
 
+@pytest.mark.parametrize("z", [complex(0.0, math.nan), complex(math.nan, 1.0),
+                               complex(math.inf, 1.0), complex(0.0, math.inf)])
+def test_cauchy_rejects_non_finite_points(z):
+    for arg in (z, np.array([1j, z])):
+        with pytest.raises(InvalidInputError, match="finite"):
+            cauchy_transform(point_mass(0.0), arg)
+
+
+def test_cauchy_batches_match_pointwise_values(monkeypatch):
+    # large batches are summed in blocks of points; each row stays exact
+    monkeypatch.setattr(measures, "_CAUCHY_BLOCK", 1000)
+    mu = semicircle()
+    zs = np.linspace(-3.0, 3.0, 300) + 0.5j
+    batch = cauchy_transform(mu, zs.reshape(20, 15))
+    assert batch.shape == (20, 15)
+    pos, wts = mu.nodes()
+    for z, g in zip(zs, batch.ravel()):
+        assert g == (wts / (z - pos)).sum()
+
+
 def test_cauchy_maps_upper_to_lower():
     rng = np.random.default_rng(7)
     zs = rng.uniform(-4, 4, 200) + 1j * rng.uniform(0.05, 5, 200)
@@ -356,6 +376,22 @@ def test_invert_validation():
         stieltjes_invert(g, (0.0, 1.0), [0.1, 0.2])
     with pytest.raises(InvalidInputError):
         stieltjes_invert(g, (0.0, 1.0), [0.1, -0.05])
+    for interval in ((0.0, math.inf), (math.nan, 1.0), (-math.inf, 0.0), (-1e308, 1e308)):
+        with pytest.raises(InvalidInputError):
+            stieltjes_invert(g, interval, EPS_LADDER)
+    for ladder in ([0.4, math.nan], [math.inf, 0.4], [0.4, 0.2, math.nan, 0.05]):
+        with pytest.raises(InvalidInputError):
+            stieltjes_invert(g, (0.0, 1.0), ladder)
+
+
+def test_invert_refuses_a_non_finite_extrapolation():
+    # finite rungs of opposite sign on a tight ladder overflow the
+    # Neville step; the refusal must come without a RuntimeWarning
+    def g(z):
+        return np.where(np.imag(z) > 0.9999995, 1e307j, -1e307j)
+
+    with pytest.raises(NonConvergenceError, match="extrapolated"):
+        stieltjes_invert(g, (0.0, 1.0), [1.0, 0.999999])
 
 
 def test_invert_reports_non_convergence():
