@@ -163,7 +163,9 @@ def _cmd_grunsky(args) -> None:
             raise InvalidInputError("--moments expects comma-separated floats") from exc
     else:
         mu = _measure_arg(args.measure)
-        moments = [_measures.moment(mu, k) for k in range(2 * order + 1)]
+        # an order beyond the cap is refused below; do not integrate for it
+        top = 2 * min(order, _grunsky.MAX_CERTIFICATE_ORDER) + 1
+        moments = [_measures.moment(mu, k) for k in range(top)]
     report = _grunsky.univalence_certificate(
         moments, order, boundary_tol=args.boundary_tol)
     _emit_json({

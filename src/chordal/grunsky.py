@@ -1,17 +1,18 @@
 """Univalence certification from moment data via Grunsky eigenvalues.
 
-Pipeline: raw moments a_n -> shifted coefficients alpha_n of G composed with
-the exterior map psi(z) = z + 1/z -> reciprocal tail beta_n, so that
-F(psi(z)) = sum beta_n z^(1-n) -> Faber polynomials of that tail -> Grunsky
-coefficients beta_nk from F_n(g(z)) = z^n + sum_k beta_nk z^-k -> symmetric
-matrix c_nk = sqrt(k/n) beta_nk. The map F is univalent on the upper
-half-plane exactly when every truncation of [c_nk] keeps its spectrum inside
-[-1, 1]; the eigenvalues come from ``numpy.linalg.eigvalsh``.
+Pipeline: raw moments a_n -> coefficients alpha_n of G composed with the
+exterior map psi(z) = z + 1/z, G(psi(z)) = sum alpha_n z^-(n+1) -> Grunsky
+coefficients beta_nk of g = F o psi, read off the logarithm of the Hankel
+series H(u, v) = sum alpha_(i+j) u^i v^j (u = 1/z; Pommerenke, Univalent
+Functions, ch. 3) -> symmetric matrix c_nk = sqrt(k/n) beta_nk. The map F is
+univalent on the upper half-plane exactly when every truncation of [c_nk]
+keeps its spectrum inside [-1, 1]; the eigenvalues come from
+``numpy.linalg.eigvalsh``. Power moments fix alpha only up to the rounding
+of alternating binomial sums; a verdict that rounding could flip is refused.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -22,6 +23,7 @@ SUPPORT_HALF_WIDTH = 2.0  # certificate applies to measures supported in [-2, 2]
 _SERIES_LEADING_TOL = 1e-12
 MAX_CERTIFICATE_ORDER = 32  # series data capped at 2N = 64 coefficients
 _SYMMETRY_TOL = 1e-9  # largest |c - c^T| symmetrized before eigvalsh
+_EPS = float(np.finfo(float).eps)
 
 
 @dataclass(frozen=True)
@@ -56,6 +58,19 @@ class GrunskyReport:
 # ---------------------------------------------------------------------------
 # moment pipeline
 
+def _alpha_and_scale(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    # Row n of U holds the monomial coefficients of U_n(x/2), built by
+    # U_n = x U_(n-1) - U_(n-2); |U| @ |a| is the scale on which the
+    # alternating binomial sums of U @ a round.
+    U = np.zeros((a.size, a.size))
+    U[0, 0] = 1.0
+    for n in range(1, a.size):
+        U[n, 1:] = U[n - 1, :-1]
+        if n >= 2:
+            U[n] -= U[n - 2]
+    return U @ a, np.abs(U) @ np.abs(a)
+
+
 def moments_to_alpha(moments) -> np.ndarray:
     """Coefficients alpha_n with G(psi(z)) = sum alpha_n z^-(n+1).
 
@@ -65,45 +80,29 @@ def moments_to_alpha(moments) -> np.ndarray:
     a = np.asarray(list(moments), dtype=float)
     if a.size == 0:
         raise InvalidInputError("need at least the zeroth moment")
-    out = np.zeros(a.size)
-    for n in range(a.size):
-        s = 0.0
-        for k in range(n // 2 + 1):
-            s += a[n - 2 * k] * (-1.0) ** k * math.comb(n - k, n - 2 * k)
-        out[n] = s
-    return out
+    return _alpha_and_scale(a)[0]
 
 
-def alpha_to_beta(alpha) -> np.ndarray:
-    """Invert the power series: beta solves sum_j alpha_j beta_(n-j) = [n == 0]."""
-    al = np.asarray(list(alpha), dtype=float)
-    if al.size == 0 or abs(al[0] - 1.0) > _SERIES_LEADING_TOL:
-        raise InvalidInputError("alpha must start with alpha_0 = 1")
-    beta = np.zeros(al.size)
-    beta[0] = 1.0
-    for n in range(1, al.size):
-        beta[n] = -np.dot(al[1 : n + 1], beta[n - 1 :: -1][: n])
-    return beta
+def _log_rows(P: np.ndarray) -> np.ndarray:
+    """D[i, j] = i [u^i v^j] log P for a square series P(u, v), P[0, 0] != 0.
 
-
-# ---------------------------------------------------------------------------
-# truncated Laurent tails: (top, coeffs) with coeffs[i] the coefficient of
-# z^(top - i)
-
-def _mul_tail(a, atop, b, btop, low):
-    c = np.convolve(a, b)
-    top = atop + btop
-    keep = top - low + 1
-    if c.size > keep:
-        c = c[:keep]
-    return c, top
-
-
-def _coeff_at(c, top, power):
-    i = top - power
-    if 0 <= i < c.size:
-        return c[i]
-    return 0.0
+    D = u d/du log P solves P D = u dP/du, whose row i reads sum_(m <= i)
+    P_m D_(i-m) = i P_i in truncated v-series: each row of D follows from
+    the rows below it and the reciprocal series of P_0.
+    """
+    size = P.shape[0]
+    lag = np.subtract.outer(np.arange(size), np.arange(size))
+    toeplitz = np.where(lag >= 0, P[:, np.maximum(lag, 0)], 0.0)  # [m] @ q = P_m q
+    recip = np.zeros(size)
+    recip[0] = 1.0 / P[0, 0]
+    for j in range(1, size):
+        recip[j] = -recip[0] * (P[0, 1 : j + 1] @ recip[j - 1 :: -1])
+    divide = np.where(lag >= 0, recip[np.maximum(lag, 0)], 0.0)
+    D = np.zeros(P.shape)
+    for i in range(1, size):
+        rhs = i * P[i] - np.einsum("mjk,mk->j", toeplitz[1 : i + 1], D[i - 1 :: -1])
+        D[i] = divide @ rhs
+    return D
 
 
 def faber_polynomials(g: SeriesCoefficients, n_max: int) -> list[np.ndarray]:
@@ -134,37 +133,28 @@ def faber_polynomials(g: SeriesCoefficients, n_max: int) -> list[np.ndarray]:
     return polys
 
 
+def _check_order(order: int) -> None:
+    if not 1 <= order <= MAX_CERTIFICATE_ORDER:
+        raise InvalidInputError(f"order must lie in 1..{MAX_CERTIFICATE_ORDER}")
+
+
 def grunsky_coefficients(g: SeriesCoefficients, order: int) -> np.ndarray:
     """Matrix [beta_nk], 1 <= n, k <= order, from F_n(g(z)) = z^n + sum beta_nk z^-k.
 
-    Needs tail data of g through 2*order coefficients; products are truncated
-    just deep enough that every kept coefficient is exact.
+    With u = 1/z, v = 1/w and g(z) = z + b_0 + b_1/z + ...,
+    (g(z) - g(w))/(z - w) = 1 - sum_(j,l >= 1) b_(j+l-1) u^j v^l and
+    beta_nk = -n [u^n v^k] log of it, so tail data through b_(2*order-1)
+    is needed.
     """
-    if order < 1:
-        raise InvalidInputError("order must be >= 1")
-    if order > MAX_CERTIFICATE_ORDER:
-        raise InvalidInputError(f"order capped at {MAX_CERTIFICATE_ORDER}")
+    _check_order(order)
     if g.tail_length < 2 * order:
-        raise InvalidInputError(
-            f"series carries {g.tail_length} tail coefficients, needs {2 * order}"
-        )
-    gc = np.asarray(g.coeffs, dtype=float)
-    polys = faber_polynomials(g, order)
-    out = np.zeros((order, order))
-    for n in range(1, order + 1):
-        p = polys[n]
-        h, htop = np.array([p[n]]), 0
-        for k in range(n - 1, -1, -1):
-            # k multiplications remain after this one; keeping powers down to
-            # -(order + k) makes the final tail exact through z^-order.
-            h, htop = _mul_tail(h, htop, gc, 1, -(order + k))
-            h[htop] += p[k]
-        out[n - 1, :] = [_coeff_at(h, htop, -k) for k in range(1, order + 1)]
-    return out
+        raise InvalidInputError(f"series carries {g.tail_length} tail coefficients, needs {2 * order}")
+    i = np.arange(order + 1)
+    P = -np.asarray(g.coeffs, dtype=float)[i[:, None] + i[None, :]]
+    P[0, :] = P[:, 0] = 0.0
+    P[0, 0] = 1.0
+    return -_log_rows(P)[1:, 1:]
 
-
-# ---------------------------------------------------------------------------
-# eigenvalues
 
 def symmetric_eigenvalues(matrix) -> np.ndarray:
     """All eigenvalues, ascending, of a (nearly) symmetric matrix.
@@ -195,33 +185,28 @@ def univalence_certificate(mu_moments, order: int, boundary_tol: float = 1e-8) -
     "boundary", never "pass".
     """
     a = np.asarray(list(mu_moments), dtype=float)
-    if order < 1:
-        raise InvalidInputError("order must be >= 1")
+    _check_order(order)
     if not boundary_tol > 0:
         raise InvalidInputError("boundary_tol must be positive")
     if a.size < 2 * order + 1:
-        raise InvalidInputError(
-            f"need moments a_0..a_{2 * order}, got {a.size} entries"
-        )
+        raise InvalidInputError(f"need moments a_0..a_{2 * order}, got {a.size} entries")
     if not np.all(np.isfinite(a)):
         raise InvalidInputError("moments must be finite")
     if abs(a[0] - 1.0) > _SERIES_LEADING_TOL:
         raise InvalidInputError("moment list must start with a_0 = 1")
     a = a[: 2 * order + 1]
-    for k in range(1, order + 1):
-        even = abs(a[2 * k])
-        if even ** (1.0 / (2 * k)) > SUPPORT_HALF_WIDTH + 1e-9:
-            raise InvalidInputError(
-                "even moments exceed the support window [-2, 2]; certificate not applicable"
-            )
-    # Huge finite moments overflow mid-pipeline; the non-finite check below
-    # turns that into a refusal, so numpy need not warn about it.
+    ks = np.arange(1, order + 1)
+    if np.any(np.abs(a[2 * ks]) ** (1.0 / (2 * ks)) > SUPPORT_HALF_WIDTH + 1e-9):
+        raise InvalidInputError(
+            "even moments exceed the support window [-2, 2]; certificate not applicable"
+        )
+    # Huge finite moments overflow mid-pipeline; the non-finite checks below
+    # turn that into a refusal, so numpy need not warn about it.
     with np.errstate(over="ignore", invalid="ignore"):
-        beta = alpha_to_beta(moments_to_alpha(a))
-        g = SeriesCoefficients(beta)
-        bmat = grunsky_coefficients(g, order)
-        ks = np.arange(1, order + 1, dtype=float)
-        cmat = np.sqrt(ks[None, :] / ks[:, None]) * bmat
+        alpha, scale = _alpha_and_scale(a)
+        cmat = _grunsky_matrix(alpha, order)
+        # the binomial sums round alpha by up to ~4 eps times their scale
+        moved = _grunsky_matrix(alpha + 4.0 * _EPS * scale, order)
     if not np.all(np.isfinite(cmat)):
         raise NonConvergenceError("Grunsky matrix overflowed")
     # The exact matrix is symmetric, so any asymmetry is rounding in the
@@ -232,18 +217,29 @@ def univalence_certificate(mu_moments, order: int, boundary_tol: float = 1e-8) -
             f"Grunsky matrix lost symmetry to rounding ({asym:.1e}) at order {order}"
         )
     eigs = symmetric_eigenvalues(cmat)
-    mx = float(np.max(np.abs(eigs))) if eigs.size else 0.0
+    mx = float(np.max(np.abs(eigs)))
+    shift = np.inf
+    if np.all(np.isfinite(moved)):
+        shift = abs(float(np.max(np.abs(np.linalg.eigvalsh(0.5 * (moved + moved.T))))) - mx)
+    verdict = _verdict(mx + shift, boundary_tol)
+    if verdict != _verdict(mx - shift, boundary_tol):
+        raise NonConvergenceError(
+            f"moment rounding could change the verdict (max |eigenvalue| {mx:.6g} +- {shift:.1e})"
+        )
+    return GrunskyReport(order, cmat, eigs, mx, verdict, float(boundary_tol))
+
+
+def _grunsky_matrix(alpha: np.ndarray, order: int) -> np.ndarray:
+    # c_nk = sqrt(k/n) beta_nk with beta_nk = -n [u^n v^k] log H for the
+    # Hankel series H(u, v) = sum alpha_(i+j) u^i v^j: with u = 1/z, v = 1/w
+    # and A(u) = sum alpha_n u^n, (g(z) - g(w))/(z - w) = H / (A(u) A(v)),
+    # and the A factors add no mixed terms to the logarithm.
+    i = np.arange(order + 1)
+    ks = i[1:].astype(float)
+    return -np.sqrt(ks[None, :] / ks[:, None]) * _log_rows(alpha[i[:, None] + i[None, :]])[1:, 1:]
+
+
+def _verdict(mx: float, boundary_tol: float) -> str:
     if mx > 1.0 + boundary_tol:
-        verdict = "fail"
-    elif mx >= 1.0 - boundary_tol:
-        verdict = "boundary"
-    else:
-        verdict = "pass"
-    return GrunskyReport(
-        order=order,
-        c_matrix=cmat,
-        eigenvalues=eigs,
-        max_abs_eigenvalue=mx,
-        verdict=verdict,
-        boundary_tol=float(boundary_tol),
-    )
+        return "fail"
+    return "boundary" if mx >= 1.0 - boundary_tol else "pass"

@@ -381,7 +381,8 @@ def _picard(
     B = np.repeat(w0[:, None], _NODES, axis=1)
     w_col = w0[:, None]
     half_h = 0.5 * h[:, None]
-    inv_eta2 = 1.0 / (eta * eta)
+    with np.errstate(over="ignore"):  # eta^2 = inf far above the axis: 1/eta^2 = 0
+        inv_eta2 = 1.0 / (eta * eta)
     bound = h / eta
     for n in range(1, _MAX_PICARD + 1):
         Bn = w_col - integrate(B) * half_h
@@ -415,23 +416,30 @@ def _evolve_chunk(
         worst_r = 120.0 * span * (1.0 + (b - a) / (z.imag * z.imag)) / (z.imag * cfg.tol)
     if not np.all(np.isfinite(worst_r)):
         raise NonConvergenceError("time span too long for the requested tolerance")
+    # No substep is longer than max_step, so such a span cannot finish
+    # within the round cap.
+    if np.any(b - a > _MAX_ROUNDS * cfg.max_step):
+        raise NonConvergenceError("substep count exceeded the global cap")
 
     for _ in range(_MAX_ROUNDS):
         act = np.flatnonzero(s > a)
         if act.size == 0:
             return w, err
         eta = w.imag[act]
-        inv_eta2 = 1.0 / (eta * eta)
-        amp_cap = 1.0 + (s[act] - a[act]) * inv_eta2
 
         # Substep rule: the Picard contraction wants h <= margin * eta^2;
         # the interpolation error of the M-node iterate wants the Bernstein
         # parameter rho = eta^2/h (up to 1/rho) large enough that its tail
-        # stays under a fifth of the substep budget.
-        R = 120.0 * span[act] * amp_cap / (eta * cfg.tol)
-        rho = _solve_rho(R)
-        h0 = eta * eta / (rho - 1.0 / rho)
-        h0 = np.minimum(h0, cfg.contraction_margin * eta * eta)
+        # stays under a fifth of the substep budget. Far above the axis
+        # eta^2 overflows to inf; 1/eta^2 = 0 and the max_step cap are the
+        # right limits there.
+        with np.errstate(over="ignore"):
+            inv_eta2 = 1.0 / (eta * eta)
+            amp_cap = 1.0 + (s[act] - a[act]) * inv_eta2
+            R = 120.0 * span[act] * amp_cap / (eta * cfg.tol)
+            rho = _solve_rho(R)
+            h0 = eta * eta / (rho - 1.0 / rho)
+            h0 = np.minimum(h0, cfg.contraction_margin * eta * eta)
         h0 = np.minimum(h0, cfg.max_step)
         if np.any(h0 < _MIN_STEP):
             raise NonConvergenceError(

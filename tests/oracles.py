@@ -1,15 +1,22 @@
 """Independent reference implementations used only by the tests.
 
 Everything here is written against the defining formulas, not against the
-package code: Laurent series as {power: coeff} dicts, Faber polynomials by
-triangular elimination on powers of g, the slit-map closed forms, a plain
-RK4 integrator for the downward Loewner equation, and the first integral of
-that equation for an atom driven linearly.
+package code: Laurent series as {power: coeff} dicts of 50-digit mpmath
+numbers, Faber polynomials by triangular elimination on powers of g, the
+slit-map closed forms, a plain RK4 integrator for the downward Loewner
+equation, and the first integral of that equation for an atom driven
+linearly.
 """
 
+import mpmath
 import numpy as np
 
-LAURENT_FLOOR = -64  # drop powers below this; deep enough for order <= 16
+# Drop powers below this. Since g = z + O(1), a product g^(j-1) * g that
+# lacks g^(j-1) below the floor is exact only down to one power higher, so
+# g^n is exact at powers >= LAURENT_FLOOR + n - 1; the z^-k coefficients of
+# F_n(g), n, k <= order, are exact when order <= (1 - LAURENT_FLOOR) / 2 = 32.
+LAURENT_FLOOR = -64
+DIGITS = 50
 
 
 def upper_sqrt(w):
@@ -44,10 +51,10 @@ def chebyshev_u(n, x):
 
 def laurent_from_series(coeffs):
     """{1: 1, 0: b0, -1: b1, ...} for g(z) = z + b0 + b1/z + ..."""
-    out = {1: float(coeffs[0])}
+    out = {1: mpmath.mpf(coeffs[0])}
     for i, c in enumerate(coeffs[1:]):
         if c != 0.0:
-            out[-i] = float(c)
+            out[-i] = mpmath.mpf(c)
     return out
 
 
@@ -57,48 +64,46 @@ def laurent_mul(a, b):
         for pb, cb in b.items():
             p = pa + pb
             if p >= LAURENT_FLOOR:
-                out[p] = out.get(p, 0.0) + ca * cb
+                out[p] = out.get(p, 0) + ca * cb
     return out
 
 
 def laurent_powers(g, n):
     """[g^0, g^1, ..., g^n]."""
-    out = [{0: 1.0}]
+    out = [{0: mpmath.mpf(1)}]
     for _ in range(n):
         out.append(laurent_mul(out[-1], g))
     return out
 
 
-def faber_oracle(series_coeffs, n):
-    """Monic F_n with F_n(g(z)) = z^n + O(1/z), by triangular elimination.
-
-    g^j has leading term z^j, so requiring the z^m coefficient of
-    sum_j c_j g^j to vanish for m = n-1, ..., 0 determines c_m from the
-    higher c_j one at a time. Returns ascending coefficients, length n+1.
-    """
-    g = laurent_from_series(series_coeffs)
-    pows = laurent_powers(g, n)
-    c = np.zeros(n + 1)
-    c[n] = 1.0
+def _faber_from_powers(pows, n):
+    # g^j has leading term z^j, so requiring the z^m coefficient of
+    # sum_j c_j g^j to vanish for m = n-1, ..., 0 determines c_m from the
+    # higher c_j one at a time (pows[m][m] == 1).
+    c = [mpmath.mpf(0)] * n + [mpmath.mpf(1)]
     for m in range(n - 1, -1, -1):
-        acc = sum(c[j] * pows[j].get(m, 0.0) for j in range(m + 1, n + 1))
-        c[m] = -acc  # pows[m][m] == 1
+        c[m] = -mpmath.fsum(c[j] * pows[j].get(m, 0) for j in range(m + 1, n + 1))
     return c
 
 
+def faber_oracle(series_coeffs, n):
+    """Monic F_n with F_n(g(z)) = z^n + O(1/z), by triangular elimination
+    at 50 digits. Returns ascending coefficients, length n+1, as floats."""
+    with mpmath.workdps(DIGITS):
+        c = _faber_from_powers(laurent_powers(laurent_from_series(series_coeffs), n), n)
+        return np.array([float(v) for v in c])
+
+
 def grunsky_oracle(series_coeffs, order):
-    """beta_nk from the z^-k coefficients of F_n(g(z)), n, k = 1..order."""
-    g = laurent_from_series(series_coeffs)
-    pows = laurent_powers(g, order)
+    """beta_nk from the z^-k coefficients of F_n(g(z)), n, k = 1..order,
+    computed at 50 digits and rounded to floats."""
     out = np.zeros((order, order))
-    for n in range(1, order + 1):
-        c = faber_oracle(series_coeffs, n)
-        comp = {}
-        for j in range(n + 1):
-            if c[j] != 0.0:
-                for p, v in pows[j].items():
-                    comp[p] = comp.get(p, 0.0) + c[j] * v
-        out[n - 1, :] = [comp.get(-k, 0.0) for k in range(1, order + 1)]
+    with mpmath.workdps(DIGITS):
+        pows = laurent_powers(laurent_from_series(series_coeffs), order)
+        for n in range(1, order + 1):
+            c = _faber_from_powers(pows, n)
+            for k in range(1, order + 1):
+                out[n - 1, k - 1] = float(mpmath.fsum(c[j] * pows[j].get(-k, 0) for j in range(n + 1)))
     return out
 
 

@@ -4,6 +4,7 @@ import json
 import math
 import subprocess
 import sys
+import time
 
 import numpy as np
 import pytest
@@ -215,6 +216,37 @@ def test_evolve_huge_span_refuses_on_one_line(tmp_path):
     assert proc.stderr == "non-convergence: time span too long for the requested tolerance\n"
 
 
+def test_evolve_far_above_the_axis_prints_only_the_row(driver_path):
+    # Im z = 1e200 squares to inf inside the substep rule; that is the
+    # right limit, so no warning may reach stderr
+    proc = subprocess.run(
+        [sys.executable, "-m", "chordal.cli", "evolve", "--driver", driver_path,
+         "--t", "1", "--z", "1e200i"],
+        capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0
+    assert proc.stderr == ""
+    header, row = proc.stdout.strip().split("\n")
+    vals = [float(v) for v in row.split(",")]
+    assert vals[:5] == [1.0, 0.0, 1e200, 0.0, 1e200]
+    assert 0.0 < vals[5] <= 1e-9
+
+
+def test_evolve_span_beyond_the_round_cap_refuses_at_once(tmp_path):
+    # 1e6 time units at max_step 1 need more than the 200,000-round cap
+    driver = tmp_path / "unbounded.json"
+    driver.write_text(json.dumps({"driver": {
+        "type": "piecewise_constant", "breaks": [0.0], "measures": [{"atoms": [[0.0, 1.0]]}]}}))
+    start = time.perf_counter()
+    proc = subprocess.run(
+        [sys.executable, "-m", "chordal.cli", "evolve", "--driver", str(driver),
+         "--t", "1e6", "--z", "1i"],
+        capture_output=True, text=True, timeout=120)
+    assert time.perf_counter() - start < 10.0
+    assert proc.returncode == 1
+    assert proc.stdout == ""
+    assert proc.stderr == "non-convergence: substep count exceeded the global cap\n"
+
+
 def test_evolve_rejects_bad_tol(capsys, driver_path):
     assert run(["evolve", "--driver", driver_path, "--t", "1.0",
                 "--z", "i", "--tol", "-1e-9"]) == 2
@@ -264,6 +296,19 @@ def test_grunsky_numerical_breakdown_exits_1(capsys):
     moments = ",".join(["1,0"] * 24 + ["1"])
     assert run(["grunsky", "--moments", moments, "--order", "24"]) == 1
     assert capsys.readouterr().err.startswith("non-convergence: ")
+
+
+def test_grunsky_semicircle_order_24_refuses(capsys, semi_path):
+    assert run(["grunsky", "--measure", semi_path, "--order", "24"]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("non-convergence: moment rounding could change the verdict")
+
+
+def test_grunsky_measure_order_beyond_cap_is_rejected_at_once(capsys, semi_path):
+    # no moments up to 2e8 are integrated (nor overflow) before the rejection
+    assert run(["grunsky", "--measure", semi_path, "--order", "100000000"]) == 2
+    assert capsys.readouterr().err == "error: order must lie in 1..32\n"
 
 
 def test_grunsky_huge_moments_refuse_on_one_line():

@@ -1,0 +1,124 @@
+"""Property tests over the command line: every input ends in exit code 0, 1
+or 2, with strict JSON or CSV on stdout for 0 and one message line on
+stderr otherwise, and never an uncaught exception or a numpy warning."""
+
+import contextlib
+import io
+import json
+import math
+import warnings
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from chordal.cli import run
+
+ANY_FLOAT = st.floats(allow_nan=True, allow_infinity=True)
+ODD_FLOATS = st.sampled_from([0.0, -0.0, 1e-300, -1e-300, 1e-5, 1e200, -1e200,
+                              math.inf, -math.inf, math.nan])
+
+
+def _reject_constant(name):
+    raise ValueError(f"non-strict JSON constant {name}")
+
+
+def run_captured(argv):
+    out, err = io.StringIO(), io.StringIO()
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = run(argv)
+    out, err = out.getvalue(), err.getvalue()
+    assert code in (0, 1, 2), (argv, code)
+    if code == 0:
+        assert err == "", (argv, err)
+    else:
+        assert out == "", (argv, out)
+        assert err.endswith("\n") and err.count("\n") == 1, (argv, err)
+        assert err.startswith("non-convergence: " if code == 1 else "error: "), (argv, err)
+    return code, out
+
+
+# ---------------------------------------------------------------------------
+# grunsky --moments
+
+
+def _atom_moments(atoms, count):
+    xs = np.array([x for x, _ in atoms])
+    ws = np.array([w for _, w in atoms])
+    ws = ws / ws.sum()
+    return [float((ws * xs**n).sum()) for n in range(count)]
+
+
+@st.composite
+def moment_lists(draw):
+    # mostly well-formed lists, so that most draws reach the certificate
+    order = draw(st.integers(-1, 33))
+    count = max(1, 2 * order + 1 + draw(st.sampled_from([0, 0, 0, 1, -1])))
+    kind = draw(st.sampled_from(["atoms", "small", "any"]))
+    if kind == "atoms":
+        atoms = draw(st.lists(st.tuples(st.floats(-2.2, 2.2), st.floats(0.01, 1.0)),
+                              min_size=1, max_size=4))
+        return order, _atom_moments(atoms, count)
+    values = st.floats(-1.0, 1.0) if kind == "small" else ANY_FLOAT | ODD_FLOATS
+    moments = draw(st.lists(values, min_size=count, max_size=count))
+    if draw(st.integers(0, 3)):
+        moments[0] = 1.0
+    return order, moments
+
+
+@settings(max_examples=150, deadline=None)
+@given(moment_lists())
+def test_grunsky_moments_fuzz(case):
+    order, moments = case
+    text = ",".join(repr(float(m)) for m in moments)
+    code, out = run_captured(["grunsky", f"--moments={text}", "--order", str(order)])
+    if code == 0:
+        report = json.loads(out, parse_constant=_reject_constant)
+        assert report["verdict"] in ("pass", "boundary", "fail")
+        assert len(report["eigenvalues"]) == order
+
+
+# ---------------------------------------------------------------------------
+# evolve --z --t
+
+
+DRIVERS = {
+    "d0": {"type": "piecewise_constant", "breaks": [0.0], "measures": [{"atoms": [[0.0, 1.0]]}]},
+    "atom": {"type": "moving_atom", "samples": [[0.0, 0.0], [1.0, 0.5], [2.0, -0.3], [4.0, 1.0]]},
+}
+
+
+@pytest.fixture(scope="module")
+def driver_paths(tmp_path_factory):
+    root = tmp_path_factory.mktemp("drivers")
+    paths = {}
+    for name, inner in DRIVERS.items():
+        paths[name] = root / f"{name}.json"
+        paths[name].write_text(json.dumps({"horizon": 4.0, "driver": inner}))
+    return {k: str(v) for k, v in paths.items()}
+
+
+# Im z between the solver floor (3.2e-4 at the default tol) and 0.1, off
+# the support, can take over a minute to refuse, so heights are drawn from
+# [0.1, 4] plus odd values that are rejected at once.
+HEIGHTS = st.floats(0.1, 4.0) | ODD_FLOATS
+TIMES = st.floats(-1.0, 4.0) | ODD_FLOATS
+
+
+@settings(max_examples=40, deadline=None)
+@given(driver=st.sampled_from(sorted(DRIVERS)), re=st.floats(-4.0, 4.0) | ODD_FLOATS,
+       im=HEIGHTS, t=TIMES)
+def test_evolve_fuzz(driver_paths, driver, re, im, t):
+    argv = ["evolve", "--driver", driver_paths[driver], f"--t={t!r}",
+            f"--z={re:.17g}{im:+.17g}i"]
+    code, out = run_captured(argv)
+    if code == 0:
+        header, *rows = out.strip().split("\n")
+        assert header == "t,re_z,im_z,re_f,im_f,err_bound"
+        assert len(rows) == 1
+        vals = [float(v) for v in rows[0].split(",")]
+        assert len(vals) == 6 and all(math.isfinite(v) for v in vals)
+        assert vals[4] > 0 and vals[5] >= 0

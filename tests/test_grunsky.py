@@ -1,6 +1,7 @@
 """Grunsky pipeline against brute-force series oracles and closed forms."""
 
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -9,13 +10,14 @@ from chordal.errors import InvalidInputError, NonConvergenceError
 from chordal.grunsky import (
     GrunskyReport,
     SeriesCoefficients,
-    alpha_to_beta,
+    _grunsky_matrix,
     faber_polynomials,
     grunsky_coefficients,
     moments_to_alpha,
     symmetric_eigenvalues,
     univalence_certificate,
 )
+from chordal.measures import bernoulli, moment, semicircle
 
 from oracles import chebyshev_u, faber_oracle, grunsky_oracle
 
@@ -23,6 +25,7 @@ CATALAN = [1, 0, 1, 0, 2, 0, 5, 0, 14, 0, 42, 0, 132, 0, 429, 0, 1430]
 BERNOULLI_PM1 = [1, 0, 1, 0, 1]
 ARCSINE_2 = [1, 0, 2, 0, 6]
 DELTA_0 = [1, 0, 0, 0, 0]
+EPS = float(np.finfo(float).eps)
 
 
 def random_series(rng, tail=24, scale=0.5):
@@ -55,15 +58,18 @@ def test_moments_to_alpha_is_chebyshev_u_average():
         assert np.abs(alpha - want).max() < 1e-10
 
 
-def test_alpha_to_beta_inverts_the_series():
-    rng = np.random.default_rng(5)
-    alpha = np.concatenate([[1.0], rng.uniform(-1, 1, 15)])
-    beta = alpha_to_beta(alpha)
-    prod = np.convolve(alpha, beta)[:16]
-    assert abs(prod[0] - 1.0) < 1e-14
-    assert np.abs(prod[1:]).max() < 1e-13
-    with pytest.raises(InvalidInputError):
-        alpha_to_beta([2.0, 1.0])
+def test_moments_to_alpha_matches_the_exact_binomial_sums():
+    # the alternating sums in exact rationals; the float result may carry
+    # only summation rounding, at most n eps times the absolute terms
+    rng = np.random.default_rng(7)
+    moments = rng.uniform(-2.0, 2.0, 65)
+    moments[0] = 1.0
+    alpha = moments_to_alpha(moments)
+    for n in range(65):
+        terms = [Fraction(moments[n - 2 * k]) * (-1) ** k * math.comb(n - k, n - 2 * k)
+                 for k in range(n // 2 + 1)]
+        scale = float(sum(abs(t) for t in terms))
+        assert abs(alpha[n] - float(sum(terms))) <= (n + 1) * EPS * scale
 
 
 # ---------------------------------------------------------------------------
@@ -113,6 +119,28 @@ def test_grunsky_matches_series_oracle():
         ref = grunsky_oracle(g.coeffs, 12)
         scale = max(1.0, np.abs(ref).max())
         assert np.abs(got - ref).max() < 1e-12 * scale
+
+
+def test_grunsky_matches_mpmath_oracle_at_order_32():
+    # decaying tails keep the entries moderate; the oracle is exact at 50 digits
+    rng = np.random.default_rng(41)
+    for decay in (0.8, 1.0):
+        coeffs = [1.0, *(rng.uniform(-0.5, 0.5, 64) * decay ** np.arange(64))]
+        got = grunsky_coefficients(SeriesCoefficients(coeffs), 32)
+        ref = grunsky_oracle(coeffs, 32)
+        assert np.abs(got - ref).max() <= 1e-12 * np.abs(ref).max()
+
+
+def test_log_stage_closed_forms_at_order_32():
+    # alpha = e_0: A = 1, g(z) = z, no Grunsky coefficients at all
+    alpha = np.zeros(65)
+    alpha[0] = 1.0
+    assert np.abs(_grunsky_matrix(alpha, 32)).max() == 0.0
+    # alpha = (1, 0, 1, 0, ...): A = 1/(1 - u^2), g(z) = z - 1/z, c = diag((-1)^n)
+    alpha[::2] = 1.0
+    cmat = _grunsky_matrix(alpha, 32)
+    assert np.abs(cmat - np.diag((-1.0) ** np.arange(1, 33))).max() <= 1e-14
+    assert np.abs(np.abs(np.linalg.eigvalsh(cmat)) - 1.0).max() <= 1e-14
 
 
 def test_grunsky_symmetry():
@@ -202,6 +230,26 @@ def test_certificate_point_mass_identity():
     report = univalence_certificate(DELTA_0, 2)
     assert np.abs(report.c_matrix - np.eye(2)).max() <= 1e-10
     assert report.verdict == "boundary"
+
+
+def test_certificate_point_mass_identity_at_order_32():
+    report = univalence_certificate([1.0] + [0.0] * 64, 32)
+    assert np.abs(report.c_matrix - np.eye(32)).max() <= 1e-14
+    assert report.verdict == "boundary"
+
+
+def test_certificate_semicircle_order_24_refuses():
+    # the Grunsky matrix is exactly 0, but the quadrature moments lose it to
+    # the binomial cancellation; a verdict would be a guess
+    moments = [moment(semicircle(), n) for n in range(49)]
+    with pytest.raises(NonConvergenceError, match="moment rounding"):
+        univalence_certificate(moments, 24)
+
+
+def test_certificate_bernoulli_half_fails_at_order_32():
+    # top eigenvalue of the leading 2x2 block is 1.0625, so fail at any order
+    report = univalence_certificate([moment(bernoulli(0.5), n) for n in range(65)], 32)
+    assert report.verdict == "fail"
 
 
 def test_certificate_dilated_semicircle_passes():
