@@ -9,14 +9,21 @@ all witness failure.
 
 Both diameters are estimated by the same discrete Fekete routine at the
 same point count, so the slow (logarithmic) convergence of d_n cancels in
-the ratio.  Everything here is deterministic: greedy seeding and exchange
-sweeps break ties by lowest sample index.
+the ratio.  The interval cloud is an affine image of one Chebyshev-spaced
+cloud on [-1, 1], so its diameter is computed once per
+``(n, resolution, sweeps)`` and scaled by (B-A)/2.  The crossing test
+prefilters segment pairs by the bounding boxes of 8-segment chunks and
+tests the survivors in batches, so its temporaries stay bounded.
+Everything here is deterministic: greedy seeding and exchange sweeps break
+ties by lowest sample index.
 """
 
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass, field
+from functools import lru_cache
 
 import numpy as np
 
@@ -34,6 +41,17 @@ __all__ = [
 _GAIN_FLOOR = 1e-13        # exchange swaps must beat this to count
 _EXCURSION_FACTOR = 10.0   # |F| beyond this multiple of B-A flags blow-up
 _CLOUD_SPACING = 0.25      # dense-cloud spacing as a fraction of epsilon
+_CHUNK = 8                 # segments per bounding box in the crossing test
+_PAIR_BATCH = 1 << 18      # most pairs one vectorised block holds
+
+
+def _count(value, name: str) -> int:
+    """``value`` as an int; InvalidInputError unless it is integral."""
+    if isinstance(value, numbers.Integral):
+        return int(value)
+    if isinstance(value, numbers.Real) and float(value).is_integer():
+        return int(value)
+    raise InvalidInputError(f"{name} must be an integer")
 
 
 @dataclass(frozen=True)
@@ -67,29 +85,57 @@ class CapacityReport:
 
 
 def _proper_crossings(pts: np.ndarray) -> bool:
-    """True if any two non-adjacent polyline segments properly cross."""
+    """True if any two non-adjacent polyline segments properly cross.
+
+    Segments are grouped into chunks of ``_CHUNK``; only segment pairs from
+    chunks whose bounding boxes meet go to the exact predicate, at most
+    ``_PAIR_BATCH`` pairs at a time.
+    """
     p = pts[:-1]
     r = pts[1:] - p
+    e = p + r  # the far ends as the predicate sees them, rounding included
     n = p.size
+    if n < 3:
+        return False
+
+    # chunk bounding boxes; fmin/fmax skip NaN ends, whose segments never hit
+    starts = np.arange(0, n, _CHUNK)
+    m = starts.size
+
+    def box(a, b):
+        return (np.fmin.reduceat(np.fmin(a, b), starts),
+                np.fmax.reduceat(np.fmax(a, b), starts))
+
+    x0, x1 = box(p.real, e.real)
+    y0, y1 = box(p.imag, e.imag)
 
     def cross(o, d, q):
         return d.real * (q.imag - o.imag) - d.imag * (q.real - o.real)
 
-    # strict sign tests: shared endpoints and grazing touches don't count
-    for i in range(n - 2):
-        js = np.arange(i + 2, n)
-        if i == 0:
-            js = js[js != n - 1]  # first and last share the loop gap region
-        if js.size == 0:
-            continue
-        q0, q1 = p[js], p[js] + r[js]
-        d1 = cross(p[i], r[i], q0)
-        d2 = cross(p[i], r[i], q1)
-        d3 = cross(q0, r[js], np.full(js.size, p[i]))
-        d4 = cross(q0, r[js], np.full(js.size, p[i] + r[i]))
-        hit = (d1 * d2 < 0) & (d3 * d4 < 0)
-        if np.any(hit):
-            return True
+    offs = np.arange(_CHUNK)
+    rows_per_block = max(1, _PAIR_BATCH // m)
+    pairs_per_batch = _PAIR_BATCH // (_CHUNK * _CHUNK)
+    for c0 in range(0, m, rows_per_block):
+        c1 = min(m, c0 + rows_per_block)
+        meet = ((x0[c0:c1, None] <= x1[None, :]) & (x0[None, :] <= x1[c0:c1, None])
+                & (y0[c0:c1, None] <= y1[None, :]) & (y0[None, :] <= y1[c0:c1, None]))
+        ci, cj = np.nonzero(meet)
+        ci += c0
+        keep = cj >= ci
+        ci, cj = ci[keep], cj[keep]
+        for k in range(0, ci.size, pairs_per_batch):
+            bi, bj = ci[k:k + pairs_per_batch, None, None], cj[k:k + pairs_per_batch, None, None]
+            si, sj = np.broadcast_arrays(bi * _CHUNK + offs[:, None], bj * _CHUNK + offs)
+            # same pairs as i < j - 1; first and last share the loop gap region
+            ok = (sj >= si + 2) & (sj < n) & ~((si == 0) & (sj == n - 1))
+            i, j = si[ok], sj[ok]
+            # strict sign tests: shared endpoints and grazing touches don't count
+            d1 = cross(p[i], r[i], p[j])
+            d2 = cross(p[i], r[i], e[j])
+            d3 = cross(p[j], r[j], p[i])
+            d4 = cross(p[j], r[j], e[i])
+            if np.any((d1 * d2 < 0) & (d3 * d4 < 0)):
+                return True
     return False
 
 
@@ -102,7 +148,8 @@ def boundary_image(
 
     The grid clusters at the support endpoints where F turns fastest.  The
     Cauchy transform is taken against a resampled node cloud fine enough
-    (spacing ``epsilon/4``) to stay accurate this close to the axis.
+    (spacing ``epsilon/4``) to stay accurate this close to the axis, in
+    blocks of at most ``_PAIR_BATCH`` (point, node) pairs.
     """
     if not isinstance(mu, RealMeasure):
         raise InvalidInputError("mu must be a RealMeasure")
@@ -115,7 +162,7 @@ def boundary_image(
     epsilon = float(epsilon)
     if not (0.0 < epsilon < 0.1 * width):
         raise InvalidInputError("epsilon must lie in (0, 0.1*(B-A))")
-    resolution = int(resolution)
+    resolution = _count(resolution, "resolution")
     if resolution < 8:
         raise InvalidInputError("resolution must be at least 8")
 
@@ -125,11 +172,18 @@ def boundary_image(
 
     pos, wts = mu.dense_nodes(_CLOUD_SPACING * epsilon)
     top = np.empty(resolution, dtype=complex)
-    step = max(1, (1 << 22) // max(pos.size, 1))
+    step = max(1, _PAIR_BATCH // max(pos.size, 1))
+    # one reused block buffer: G is summed row by row, so the block height
+    # changes no value.  Fresh 4 MiB temporaries sit at the allocator's mmap
+    # threshold, so a fresh process (each CLI call) maps and faults them in
+    # anew per block, which made the trace ~3x slower there.
+    buf = np.empty((min(step, resolution), pos.size), dtype=complex)
     for k in range(0, resolution, step):
         block = z[k:k + step, None]
-        g = (wts / (block - pos)).sum(axis=1)
-        top[k:k + step] = 1.0 / g
+        terms = buf[:block.shape[0]]
+        np.subtract(block, pos, out=terms)
+        np.divide(wts, terms, out=terms)
+        top[k:k + step] = 1.0 / terms.sum(axis=1)
 
     points = np.concatenate([top, np.conj(top)[::-1]])
 
@@ -148,12 +202,13 @@ def discrete_transfinite_diameter(points, n: int, sweeps: int = 20) -> float:
     d_n = (prod |p_i - p_j|)^(2/(n(n-1))).
     """
     pts = np.asarray(points, dtype=complex).ravel()
-    n = int(n)
+    n = _count(n, "n")
+    sweeps = _count(sweeps, "sweeps")
     if n < 2:
         raise InvalidInputError("need n >= 2 Fekete points")
     if pts.size < n:
         raise InvalidInputError("sample cloud smaller than n")
-    if int(sweeps) < 0:
+    if sweeps < 0:
         raise InvalidInputError("sweeps must be non-negative")
 
     # -inf marks a candidate colliding with a selected point; the masking
@@ -168,7 +223,8 @@ def discrete_transfinite_diameter(points, n: int, sweeps: int = 20) -> float:
             score = score + np.log(np.abs(pts - pts[sel[k]]))
 
         la = np.log(np.abs(pts[:, None] - pts[sel][None, :]))
-        for _ in range(int(sweeps)):
+        rows = la.sum(axis=1)
+        for _ in range(sweeps):
             swapped = False
             for j in range(n):
                 chosen = pts[sel]
@@ -177,7 +233,7 @@ def discrete_transfinite_diameter(points, n: int, sweeps: int = 20) -> float:
                     s_j = -np.inf
                 else:
                     s_j = np.log(others).sum()
-                gain = la.sum(axis=1) - la[:, j] - s_j
+                gain = rows - la[:, j] - s_j
                 gain[sel] = -np.inf
                 best = int(np.argmax(gain))
                 if math.isfinite(s_j) and not gain[best] > _GAIN_FLOOR:
@@ -186,6 +242,7 @@ def discrete_transfinite_diameter(points, n: int, sweeps: int = 20) -> float:
                     continue
                 sel[j] = best
                 la[:, j] = np.log(np.abs(pts - pts[best]))
+                rows = la.sum(axis=1)
                 swapped = True
             if not swapped:
                 break
@@ -197,6 +254,13 @@ def discrete_transfinite_diameter(points, n: int, sweeps: int = 20) -> float:
     if np.any(pair == 0.0):
         raise InvalidInputError("sample cloud has fewer than n distinct points")
     return float(np.exp(2.0 * np.log(pair).sum() / (n * (n - 1))))
+
+
+@lru_cache(maxsize=32)
+def _unit_interval_diameter(n: int, resolution: int, sweeps: int) -> float:
+    """Fekete diameter of cos(linspace(pi, 0, 2*resolution)) on [-1, 1]."""
+    theta = np.linspace(math.pi, 0.0, 2 * resolution)
+    return discrete_transfinite_diameter(np.cos(theta).astype(complex), n, sweeps)
 
 
 def hayman_report(
@@ -212,6 +276,14 @@ def hayman_report(
     clean (simple, bounded) boundary trace; a ratio below 0.9, a crossing,
     or an unbounded excursion reads as ``inconsistent``; anything else is
     ``inconclusive``.
+
+    ``n``, ``sweeps`` and ``resolution`` must be integral (an integral
+    float such as 64.0 is accepted), with ``2 <= n <= 2*resolution`` and
+    ``sweeps >= 0``; anything else raises InvalidInputError before the
+    boundary is traced.
+    The interval diameter is that of the same Chebyshev-spaced cloud on
+    [-1, 1], computed once per ``(n, resolution, sweeps)`` and scaled by
+    (B-A)/2.
     """
     if not isinstance(mu, RealMeasure):
         raise InvalidInputError("mu must be a RealMeasure")
@@ -220,16 +292,20 @@ def hayman_report(
     lo, hi = mu.support
     if not hi > lo:
         raise InvalidInputError("degenerate support: diagnostic needs A < B")
+    n = _count(n, "n")
+    sweeps = _count(sweeps, "sweeps")
+    resolution = _count(resolution, "resolution")
+    if not 2 <= n <= 2 * resolution:
+        raise InvalidInputError("n must lie in [2, 2*resolution]")
+    if sweeps < 0:
+        raise InvalidInputError("sweeps must be non-negative")
     width = hi - lo
     if epsilon is None:
         epsilon = 1e-3 * width
 
     curve = boundary_image(mu, resolution=resolution, epsilon=epsilon)
     d_image = discrete_transfinite_diameter(curve.points, n, sweeps)
-
-    theta = np.linspace(math.pi, 0.0, 2 * int(resolution))
-    cloud = 0.5 * (lo + hi) + 0.5 * width * np.cos(theta)
-    d_interval = discrete_transfinite_diameter(cloud.astype(complex), n, sweeps)
+    d_interval = 0.5 * width * _unit_interval_diameter(n, resolution, sweeps)
 
     ratio = d_image / d_interval
     broken = curve.self_intersects or curve.unbounded
@@ -240,7 +316,7 @@ def hayman_report(
     else:
         verdict = "inconclusive"
     return CapacityReport(
-        n_points=int(n),
+        n_points=n,
         d_image=d_image,
         d_interval=d_interval,
         ratio=ratio,

@@ -60,7 +60,9 @@ def _load_json(path: str) -> dict:
             return json.load(fh)
     except OSError as exc:
         raise InvalidInputError(f"cannot read {path}: {exc}") from exc
-    except json.JSONDecodeError as exc:
+    except (ValueError, RecursionError) as exc:
+        # bad JSON, text that is not UTF-8, an integer past Python's digit
+        # limit, or nesting deeper than the parser's recursion limit
         raise InvalidInputError(f"malformed JSON in {path}: {exc}") from exc
 
 
@@ -139,7 +141,7 @@ def _cmd_evolve(args) -> None:
             raise InvalidInputError("--grid file must hold a JSON list of [re, im] pairs")
         try:
             zs = np.array([complex(float(p[0]), float(p[1])) for p in raw])
-        except (TypeError, ValueError, IndexError) as exc:
+        except (TypeError, ValueError, OverflowError, IndexError) as exc:
             raise InvalidInputError("--grid entries must be [re, im] pairs") from exc
     config = _loewner.SolverConfig(tol=args.tol) if args.tol is not None else None
     t = float(args.t)
@@ -183,10 +185,13 @@ def _cmd_hayman(args) -> None:
     report = _capacity.hayman_report(
         mu, n=args.n, resolution=args.resolution, epsilon=args.eps)
     if args.curve_csv is not None:
-        with open(args.curve_csv, "w", encoding="utf-8") as fh:
-            fh.write("re,im\n")
-            for p in report.curve.points:
-                fh.write(f"{_fmt(p.real)},{_fmt(p.imag)}\n")
+        try:
+            with open(args.curve_csv, "w", encoding="utf-8") as fh:
+                fh.write("re,im\n")
+                for p in report.curve.points:
+                    fh.write(f"{_fmt(p.real)},{_fmt(p.imag)}\n")
+        except OSError as exc:
+            raise InvalidInputError(f"cannot write {args.curve_csv}: {exc}") from exc
     _emit_json({
         "n_points": report.n_points,
         "d_image": report.d_image,
@@ -278,9 +283,6 @@ def run(argv) -> int:
         print(f"non-convergence: {exc}", file=sys.stderr)
         return 1
     except InvalidInputError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

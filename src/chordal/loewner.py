@@ -103,6 +103,24 @@ class SolverConfig:
 _DEFAULT_CONFIG = SolverConfig()
 
 
+def _float_array(values, message: str) -> np.ndarray:
+    # strings, ragged lists and numbers past the float range are bad input
+    try:
+        return np.asarray(values, dtype=float)
+    except (TypeError, ValueError, OverflowError) as exc:
+        raise InvalidInputError(message) from exc
+
+
+def _horizon(horizon, default: float) -> float:
+    try:
+        hor = default if horizon is None else float(horizon)
+    except (TypeError, ValueError, OverflowError) as exc:
+        raise InvalidInputError("horizon must be a number") from exc
+    if not hor > 0 or math.isnan(hor):
+        raise InvalidInputError("horizon must be positive")
+    return hor
+
+
 @dataclass(frozen=True, eq=False)
 class DriverFamily:
     """A time-indexed family of probability measures on the real line.
@@ -133,7 +151,7 @@ class DriverFamily:
         measures: Sequence[RealMeasure],
         horizon: float | None = None,
     ) -> "DriverFamily":
-        b = np.asarray(breaks, dtype=float)
+        b = _float_array(breaks, "breaks must be a non-empty 1-d finite array")
         if b.ndim != 1 or b.size == 0 or not np.all(np.isfinite(b)):
             raise InvalidInputError("breaks must be a non-empty 1-d finite array")
         if b[0] != 0.0:
@@ -148,9 +166,7 @@ class DriverFamily:
                 raise InvalidInputError("driver measures must be RealMeasure instances")
             if not mu.is_probability:
                 raise InvalidInputError("driver measures must have unit mass")
-        hor = math.inf if horizon is None else float(horizon)
-        if not hor > 0 or math.isnan(hor):
-            raise InvalidInputError("horizon must be positive")
+        hor = _horizon(horizon, math.inf)
         if hor < b[-1]:
             raise InvalidInputError("horizon lies before the last breakpoint")
         # unit mass guarantees every node array is non-empty
@@ -167,7 +183,7 @@ class DriverFamily:
         samples: Sequence[tuple[float, float]],
         horizon: float | None = None,
     ) -> "DriverFamily":
-        arr = np.asarray(samples, dtype=float)
+        arr = _float_array(samples, "samples must be at least two (time, position) pairs")
         if arr.ndim != 2 or arr.shape[1] != 2 or arr.shape[0] < 2:
             raise InvalidInputError("samples must be at least two (time, position) pairs")
         if not np.all(np.isfinite(arr)):
@@ -177,9 +193,7 @@ class DriverFamily:
             raise InvalidInputError("first sample time must be 0")
         if np.any(np.diff(times) <= 0):
             raise InvalidInputError("sample times must be strictly increasing")
-        hor = float(times[-1]) if horizon is None else float(horizon)
-        if not hor > 0 or math.isnan(hor):
-            raise InvalidInputError("horizon must be positive")
+        hor = _horizon(horizon, float(times[-1]))
         if hor > times[-1]:
             raise InvalidInputError("samples do not reach the requested horizon")
         return _MovingAtom(
@@ -318,6 +332,8 @@ def driver_from_dict(obj: dict) -> DriverFamily:
     if kind == "piecewise_constant":
         if "breaks" not in inner or "measures" not in inner:
             raise InvalidInputError("piecewise_constant driver needs 'breaks' and 'measures'")
+        if not isinstance(inner["measures"], list):
+            raise InvalidInputError("piecewise_constant 'measures' must be a list")
         measures = [measure_from_dict(m) for m in inner["measures"]]
         return DriverFamily.piecewise_constant(inner["breaks"], measures, horizon=horizon)
     if kind == "moving_atom":

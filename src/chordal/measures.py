@@ -222,7 +222,7 @@ def measure_from_dict(obj: dict) -> RealMeasure:
         raise InvalidInputError("measure JSON must be an object")
     try:
         atoms = [(float(x), float(w)) for x, w in obj.get("atoms", [])]
-    except (TypeError, ValueError) as exc:
+    except (TypeError, ValueError, OverflowError) as exc:
         raise InvalidInputError("atoms must be a list of [position, weight] pairs") from exc
     segments = obj.get("segments", [])
     if not isinstance(segments, (list, tuple)):
@@ -231,7 +231,7 @@ def measure_from_dict(obj: dict) -> RealMeasure:
     for s in segments:
         try:
             lo, hi = (float(v) for v in s["interval"])
-        except (KeyError, TypeError, ValueError) as exc:
+        except (KeyError, TypeError, ValueError, OverflowError) as exc:
             raise InvalidInputError("segment needs an [lo, hi] interval") from exc
         name = s.get("density")
         if not isinstance(name, str):
@@ -247,7 +247,7 @@ def measure_from_dict(obj: dict) -> RealMeasure:
     mass = obj.get("mass")
     try:
         mass = None if mass is None else float(mass)
-    except (TypeError, ValueError) as exc:
+    except (TypeError, ValueError, OverflowError) as exc:
         raise InvalidInputError("declared mass must be a number") from exc
     return RealMeasure(atoms, segs, mass=mass)
 

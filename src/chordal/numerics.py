@@ -15,7 +15,7 @@ import numpy as np
 from numpy.polynomial import chebyshev as _cheb
 from numpy.polynomial.legendre import leggauss
 
-from .errors import NonConvergenceError
+from .errors import InvalidInputError, NonConvergenceError
 
 
 @lru_cache(maxsize=None)
@@ -37,7 +37,7 @@ def cheb_grid(m: int):
     (tails @ v)[k] = integral of p over [x_k, 1].
     """
     if m < 3:
-        raise ValueError("need at least 3 collocation points")
+        raise InvalidInputError("need at least 3 collocation points")
     x = -np.cos(np.pi * np.arange(m) / (m - 1))
     x[0], x[-1] = -1.0, 1.0
     v = _cheb.chebvander(x, m - 1)
@@ -83,7 +83,7 @@ def adaptive_simpson(f, a: float, b: float, tol: float, max_depth: int = 48) -> 
     would take the integral past ``_MAX_EVALS`` integrand points.
     """
     if not b > a:
-        raise ValueError("empty integration interval")
+        raise InvalidInputError("empty integration interval")
     lo, hi = np.array([a], dtype=float), np.array([b], dtype=float)
     flo, fmid, fhi = np.split(_sample(f, np.array([a, 0.5 * (a + b), b])), 3)
     evals = 3
@@ -128,9 +128,9 @@ def neville_zero(hs, vals):
     t = [v for v in vals]
     n = len(t)
     if n != hs.size or n < 2:
-        raise ValueError("ladder and values must align, length >= 2")
+        raise InvalidInputError("ladder and values must align, length >= 2")
     if np.any(hs <= 0) or np.any(np.diff(hs) >= 0):
-        raise ValueError("ladder must be positive and strictly decreasing")
+        raise InvalidInputError("ladder must be positive and strictly decreasing")
     diag = [t[0]]
     for j in range(1, n):
         for i in range(n - j):
@@ -149,9 +149,9 @@ def y_limit(values, ys):
     v = np.asarray(values)
     ys = np.asarray(ys, dtype=float)
     if v.size < 4:
-        raise ValueError("ladder too short for order-2 extrapolation")
+        raise InvalidInputError("ladder too short for order-2 extrapolation")
     if not np.allclose(ys[1:] / ys[:-1], 2.0, rtol=1e-12):
-        raise ValueError("ladder must double")
+        raise InvalidInputError("ladder must double")
     t1 = 2.0 * v[1:] - v[:-1]
     t2 = (4.0 * t1[1:] - t1[:-1]) / 3.0
     return t2[-1], abs(t2[-1] - t2[-2])

@@ -4,14 +4,18 @@ against known image geometry."""
 import dataclasses
 import itertools
 import math
+import time
+import tracemalloc
 
 import numpy as np
 import pytest
 
+from chordal import capacity
 from chordal.capacity import (
     BoundaryCurve,
     CapacityReport,
     _proper_crossings,
+    _unit_interval_diameter,
     boundary_image,
     discrete_transfinite_diameter,
     hayman_report,
@@ -30,6 +34,138 @@ from chordal.measures import (
 def interval_cloud(m=4096):
     theta = np.linspace(math.pi, 0.0, m)
     return (2.0 * np.cos(theta)).astype(complex)
+
+
+# ---------------------------------------------------------------------------
+# references: the per-segment crossing loop and the exchange that recomputes
+# its row sums for every j, kept verbatim; the fast paths must agree exactly
+
+
+def reference_crossings(pts):
+    p = pts[:-1]
+    r = pts[1:] - p
+    n = p.size
+
+    def cross(o, d, q):
+        return d.real * (q.imag - o.imag) - d.imag * (q.real - o.real)
+
+    # strict sign tests: shared endpoints and grazing touches don't count
+    for i in range(n - 2):
+        js = np.arange(i + 2, n)
+        if i == 0:
+            js = js[js != n - 1]  # first and last share the loop gap region
+        if js.size == 0:
+            continue
+        q0, q1 = p[js], p[js] + r[js]
+        d1 = cross(p[i], r[i], q0)
+        d2 = cross(p[i], r[i], q1)
+        d3 = cross(q0, r[js], np.full(js.size, p[i]))
+        d4 = cross(q0, r[js], np.full(js.size, p[i] + r[i]))
+        hit = (d1 * d2 < 0) & (d3 * d4 < 0)
+        if np.any(hit):
+            return True
+    return False
+
+
+def reference_diameter(points, n, sweeps=20):
+    pts = np.asarray(points, dtype=complex).ravel()
+    n = int(n)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        sel = np.empty(n, dtype=int)
+        sel[0] = int(np.argmax(np.abs(pts - pts.mean())))
+        score = np.log(np.abs(pts - pts[sel[0]]))
+        for k in range(1, n):
+            sel[k] = int(np.argmax(score))
+            score = score + np.log(np.abs(pts - pts[sel[k]]))
+
+        la = np.log(np.abs(pts[:, None] - pts[sel][None, :]))
+        for _ in range(int(sweeps)):
+            swapped = False
+            for j in range(n):
+                chosen = pts[sel]
+                others = np.abs(chosen[j] - np.delete(chosen, j))
+                if np.any(others == 0.0):
+                    s_j = -np.inf
+                else:
+                    s_j = np.log(others).sum()
+                gain = la.sum(axis=1) - la[:, j] - s_j
+                gain[sel] = -np.inf
+                best = int(np.argmax(gain))
+                if math.isfinite(s_j) and not gain[best] > 1e-13:
+                    continue
+                if not math.isfinite(gain[best]):
+                    continue
+                sel[j] = best
+                la[:, j] = np.log(np.abs(pts - pts[best]))
+                swapped = True
+            if not swapped:
+                break
+
+    chosen = pts[sel]
+    diff = np.abs(chosen[:, None] - chosen[None, :])
+    pair = diff[np.triu_indices(n, k=1)]
+    return float(np.exp(2.0 * np.log(pair).sum() / (n * (n - 1))))
+
+
+def reference_hayman(mu, curve, n=64, resolution=2048, sweeps=20):
+    """The direct pipeline: both diameters from their own clouds."""
+    lo, hi = mu.support
+    d_image = reference_diameter(curve.points, n, sweeps)
+    theta = np.linspace(math.pi, 0.0, 2 * resolution)
+    cloud = 0.5 * (lo + hi) + 0.5 * (hi - lo) * np.cos(theta)
+    d_interval = reference_diameter(cloud.astype(complex), n, sweeps)
+    ratio = d_image / d_interval
+    broken = reference_crossings(curve.points) or curve.unbounded
+    if not broken and abs(ratio - 1.0) <= 0.05:
+        verdict = "consistent_with_univalence"
+    elif broken or ratio < 0.9:
+        verdict = "inconsistent"
+    else:
+        verdict = "inconclusive"
+    return ratio, d_image, d_interval, verdict
+
+
+def spiral(turns, m, rng=None):
+    t = np.linspace(0.0, 2.0 * math.pi * turns, m)
+    z = (1.0 + t / (2.0 * math.pi)) * np.exp(1j * t)
+    if rng is not None:
+        z = z + 1e-3 * (rng.standard_normal(m) + 1j * rng.standard_normal(m))
+    return z
+
+
+def seeded_curves(count=300):
+    """Random walks, perturbed figure-eights, roses and 5- to 60-turn
+    spirals, 3 to 4,096 points long.  Lengths are log-uniform up to 1,024
+    and every 25th curve is 2,048 to 4,096 long, which keeps the
+    reference loop affordable."""
+    rng = np.random.default_rng(20260)
+    curves = []
+    for k in range(count):
+        top = 4096 if k % 25 == 3 else 1024
+        m = int(round(math.exp(rng.uniform(math.log(3 if top == 1024 else 2048), math.log(top)))))
+        m = 4096 if k == 3 else m
+        kind = k % 4
+        if kind == 0:
+            steps = rng.standard_normal(m) + 1j * rng.standard_normal(m)
+            if rng.random() < 0.5:  # a drift walk crosses itself less often
+                steps += 3.0
+            z = np.cumsum(steps)
+        elif kind == 1:
+            t0 = rng.uniform(0.0, 2.0 * math.pi)
+            t = t0 + np.linspace(0.0, rng.uniform(0.5, 2.2) * math.pi, m)
+            z = np.sin(t) + 1j * np.sin(t) * np.cos(t)
+            z = z + rng.uniform(0.0, 0.05) * (rng.standard_normal(m) + 1j * rng.standard_normal(m))
+        elif kind == 2:
+            petals = int(rng.integers(2, 9))
+            t = np.linspace(0.0, rng.uniform(0.3, 1.0) * 2.0 * math.pi, m)
+            z = np.cos(petals * t) * np.exp(1j * t) + 0.3 * rng.uniform(0.0, 1.0)
+        else:
+            turns = int(rng.integers(5, 61))
+            z = spiral(turns, max(m, 3), rng if rng.random() < 0.5 else None)
+            if rng.random() < 0.3:  # a chord from the rim to the centre cuts every turn
+                z = np.append(z, 0.0)
+        curves.append(np.asarray(z, dtype=complex))
+    return curves
 
 
 # ---------------------------------------------------------------------------
@@ -91,6 +227,64 @@ def test_diameter_validation():
         discrete_transfinite_diameter(cloud, 4, sweeps=-1)
     with pytest.raises(InvalidInputError):
         discrete_transfinite_diameter([1 + 1j, 1 + 1j, 1 + 1j], 2)
+    with pytest.raises(InvalidInputError):
+        discrete_transfinite_diameter(cloud, 2.5)
+    with pytest.raises(InvalidInputError):
+        discrete_transfinite_diameter(cloud, 4, sweeps=2.7)
+    with pytest.raises(InvalidInputError):
+        discrete_transfinite_diameter(cloud, float("nan"))
+    # integral values of any numeric type are fine
+    d = discrete_transfinite_diameter(cloud, 4)
+    assert discrete_transfinite_diameter(cloud, 4.0, sweeps=np.int64(20)) == d
+
+
+@pytest.mark.parametrize("seed", range(8))
+def test_exchange_matches_the_reference_exactly(seed):
+    rng = np.random.default_rng(100 + seed)
+    m = int(rng.integers(20, 400))
+    cloud = rng.standard_normal(m) + 1j * rng.standard_normal(m)
+    n = int(rng.integers(2, min(m, 40)))
+    assert discrete_transfinite_diameter(cloud, n) == reference_diameter(cloud, n)
+    assert discrete_transfinite_diameter(cloud, n, 3) == reference_diameter(cloud, n, 3)
+
+
+def test_exchange_matches_the_reference_on_the_interval_cloud():
+    cloud = interval_cloud(4096)
+    assert discrete_transfinite_diameter(cloud, 64) == reference_diameter(cloud, 64)
+
+
+# ---------------------------------------------------------------------------
+# the cached unit-interval diameter
+
+
+@pytest.mark.parametrize("lo,hi", [(-2.0, 2.0), (-1.0, 1.0), (-1.2, 1.8), (-0.5, 0.5),
+                                   (3.0, 1e3), (-1e-3, 2e-3)])
+def test_scaled_unit_diameter_matches_the_direct_value(lo, hi):
+    theta = np.linspace(math.pi, 0.0, 4096)
+    cloud = 0.5 * (lo + hi) + 0.5 * (hi - lo) * np.cos(theta)
+    direct = discrete_transfinite_diameter(cloud.astype(complex), 64, 20)
+    scaled = 0.5 * (hi - lo) * _unit_interval_diameter(64, 2048, 20)
+    assert abs(scaled - direct) <= 1e-13 * direct
+    if (lo, hi) in ((-2.0, 2.0), (-1.0, 1.0)):
+        assert scaled == direct
+
+
+def test_unit_diameter_cache_clears():
+    _unit_interval_diameter.cache_clear()
+    _unit_interval_diameter(8, 64, 20)
+    _unit_interval_diameter(8, 64, 20)
+    info = _unit_interval_diameter.cache_info()
+    assert (info.hits, info.misses, info.currsize) == (1, 1, 1)
+    _unit_interval_diameter.cache_clear()
+    assert _unit_interval_diameter.cache_info().currsize == 0
+
+
+@pytest.mark.parametrize("name", ["semi", "arcsine", "b1"])
+def test_hayman_matches_the_reference_pipeline(library_traces, name):
+    mu, _ = library_traces[name]
+    r = hayman_report(mu)
+    want = reference_hayman(mu, r.curve)
+    assert (r.ratio, r.d_image, r.d_interval, r.verdict) == want
 
 
 # ---------------------------------------------------------------------------
@@ -129,6 +323,19 @@ def test_arcsine_trace_is_simple():
     assert not curve.self_intersects and not curve.unbounded
 
 
+def test_trace_blocks_do_not_change_the_values():
+    # G is summed over the node cloud row by row, so the block height that
+    # bounds the temporaries leaves every value unchanged
+    mu, eps = semicircle(), 4e-3
+    curve = boundary_image(mu, resolution=512, epsilon=eps)
+    pos, wts = mu.dense_nodes(0.25 * eps)
+    assert capacity._PAIR_BATCH // pos.size < 512
+    theta = np.linspace(math.pi, 0.0, 512)
+    z = 2.0 * np.cos(theta) + 1j * eps
+    top = 1.0 / (wts / (z[:, None] - pos)).sum(axis=1)
+    assert np.array_equal(curve.points[:512], top)
+
+
 def test_boundary_image_validation():
     with pytest.raises(InvalidInputError):
         boundary_image("semicircle")
@@ -153,6 +360,84 @@ def test_proper_crossings_on_synthetic_polylines():
     square = np.array([0.0, 1.0, 1.0 + 1.0j, 1.0j])
     assert _proper_crossings(bowtie) is True
     assert _proper_crossings(square) is False
+
+
+def test_crossings_match_the_reference_loop_on_seeded_curves():
+    curves = seeded_curves()
+    assert len(curves) >= 300
+    assert min(c.size for c in curves) == 3 and max(c.size for c in curves) == 4096
+    got = [_proper_crossings(c) for c in curves]
+    want = [reference_crossings(c) for c in curves]
+    assert got == want
+    # both answers occur, and most segment counts are not a multiple of
+    # the chunk size
+    assert 0.2 < sum(want) / len(want) < 0.8
+    assert sum((c.size - 1) % capacity._CHUNK != 0 for c in curves) > 200
+
+
+@pytest.mark.parametrize("batch", [1 << 6, 1 << 9])
+def test_crossings_are_independent_of_the_batch_size(monkeypatch, batch):
+    # small batches split the chunk rows and the candidate pairs many ways
+    curves = seeded_curves(40)
+    want = [_proper_crossings(c) for c in curves]
+    monkeypatch.setattr(capacity, "_PAIR_BATCH", batch)
+    assert [_proper_crossings(c) for c in curves] == want
+
+
+@pytest.mark.parametrize("length", [47, 48, 49])
+def test_crossings_at_chunk_boundaries(length):
+    # a comb: `length` unit segments along the axis, then one vertical
+    # stroke through segment c (a crossing) or ending on it (a touch); the
+    # stroke's own index walks across a chunk boundary with `pad`
+    base = np.arange(length + 1, dtype=complex)
+    for c in (0, 1, 6, 7, 8, 9, 15, 16, 17, length - 1):
+        for pad in range(9):
+            back = np.linspace(length + 1j, c + 0.5 + 1j, pad + 2)
+            through = np.concatenate([base, back, [c + 0.5 - 1j]])
+            touch = np.concatenate([base, back, [c + 0.5 + 0j]])
+            # the first/last segment pair is exempt: it closes the loop gap
+            assert _proper_crossings(through) is reference_crossings(through) is (c > 0)
+            assert _proper_crossings(touch) is reference_crossings(touch) is False
+
+
+def test_crossings_ignore_nan_segments_like_the_reference():
+    rng = np.random.default_rng(4)
+    z = np.cumsum(rng.standard_normal(300) + 1j * rng.standard_normal(300))
+    for at in (0, 7, 8, 9, 150, 299):
+        w = z.copy()
+        w[at] = complex(np.nan, np.nan)
+        assert _proper_crossings(w) is reference_crossings(w)
+
+
+@pytest.fixture(scope="module")
+def library_traces():
+    mus = {"semi": semicircle(), "arcsine": arcsine(), "b1": bernoulli(1.0),
+           "b05": bernoulli(0.5)}
+    return {name: (mu, boundary_image(mu, epsilon=1e-3 * (mu.support[1] - mu.support[0])))
+            for name, mu in mus.items()}
+
+
+def test_crossings_match_the_reference_on_library_traces(library_traces):
+    for name, (_, curve) in library_traces.items():
+        assert _proper_crossings(curve.points) is reference_crossings(curve.points), name
+
+
+def test_spiral_crossings_are_fast_and_bounded():
+    z = spiral(60, 4096)
+    start = time.perf_counter()
+    want = reference_crossings(z)
+    loop_s = time.perf_counter() - start
+    tracemalloc.start()
+    start = time.perf_counter()
+    got = _proper_crossings(z)
+    fast_s = time.perf_counter() - start
+    peak = tracemalloc.get_traced_memory()[1]
+    tracemalloc.stop()
+    assert got is want is False
+    assert fast_s <= loop_s
+    # 2**18 segment pairs a batch: a few tens of MB, not the ~450 MB of an
+    # unbatched candidate list
+    assert peak < 64e6
 
 
 # ---------------------------------------------------------------------------
@@ -193,6 +478,31 @@ def test_hayman_validation():
         hayman_report([1, 2, 3])
     with pytest.raises(InvalidInputError):
         hayman_report(RealMeasure())
+
+
+@pytest.mark.parametrize("kw", [
+    {"n": 2.5}, {"n": 1}, {"n": 129}, {"n": float("inf")}, {"n": "8"},
+    {"sweeps": 2.7}, {"sweeps": -1}, {"resolution": 64.7},
+])
+def test_hayman_rejects_bad_counts_before_tracing(monkeypatch, kw):
+    def no_trace(*args, **kwargs):
+        raise AssertionError("traced before validating")
+
+    monkeypatch.setattr(capacity, "boundary_image", no_trace)
+    with pytest.raises(InvalidInputError):
+        hayman_report(semicircle(), **{"resolution": 64, **kw})
+
+
+def test_boundary_image_rejects_fractional_resolution():
+    with pytest.raises(InvalidInputError):
+        boundary_image(semicircle(), resolution=64.7)
+    assert boundary_image(semicircle(), resolution=64.0).points.size == 128
+
+
+def test_hayman_accepts_integral_counts():
+    r = hayman_report(semicircle(), n=8.0, resolution=64, sweeps=np.int64(20))
+    assert r.n_points == 8 and type(r.n_points) is int
+    assert r == hayman_report(semicircle(), n=8, resolution=64)
 
 
 def test_report_is_frozen():

@@ -371,6 +371,9 @@ def test_malformed_json_is_an_input_error(capsys, tmp_path):
     assert "malformed JSON" in capsys.readouterr().err
 
 
+BIG = 10**400  # a valid JSON integer past the float range
+
+
 @pytest.mark.parametrize("measure", [
     {"atoms": [[None, 1]]},
     {"atoms": 5},
@@ -379,6 +382,9 @@ def test_malformed_json_is_an_input_error(capsys, tmp_path):
     {"segments": [{"interval": [-2.0, 2.0], "density": "semicircle", "order": None}]},
     {"atoms": [[0.0, 1.0]], "mass": [1.0]},
     {"segments": [{"interval": [-2.0, 2.0], "density": "semicircle", "order": 2.5}]},
+    {"atoms": [[BIG, 1.0]]},
+    {"atoms": [[0.0, 1.0]], "mass": BIG},
+    {"segments": [{"interval": [0.0, BIG], "density": "uniform"}]},
 ])
 def test_malformed_measure_is_an_input_error(capsys, tmp_path, measure):
     path = tmp_path / "bad.json"
@@ -386,6 +392,54 @@ def test_malformed_measure_is_an_input_error(capsys, tmp_path, measure):
     assert run(["transform", "--measure", str(path), "--z", "i"]) == 2
     err = capsys.readouterr().err
     assert err.startswith("error: ") and "Traceback" not in err
+
+
+@pytest.mark.parametrize("raw", [
+    b"\xff\xfe{}",                                  # not UTF-8
+    '{"atoms": [[0, "\xe9"]]}'.encode("latin-1"),    # Latin-1, not UTF-8
+    b'{"atoms": [[0, 1' + b"0" * 5000 + b"]]}",        # past the int digit limit
+    b"[" * 100_000 + b"]" * 100_000,                  # past the recursion limit
+], ids=["bom", "latin1", "digits", "nesting"])
+def test_undecodable_measure_file_is_an_input_error(capsys, tmp_path, raw):
+    path = tmp_path / "bad.json"
+    path.write_bytes(raw)
+    assert run(["transform", "--measure", str(path), "--z", "i"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "Traceback" not in err
+
+
+_ATOM_PIECES = {"type": "piecewise_constant", "breaks": [0.0],
+                "measures": [{"atoms": [[0.0, 1.0]]}]}
+_MOVING = {"type": "moving_atom", "samples": [[0.0, 0.0], [2.0, 1.0]]}
+
+
+@pytest.mark.parametrize("driver", [
+    {"horizon": "x", "driver": _ATOM_PIECES},
+    {"horizon": [2.0], "driver": _MOVING},
+    {"horizon": {}, "driver": _MOVING},
+    {"driver": {**_ATOM_PIECES, "breaks": ["a"]}},
+    {"driver": {**_ATOM_PIECES, "breaks": {"a": 0}}},
+    {"driver": {**_ATOM_PIECES, "breaks": [[0.0], [1.0, 2.0]]}},
+    {"driver": {**_ATOM_PIECES, "measures": 5}},
+    {"driver": {**_MOVING, "samples": [[0.0, 0.0], [1.0]]}},
+    {"driver": {**_MOVING, "samples": [["a", 0.0], [2.0, 1.0]]}},
+    {"driver": {**_MOVING, "samples": {"a": 1}}},
+    {"horizon": BIG, "driver": _MOVING},
+    {"driver": {**_MOVING, "samples": [[0.0, 0.0], [BIG, 1.0]]}},
+])
+def test_malformed_driver_is_an_input_error(capsys, tmp_path, driver):
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(driver))
+    assert run(["evolve", "--driver", str(path), "--t", "0.5", "--z", "i"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "Traceback" not in err
+
+
+def test_unwritable_curve_csv_is_an_input_error(capsys, tmp_path, semi_path):
+    curve = tmp_path / "missing-dir" / "curve.csv"
+    assert run(["hayman", "--measure", semi_path, "--n", "8", "--resolution", "64",
+                "--curve-csv", str(curve)]) == 2
+    assert capsys.readouterr().err.startswith("error: cannot write")
 
 
 def test_malformed_z_is_an_input_error(capsys, atom_path):
@@ -400,6 +454,17 @@ def test_argparse_failures_exit_2(capsys):
     capsys.readouterr()
     assert run([]) == 2
     capsys.readouterr()
+
+
+def test_internal_fault_is_not_reported_as_bad_input(monkeypatch, capsys, atom_path):
+    # numpy's LinAlgError subclasses ValueError; only InvalidInputError means exit 2
+    def broken(mu, z):
+        raise np.linalg.LinAlgError("singular matrix")
+
+    monkeypatch.setattr("chordal.measures.cauchy_transform", broken)
+    with pytest.raises(np.linalg.LinAlgError):
+        run(["transform", "--measure", atom_path, "--z", "2i"])
+    assert capsys.readouterr().err == ""
 
 
 def test_module_entry_point(atom_path):

@@ -13,7 +13,7 @@ import numpy as np
 import pytest
 
 from chordal import measures, numerics
-from chordal.errors import NonConvergenceError
+from chordal.errors import InvalidInputError, NonConvergenceError
 from chordal.measures import cauchy_transform, point_mass, stieltjes_invert
 
 EPS_LADDER = [0.4 / 2**k for k in range(8)]
@@ -177,3 +177,19 @@ def test_depth_limit_is_kept():
 def test_empty_interval_is_rejected():
     with pytest.raises(ValueError):
         numerics.adaptive_simpson(np.cos, 1.0, 1.0, 1e-10)
+
+
+def test_bad_arguments_raise_the_package_error():
+    # the CLI maps InvalidInputError, and only it, to exit 2
+    with pytest.raises(InvalidInputError):
+        numerics.cheb_grid(2)
+    with pytest.raises(InvalidInputError):
+        numerics.adaptive_simpson(np.cos, 1.0, 0.0, 1e-10)
+    with pytest.raises(InvalidInputError):
+        numerics.neville_zero([1.0, 0.5], [1.0])
+    with pytest.raises(InvalidInputError):
+        numerics.neville_zero([0.5, 1.0], [1.0, 2.0])
+    with pytest.raises(InvalidInputError):
+        numerics.y_limit([1.0, 2.0, 3.0], [1.0, 2.0, 4.0])
+    with pytest.raises(InvalidInputError):
+        numerics.y_limit([1.0, 2.0, 3.0, 4.0], [1.0, 3.0, 9.0, 27.0])
