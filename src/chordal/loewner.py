@@ -26,10 +26,15 @@ the driver's Cauchy transform at the node values ``B``.  A driver is a
 certified Picard tail and its integration allowance.  Two drivers exist:
 piecewise-constant measure families, integrated exactly through the
 antiderivative of the interpolant, and a moving atom along a
-piecewise-linear path.  The atom's integrand ``1/(B - U)`` is summed by
-composite Simpson rules, doubled until consecutive levels agree; ``U`` is
-affine on each substep, so ``B - U`` is known by its node values, and one
-cached matrix per Simpson level takes them to the Simpson points.
+piecewise-linear path.  A piecewise-constant driver evaluates the Cauchy
+transform by ``RealMeasure.cauchy``: atoms exactly, named densities in
+closed form, and only segments given as a bare callable by their
+quadrature nodes.  The certified bound covers the first two; it has no
+term for the node error of the third, which grows within a node gap of
+the support.  The atom's integrand ``1/(B - U)`` is summed by composite
+Simpson rules, doubled until consecutive levels agree; ``U`` is affine on
+each substep, so ``B - U`` is known by its node values, and one cached
+matrix per Simpson level takes them to the Simpson points.
 """
 
 from __future__ import annotations
@@ -169,8 +174,8 @@ class DriverFamily:
         hor = _horizon(horizon, math.inf)
         if hor < b[-1]:
             raise InvalidInputError("horizon lies before the last breakpoint")
-        # unit mass guarantees every node array is non-empty
-        bound = max(float(np.max(np.abs(mu.nodes()[0]))) for mu in ms)
+        # unit mass guarantees every support is non-empty
+        bound = max(max(-mu.support[0], mu.support[1]) for mu in ms)
         return _PiecewiseConstant(hor, bound, b[1:], b, ms)
 
     @classmethod
@@ -241,11 +246,9 @@ class _PiecewiseConstant(DriverFamily):
         tail = np.empty(w0.size)
         for k in np.unique(idx):
             m = idx == k
-            pos, wts = self.measures[k].nodes()
+            g = self.measures[k].cauchy
             B[m], tail[m] = _picard(
-                w0[m], h[m], eta[m], target[m],
-                lambda V: (wts / (V[:, :, None] - pos)).sum(axis=2) @ tails.T,
-            )
+                w0[m], h[m], eta[m], target[m], lambda V: g(V) @ tails.T)
         return B, tail, 0.2 * budget
 
 

@@ -4,16 +4,20 @@ A measure is a finite list of point atoms plus density segments, each segment
 integrated by Gauss-Legendre at a declared order. Segments carrying the
 `chebyshev` flag apply the rule in the substituted variable
 x = mid + rad*cos(theta); that keeps sqrt-type endpoint behaviour (semicircle,
-arcsine) spectrally accurate at the declared order. On top of the measure
-representation this module provides the Cauchy transform G, its reciprocal F,
-moments, the tightest |F(z) - z| <= C/Im z constant, the Nevanlinna data of F,
-and Stieltjes inversion of G back to interval masses.
+arcsine) spectrally accurate at the declared order. A segment may also carry
+its exact Cauchy transform; the named densities (semicircle, arcsine,
+uniform, polynomial) do, and `RealMeasure.cauchy` sums those closed forms,
+the atoms, and the quadrature nodes of the remaining segments. On top of the
+measure representation this module provides the node-sum Cauchy transform G,
+its reciprocal F, moments, the tightest |F(z) - z| <= C/Im z constant, the
+Nevanlinna data of F, and Stieltjes inversion of G back to interval masses.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import partial
 from typing import Callable, Sequence
 
 import numpy as np
@@ -28,7 +32,9 @@ Y_DOUBLINGS = 10
 
 MASS_TOL = 1e-12
 _MAX_DENSE_NODES = 400_000
-_CAUCHY_BLOCK = 1 << 18  # (point, node) pairs per block of cauchy_transform
+_CAUCHY_BLOCK = 1 << 18  # (point, node) pairs per block of a node sum
+_POLY_SERIES_RADIUS = 2.0  # |zeta| beyond which a polynomial density sums its moment series
+_POLY_SERIES_TERMS = 64    # 2**-64 < eps/100 at the radius
 
 
 def y_ladder() -> np.ndarray:
@@ -46,12 +52,32 @@ def _eval_array(fn, x: np.ndarray, dtype=float) -> np.ndarray:
     return vals
 
 
+def _node_sum(pos: np.ndarray, wts: np.ndarray, z: np.ndarray) -> np.ndarray:
+    """sum_j wts_j / (z - pos_j) at every point of the complex array z.
+
+    Points go in blocks so the (point, node) temporaries stay under
+    _CAUCHY_BLOCK pairs; a row's sum does not depend on the blocking.
+    """
+    if z.size * pos.size <= _CAUCHY_BLOCK:
+        return (wts / (z[..., None] - pos)).sum(axis=-1)
+    flat = z.ravel()
+    out = np.empty(flat.size, dtype=complex)
+    step = max(1, _CAUCHY_BLOCK // pos.size)
+    for lo in range(0, flat.size, step):
+        out[lo:lo + step] = (wts / (flat[lo:lo + step, None] - pos)).sum(axis=-1)
+    return out.reshape(z.shape)
+
+
 @dataclass(frozen=True)
 class DensitySegment:
     """One absolutely continuous piece: density on [lo, hi], quadrature order.
 
     `chebyshev` selects the cos-substituted Gauss-Legendre rule; use it for
-    densities with square-root endpoint behaviour.
+    densities with square-root endpoint behaviour. `cauchy`, when given, is
+    the segment's exact Cauchy transform: it maps a complex array of points
+    in the open upper half-plane to integral density(x)/(z - x) dx on
+    [lo, hi], elementwise. `RealMeasure.cauchy` uses it in place of the
+    quadrature nodes, which are still used for moments and `cauchy_transform`.
     """
 
     lo: float
@@ -59,6 +85,7 @@ class DensitySegment:
     density: Callable[[np.ndarray], np.ndarray]
     order: int = 64
     chebyshev: bool = False
+    cauchy: Callable[[np.ndarray], np.ndarray] | None = None
 
     def __post_init__(self):
         if not (math.isfinite(self.lo) and math.isfinite(self.hi)):
@@ -67,6 +94,8 @@ class DensitySegment:
             raise InvalidInputError("segment needs lo < hi")
         if not isinstance(self.order, (int, np.integer)) or self.order < 2:
             raise InvalidInputError("quadrature order must be an integer >= 2")
+        if self.cauchy is not None and not callable(self.cauchy):
+            raise InvalidInputError("segment cauchy transform must be callable")
 
     def nodes(self) -> tuple[np.ndarray, np.ndarray]:
         mid = 0.5 * (self.lo + self.hi)
@@ -101,20 +130,30 @@ class RealMeasure:
         self._segments = tuple(segments)
         pos = [np.array([a[0] for a in self._atoms])]
         wts = [np.array([a[1] for a in self._atoms])]
+        # the node sum inside `cauchy`: atoms and segments without a closed form
+        sum_pos, sum_wts = pos[:], wts[:]
         for seg in self._segments:
             if not isinstance(seg, DensitySegment):
                 raise InvalidInputError("segments must be DensitySegment instances")
             x, w = seg.nodes()
             pos.append(x)
             wts.append(w)
-        self._pos = np.concatenate(pos) if pos else np.empty(0)
-        self._wts = np.concatenate(wts) if wts else np.empty(0)
+            if seg.cauchy is None:
+                sum_pos.append(x)
+                sum_wts.append(w)
+        self._pos = np.concatenate(pos)
+        self._wts = np.concatenate(wts)
         total = float(self._wts.sum())
         if mass is not None and abs(total - float(mass)) > MASS_TOL:
             raise InvalidInputError(
                 f"declared mass {mass} but quadrature gives {total!r}"
             )
         self._mass = total
+        # the pieces of G, resolved once: one node sum, then the closed forms
+        sum_pos, sum_wts = np.concatenate(sum_pos), np.concatenate(sum_wts)
+        parts = [partial(_node_sum, sum_pos, sum_wts)] if sum_pos.size else []
+        parts += [seg.cauchy for seg in self._segments if seg.cauchy is not None]
+        self._cauchy_parts = tuple(parts)
 
     @property
     def atoms(self):
@@ -149,6 +188,22 @@ class RealMeasure:
     def nodes(self) -> tuple[np.ndarray, np.ndarray]:
         return self._pos, self._wts
 
+    def cauchy(self, z) -> np.ndarray:
+        """G(z) = integral of 1/(z - x) dmu(x) at every point of an array.
+
+        Atoms are summed exactly, segments with a closed-form transform use
+        it, and the remaining segments are summed over their quadrature
+        nodes. The points must lie in the open upper half-plane; they are
+        not checked here (`cauchy_transform` checks, and sums nodes only).
+        """
+        z = np.asarray(z, dtype=complex)
+        if not self._cauchy_parts:
+            return np.zeros(z.shape, dtype=complex)
+        g = self._cauchy_parts[0](z)
+        for part in self._cauchy_parts[1:]:
+            g = g + part(z)
+        return g
+
     def dense_nodes(self, spacing: float) -> tuple[np.ndarray, np.ndarray]:
         """Midpoint-rule resampling with node gaps below `spacing`.
 
@@ -182,22 +237,97 @@ class RealMeasure:
 # ---------------------------------------------------------------------------
 # named densities / JSON interchange
 
-def named_density(name: str, lo: float, hi: float):
-    """Resolve a density name string to (callable, chebyshev flag)."""
+def _log1p(u):
+    # log(1 + u) where |1 + u| >= 1; numpy's complex log1p loses the digits
+    # of small u, so its real part comes from the real log1p instead
+    x, y = u.real, u.imag
+    with np.errstate(over="ignore"):
+        small = 0.5 * np.log1p(x * (2.0 + x) + y * y) + 1j * np.arctan2(y, 1.0 + x)
+    return np.where(np.abs(u) < 1.0, small, np.log(1.0 + u))
+
+
+def _log_ratio(z, lo, hi):
+    # log((z - lo)/(z - hi)) on the upper half-plane, as log1p of a ratio
+    # taken from the nearer endpoint so that neither far out nor near an
+    # endpoint does the argument cancel
+    upper = z.real >= 0.5 * (lo + hi)
+    near = np.where(upper, hi, lo)
+    sign = np.where(upper, 1.0, -1.0)
+    return sign * _log1p(sign * (hi - lo) / (z - near))
+
+
+def _sqrt_pair(z, lo, hi):
+    # sqrt(z - hi) sqrt(z - lo): analytic off [lo, hi], ~ z - mid at infinity
+    return np.sqrt(z - hi) * np.sqrt(z - lo)
+
+
+def _poly_transform(coeffs, lo, hi):
+    # p(x) = P(xi) with x = mid + rad*xi; then G(z) = integral over [-1, 1]
+    # of P(xi)/(zeta - xi) = P(zeta) log((zeta+1)/(zeta-1)) - R(zeta), R an
+    # exact polynomial. Far out both terms grow like zeta^deg while G ~ 1/zeta,
+    # so beyond _POLY_SERIES_RADIUS the moment series sum mu_n zeta^-(n+1) runs.
+    mid, rad = 0.5 * (lo + hi), 0.5 * (hi - lo)
+    a = np.zeros(1)
+    for c in reversed(coeffs):
+        a = _poly.polyadd(_poly.polymul(a, [mid, rad]), [c])
+    deg = a.size - 1
+    n = np.arange(deg + _POLY_SERIES_TERMS)
+    m = np.where(n % 2 == 0, 2.0 / (n + 1.0), 0.0)  # integrals of xi^n over [-1, 1]
+    # R(zeta) = integral of (P(zeta) - P(xi))/(zeta - xi): r_j = sum_(k>j) a_k m_(k-1-j)
+    r = [sum(a[k] * m[k - 1 - j] for k in range(j + 1, deg + 1)) for j in range(deg)]
+    r = np.array(r or [0.0])
+    mom = np.array([(a * m[j:j + deg + 1]).sum() for j in range(_POLY_SERIES_TERMS)])
+
+    def transform(z):
+        flat = np.asarray(z, dtype=complex).reshape(-1)
+        zeta = (flat - mid) / rad
+        out = np.empty_like(flat)
+        far = np.abs(zeta) > _POLY_SERIES_RADIUS
+        if far.any():
+            inv = 1.0 / zeta[far]
+            powers = np.cumprod(np.broadcast_to(inv[:, None], (inv.size, mom.size)), axis=1)
+            out[far] = powers @ mom
+        if not far.all():
+            near = ~far
+            zn = zeta[near]
+            out[near] = _poly.polyval(zn, a) * _log_ratio(flat[near], lo, hi) - _poly.polyval(zn, r)
+        return out.reshape(np.shape(z))
+
+    return transform
+
+
+def named_density(name: str, lo: float, hi: float, order: int = 64) -> DensitySegment:
+    """Resolve a density name to its segment on [lo, hi], exact transform included.
+
+    With zeta = (z - mid)/rad and rad*q = sqrt(z - hi) sqrt(z - lo), the
+    transforms are 2/(rad (zeta + q)) (semicircle), 1/(rad q) (arcsine),
+    log((z - lo)/(z - hi))/(hi - lo) (uniform) and, for `poly:`,
+    p(z) log((z - lo)/(z - hi)) - r(z), switching to the moment series far
+    from the interval; each is written so that it does not cancel.
+    """
     mid = 0.5 * (lo + hi)
     rad = 0.5 * (hi - lo)
     if name == "semicircle":
         def dens(x):
             return 2.0 / (np.pi * rad * rad) * np.sqrt(np.maximum(rad * rad - (x - mid) ** 2, 0.0))
-        return dens, True
+
+        def transform(z):
+            return 2.0 / ((z - mid) + _sqrt_pair(z, lo, hi))
+        return DensitySegment(lo, hi, dens, order, True, transform)
     if name == "arcsine":
         def dens(x):
             return 1.0 / (np.pi * np.sqrt(np.maximum(rad * rad - (x - mid) ** 2, 1e-300)))
-        return dens, True
+
+        def transform(z):
+            return 1.0 / _sqrt_pair(z, lo, hi)
+        return DensitySegment(lo, hi, dens, order, True, transform)
     if name == "uniform":
         def dens(x):
             return np.full_like(np.asarray(x, dtype=float), 1.0 / (hi - lo))
-        return dens, False
+
+        def transform(z):
+            return _log_ratio(z, lo, hi) / (hi - lo)
+        return DensitySegment(lo, hi, dens, order, False, transform)
     if name.startswith("poly:"):
         try:
             coeffs = [float(c) for c in name[5:].split(",")]
@@ -207,7 +337,7 @@ def named_density(name: str, lo: float, hi: float):
             raise InvalidInputError("polynomial density needs coefficients")
         def dens(x):
             return _poly.polyval(np.asarray(x, dtype=float), coeffs)
-        return dens, False
+        return DensitySegment(lo, hi, dens, order, False, _poly_transform(coeffs, lo, hi))
     raise InvalidInputError(f"unknown density {name!r}")
 
 
@@ -236,14 +366,13 @@ def measure_from_dict(obj: dict) -> RealMeasure:
         name = s.get("density")
         if not isinstance(name, str):
             raise InvalidInputError("segment density must be a name string")
-        dens, cheb = named_density(name, lo, hi)
         try:
             order = float(s.get("order", 64))
         except (TypeError, ValueError, OverflowError) as exc:
             raise InvalidInputError("segment order must be an integer") from exc
         if not order.is_integer():
             raise InvalidInputError("segment order must be an integer")
-        segs.append(DensitySegment(lo, hi, dens, int(order), cheb))
+        segs.append(named_density(name, lo, hi, int(order)))
     mass = obj.get("mass")
     try:
         mass = None if mass is None else float(mass)
@@ -268,15 +397,8 @@ def cauchy_transform(mu: RealMeasure, z):
     _require_upper(z)
     pos, wts = mu.nodes()
     zz = np.asarray(z, dtype=complex)
-    if zz.ndim == 0:
-        return complex((wts / (complex(z) - pos)).sum())
-    # blocks of points keep the (point, node) temporaries bounded
-    flat = zz.ravel()
-    out = np.empty(flat.size, dtype=complex)
-    step = max(1, _CAUCHY_BLOCK // max(pos.size, 1))
-    for lo in range(0, flat.size, step):
-        out[lo:lo + step] = (wts / (flat[lo:lo + step, None] - pos)).sum(axis=-1)
-    return out.reshape(zz.shape)
+    g = _node_sum(pos, wts, zz)
+    return complex(g) if zz.ndim == 0 else g
 
 
 def reciprocal_cauchy(mu: RealMeasure, z):
@@ -389,22 +511,25 @@ def affine_pushforward(mu: RealMeasure, scale: float, shift: float) -> RealMeasu
     for seg in mu.segments:
         def dens(y, _d=seg.density, _s=scale, _c=shift):
             return _eval_array(_d, (np.asarray(y, dtype=float) - _c) / _s) / _s
-        segs.append(
-            DensitySegment(scale * seg.lo + shift, scale * seg.hi + shift, dens, seg.order, seg.chebyshev)
-        )
+        transform = None
+        if seg.cauchy is not None:
+            def transform(z, _g=seg.cauchy, _s=scale, _c=shift):
+                return _g((z - _c) / _s) / _s
+        segs.append(DensitySegment(scale * seg.lo + shift, scale * seg.hi + shift, dens,
+                                   seg.order, seg.chebyshev, transform))
     return RealMeasure(atoms, segs)
 
 
 # convenience constructors used throughout tests and the CLI docs
 
 def semicircle(radius: float = 2.0, center: float = 0.0, order: int = 64) -> RealMeasure:
-    dens, cheb = named_density("semicircle", center - radius, center + radius)
-    return RealMeasure([], [DensitySegment(center - radius, center + radius, dens, order, cheb)], mass=1.0)
+    seg = named_density("semicircle", center - radius, center + radius, order)
+    return RealMeasure([], [seg], mass=1.0)
 
 
 def arcsine(radius: float = 2.0, center: float = 0.0, order: int = 64) -> RealMeasure:
-    dens, cheb = named_density("arcsine", center - radius, center + radius)
-    return RealMeasure([], [DensitySegment(center - radius, center + radius, dens, order, cheb)], mass=1.0)
+    seg = named_density("arcsine", center - radius, center + radius, order)
+    return RealMeasure([], [seg], mass=1.0)
 
 
 def point_mass(x: float = 0.0) -> RealMeasure:

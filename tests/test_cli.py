@@ -14,6 +14,8 @@ from chordal.errors import InvalidInputError
 from chordal.loewner import DriverFamily, transition_grid
 from chordal.measures import point_mass
 
+from oracles import semicircle_transition
+
 EPS_LADDER_ARG = ",".join(str(0.4 / 2**k) for k in range(8))
 
 
@@ -214,6 +216,20 @@ def test_evolve_huge_span_refuses_on_one_line(tmp_path):
     assert proc.returncode == 1
     assert proc.stdout == ""
     assert proc.stderr == "non-convergence: time span too long for the requested tolerance\n"
+
+
+def test_evolve_semicircle_driver_near_the_support_within_bound(capsys, tmp_path):
+    # ROADMAP D1 through the JSON driver path: the 64-node sum missed this
+    # point by 1.6e-2 against a bound of 4e-10
+    driver = tmp_path / "semi_driver.json"
+    driver.write_text(json.dumps({"horizon": 1.0, "driver": {
+        "type": "piecewise_constant", "breaks": [0.0],
+        "measures": [{"segments": [{"interval": [-2.0, 2.0], "density": "semicircle"}]}]}}))
+    assert run(["evolve", "--driver", str(driver), "--t", "0.5", "--z", "0.5+0.02i"]) == 0
+    vals = [float(v) for v in capsys.readouterr().out.strip().split("\n")[1].split(",")]
+    err = abs(complex(vals[3], vals[4]) - semicircle_transition(0.5, 0.5 + 0.02j))
+    assert 0.0 < vals[5] <= 1e-9
+    assert err <= vals[5]
 
 
 def test_evolve_far_above_the_axis_prints_only_the_row(driver_path):

@@ -22,10 +22,16 @@ from chordal.loewner import (
     transition_grid,
     univalence_probe,
 )
-from chordal.measures import RealMeasure, bernoulli, point_mass, semicircle
+from chordal.measures import RealMeasure, arcsine, bernoulli, point_mass, semicircle
 from chordal.numerics import cheb_grid
 
-from oracles import moving_atom_transition, rk4_transition, shifted_slit_map, slit_map
+from oracles import (
+    moving_atom_transition,
+    rk4_transition,
+    semicircle_transition,
+    shifted_slit_map,
+    slit_map,
+)
 
 DELTA0 = DriverFamily.constant(point_mass(0.0), horizon=4.0)
 LINEAR_ATOM = [(0.0, 0.0), (4.0, 2.0)]
@@ -101,6 +107,15 @@ def test_moving_atom_validation():
         DriverFamily.moving_atom([(0.0, 0.0), (1.0, 1.0)], horizon=2.0)
     fam = DriverFamily.moving_atom([(0.0, 0.0), (1.0, 1.0), (2.0, 0.5)])
     assert fam.horizon == 2.0 and fam.support_bound == 1.0
+
+
+def test_support_bound_is_the_support_hull():
+    # not the outermost quadrature node (1.9999988... for the semicircle)
+    assert DriverFamily.constant(semicircle()).support_bound == 2.0
+    fam = DriverFamily.piecewise_constant(
+        [0.0, 1.0, 2.0], [arcsine(radius=1.5, center=0.75), point_mass(-2.5), bernoulli(1.0)])
+    assert fam.support_bound == 2.5
+    assert DriverFamily.constant(arcsine(radius=1.5, center=0.75)).support_bound == 2.25
 
 
 def test_measure_at_is_right_continuous():
@@ -277,14 +292,60 @@ def test_simpson_matrices_match_chebval():
 
 
 def test_piecewise_semicircle_against_rk4_wide():
-    # no closed form: cross-check the non-atomic driver by comparing two
-    # solver tolerances instead of an external integrator (the RK4 oracle
-    # only handles atoms); tight and loose runs must agree within both bounds
+    # the semicircle's first integral, solved by mpmath Newton from an RK4
+    # start, at two tolerances
     fam = DriverFamily.constant(semicircle(), horizon=2.0)
     zs = small_grid()
-    tight, te = transition_grid(fam, 0.0, 2.0, zs, SolverConfig(tol=1e-12))
-    loose, le = transition_grid(fam, 0.0, 2.0, zs, SolverConfig(tol=1e-6))
-    assert np.all(np.abs(tight - loose) <= te + le)
+    want = np.array([semicircle_transition(2.0, z) for z in zs])
+    for tol in (1e-12, 1e-6):
+        got, bound = transition_grid(fam, 0.0, 2.0, zs, SolverConfig(tol=tol))
+        assert np.all(np.abs(got - want) <= bound)
+
+
+# ROADMAP D1: at t = 0.5 the 64-node sum missed these by up to 0.13
+# against bounds of ~4e-10
+@pytest.mark.parametrize("zs, order, tol", [
+    ([0.1j, 0.5 + 0.02j, 1.99 + 0.001j, 2.0 + 0.001j], 64, 1e-9),
+    ([0.001j], 64, 1e-12),
+    ([1.5 + 0.05j], 256, 1e-9),
+], ids=["near-axis", "0.001i-tol1e-12", "256-nodes"])
+def test_semicircle_near_the_support_within_bound(zs, order, tol):
+    fam = DriverFamily.constant(semicircle(order=order), horizon=1.0)
+    got, bound = transition_grid(fam, 0.0, 0.5, np.array(zs), SolverConfig(tol=tol))
+    want = np.array([semicircle_transition(0.5, z) for z in zs])
+    assert np.all(bound <= tol)
+    assert np.all(np.abs(got - want) <= bound)
+
+
+def _node_sum_substep(self, s0, h, w0, eta, budget):
+    # _PiecewiseConstant._substep as it was before the exact transforms:
+    # the Cauchy transform summed over the frozen quadrature nodes
+    _, _, tails = cheb_grid(loewner._NODES)
+    target = 0.8 * budget
+    idx = np.searchsorted(self.breaks, s0, side="right") - 1
+    B = np.empty((w0.size, loewner._NODES), dtype=complex)
+    tail = np.empty(w0.size)
+    for k in np.unique(idx):
+        m = idx == k
+        pos, wts = self.measures[k].nodes()
+        B[m], tail[m] = loewner._picard(
+            w0[m], h[m], eta[m], target[m],
+            lambda V: (wts / (V[:, :, None] - pos)).sum(axis=2) @ tails.T,
+        )
+    return B, tail, 0.2 * budget
+
+
+def test_atom_drivers_match_the_node_sum_bit_for_bit(monkeypatch):
+    # atoms have no quadrature error: their lanes must not move at all
+    stepped = DriverFamily.piecewise_constant(
+        [0.0, 0.5, 1.25], [point_mass(0.0), point_mass(0.75), bernoulli(0.5, -0.25)], horizon=2.0)
+    zs = acceptance_grid()
+    cases = [(fam, t) for fam in (DELTA0, stepped) for t in (0.25, 1.0, 2.0)]
+    new = [transition_grid(fam, 0.0, t, zs) for fam, t in cases]
+    monkeypatch.setattr(loewner._PiecewiseConstant, "_substep", _node_sum_substep)
+    for (fam, t), (w, e) in zip(cases, new):
+        w_old, e_old = transition_grid(fam, 0.0, t, zs)
+        assert np.array_equal(w, w_old) and np.array_equal(e, e_old)
 
 
 # ---------------------------------------------------------------------------

@@ -25,12 +25,15 @@ from chordal.measures import (
     class_r_constant,
     measure_from_dict,
     moment,
+    named_density,
     nevanlinna_triple,
     point_mass,
     reciprocal_cauchy,
     semicircle,
     stieltjes_invert,
 )
+
+from oracles import named_cauchy
 
 # ladder used for every inversion test; settles the semicircle endpoint
 # correction (~ eps^(3/2)) to a few 1e-5
@@ -102,6 +105,8 @@ def test_segment_validation():
         DensitySegment(1.0, 1.0, lambda x: x)
     with pytest.raises(InvalidInputError):
         DensitySegment(0.0, 1.0, lambda x: x, order=1)
+    with pytest.raises(InvalidInputError):
+        DensitySegment(0.0, 1.0, lambda x: x, 8, False, "not callable")
     bad = DensitySegment(0.0, 1.0, lambda x: -np.ones_like(x))
     with pytest.raises(InvalidInputError):
         RealMeasure(segments=[bad])
@@ -425,3 +430,92 @@ def test_affine_pushforward_keeps_atoms():
     assert nu.atoms == ((-2.0, 0.5), (4.0, 0.5))
     with pytest.raises(InvalidInputError):
         affine_pushforward(bernoulli(1.0), -1.0, 0.0)
+
+
+# ---------------------------------------------------------------------------
+# exact transforms of the named densities
+
+# a degree-6 density, positive on [-1, 2] (ascending coefficients in x)
+POLY6 = [1.0, 0.5, -0.3, 0.2, 0.1, -0.05, 0.03]
+NAMED = [("semicircle", -2.0, 2.0, None), ("arcsine", -2.0, 2.0, None),
+         ("uniform", 0.5, 3.25, None), ("poly", -1.0, 2.0, POLY6)]
+
+
+def _named_measure(name, lo, hi, coeffs):
+    full = name if coeffs is None else "poly:" + ",".join(map(repr, coeffs))
+    return measure_from_dict({"segments": [{"interval": [lo, hi], "density": full}]})
+
+
+def _probe_points(lo, hi):
+    # on and off the support down to Im z = 1e-8, both endpoints, and far
+    # out, where the closed forms must not cancel
+    w = hi - lo
+    return np.array([0.5 * (lo + hi) + 1j, lo + 0.3 * w + 1e-8j, lo + 1e-8j, hi + 1e-8j,
+                     hi - 0.01 * w + 1e-6j, hi + 0.5 + 1e-8j, lo - 0.3 + 1e-3j,
+                     1e4 + 1e4j, 1e8 + 1j, -1e8 + 1e3j, 1e8j])
+
+
+@pytest.mark.parametrize("name, lo, hi, coeffs", NAMED, ids=[n[0] for n in NAMED])
+@pytest.mark.parametrize("scale, shift", [(1.0, 0.0), (0.5, 1.0)], ids=["plain", "pushforward"])
+def test_named_transforms_match_quadrature(name, lo, hi, coeffs, scale, shift):
+    # the scale is a power of two and the shift hits the grid points on
+    # Sterbenz terms, so (z - shift)/scale is exact where the transform is
+    # ill-conditioned (the endpoints) and the comparison sees only the
+    # closed form's own rounding
+    mu = affine_pushforward(_named_measure(name, lo, hi, coeffs), scale, shift)
+    assert mu.segments[0].cauchy is not None
+    zs = _probe_points(*mu.support)
+    got = mu.cauchy(zs)
+    for z, g in zip(zs, got):
+        want = named_cauchy(name, lo, hi, z, coeffs, scale, shift)
+        assert abs(g - want) <= 1e-12 * abs(want), z
+
+
+def test_poly_transform_switches_to_the_moment_series_at_its_radius():
+    lo, hi = -1.0, 2.0
+    mid, rad = 0.5 * (lo + hi), 0.5 * (hi - lo)
+    mu = _named_measure("poly", lo, hi, POLY6)
+    angles = np.array([1e-3, 0.7, np.pi / 2, 2.5, np.pi - 1e-3])
+    for side in (1.0 - 1e-9, 1.0 + 1e-9):
+        zs = mid + rad * measures._POLY_SERIES_RADIUS * side * np.exp(1j * angles)
+        for z, g in zip(zs, mu.cauchy(zs)):
+            want = named_cauchy("poly", lo, hi, z, POLY6)
+            assert abs(g - want) <= 1e-12 * abs(want), z
+
+
+def test_closed_forms_replace_the_near_support_node_error():
+    # the frozen 64-node sum is off by ~1e-2 within a node gap of the
+    # support; the closed form is not
+    z = 0.5 + 0.02j
+    want = named_cauchy("semicircle", -2.0, 2.0, z)
+    assert abs(semicircle().cauchy(z) - want) <= 1e-14
+    assert abs(cauchy_transform(semicircle(), z) - want) > 1e-3
+
+
+def test_measure_cauchy_sums_atoms_closed_forms_and_nodes():
+    flat = DensitySegment(3.0, 4.0, lambda x: np.full_like(x, 0.25))
+    mu = RealMeasure([(-3.0, 0.25)], [named_density("semicircle", -2.0, 2.0), flat])
+    pos, wts = flat.nodes()
+    for z in (0.3 + 0.7j, np.array([1j, 2.0 + 0.1j, -5.0 + 3.0j]),
+              np.array([[1j, 3.5 + 1e-3j], [0.1 + 0.2j, 9.0 + 1.0j]])):
+        want = 0.25 / (z + 3.0) + g_semicircle(z) + (wts / (np.asarray(z)[..., None] - pos)).sum(-1)
+        got = mu.cauchy(z)
+        assert np.shape(got) == np.shape(z)
+        assert np.all(np.abs(got - want) <= 1e-14 * np.abs(want))
+    assert np.array_equal(RealMeasure().cauchy(np.array([1j, 2j])), np.zeros(2))
+
+
+def test_measure_cauchy_of_atoms_is_the_node_sum():
+    # atoms only: the evaluator is the plain node sum, bit for bit
+    mu = RealMeasure([(-1.0, 0.25), (0.5, 0.5), (2.0, 0.25)])
+    pos, wts = mu.nodes()
+    zs = np.array([[1j, 0.5 + 1e-3j], [-4.0 + 2.0j, 2.0 + 1e-6j]])
+    assert np.array_equal(mu.cauchy(zs), (wts / (zs[:, :, None] - pos)).sum(axis=2))
+
+
+def test_callable_segments_keep_node_quadrature():
+    seg = semicircle().segments[0]
+    bare = RealMeasure([], [DensitySegment(seg.lo, seg.hi, seg.density, seg.order, True)])
+    z = np.array([0.5 + 1j, 3.0 + 0.5j])
+    assert np.array_equal(bare.cauchy(z), cauchy_transform(bare, z))
+    assert affine_pushforward(bare, 2.0, 1.0).segments[0].cauchy is None
