@@ -9,11 +9,14 @@ all witness failure.
 
 Both diameters are estimated by the same discrete Fekete routine at the
 same point count, so the slow (logarithmic) convergence of d_n cancels in
-the ratio.  The interval cloud is an affine image of one Chebyshev-spaced
-cloud on [-1, 1], so its diameter is computed once per
-``(n, resolution, sweeps)`` and scaled by (B-A)/2.  The crossing test
-prefilters segment pairs by the bounding boxes of 8-segment chunks and
-tests the survivors in batches, so its temporaries stay bounded.
+the ratio.  The trace takes G from ``RealMeasure.cauchy``: exact for the
+atoms and the named densities, and only segments given by a bare density
+callable are resampled finely enough for the trace height.  The interval
+cloud is an affine image of one Chebyshev-spaced cloud on [-1, 1], so its
+diameter is computed once per ``(n, resolution, sweeps)`` and scaled by
+(B-A)/2.  The crossing test prefilters segment pairs by the bounding boxes
+of 8-segment chunks and tests the survivors in batches, so its temporaries
+stay bounded.
 Everything here is deterministic: greedy seeding and exchange sweeps break
 ties by lowest sample index.
 """
@@ -28,7 +31,7 @@ from functools import lru_cache
 import numpy as np
 
 from .errors import InvalidInputError
-from .measures import RealMeasure, reciprocal_cauchy
+from .measures import RealMeasure
 
 __all__ = [
     "BoundaryCurve",
@@ -40,9 +43,9 @@ __all__ = [
 
 _GAIN_FLOOR = 1e-13        # exchange swaps must beat this to count
 _EXCURSION_FACTOR = 10.0   # |F| beyond this multiple of B-A flags blow-up
-_CLOUD_SPACING = 0.25      # dense-cloud spacing as a fraction of epsilon
+_CLOUD_SPACING = 0.25      # bare-segment node spacing as a fraction of epsilon
 _CHUNK = 8                 # segments per bounding box in the crossing test
-_PAIR_BATCH = 1 << 18      # most pairs one vectorised block holds
+_PAIR_BATCH = 1 << 18      # most segment pairs one crossing-test batch holds
 
 
 def _count(value, name: str) -> int:
@@ -146,10 +149,11 @@ def boundary_image(
 ) -> BoundaryCurve:
     """Trace F over a Chebyshev-spaced grid at height ``epsilon``.
 
-    The grid clusters at the support endpoints where F turns fastest.  The
-    Cauchy transform is taken against a resampled node cloud fine enough
-    (spacing ``epsilon/4``) to stay accurate this close to the axis, in
-    blocks of at most ``_PAIR_BATCH`` (point, node) pairs.
+    The grid clusters at the support endpoints where F turns fastest.  G
+    is ``mu.cauchy``: the exact transform of the atoms and the named
+    densities, and for segments given by a bare density callable a
+    midpoint resampling at spacing ``epsilon/4``, fine enough to stay
+    accurate this close to the axis.
     """
     if not isinstance(mu, RealMeasure):
         raise InvalidInputError("mu must be a RealMeasure")
@@ -170,21 +174,7 @@ def boundary_image(
     xs = 0.5 * (lo + hi) + 0.5 * width * np.cos(theta)
     z = xs + 1j * epsilon
 
-    pos, wts = mu.dense_nodes(_CLOUD_SPACING * epsilon)
-    top = np.empty(resolution, dtype=complex)
-    step = max(1, _PAIR_BATCH // max(pos.size, 1))
-    # one reused block buffer: G is summed row by row, so the block height
-    # changes no value.  Fresh 4 MiB temporaries sit at the allocator's mmap
-    # threshold, so a fresh process (each CLI call) maps and faults them in
-    # anew per block, which made the trace ~3x slower there.
-    buf = np.empty((min(step, resolution), pos.size), dtype=complex)
-    for k in range(0, resolution, step):
-        block = z[k:k + step, None]
-        terms = buf[:block.shape[0]]
-        np.subtract(block, pos, out=terms)
-        np.divide(wts, terms, out=terms)
-        top[k:k + step] = 1.0 / terms.sum(axis=1)
-
+    top = 1.0 / mu.cauchy(z, _CLOUD_SPACING * epsilon)
     points = np.concatenate([top, np.conj(top)[::-1]])
 
     center = np.median(points.real) + 1j * np.median(points.imag)

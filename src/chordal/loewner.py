@@ -72,10 +72,6 @@ _MIN_STEP = 1e-12
 _SIMPSON_BASE = 2     # 2**base Simpson intervals per collocation panel
 _SIMPSON_MAX = 8
 
-# Test hook: called as observer(observed_diff, certified_bound) once per
-# Picard iteration when set.  Never consulted on the hot path otherwise.
-_PICARD_OBSERVER: Callable[[np.ndarray, np.ndarray], None] | None = None
-
 
 @dataclass(frozen=True)
 class SolverConfig:
@@ -405,8 +401,6 @@ def _picard(
     bound = h / eta
     for n in range(1, _MAX_PICARD + 1):
         Bn = w_col - integrate(B) * half_h
-        if _PICARD_OBSERVER is not None:
-            _PICARD_OBSERVER(np.abs(Bn - B).max(axis=1), bound)
         bound = bound * h * inv_eta2 / (n + 1.0)
         q = h * inv_eta2 / (n + 2.0)
         tail = bound / (1.0 - q)

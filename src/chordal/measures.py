@@ -6,18 +6,19 @@ integrated by Gauss-Legendre at a declared order. Segments carrying the
 x = mid + rad*cos(theta); that keeps sqrt-type endpoint behaviour (semicircle,
 arcsine) spectrally accurate at the declared order. A segment may also carry
 its exact Cauchy transform; the named densities (semicircle, arcsine,
-uniform, polynomial) do, and `RealMeasure.cauchy` sums those closed forms,
-the atoms, and the quadrature nodes of the remaining segments. On top of the
-measure representation this module provides the node-sum Cauchy transform G,
-its reciprocal F, moments, the tightest |F(z) - z| <= C/Im z constant, the
-Nevanlinna data of F, and Stieltjes inversion of G back to interval masses.
+uniform, polynomial) do. `RealMeasure.cauchy`, the one evaluator of G for
+the solver and the boundary trace, adds those closed forms to one node sum
+over the atoms and the bare-callable segments (those without one). On top
+of the measure representation this module provides the node-sum Cauchy
+transform, its reciprocal F, moments, the tightest |F(z) - z| <= C/Im z
+constant, the Nevanlinna data of F, and Stieltjes inversion of G back to
+interval masses.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import partial
 from typing import Callable, Sequence
 
 import numpy as np
@@ -76,8 +77,9 @@ class DensitySegment:
     densities with square-root endpoint behaviour. `cauchy`, when given, is
     the segment's exact Cauchy transform: it maps a complex array of points
     in the open upper half-plane to integral density(x)/(z - x) dx on
-    [lo, hi], elementwise. `RealMeasure.cauchy` uses it in place of the
-    quadrature nodes, which are still used for moments and `cauchy_transform`.
+    [lo, hi], elementwise. `RealMeasure.cauchy`, and so the solver and the
+    boundary trace, uses it in place of quadrature nodes; the frozen nodes
+    still give the moments and `cauchy_transform`.
     """
 
     lo: float
@@ -92,6 +94,8 @@ class DensitySegment:
             raise InvalidInputError("segment endpoints must be finite")
         if not self.hi > self.lo:
             raise InvalidInputError("segment needs lo < hi")
+        if not math.isfinite(self.hi - self.lo):
+            raise InvalidInputError("segment width hi - lo overflows")
         if not isinstance(self.order, (int, np.integer)) or self.order < 2:
             raise InvalidInputError("quadrature order must be an integer >= 2")
         if self.cauchy is not None and not callable(self.cauchy):
@@ -114,6 +118,21 @@ class DensitySegment:
         return x, dens * jac * w
 
 
+def _midpoint_nodes(seg: DensitySegment, spacing: float) -> tuple[np.ndarray, np.ndarray]:
+    # the midpoint rule on seg with node gaps below spacing, in theta for
+    # chebyshev segments
+    rad = 0.5 * (seg.hi - seg.lo)
+    span = np.pi * rad if seg.chebyshev else seg.hi - seg.lo
+    n = min(max(int(seg.order), int(np.ceil(span / spacing)) + 1), _MAX_DENSE_NODES)
+    if seg.chebyshev:
+        theta = np.pi * (np.arange(n) + 0.5) / n
+        x = 0.5 * (seg.lo + seg.hi) + rad * np.cos(theta)
+        return x, _eval_array(seg.density, x) * rad * np.sin(theta) * (np.pi / n)
+    step = (seg.hi - seg.lo) / n
+    x = seg.lo + step * (np.arange(n) + 0.5)
+    return x, _eval_array(seg.density, x) * step
+
+
 class RealMeasure:
     """Atoms plus density segments; quadrature nodes are frozen at build time."""
 
@@ -128,32 +147,30 @@ class RealMeasure:
             checked.append((x, w))
         self._atoms = tuple(checked)
         self._segments = tuple(segments)
-        pos = [np.array([a[0] for a in self._atoms])]
-        wts = [np.array([a[1] for a in self._atoms])]
-        # the node sum inside `cauchy`: atoms and segments without a closed form
-        sum_pos, sum_wts = pos[:], wts[:]
-        for seg in self._segments:
-            if not isinstance(seg, DensitySegment):
-                raise InvalidInputError("segments must be DensitySegment instances")
-            x, w = seg.nodes()
-            pos.append(x)
-            wts.append(w)
-            if seg.cauchy is None:
-                sum_pos.append(x)
-                sum_wts.append(w)
-        self._pos = np.concatenate(pos)
-        self._wts = np.concatenate(wts)
-        total = float(self._wts.sum())
+        if not all(isinstance(seg, DensitySegment) for seg in self._segments):
+            raise InvalidInputError("segments must be DensitySegment instances")
+        frozen = [seg.nodes() for seg in self._segments]
+        self._pos, self._wts = self._with_atoms(frozen)
+        with np.errstate(over="ignore"):
+            total = float(self._wts.sum())
+        if not math.isfinite(total):
+            raise InvalidInputError("total mass overflows")
         if mass is not None and abs(total - float(mass)) > MASS_TOL:
             raise InvalidInputError(
                 f"declared mass {mass} but quadrature gives {total!r}"
             )
         self._mass = total
-        # the pieces of G, resolved once: one node sum, then the closed forms
-        sum_pos, sum_wts = np.concatenate(sum_pos), np.concatenate(sum_wts)
-        parts = [partial(_node_sum, sum_pos, sum_wts)] if sum_pos.size else []
-        parts += [seg.cauchy for seg in self._segments if seg.cauchy is not None]
-        self._cauchy_parts = tuple(parts)
+        # G: the closed forms plus one node sum over the atoms and the
+        # segments that have no closed form ("bare" segments)
+        self._closed = tuple(seg.cauchy for seg in self._segments if seg.cauchy is not None)
+        self._bare = tuple(seg for seg in self._segments if seg.cauchy is None)
+        self._sum_pos, self._sum_wts = self._with_atoms(
+            xw for seg, xw in zip(self._segments, frozen) if seg.cauchy is None)
+
+    def _with_atoms(self, nodes) -> tuple[np.ndarray, np.ndarray]:
+        # the atoms followed by the (positions, weights) pairs of `nodes`
+        parts = [np.array(self._atoms, dtype=float).reshape(-1, 2).T, *nodes]
+        return np.concatenate([p[0] for p in parts]), np.concatenate([p[1] for p in parts])
 
     @property
     def atoms(self):
@@ -188,21 +205,29 @@ class RealMeasure:
     def nodes(self) -> tuple[np.ndarray, np.ndarray]:
         return self._pos, self._wts
 
-    def cauchy(self, z) -> np.ndarray:
+    def cauchy(self, z, spacing: float | None = None) -> np.ndarray:
         """G(z) = integral of 1/(z - x) dmu(x) at every point of an array.
 
-        Atoms are summed exactly, segments with a closed-form transform use
-        it, and the remaining segments are summed over their quadrature
-        nodes. The points must lie in the open upper half-plane; they are
-        not checked here (`cauchy_transform` checks, and sums nodes only).
+        Closed forms are used where a segment has one; the atoms (exactly)
+        and the bare-callable segments go through one node sum, the latter
+        over their frozen nodes or, given `spacing`, over the `dense_nodes`
+        resampling at that spacing. The points must lie in the open upper
+        half-plane; they are not checked here (`cauchy_transform` checks).
         """
         z = np.asarray(z, dtype=complex)
-        if not self._cauchy_parts:
-            return np.zeros(z.shape, dtype=complex)
-        g = self._cauchy_parts[0](z)
-        for part in self._cauchy_parts[1:]:
-            g = g + part(z)
-        return g
+        if spacing is None:
+            pos, wts = self._sum_pos, self._sum_wts
+        else:
+            pos, wts = self._resampled(self._bare, spacing)
+        terms = [f(z) for f in self._closed]
+        if pos.size or not terms:
+            terms.insert(0, _node_sum(pos, wts, z))
+        return sum(terms[1:], terms[0])
+
+    def _resampled(self, segments, spacing: float) -> tuple[np.ndarray, np.ndarray]:
+        if not spacing > 0:
+            raise InvalidInputError("spacing must be positive")
+        return self._with_atoms(_midpoint_nodes(seg, spacing) for seg in segments)
 
     def dense_nodes(self, spacing: float) -> tuple[np.ndarray, np.ndarray]:
         """Midpoint-rule resampling with node gaps below `spacing`.
@@ -210,28 +235,7 @@ class RealMeasure:
         Needed when the transform is evaluated closer to the support than the
         declared-order node gap; atoms are kept exact.
         """
-        if spacing <= 0:
-            raise InvalidInputError("spacing must be positive")
-        pos = [np.array([a[0] for a in self._atoms])]
-        wts = [np.array([a[1] for a in self._atoms])]
-        for seg in self._segments:
-            mid = 0.5 * (seg.lo + seg.hi)
-            rad = 0.5 * (seg.hi - seg.lo)
-            if seg.chebyshev:
-                n = max(int(seg.order), int(np.ceil(np.pi * rad / spacing)) + 1)
-                n = min(n, _MAX_DENSE_NODES)
-                theta = np.pi * (np.arange(n) + 0.5) / n
-                x = mid + rad * np.cos(theta)
-                w = _eval_array(seg.density, x) * rad * np.sin(theta) * (np.pi / n)
-            else:
-                n = max(int(seg.order), int(np.ceil((seg.hi - seg.lo) / spacing)) + 1)
-                n = min(n, _MAX_DENSE_NODES)
-                step = (seg.hi - seg.lo) / n
-                x = seg.lo + step * (np.arange(n) + 0.5)
-                w = _eval_array(seg.density, x) * step
-            pos.append(x)
-            wts.append(w)
-        return np.concatenate(pos), np.concatenate(wts)
+        return self._resampled(self._segments, spacing)
 
 
 # ---------------------------------------------------------------------------

@@ -7,6 +7,7 @@ import math
 import time
 import tracemalloc
 
+import mpmath
 import numpy as np
 import pytest
 
@@ -22,10 +23,12 @@ from chordal.capacity import (
 )
 from chordal.errors import InvalidInputError
 from chordal.measures import (
+    DensitySegment,
     RealMeasure,
     affine_pushforward,
     arcsine,
     bernoulli,
+    named_density,
     point_mass,
     semicircle,
 )
@@ -323,17 +326,63 @@ def test_arcsine_trace_is_simple():
     assert not curve.self_intersects and not curve.unbounded
 
 
-def test_trace_blocks_do_not_change_the_values():
-    # G is summed over the node cloud row by row, so the block height that
-    # bounds the temporaries leaves every value unchanged
-    mu, eps = semicircle(), 4e-3
-    curve = boundary_image(mu, resolution=512, epsilon=eps)
-    pos, wts = mu.dense_nodes(0.25 * eps)
-    assert capacity._PAIR_BATCH // pos.size < 512
-    theta = np.linspace(math.pi, 0.0, 512)
-    z = 2.0 * np.cos(theta) + 1j * eps
-    top = 1.0 / (wts / (z[:, None] - pos)).sum(axis=1)
-    assert np.array_equal(curve.points[:512], top)
+def _f_semicircle(z):
+    return (z + mpmath.sqrt(z - 2) * mpmath.sqrt(z + 2)) / 2
+
+
+def _f_arcsine(z):
+    return mpmath.sqrt(z - 2) * mpmath.sqrt(z + 2)
+
+
+def _f_uniform(z):
+    return 2 / mpmath.log((z + 1) / (z - 1))
+
+
+def _uniform():
+    return RealMeasure([], [named_density("uniform", -1.0, 1.0)], mass=1.0)
+
+
+def _bare_semicircle():
+    # the semicircle density with no closed form attached
+    seg = semicircle().segments[0]
+    return RealMeasure([], [DensitySegment(seg.lo, seg.hi, seg.density, seg.order, True)],
+                       mass=1.0)
+
+
+def _trace_error(mu, f, scale=1.0, shift=0.0, resolution=512):
+    # largest relative gap between the trace at epsilon = 1e-3 * width and
+    # the closed-form F of mu, the pushforward by x -> scale*x + shift of
+    # the measure whose F is f
+    lo, hi = mu.support
+    eps = 1e-3 * (hi - lo)
+    top = boundary_image(mu, resolution=resolution, epsilon=eps).points[:resolution]
+    theta = np.linspace(math.pi, 0.0, resolution)
+    z = 0.5 * (lo + hi) + 0.5 * (hi - lo) * np.cos(theta) + 1j * eps
+    with mpmath.workdps(30):
+        want = np.array([complex(scale * f((mpmath.mpc(w) - shift) / scale)) for w in z])
+    return np.max(np.abs(top - want) / np.abs(want))
+
+
+@pytest.mark.parametrize("build, f", [
+    (semicircle, _f_semicircle), (arcsine, _f_arcsine), (_uniform, _f_uniform),
+], ids=["semicircle", "arcsine", "uniform"])
+@pytest.mark.parametrize("scale, shift", [(1.0, 0.0), (0.5, 1.0)], ids=["plain", "pushed"])
+def test_trace_is_the_closed_form_reciprocal_transform(build, f, scale, shift):
+    # the trace takes G from the exact transforms; a node cloud at spacing
+    # epsilon/4 misses these by 2.4e-11 (semicircle, arcsine) and 3.7e-4
+    # (uniform)
+    mu = affine_pushforward(build(), scale, shift) if scale != 1.0 else build()
+    assert _trace_error(mu, f, scale, shift) <= 1e-13
+
+
+def test_trace_resamples_bare_callable_segments():
+    # a semicircle without its closed form is summed over the midpoint
+    # resampling at epsilon/4; its frozen 64-node rule is off by ~10x there
+    mu = _bare_semicircle()
+    assert _trace_error(mu, _f_semicircle) <= 1e-10
+    z = 2.0 * np.cos(np.linspace(math.pi, 0.0, 512)) + 4e-3j
+    frozen = 1.0 / mu.cauchy(z)
+    assert np.max(np.abs(frozen - boundary_image(mu, 512, 4e-3).points[:512])) > 1.0
 
 
 def test_boundary_image_validation():
@@ -444,18 +493,18 @@ def test_spiral_crossings_are_fast_and_bounded():
 # combined diagnostic
 
 
-def test_hayman_semicircle_consistent():
-    r = hayman_report(semicircle(), n=48, resolution=512)
+def _poly():
+    return RealMeasure([], [named_density("poly:0.75,0,-0.75", -1.0, 1.0)], mass=1.0)
+
+
+@pytest.mark.parametrize("build", [semicircle, arcsine, _uniform, _poly],
+                         ids=["semicircle", "arcsine", "uniform", "poly"])
+def test_hayman_consistent(build):
+    r = hayman_report(build(), n=48, resolution=512)
     assert r.verdict == "consistent_with_univalence"
     assert abs(r.ratio - 1.0) <= 0.05
     assert r.n_points == 48
     assert r.d_image <= r.d_interval * 1.05
-
-
-def test_hayman_arcsine_consistent():
-    r = hayman_report(arcsine(), n=48, resolution=512)
-    assert r.verdict == "consistent_with_univalence"
-    assert abs(r.ratio - 1.0) <= 0.05
 
 
 def test_hayman_atom_pair_inconsistent():

@@ -401,6 +401,8 @@ BIG = 10**400  # a valid JSON integer past the float range
     {"atoms": [[BIG, 1.0]]},
     {"atoms": [[0.0, 1.0]], "mass": BIG},
     {"segments": [{"interval": [0.0, BIG], "density": "uniform"}]},
+    {"segments": [{"interval": [-1e308, 1e308], "density": "uniform"}]},
+    {"atoms": [[0.0, 1e308], [1.0, 1e308]]},
 ])
 def test_malformed_measure_is_an_input_error(capsys, tmp_path, measure):
     path = tmp_path / "bad.json"
@@ -408,6 +410,24 @@ def test_malformed_measure_is_an_input_error(capsys, tmp_path, measure):
     assert run(["transform", "--measure", str(path), "--z", "i"]) == 2
     err = capsys.readouterr().err
     assert err.startswith("error: ") and "Traceback" not in err
+
+
+@pytest.mark.parametrize("measure, message", [
+    ({"segments": [{"interval": [-1e308, 1e308], "density": "uniform"}]},
+     "segment width hi - lo overflows"),
+    ({"atoms": [[0.0, 1e308], [1.0, 1e308]]}, "total mass overflows"),
+], ids=["width", "mass"])
+def test_overflowing_measure_exits_2_on_one_line(tmp_path, measure, message):
+    # rejected before any transform, which would print a RuntimeWarning
+    # and NaN or Infinity with exit 0
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(measure))
+    proc = subprocess.run(
+        [sys.executable, "-m", "chordal.cli", "transform", "--measure", str(path), "--z", "i"],
+        capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 2
+    assert proc.stdout == ""
+    assert proc.stderr == f"error: {message}\n"
 
 
 @pytest.mark.parametrize("raw", [

@@ -404,21 +404,35 @@ def test_class_r_geometry():
         assert np.all(np.abs(vals - zs) <= b / zs.imag + errs)
 
 
-def test_certified_bound_covers_picard_increments():
-    # the observer sees each sweep's sup-change next to the bound the
-    # certificate claims for it
+def test_certified_bound_covers_picard_increments(monkeypatch):
+    # every sweep's sup-change |B_n - B_(n-1)| stays within the remainder
+    # h^n / (eta^(2n-1) n!) of the module docstring
+    real_picard = loewner._picard
     records = []
-    loewner._PICARD_OBSERVER = lambda observed, bound: records.append(
-        (observed.copy(), bound.copy()))
-    try:
-        transition_grid(DELTA0, 0.0, 2.0, small_grid())
-        fam = DriverFamily.moving_atom([(0.0, 0.0), (2.0, 1.0)])
-        transition_grid(fam, 0.0, 2.0, small_grid()[:8])
-    finally:
-        loewner._PICARD_OBSERVER = None
-    assert len(records) > 10
-    for observed, bound in records:
-        assert np.all(observed <= bound * (1.0 + 1e-9) + 1e-15)
+
+    def recording(w0, h, eta, target, integrate):
+        iterates = []
+
+        def spy(B):
+            iterates.append(B.copy())
+            return integrate(B)
+
+        B, tail = real_picard(w0, h, eta, target, spy)
+        records.append((h, eta, iterates + [B]))
+        return B, tail
+
+    monkeypatch.setattr(loewner, "_picard", recording)
+    transition_grid(DELTA0, 0.0, 2.0, small_grid())
+    fam = DriverFamily.moving_atom([(0.0, 0.0), (2.0, 1.0)])
+    transition_grid(fam, 0.0, 2.0, small_grid()[:8])
+    sweeps = 0
+    for h, eta, iterates in records:
+        for n in range(1, len(iterates)):
+            observed = np.abs(iterates[n] - iterates[n - 1]).max(axis=1)
+            bound = h ** n / (eta ** (2 * n - 1) * math.factorial(n))
+            assert np.all(observed <= bound * (1.0 + 1e-9) + 1e-15)
+            sweeps += 1
+    assert sweeps > 10
 
 
 def test_reported_bound_shrinks_with_tol():

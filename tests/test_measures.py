@@ -112,6 +112,10 @@ def test_segment_validation():
         RealMeasure(segments=[bad])
     with pytest.raises(InvalidInputError):
         RealMeasure(segments=["not a segment"])
+    with pytest.raises(InvalidInputError, match="width"):
+        DensitySegment(-1e308, 1e308, lambda x: x)
+    with pytest.raises(InvalidInputError, match="total mass"):
+        RealMeasure([(0.0, 1e308), (1.0, 1e308)])
 
 
 def test_measure_from_dict_round_trip():
@@ -519,3 +523,19 @@ def test_callable_segments_keep_node_quadrature():
     z = np.array([0.5 + 1j, 3.0 + 0.5j])
     assert np.array_equal(bare.cauchy(z), cauchy_transform(bare, z))
     assert affine_pushforward(bare, 2.0, 1.0).segments[0].cauchy is None
+
+
+def test_spacing_resamples_only_the_bare_segments():
+    # given a spacing, the node sum runs over the atoms and the dense_nodes
+    # resampling of the bare segments; closed forms ignore it
+    flat = DensitySegment(3.0, 4.0, lambda x: np.full_like(x, 0.25))
+    named = named_density("semicircle", -2.0, 2.0)
+    mu = RealMeasure([(-3.0, 0.25)], [named, flat])
+    z = np.array([0.5 + 1j, 3.5 + 1e-3j])
+    pos, wts = RealMeasure([(-3.0, 0.25)], [flat]).dense_nodes(1e-3)
+    want = (wts / (z[:, None] - pos)).sum(axis=1) + named.cauchy(z)
+    assert np.array_equal(mu.cauchy(z, 1e-3), want)
+    assert np.array_equal(semicircle().cauchy(z, 1e-3), semicircle().cauchy(z))
+    for spacing in (0.0, -1.0, float("nan")):
+        with pytest.raises(InvalidInputError):
+            mu.cauchy(z, spacing)
