@@ -16,6 +16,7 @@ from __future__ import annotations
 import argparse
 import cmath
 import json
+import math
 import sys
 
 import numpy as np
@@ -93,14 +94,18 @@ def _cmd_transform(args) -> None:
         raise InvalidInputError(f"--z is required for op {args.op!r}")
     z = parse_complex(args.z)
     pos, wts = mu.nodes()
-    g = _measures.cauchy_transform(mu, z)
-    # summation roundoff over the node cloud, propagated through 1/G
-    g_bound = float((wts / np.abs(z - pos)).sum()) * pos.size * _EPS
-    if args.op == "cauchy":
-        value, bound = g, g_bound
-    else:
-        value = _measures.reciprocal_cauchy(mu, z)
-        bound = g_bound * abs(value) ** 2
+    # a finite but huge measure can overflow either number: refuse below
+    with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
+        g = _measures.cauchy_transform(mu, z)
+        # summation roundoff over the node cloud, propagated through 1/G
+        g_bound = float((wts / np.abs(z - pos)).sum()) * (pos.size * _EPS)
+        if args.op == "cauchy":
+            value, bound = g, g_bound
+        else:
+            value = _measures.reciprocal_cauchy(mu, z)
+            bound = g_bound * abs(value) ** 2
+    if not (cmath.isfinite(value) and math.isfinite(bound)):
+        raise NonConvergenceError(f"{args.op} transform overflowed")
     _emit_json({
         "op": args.op,
         "z": [z.real, z.imag],

@@ -19,22 +19,48 @@ smaller) bound is reported alongside every value.
 One Picard loop, ``_picard``, serves every driver.  Per substep the
 iterates live on a Chebyshev-Lobatto grid, and the loop takes from the
 driver only ``integrate(B)``: the suffix integrals over the standard grid of
-the driver's Cauchy transform at the node values ``B``.  A driver is a
+the driver's integrand at the node values ``B``.  A driver is a
 ``DriverFamily`` subclass that supplies its measure lookup, its ``_seams``
-(times no substep may straddle) and ``_substep``, which builds
-``integrate``, runs the loop and splits the substep budget between the
-certified Picard tail and its integration allowance.  Two drivers exist:
-piecewise-constant measure families, integrated exactly through the
-antiderivative of the interpolant, and a moving atom along a
+(times no substep may straddle), its ``speed`` and ``_substep``, which
+builds ``integrate`` and runs the loop.  Two drivers exist:
+piecewise-constant measure families and a moving atom along a
 piecewise-linear path.  A piecewise-constant driver evaluates the Cauchy
 transform by ``RealMeasure.cauchy``: atoms exactly, named densities in
 closed form, and only segments given as a bare callable by their
 quadrature nodes.  The certified bound covers the first two; it has no
 term for the node error of the third, which grows within a node gap of
-the support.  The atom's integrand ``1/(B - U)`` is summed by composite
-Simpson rules, doubled until consecutive levels agree; ``U`` is affine on
-each substep, so ``B - U`` is known by its node values, and one cached
-matrix per Simpson level takes them to the Simpson points.
+the support.  The atom's integrand is ``1/(B - U)``; no substep straddles
+a seam, so ``U`` is affine on each substep and known at the nodes.
+
+Both drivers integrate one way: each sweep samples the integrand at the
+M Lobatto nodes and integrates its degree-(M-1) interpolant exactly (the
+``tails`` matrix of ``cheb_grid``).  Of a substep's budget the certified
+Picard tail gets 0.8 and the interpolation error 0.2, and the substep rule
+keeps the latter in its share.  If the integrand f is analytic with
+|f| <= K on the Bernstein ellipse E_rho of the substep (mapped to complex
+time), its interpolant misses by at most 4 K rho^-(M-1) / (rho - 1)
+(Trefethen, *Approximation Theory and Approximation Practice*, Thm 8.2).
+The rule picks rho from the budget and sets h so that E_rho has half-height
+
+    H = eta^2 / (4 (1 + c v eta)),
+
+where eta is Im w where the substep is entered and v is the driver's
+``speed``: the largest |dU/dt| over the atom's pieces, and 0 for
+piecewise-constant drivers, which get H = eta^2/4.  On the ellipse, as
+long as |f| <= 2/eta, B moves from the real path by at most 2H/eta in
+complex time, and the affine U gains |Im U| <= vH.  With x = c v eta the
+distance from B to the support (real, or U) therefore falls by at most
+
+    2H/eta + vH = eta (2c + x) / (4c (1 + x)),
+
+which is at most eta/2 for every x >= 0 exactly when c >= 1/2.  Then
+|f| <= 2/eta holds on the whole ellipse for both drivers, and the atom's
+interpolation error obeys the same estimate as a constant driver's.  The
+solver takes c = 3: the atom's own share vH stays below eta/12, and the
+total loss falls toward eta/12 as the path steepens, which leaves slack
+for what the estimate neglects (the ellipse reaches past the substep's
+ends in real time).  With it, atom paths of slope up to 100 keep every
+error within its bound.
 """
 
 from __future__ import annotations
@@ -44,7 +70,6 @@ from dataclasses import dataclass, replace
 from typing import Callable, ClassVar, Sequence
 
 import numpy as np
-from numpy.polynomial.chebyshev import chebvander
 
 from .errors import InvalidInputError, NonConvergenceError
 from .measures import RealMeasure, measure_from_dict, point_mass, y_ladder
@@ -69,8 +94,7 @@ _CHUNK = 1024         # z-points advanced per lockstep batch
 _MAX_PICARD = 64
 _MAX_ROUNDS = 200_000
 _MIN_STEP = 1e-12
-_SIMPSON_BASE = 2     # 2**base Simpson intervals per collocation panel
-_SIMPSON_MAX = 8
+_SPEED_SLACK = 3.0    # c of the substep rule's ellipse height (module docstring)
 
 
 @dataclass(frozen=True)
@@ -213,11 +237,16 @@ class DriverFamily:
     def _measure(self, t: float) -> RealMeasure:
         raise NotImplementedError
 
-    def _substep(self, s0, h, w0, eta, budget):
+    @property
+    def speed(self) -> float:
+        """Largest |dU/dt| of the driver's atom path; 0.0 if nothing moves."""
+        return 0.0
+
+    def _substep(self, s0, h, w0, eta, target):
         """Picard-solve the substeps ``[s0, s0 + h]`` entered at ``w0``.
 
-        Returns the node values, the certified Picard tail and the
-        integration allowance; tail plus allowance is at most ``budget``.
+        Returns the node values and the certified Picard tail, which is at
+        most ``target``.
         """
         raise NotImplementedError
 
@@ -231,12 +260,8 @@ class _PiecewiseConstant(DriverFamily):
     def _measure(self, t: float) -> RealMeasure:
         return self.measures[int(np.searchsorted(self.breaks, t, side="right")) - 1]
 
-    def _substep(self, s0, h, w0, eta, budget):
-        # The Picard tail gets 0.8 of the budget; the h-rule keeps the
-        # interpolation error under the other 0.2.  Each sweep integrates
-        # the degree-(M-1) interpolant of the sampled integrand exactly.
+    def _substep(self, s0, h, w0, eta, target):
         _, _, tails = cheb_grid(_NODES)
-        target = 0.8 * budget
         idx = np.searchsorted(self.breaks, s0, side="right") - 1
         B = np.empty((w0.size, _NODES), dtype=complex)
         tail = np.empty(w0.size)
@@ -245,7 +270,7 @@ class _PiecewiseConstant(DriverFamily):
             g = self.measures[k].cauchy
             B[m], tail[m] = _picard(
                 w0[m], h[m], eta[m], target[m], lambda V: g(V) @ tails.T)
-        return B, tail, 0.2 * budget
+        return B, tail
 
 
 @dataclass(frozen=True, eq=False)
@@ -257,56 +282,19 @@ class _MovingAtom(DriverFamily):
     def _measure(self, t: float) -> RealMeasure:
         return point_mass(float(np.interp(t, self.times, self.positions)))
 
-    def _substep(self, s0, h, w0, eta, budget):
+    @property
+    def speed(self) -> float:
+        with np.errstate(over="ignore"):  # inf refuses in the substep rule
+            return float(np.max(np.abs(np.diff(self.positions) / np.diff(self.times))))
+
+    def _substep(self, s0, h, w0, eta, target):
         # No substep straddles a seam, so U is affine on [s0, s0 + h] and
         # its two end values give it at every Lobatto node.
-        xstd, _, _ = cheb_grid(_NODES)
+        xstd, _, tails = cheb_grid(_NODES)
         u0 = np.interp(s0, self.times, self.positions)
         du = np.interp(s0 + h, self.times, self.positions) - u0
         u = u0[:, None] + (0.5 * (xstd + 1.0)) * du[:, None]
-        # Simpson converges to budget/15 so that its three injections and
-        # the interpolation share stay under 0.4 of the budget.
-        sim_target = budget / 15.0
-        B, tail = _picard(
-            w0, h, eta, 0.6 * budget,
-            lambda V: self._tails(h, V - u, sim_target),
-        )
-        return B, tail, 0.2 * budget + 3.0 * sim_target
-
-    @staticmethod
-    def _tails(h, D, sim_target):
-        """Suffix integrals of 1/(B(s) - U(s)) over the standard grid.
-
-        ``D`` holds ``B - U`` at the Lobatto nodes; with ``U`` affine it is
-        a polynomial of the iterate's degree, so one cached matrix per
-        Simpson level takes it to the Simpson points.  Composite Simpson
-        per collocation panel is doubled until consecutive levels agree
-        within ``sim_target``.
-        """
-        g, M = D.shape
-        xstd, _, _ = cheb_grid(_NODES)
-        widths = np.diff(xstd)
-        T = np.zeros((g, M), dtype=complex)
-        act = np.arange(g)
-        prev = None
-        for level in range(_SIMPSON_BASE, _SIMPSON_MAX + 1):
-            xs, pat, interp = _simpson_rule(level)
-            f = (D[act] @ interp).reshape(act.size, *xs.shape)  # (act, panel, point)
-            np.reciprocal(f, out=f)
-            panel = (f @ pat) * (widths / (3 * (1 << level)))
-            Tl = np.zeros((act.size, M), dtype=complex)
-            Tl[:, :-1] = panel[:, ::-1].cumsum(axis=1)[:, ::-1]
-            if prev is None:
-                prev = Tl
-                continue
-            diff = np.abs(Tl - prev).max(axis=1) * 0.5 * h[act]
-            done = diff <= sim_target[act]
-            T[act[done]] = Tl[done]
-            act = act[~done]
-            if act.size == 0:
-                return T
-            prev = Tl[~done]
-        raise NonConvergenceError("time quadrature for the moving atom stalled")
+        return _picard(w0, h, eta, target, lambda V: (1.0 / (V - u)) @ tails.T)
 
 
 def driver_measure_at(family: DriverFamily, t: float) -> RealMeasure:
@@ -356,30 +344,6 @@ def _solve_rho(R: np.ndarray) -> np.ndarray:
     return rho
 
 
-_SIMPSON_CACHE: dict[int, tuple[np.ndarray, np.ndarray, np.ndarray]] = {}
-
-
-def _simpson_rule(level: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    # Nodes (panel, point) on the standard interval, the Simpson pattern,
-    # and the (node, panel * point) matrix taking Lobatto node values to
-    # the interpolant's values at those nodes.
-    try:
-        return _SIMPSON_CACHE[level]
-    except KeyError:
-        pass
-    xstd, vinv, _ = cheb_grid(_NODES)
-    m = 1 << level
-    frac = np.arange(m + 1) / m
-    xs = xstd[:-1, None] + np.diff(xstd)[:, None] * frac[None, :]
-    pat = np.ones(m + 1)
-    pat[1:-1:2] = 4.0
-    pat[2:-1:2] = 2.0
-    # stored complex: a real matrix would be cast on every complex product
-    interp = (vinv.T @ chebvander(xs.ravel(), _NODES - 1).T).astype(complex)
-    _SIMPSON_CACHE[level] = (xs, pat, interp)
-    return xs, pat, interp
-
-
 def _picard(
     w0: np.ndarray,
     h: np.ndarray,
@@ -422,6 +386,7 @@ def _evolve_chunk(
     s = b.astype(float, copy=True)
     span = np.maximum(b - a, _MIN_STEP)  # budget scale only; a == b never iterates
     seams = family._seams
+    speed = family.speed
     # Im w never decreases along the path, so the substep parameter R of
     # the loop below is largest on the first round: refuse here if it
     # overflows rather than iterate on infinities.
@@ -429,9 +394,13 @@ def _evolve_chunk(
         worst_r = 120.0 * span * (1.0 + (b - a) / (z.imag * z.imag)) / (z.imag * cfg.tol)
     if not np.all(np.isfinite(worst_r)):
         raise NonConvergenceError("time span too long for the requested tolerance")
-    # No substep is longer than max_step, so such a span cannot finish
-    # within the round cap.
-    if np.any(b - a > _MAX_ROUNDS * cfg.max_step):
+    # No substep is longer than max_step, nor (rho >= 2) longer than
+    # eta / (1.5 c speed), while Im w^2 grows by at most 2 per unit time:
+    # a span or a path too steep to cross within the round cap refuses here.
+    with np.errstate(over="ignore", invalid="ignore"):
+        eta_max = np.sqrt(z.imag * z.imag + 2.0 * (b - a))
+        too_steep = (b - a) * (1.5 * _SPEED_SLACK * speed) > _MAX_ROUNDS * eta_max
+    if np.any(b - a > _MAX_ROUNDS * cfg.max_step) or np.any(too_steep):
         raise NonConvergenceError("substep count exceeded the global cap")
 
     for _ in range(_MAX_ROUNDS):
@@ -441,20 +410,21 @@ def _evolve_chunk(
         eta = w.imag[act]
 
         # Substep rule: the Picard contraction wants h <= margin * eta^2;
-        # the interpolation error of the M-node iterate wants the Bernstein
-        # parameter rho = eta^2/h (up to 1/rho) large enough that its tail
-        # stays under a fifth of the substep budget. Far above the axis
-        # eta^2 overflows to inf; 1/eta^2 = 0 and the max_step cap are the
-        # right limits there.
-        with np.errstate(over="ignore"):
+        # the interpolation error of the M-node iterate wants a Bernstein
+        # parameter rho large enough that its tail stays under a fifth of
+        # the substep budget, on an ellipse of half-height
+        # eta^2 / (4 (1 + c speed eta)) (module docstring). Far above the
+        # axis eta^2 overflows to inf; 1/eta^2 = 0 and the max_step cap are
+        # the right limits there.
+        with np.errstate(over="ignore", invalid="ignore"):  # nan h0 refuses below
             inv_eta2 = 1.0 / (eta * eta)
             amp_cap = 1.0 + (s[act] - a[act]) * inv_eta2
             R = 120.0 * span[act] * amp_cap / (eta * cfg.tol)
             rho = _solve_rho(R)
-            h0 = eta * eta / (rho - 1.0 / rho)
+            h0 = eta * eta / ((rho - 1.0 / rho) * (1.0 + _SPEED_SLACK * speed * eta))
             h0 = np.minimum(h0, cfg.contraction_margin * eta * eta)
         h0 = np.minimum(h0, cfg.max_step)
-        if np.any(h0 < _MIN_STEP):
+        if not np.all(h0 >= _MIN_STEP):
             raise NonConvergenceError(
                 "substep size underflow: evaluation too close to the hull "
                 "for the requested tolerance"
@@ -471,10 +441,12 @@ def _evolve_chunk(
 
         amp = 1.0 + (s0 - a[act]) * inv_eta2
         budget = cfg.tol * h / (span[act] * amp)
-        Bn, tail, allowance = family._substep(s0, h, w[act], eta, budget)
+        # the certified Picard tail gets 0.8 of the budget; the rule above
+        # keeps the interpolation error under the other 0.2
+        Bn, tail = family._substep(s0, h, w[act], eta, 0.8 * budget)
 
         w[act] = Bn[:, 0]
-        err[act] += (tail + allowance) * amp
+        err[act] += (tail + 0.2 * budget) * amp
         s[act] = s0
 
     raise NonConvergenceError("substep count exceeded the global cap")

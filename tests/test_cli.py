@@ -430,6 +430,36 @@ def test_overflowing_measure_exits_2_on_one_line(tmp_path, measure, message):
     assert proc.stderr == f"error: {message}\n"
 
 
+def _transform_process(tmp_path, measure, z):
+    # run as a process so that a leaked numpy warning would reach stderr
+    path = tmp_path / "m.json"
+    path.write_text(json.dumps(measure))
+    return subprocess.run(
+        [sys.executable, "-m", "chordal.cli", "transform", "--measure", str(path), "--z", z],
+        capture_output=True, text=True, timeout=120)
+
+
+# total mass 1.7e308 is finite, so the measure is accepted
+HUGE_ATOMS = {"atoms": [[0.0, 1e308], [1.0, 7e307]]}
+
+
+def test_huge_measure_transform_keeps_a_finite_bound(tmp_path):
+    # the sum times n times eps, taken left to right, overflowed to Infinity
+    proc = _transform_process(tmp_path, HUGE_ATOMS, "1i")
+    assert proc.returncode == 0 and proc.stderr == ""
+    report = json.loads(proc.stdout, parse_constant=lambda name: pytest.fail(name))
+    assert math.isfinite(report["roundoff_bound"]) and report["roundoff_bound"] > 0
+
+
+@pytest.mark.parametrize("z", ["0.5+0.5i", "0.5+0.001i"], ids=["bound", "value"])
+def test_overflowing_transform_refuses_on_one_line(tmp_path, z):
+    # at 0.5+0.5i the bound's sum overflows, at 0.5+0.001i the value too
+    proc = _transform_process(tmp_path, HUGE_ATOMS, z)
+    assert proc.returncode == 1
+    assert proc.stdout == ""
+    assert proc.stderr == "non-convergence: cauchy transform overflowed\n"
+
+
 @pytest.mark.parametrize("raw", [
     b"\xff\xfe{}",                                  # not UTF-8
     '{"atoms": [[0, "\xe9"]]}'.encode("latin-1"),    # Latin-1, not UTF-8

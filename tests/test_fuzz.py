@@ -1,6 +1,8 @@
 """Property tests over the command line: every input ends in exit code 0, 1
 or 2, with strict JSON or CSV on stdout for 0 and one message line on
-stderr otherwise, and never an uncaught exception or a numpy warning."""
+stderr otherwise, and never an uncaught exception or a numpy warning.
+Also over the solver: random moving-atom paths keep every error within the
+reported bound."""
 
 import contextlib
 import io
@@ -14,6 +16,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from chordal.cli import run
+from chordal.loewner import DriverFamily, SolverConfig, transition_grid
+
+from oracles import moving_atom_transition
 
 ANY_FLOAT = st.floats(allow_nan=True, allow_infinity=True)
 ODD_FLOATS = st.sampled_from([0.0, -0.0, 1e-300, -1e-300, 1e-5, 1e200, -1e200,
@@ -122,3 +127,31 @@ def test_evolve_fuzz(driver_paths, driver, re, im, t):
         vals = [float(v) for v in rows[0].split(",")]
         assert len(vals) == 6 and all(math.isfinite(v) for v in vals)
         assert vals[4] > 0 and vals[5] >= 0
+
+
+# ---------------------------------------------------------------------------
+# moving atom: error <= bound on random piecewise-linear paths
+
+
+@st.composite
+def atom_paths(draw):
+    # 2-5 samples, each piece 0.1-1 long with a slope in [-50, 50]
+    pieces = draw(st.lists(st.tuples(st.floats(0.1, 1.0), st.floats(-50.0, 50.0)),
+                           min_size=1, max_size=4))
+    samples = [(0.0, draw(st.floats(-2.0, 2.0)))]
+    for dt, slope in pieces:
+        t, u = samples[-1]
+        samples.append((t + dt, u + slope * dt))
+    return samples
+
+
+@settings(max_examples=25, deadline=None)
+@given(samples=atom_paths(),
+       zs=st.lists(st.builds(complex, st.floats(-4.0, 4.0), st.floats(0.2, 4.0)),
+                   min_size=1, max_size=4))
+def test_moving_atom_error_within_bound(samples, zs):
+    t = samples[-1][0]
+    vals, errs = transition_grid(DriverFamily.moving_atom(samples), 0.0, t, np.array(zs))
+    ref = np.array([moving_atom_transition(samples, 0.0, t, z) for z in zs])
+    assert np.all(np.abs(vals - ref) <= errs)
+    assert errs.max() <= SolverConfig().tol
