@@ -21,10 +21,10 @@ iterates live on a Chebyshev-Lobatto grid, and the loop takes from the
 driver only ``integrate(B)``: the suffix integrals over the standard grid of
 the driver's integrand at the node values ``B``.  A driver is a
 ``DriverFamily`` subclass that supplies its measure lookup, its ``_seams``
-(times no substep may straddle), its ``speed`` and ``_substep``, which
-builds ``integrate`` and runs the loop.  Two drivers exist:
-piecewise-constant measure families and a moving atom along a
-piecewise-linear path.  A piecewise-constant driver evaluates the Cauchy
+(times no substep may straddle), the length and slope of each piece between
+them, and ``_substep``, which builds ``integrate`` and runs the loop.  Two
+drivers exist: piecewise-constant measure families and a moving atom along
+a piecewise-linear path.  A piecewise-constant driver evaluates the Cauchy
 transform by ``RealMeasure.cauchy``: atoms exactly, named densities in
 closed form, and only segments given as a bare callable by their
 quadrature nodes.  The certified bound covers the first two; it has no
@@ -44,8 +44,8 @@ The rule picks rho from the budget and sets h so that E_rho has half-height
 
     H = eta^2 / (4 (1 + c v eta)),
 
-where eta is Im w where the substep is entered and v is the driver's
-``speed``: the largest |dU/dt| over the atom's pieces, and 0 for
+where eta is Im w where the substep is entered and v is the slope |dU/dt|
+of the piece under the substep (no substep straddles a seam), 0 for
 piecewise-constant drivers, which get H = eta^2/4.  On the ellipse, as
 long as |f| <= 2/eta, B moves from the real path by at most 2H/eta in
 complex time, and the affine U gains |Im U| <= vH.  With x = c v eta the
@@ -67,6 +67,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
+from functools import cached_property
 from typing import Callable, ClassVar, Sequence
 
 import numpy as np
@@ -240,7 +241,17 @@ class DriverFamily:
     @property
     def speed(self) -> float:
         """Largest |dU/dt| of the driver's atom path; 0.0 if nothing moves."""
-        return 0.0
+        return float(np.max(self._pieces[1]))
+
+    @cached_property
+    def _pieces(self) -> tuple[np.ndarray, np.ndarray]:
+        """Length and |dU/dt| of each piece between consecutive seams."""
+        lengths = np.diff(self._seams, prepend=0.0, append=np.inf)
+        return lengths, np.zeros(lengths.size)
+
+    def _variation(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:
+        """Total variation sum |dU| of the atom path over [a, b]."""
+        return np.zeros(np.shape(a))
 
     def _substep(self, s0, h, w0, eta, target):
         """Picard-solve the substeps ``[s0, s0 + h]`` entered at ``w0``.
@@ -261,7 +272,7 @@ class _PiecewiseConstant(DriverFamily):
         return self.measures[int(np.searchsorted(self.breaks, t, side="right")) - 1]
 
     def _substep(self, s0, h, w0, eta, target):
-        _, _, tails = cheb_grid(_NODES)
+        _, tails = cheb_grid(_NODES)
         idx = np.searchsorted(self.breaks, s0, side="right") - 1
         B = np.empty((w0.size, _NODES), dtype=complex)
         tail = np.empty(w0.size)
@@ -282,15 +293,21 @@ class _MovingAtom(DriverFamily):
     def _measure(self, t: float) -> RealMeasure:
         return point_mass(float(np.interp(t, self.times, self.positions)))
 
-    @property
-    def speed(self) -> float:
+    @cached_property
+    def _pieces(self):
+        dt = np.diff(self.times)
         with np.errstate(over="ignore"):  # inf refuses in the substep rule
-            return float(np.max(np.abs(np.diff(self.positions) / np.diff(self.times))))
+            return dt, np.abs(np.diff(self.positions) / dt)
+
+    def _variation(self, a, b):
+        with np.errstate(over="ignore", invalid="ignore"):  # nan never refuses
+            cum = np.concatenate(([0.0], np.cumsum(np.abs(np.diff(self.positions)))))
+            return np.interp(b, self.times, cum) - np.interp(a, self.times, cum)
 
     def _substep(self, s0, h, w0, eta, target):
         # No substep straddles a seam, so U is affine on [s0, s0 + h] and
         # its two end values give it at every Lobatto node.
-        xstd, _, tails = cheb_grid(_NODES)
+        xstd, tails = cheb_grid(_NODES)
         u0 = np.interp(s0, self.times, self.positions)
         du = np.interp(s0 + h, self.times, self.positions) - u0
         u = u0[:, None] + (0.5 * (xstd + 1.0)) * du[:, None]
@@ -386,7 +403,7 @@ def _evolve_chunk(
     s = b.astype(float, copy=True)
     span = np.maximum(b - a, _MIN_STEP)  # budget scale only; a == b never iterates
     seams = family._seams
-    speed = family.speed
+    lengths, slopes = family._pieces
     # Im w never decreases along the path, so the substep parameter R of
     # the loop below is largest on the first round: refuse here if it
     # overflows rather than iterate on infinities.
@@ -395,11 +412,12 @@ def _evolve_chunk(
     if not np.all(np.isfinite(worst_r)):
         raise NonConvergenceError("time span too long for the requested tolerance")
     # No substep is longer than max_step, nor (rho >= 2) longer than
-    # eta / (1.5 c speed), while Im w^2 grows by at most 2 per unit time:
-    # a span or a path too steep to cross within the round cap refuses here.
+    # eta / (1.5 c v) on a piece of slope v, while Im w^2 grows by at most 2
+    # per unit time: a span, or a path whose variation sum |dU| is too large
+    # to cross within the round cap, refuses here.
     with np.errstate(over="ignore", invalid="ignore"):
         eta_max = np.sqrt(z.imag * z.imag + 2.0 * (b - a))
-        too_steep = (b - a) * (1.5 * _SPEED_SLACK * speed) > _MAX_ROUNDS * eta_max
+        too_steep = 1.5 * _SPEED_SLACK * family._variation(a, b) > _MAX_ROUNDS * eta_max
     if np.any(b - a > _MAX_ROUNDS * cfg.max_step) or np.any(too_steep):
         raise NonConvergenceError("substep count exceeded the global cap")
 
@@ -408,32 +426,38 @@ def _evolve_chunk(
         if act.size == 0:
             return w, err
         eta = w.imag[act]
+        # the piece under the substep is the number of seams below s
+        piece = np.searchsorted(seams, s[act], side="left") if seams.size else 0
 
         # Substep rule: the Picard contraction wants h <= margin * eta^2;
         # the interpolation error of the M-node iterate wants a Bernstein
         # parameter rho large enough that its tail stays under a fifth of
         # the substep budget, on an ellipse of half-height
-        # eta^2 / (4 (1 + c speed eta)) (module docstring). Far above the
-        # axis eta^2 overflows to inf; 1/eta^2 = 0 and the max_step cap are
-        # the right limits there.
+        # eta^2 / (4 (1 + c v eta)) with v the piece's slope (module
+        # docstring). Far above the axis eta^2 overflows to inf; 1/eta^2 = 0
+        # and the max_step cap are the right limits there.
         with np.errstate(over="ignore", invalid="ignore"):  # nan h0 refuses below
             inv_eta2 = 1.0 / (eta * eta)
             amp_cap = 1.0 + (s[act] - a[act]) * inv_eta2
             R = 120.0 * span[act] * amp_cap / (eta * cfg.tol)
             rho = _solve_rho(R)
-            h0 = eta * eta / ((rho - 1.0 / rho) * (1.0 + _SPEED_SLACK * speed * eta))
+            h0 = eta * eta / ((rho - 1.0 / rho) * (1.0 + _SPEED_SLACK * slopes[piece] * eta))
             h0 = np.minimum(h0, cfg.contraction_margin * eta * eta)
         h0 = np.minimum(h0, cfg.max_step)
         if not np.all(h0 >= _MIN_STEP):
-            raise NonConvergenceError(
-                "substep size underflow: evaluation too close to the hull "
-                "for the requested tolerance"
-            )
+            # A piece shorter than _MIN_STEP (a jump in the atom path) may
+            # take shorter substeps as long as each one moves s: their count
+            # follows the piece's variation, which the test above caps.
+            short = (lengths[piece] < _MIN_STEP) & (s[act] - h0 < s[act])
+            if not np.all((h0 >= _MIN_STEP) | short):
+                raise NonConvergenceError(
+                    "substep size underflow: evaluation too close to the hull "
+                    "for the requested tolerance"
+                )
 
         land = s[act] - h0
         if seams.size:
-            j = np.searchsorted(seams, s[act], side="left") - 1
-            snap = np.where(j >= 0, seams[np.maximum(j, 0)], -np.inf)
+            snap = np.where(piece > 0, seams[np.maximum(piece - 1, 0)], -np.inf)
             land = np.maximum(land, snap)
         land = np.maximum(land, a[act])  # exact arrival, no fp drift
         h = s[act] - land

@@ -31,17 +31,15 @@ def gauss_legendre(order: int):
 def cheb_grid(m: int):
     """Chebyshev-Lobatto machinery on [-1, 1] with m points.
 
-    Returns (x, vinv, tails) where x is ascending and includes both endpoints,
-    vinv maps point values to Chebyshev coefficients, and tails maps point
-    values v to the exact integrals of the degree m-1 interpolant,
-    (tails @ v)[k] = integral of p over [x_k, 1].
+    Returns (x, tails) where x is ascending and includes both endpoints and
+    tails maps point values v to the exact integrals of their degree m-1
+    interpolant p, (tails @ v)[k] = integral of p over [x_k, 1].
     """
     if m < 3:
         raise InvalidInputError("need at least 3 collocation points")
     x = -np.cos(np.pi * np.arange(m) / (m - 1))
     x[0], x[-1] = -1.0, 1.0
-    v = _cheb.chebvander(x, m - 1)
-    vinv = np.linalg.inv(v)
+    vinv = np.linalg.inv(_cheb.chebvander(x, m - 1))  # values -> coefficients
     basis_tails = np.empty((m, m))
     for i in range(m):
         c = np.zeros(i + 1)
@@ -49,9 +47,9 @@ def cheb_grid(m: int):
         ci = _cheb.chebint(c)
         basis_tails[:, i] = _cheb.chebval(1.0, ci) - _cheb.chebval(x, ci)
     tails = basis_tails @ vinv
-    for a in (x, vinv, tails):
-        a.setflags(write=False)
-    return x, vinv, tails
+    x.setflags(write=False)
+    tails.setflags(write=False)
+    return x, tails
 
 
 _SLICE = 4096            # most integrand points handed to one call

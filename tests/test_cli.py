@@ -308,10 +308,18 @@ def test_grunsky_boundary_case(capsys):
 
 
 def test_grunsky_numerical_breakdown_exits_1(capsys):
-    # +-1 atom pair at order 24: rounding in the pipeline, not bad input
-    moments = ",".join(["1,0"] * 24 + ["1"])
+    # arcsine moments at order 24: max |eigenvalue| 58 +- 3.5e3, rounding in
+    # the pipeline, not bad input
+    moments = ",".join(str(math.comb(n, n // 2) * (1 - n % 2)) for n in range(49))
     assert run(["grunsky", "--moments", moments, "--order", "24"]) == 1
-    assert capsys.readouterr().err.startswith("non-convergence: ")
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("non-convergence: moment rounding could change the verdict")
+
+
+def test_grunsky_pm1_pair_fails_at_order_24(capsys):
+    moments = ",".join(["1,0"] * 24 + ["1"])
+    assert run_json(capsys, ["grunsky", "--moments", moments, "--order", "24"])["verdict"] == "fail"
 
 
 def test_grunsky_semicircle_order_24_refuses(capsys, semi_path):

@@ -6,6 +6,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
+from chordal import grunsky
 from chordal.errors import InvalidInputError, NonConvergenceError
 from chordal.grunsky import (
     GrunskyReport,
@@ -17,7 +18,7 @@ from chordal.grunsky import (
     symmetric_eigenvalues,
     univalence_certificate,
 )
-from chordal.measures import bernoulli, moment, semicircle
+from chordal.measures import arcsine, bernoulli, moment, semicircle
 
 from oracles import chebyshev_u, faber_oracle, grunsky_oracle
 
@@ -286,11 +287,48 @@ def test_certificate_huge_moments_refuse_without_warnings():
         univalence_certificate([1, 1e200, 1, 0, 2], 2)
 
 
-def test_certificate_rounding_asymmetry_is_a_refusal():
-    # the exact Grunsky matrix of the +-1 atom pair is symmetric; at order
-    # 24 the pipeline's own rounding breaks that, which is no input error
-    with pytest.raises(NonConvergenceError, match="symmetry"):
-        univalence_certificate([1, 0] * 24 + [1], 24)
+def test_certificate_pm1_pair_fails_at_orders_24_and_32():
+    # the exact Grunsky matrix of the +-1 atom pair is symmetric; the
+    # pipeline's rounding leaves a skew part (1.5e-8 at order 24, 1.2e-4 at
+    # 32) that cannot move eigenvalues of 1e9 and 2e12 back to the disk
+    for order in (24, 32):
+        report = univalence_certificate([1, 0] * order + [1], order)
+        assert report.verdict == "fail"
+        assert report.max_abs_eigenvalue > 1e9
+
+
+def test_certificate_arcsine_order_16_refuses():
+    # max |eigenvalue| 1.00053 +- 2.1e-3 from the quadrature moments: the
+    # right verdict is boundary, and the bound cannot rule out either side
+    moments = [moment(arcsine(), n) for n in range(33)]
+    with pytest.raises(NonConvergenceError, match="moment rounding could change the verdict"):
+        univalence_certificate(moments, 16)
+
+
+@pytest.mark.parametrize("moments, delta, verdict", [
+    ([1.0] + [0.0] * 16, 1e-6, None),
+    ([moment(bernoulli(0.5), n) for n in range(17)], 1e-6, "fail"),
+    ([1.0] + [0.0] * 16, 1e-12, "boundary"),
+], ids=["d0-refuses", "b05-fails", "d0-boundary"])
+def test_certificate_skew_part_enters_the_weyl_bound(monkeypatch, moments, delta, verdict):
+    # every matrix the certificate builds gains a skew part of spectral norm
+    # delta; it decides only through the one verdict rule
+    build = grunsky._grunsky_matrix
+
+    def skewed(alpha, order):
+        c = build(alpha, order)
+        c[0, 1] += delta
+        c[1, 0] -= delta
+        return c
+
+    monkeypatch.setattr(grunsky, "_grunsky_matrix", skewed)
+    if verdict is None:
+        with pytest.raises(NonConvergenceError, match="moment rounding could change the verdict"):
+            univalence_certificate(moments, 8)
+        return
+    report = univalence_certificate(moments, 8)
+    assert report.verdict == verdict
+    assert np.array_equal(report.c_matrix, report.c_matrix.T)
 
 
 def test_asymmetric_user_matrix_is_an_input_error():

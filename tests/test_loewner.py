@@ -291,6 +291,47 @@ def test_steep_atom_grid_within_bound():
     assert errs.max() <= SolverConfig().tol
 
 
+# a jump of height 1 within 1e-300, then a standing atom at 1
+JUMP_ATOM = [(0.0, 0.0), (1e-300, 1.0), (1.0, 1.0)]
+# a ramp of height 1 within 1e-6 between flat pieces
+RAMP_ATOM = [(0.0, 0.0), (1.0, 0.0), (1.0 + 1e-6, 1.0), (2.0, 1.0)]
+
+
+def test_atom_jump_answers_the_shifted_slit_map():
+    # substeps on the jump follow its height, not its slope of 1e300, and
+    # it is shorter than the substep floor, which must not refuse it
+    zs = acceptance_grid()
+    vals, errs = transition_grid(DriverFamily.moving_atom(JUMP_ATOM), 0.0, 1.0, zs)
+    assert np.all(np.abs(vals - shifted_slit_map(1.0, zs, 1.0)) <= errs)
+    assert errs.max() <= SolverConfig().tol
+
+
+@pytest.mark.parametrize("a, b", [(0.0, 2.0), (0.5, 1.5), (1.0 + 5e-7, 2.0)])
+def test_short_steep_ramp_within_bound(a, b):
+    zs = acceptance_grid()
+    vals, errs = transition_grid(DriverFamily.moving_atom(RAMP_ATOM), a, b, zs)
+    ref = np.array([moving_atom_transition(RAMP_ATOM, a, b, z) for z in zs])
+    assert np.all(np.abs(vals - ref) <= errs)
+    assert errs.max() <= SolverConfig().tol
+
+
+def test_flat_piece_pays_for_its_own_slope_only(monkeypatch):
+    # on [0.2, 2] the slope-100 path has one piece of slope 3/3.8; it takes
+    # no more substeps than a one-piece path of that slope
+    rounds = []
+    substep = loewner._MovingAtom._substep
+
+    def counted(self, *args):
+        rounds[-1] += 1
+        return substep(self, *args)
+
+    monkeypatch.setattr(loewner._MovingAtom, "_substep", counted)
+    for samples in ([(0.0, 0.0), (0.1, 10.0), (0.2, 0.0), (4.0, 3.0)], [(0.0, -0.6 / 3.8), (4.0, 3.0)]):
+        rounds.append(0)
+        transition_grid(DriverFamily.moving_atom(samples), 0.2, 2.0, acceptance_grid())
+    assert rounds[0] <= 1.1 * rounds[1]
+
+
 def test_speed_is_the_steepest_atom_slope():
     assert DriverFamily.constant(point_mass()).speed == 0.0
     assert DriverFamily.moving_atom(SEAMED_ATOM).speed == 1.5
@@ -338,7 +379,7 @@ def test_semicircle_near_the_support_within_bound(zs, order, tol):
 def _node_sum_substep(self, s0, h, w0, eta, target):
     # _PiecewiseConstant._substep as it was before the exact transforms:
     # the Cauchy transform summed over the frozen quadrature nodes
-    _, _, tails = cheb_grid(loewner._NODES)
+    _, tails = cheb_grid(loewner._NODES)
     idx = np.searchsorted(self.breaks, s0, side="right") - 1
     B = np.empty((w0.size, loewner._NODES), dtype=complex)
     tail = np.empty(w0.size)
