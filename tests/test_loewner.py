@@ -3,6 +3,7 @@ integrator, and the package's own certified error bounds."""
 
 import math
 import time
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -491,6 +492,137 @@ def test_certified_bound_covers_picard_increments(monkeypatch):
             assert np.all(observed <= bound * (1.0 + 1e-9) + 1e-15)
             sweeps += 1
     assert sweeps > 10
+
+
+# the Picard loop as it was when it tested the tail after every sweep, kept
+# verbatim: the sweep count fixed before the sweeps must agree with it
+def reference_picard(w0, h, eta, target, integrate):
+    B = np.repeat(w0[:, None], loewner._NODES, axis=1)
+    w_col = w0[:, None]
+    half_h = 0.5 * h[:, None]
+    with np.errstate(over="ignore"):  # eta^2 = inf far above the axis: 1/eta^2 = 0
+        inv_eta2 = 1.0 / (eta * eta)
+    bound = h / eta
+    for n in range(1, loewner._MAX_PICARD + 1):
+        Bn = w_col - integrate(B) * half_h
+        bound = bound * h * inv_eta2 / (n + 1.0)
+        q = h * inv_eta2 / (n + 2.0)
+        tail = bound / (1.0 - q)
+        B = Bn
+        if np.all(tail <= target):
+            return B, tail
+    raise NonConvergenceError("Picard iteration failed to certify within 64 sweeps")
+
+
+def _picard_case(seed, kind):
+    # random lanes with one at the contraction cap and one far above the
+    # axis, and the integrand of an affine atom path or of the semicircle
+    rng = np.random.default_rng(seed)
+    n = 48
+    eta = rng.uniform(0.05, 4.0, n)
+    h = rng.uniform(0.01, 0.5, n) * eta * eta
+    h[0] = 0.5 * eta[0] * eta[0]
+    eta[1], h[1] = 1e200, 1.0
+    w0 = rng.uniform(-3.0, 3.0, n) + 1j * eta
+    target = 10.0 ** rng.uniform(-14.0, -6.0, n) * h
+    xstd, tails = cheb_grid(loewner._NODES)
+    if kind == "atom":
+        u = rng.uniform(-2.0, 2.0, (n, 1)) + 0.5 * (xstd + 1.0) * rng.uniform(-1.0, 1.0, (n, 1))
+        integrand = lambda V: 1.0 / (V - u)
+    else:
+        integrand = semicircle().cauchy
+    calls = []
+
+    def integrate(V):
+        calls.append(1)
+        return integrand(V) @ tails.T
+
+    return (w0, h, eta, target), integrate, calls
+
+
+@pytest.mark.parametrize("nodes", [24, 40])
+@pytest.mark.parametrize("kind", ["atom", "semicircle"])
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_picard_matches_the_reference_loop(monkeypatch, nodes, kind, seed):
+    monkeypatch.setattr(loewner, "_NODES", nodes)
+    args, integrate, calls = _picard_case(seed, kind)
+    B, tail = loewner._picard(*args, integrate)
+    sweeps = len(calls)
+    B_ref, tail_ref = reference_picard(*args, integrate)
+    assert sweeps == len(calls) - sweeps > 1  # the reference swept as often
+    assert np.array_equal(B, B_ref)
+    # both tails are products of the same factors, rounded in another
+    # order: at most 3 roundings a sweep on each side, plus the ends
+    assert np.all(np.abs(tail - tail_ref) <= (6 * sweeps + 6) * 2.0**-53 * tail_ref)
+    assert np.all(tail <= args[3])
+
+
+@pytest.mark.parametrize("kind", ["atom", "semicircle"])
+def test_picard_refuses_before_the_first_sweep(kind):
+    # a lane at the cap that 64 sweeps cannot bring within 1e-250
+    args, integrate, calls = _picard_case(3, kind)
+    args[3][0] = 1e-250
+    with pytest.raises(NonConvergenceError) as new:
+        loewner._picard(*args, integrate)
+    assert calls == []
+    with pytest.raises(NonConvergenceError) as ref:
+        reference_picard(*args, integrate)
+    assert len(calls) == loewner._MAX_PICARD
+    assert str(new.value) == str(ref.value)
+
+
+@pytest.mark.parametrize("nodes", [24, 40])
+def test_solve_rho_meets_its_inequality(monkeypatch, nodes):
+    # rho^(M-1) (rho - 1) >= max(R, 10): the fixed-point iterates alternate
+    # around the root, and the last one alone fell below it on 1,308 of
+    # these R at 24 nodes
+    monkeypatch.setattr(loewner, "_NODES", nodes)
+    R = np.logspace(0.0, 20.0, 2001)
+    rho = loewner._solve_rho(R)
+    lhs = (nodes - 1) * np.log(rho) + np.log(rho - 1.0)
+    assert np.all(lhs >= np.log(np.maximum(R, 10.0)) - 1e-12)
+    assert np.all(rho >= 2.0)
+
+
+def test_delta0_grid_substeps_at_the_contraction_cap(monkeypatch):
+    # at 40 nodes the cap eta^2/2, not the interpolation limit, sets these
+    # substeps: 88 rounds (148 at 24 nodes)
+    rounds = [0]
+    substep = loewner._PiecewiseConstant._substep
+
+    def counted(self, *args):
+        rounds[0] += 1
+        return substep(self, *args)
+
+    monkeypatch.setattr(loewner._PiecewiseConstant, "_substep", counted)
+    transition_grid(DELTA0, 0.0, 2.0, acceptance_grid())
+    assert rounds[0] <= 100
+
+
+def test_seamed_atom_grid_at_tight_tol_within_bound():
+    # at tol 1e-12 the substep parameter R reaches ~6e16, past the 1.2e15
+    # up to which 40 nodes keep the cap binding: the interpolation limit
+    # sets the substeps again
+    cfg = SolverConfig(tol=1e-12)
+    zs = acceptance_grid()
+    vals, errs = transition_grid(DriverFamily.moving_atom(SEAMED_ATOM), 0.0, 2.0, zs, cfg)
+    ref = np.array([moving_atom_transition(SEAMED_ATOM, 0.0, 2.0, z) for z in zs])
+    assert np.all(np.abs(vals - ref) <= errs)
+    assert errs.max() <= cfg.tol
+
+
+def test_delta0_chunk_peak_memory():
+    # one full 1024-lane chunk: with the sweeps in place, 40 nodes peak at
+    # most 15% above the 2.02 MB that 24 nodes and a fresh iterate per
+    # sweep took (CPython 3.11, numpy 2.4)
+    rng = np.random.default_rng(5)
+    zs = rng.uniform(-4.0, 4.0, 1024) + 1j * rng.uniform(0.2, 4.0, 1024)
+    transition_grid(DELTA0, 0.0, 1.0, zs[:8])  # fill the lazy caches
+    tracemalloc.start()
+    transition_grid(DELTA0, 0.0, 1.0, zs)
+    peak = tracemalloc.get_traced_memory()[1]
+    tracemalloc.stop()
+    assert peak <= 1.15 * 2.02e6
 
 
 def test_reported_bound_shrinks_with_tol():
