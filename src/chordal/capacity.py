@@ -46,6 +46,7 @@ _EXCURSION_FACTOR = 10.0   # |F| beyond this multiple of B-A flags blow-up
 _CLOUD_SPACING = 0.25      # bare-segment node spacing as a fraction of epsilon
 _CHUNK = 8                 # segments per bounding box in the crossing test
 _PAIR_BATCH = 1 << 18      # most segment pairs one crossing-test batch holds
+_MAX_EXCHANGE = 1 << 24    # most entries (2*resolution x n) of one exchange table
 
 
 def _count(value, name: str) -> int:
@@ -213,22 +214,20 @@ def discrete_transfinite_diameter(points, n: int, sweeps: int = 20) -> float:
             score = score + np.log(np.abs(pts - pts[sel[k]]))
 
         la = np.log(np.abs(pts[:, None] - pts[sel][None, :]))
+        iu = np.triu_indices(n, k=1)
+        # a repeated point enters only the seed, when no distinct point is
+        # left: no exchange swaps one in, as its gain is -inf or nan
+        if np.any(la[sel][iu] == -np.inf):
+            raise InvalidInputError("sample cloud has fewer than n distinct points")
         rows = la.sum(axis=1)
         for _ in range(sweeps):
             swapped = False
             for j in range(n):
-                chosen = pts[sel]
-                others = np.abs(chosen[j] - np.delete(chosen, j))
-                if np.any(others == 0.0):
-                    s_j = -np.inf
-                else:
-                    s_j = np.log(others).sum()
+                s_j = np.delete(la[sel, j], j).sum()
                 gain = rows - la[:, j] - s_j
                 gain[sel] = -np.inf
                 best = int(np.argmax(gain))
-                if math.isfinite(s_j) and not gain[best] > _GAIN_FLOOR:
-                    continue
-                if not math.isfinite(gain[best]):
+                if not _GAIN_FLOOR < gain[best] < np.inf:
                     continue
                 sel[j] = best
                 la[:, j] = np.log(np.abs(pts - pts[best]))
@@ -237,13 +236,7 @@ def discrete_transfinite_diameter(points, n: int, sweeps: int = 20) -> float:
             if not swapped:
                 break
 
-    chosen = pts[sel]
-    diff = np.abs(chosen[:, None] - chosen[None, :])
-    iu = np.triu_indices(n, k=1)
-    pair = diff[iu]
-    if np.any(pair == 0.0):
-        raise InvalidInputError("sample cloud has fewer than n distinct points")
-    return float(np.exp(2.0 * np.log(pair).sum() / (n * (n - 1))))
+    return float(np.exp(2.0 * la[sel][iu].sum() / (n * (n - 1))))
 
 
 @lru_cache(maxsize=32)
@@ -268,7 +261,8 @@ def hayman_report(
     ``inconclusive``.
 
     ``n``, ``sweeps`` and ``resolution`` must be integral (an integral
-    float such as 64.0 is accepted), with ``2 <= n <= 2*resolution`` and
+    float such as 64.0 is accepted), with ``2 <= n <= 2*resolution``,
+    ``2*resolution*n <= 2**24`` (the size of the exchange table) and
     ``sweeps >= 0``; anything else raises InvalidInputError before the
     boundary is traced.
     The interval diameter is that of the same Chebyshev-spaced cloud on
@@ -287,6 +281,8 @@ def hayman_report(
     resolution = _count(resolution, "resolution")
     if not 2 <= n <= 2 * resolution:
         raise InvalidInputError("n must lie in [2, 2*resolution]")
+    if 2 * resolution * n > _MAX_EXCHANGE:
+        raise InvalidInputError("2*resolution*n exceeds 2^24, the size of the exchange table")
     if sweeps < 0:
         raise InvalidInputError("sweeps must be non-negative")
     width = hi - lo

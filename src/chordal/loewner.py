@@ -23,9 +23,11 @@ One Picard loop, ``_picard``, serves every driver.  Per substep the
 iterates live on a Chebyshev-Lobatto grid, and the loop takes from the
 driver only ``integrate(B)``: the suffix integrals over the standard grid of
 the driver's integrand at the node values ``B``.  A driver is a
-``DriverFamily`` subclass that supplies its measure lookup, its ``_seams``
-(times no substep may straddle), the length and slope of each piece between
-them, and ``_substep``, which builds ``integrate`` and runs the loop.  Two
+``DriverFamily`` subclass that supplies its measure lookup, its knot table
+(the pieces no substep may straddle, with the slope of the atom path and
+its running variation at each), and ``_substep``, which builds
+``integrate`` and runs the loop.  ``_evolve_chunk`` looks each lane's piece
+up in the table once per round and hands it to ``_substep``.  Two
 drivers exist: piecewise-constant measure families and a moving atom along
 a piecewise-linear path.  A piecewise-constant driver evaluates the Cauchy
 transform by ``RealMeasure.cauchy``: atoms exactly, named densities in
@@ -33,7 +35,7 @@ closed form, and only segments given as a bare callable by their
 quadrature nodes.  The certified bound covers the first two; it has no
 term for the node error of the third, which grows within a node gap of
 the support.  The atom's integrand is ``1/(B - U)``; no substep straddles
-a seam, so ``U`` is affine on each substep and known at the nodes.
+a knot, so ``U`` is affine on each substep and known at the nodes.
 
 Both drivers integrate one way: each sweep samples the integrand at the
 M Lobatto nodes and integrates its degree-(M-1) interpolant exactly (the
@@ -48,7 +50,7 @@ The rule picks rho from the budget and sets h so that E_rho has half-height
     H = eta^2 / (4 (1 + c v eta)),
 
 where eta is Im w where the substep is entered and v is the slope |dU/dt|
-of the piece under the substep (no substep straddles a seam), 0 for
+of the piece under the substep (no substep straddles a knot), 0 for
 piecewise-constant drivers, which get H = eta^2/4.  On the ellipse, as
 long as |f| <= 2/eta, B moves from the real path by at most 2H/eta in
 complex time, and the affine U gains |Im U| <= vH.  With x = c v eta the
@@ -82,7 +84,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
-from functools import cached_property
 from typing import Callable, ClassVar, Sequence
 
 import numpy as np
@@ -174,14 +175,20 @@ class DriverFamily:
       piecewise-linear interpolant of strictly increasing time samples.
 
     Instances are immutable; build them through the classmethods.  Each
-    variant supplies the measure lookup and one Picard substep; ``_seams``
-    are the times where the driver changes form, which no substep straddles.
+    variant supplies the measure lookup and one Picard substep.  The knot
+    table, built once by the constructor, holds the pieces where the driver
+    keeps one form, which no substep straddles: piece k is
+    ``[_knots[k], _knots[k+1])``, ``_slopes[k]`` is ``|dU/dt|`` on it (0 for
+    piecewise-constant drivers), and ``_cumvar`` is the running sum of
+    ``|dU|`` at each knot.
     """
 
     kind: ClassVar[str]
     horizon: float
     support_bound: float
-    _seams: np.ndarray
+    _knots: np.ndarray
+    _slopes: np.ndarray
+    _cumvar: np.ndarray
 
     # -- constructors -----------------------------------------------------
 
@@ -212,7 +219,8 @@ class DriverFamily:
             raise InvalidInputError("horizon lies before the last breakpoint")
         # unit mass guarantees every support is non-empty
         bound = max(max(-mu.support[0], mu.support[1]) for mu in ms)
-        return _PiecewiseConstant(hor, bound, b[1:], b, ms)
+        knots = np.append(b, np.inf)
+        return _PiecewiseConstant(hor, bound, knots, np.zeros(b.size), np.zeros(knots.size), ms)
 
     @classmethod
     def constant(cls, measure: RealMeasure, horizon: float | None = None) -> "DriverFamily":
@@ -237,8 +245,12 @@ class DriverFamily:
         hor = _horizon(horizon, float(times[-1]))
         if hor > times[-1]:
             raise InvalidInputError("samples do not reach the requested horizon")
+        with np.errstate(over="ignore"):  # inf refuses in the substep rule
+            du = np.abs(np.diff(positions))
+            slopes = du / np.diff(times)
+            cumvar = np.concatenate(([0.0], np.cumsum(du)))
         return _MovingAtom(
-            hor, float(np.max(np.abs(positions))), times[1:-1], times, positions)
+            hor, float(np.max(np.abs(positions))), times, slopes, cumvar, positions)
 
     # -- queries -----------------------------------------------------------
 
@@ -256,20 +268,11 @@ class DriverFamily:
     @property
     def speed(self) -> float:
         """Largest |dU/dt| of the driver's atom path; 0.0 if nothing moves."""
-        return float(np.max(self._pieces[1]))
+        return float(np.max(self._slopes))
 
-    @cached_property
-    def _pieces(self) -> tuple[np.ndarray, np.ndarray]:
-        """Length and |dU/dt| of each piece between consecutive seams."""
-        lengths = np.diff(self._seams, prepend=0.0, append=np.inf)
-        return lengths, np.zeros(lengths.size)
-
-    def _variation(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:
-        """Total variation sum |dU| of the atom path over [a, b]."""
-        return np.zeros(np.shape(a))
-
-    def _substep(self, s0, h, w0, eta, target):
-        """Picard-solve the substeps ``[s0, s0 + h]`` entered at ``w0``.
+    def _substep(self, piece, s0, h, w0, eta, target):
+        """Picard-solve the substeps ``[s0, s0 + h]`` entered at ``w0``,
+        each within its knot-table ``piece``.
 
         Returns the node values and the certified Picard tail, which is at
         most ``target``.
@@ -280,22 +283,21 @@ class DriverFamily:
 @dataclass(frozen=True, eq=False)
 class _PiecewiseConstant(DriverFamily):
     kind: ClassVar[str] = "piecewise_constant"
-    breaks: np.ndarray
     measures: tuple[RealMeasure, ...]
 
     def _measure(self, t: float) -> RealMeasure:
-        return self.measures[int(np.searchsorted(self.breaks, t, side="right")) - 1]
+        # the breaks, without the inf knot: t = inf reads the last measure
+        return self.measures[int(np.searchsorted(self._knots[:-1], t, side="right")) - 1]
 
-    def _substep(self, s0, h, w0, eta, target):
+    def _substep(self, piece, s0, h, w0, eta, target):
         _, tails = cheb_grid(_NODES)
-        idx = np.searchsorted(self.breaks, s0, side="right") - 1
-        if idx.min() == idx.max():  # every lane in one piece: no masks
-            g = self.measures[idx[0]].cauchy
+        if piece.min() == piece.max():  # every lane in one piece: no masks
+            g = self.measures[piece[0]].cauchy
             return _picard(w0, h, eta, target, lambda V: g(V) @ tails.T)
         B = np.empty((w0.size, _NODES), dtype=complex)
         tail = np.empty(w0.size)
-        for k in np.unique(idx):
-            m = idx == k
+        for k in np.unique(piece):
+            m = piece == k
             g = self.measures[k].cauchy
             B[m], tail[m] = _picard(
                 w0[m], h[m], eta[m], target[m], lambda V: g(V) @ tails.T)
@@ -305,29 +307,17 @@ class _PiecewiseConstant(DriverFamily):
 @dataclass(frozen=True, eq=False)
 class _MovingAtom(DriverFamily):
     kind: ClassVar[str] = "moving_atom"
-    times: np.ndarray
     positions: np.ndarray
 
     def _measure(self, t: float) -> RealMeasure:
-        return point_mass(float(np.interp(t, self.times, self.positions)))
+        return point_mass(float(np.interp(t, self._knots, self.positions)))
 
-    @cached_property
-    def _pieces(self):
-        dt = np.diff(self.times)
-        with np.errstate(over="ignore"):  # inf refuses in the substep rule
-            return dt, np.abs(np.diff(self.positions) / dt)
-
-    def _variation(self, a, b):
-        # under _solve_many's errstate: an overflow to nan never refuses
-        cum = np.concatenate(([0.0], np.cumsum(np.abs(np.diff(self.positions)))))
-        return np.interp(b, self.times, cum) - np.interp(a, self.times, cum)
-
-    def _substep(self, s0, h, w0, eta, target):
-        # No substep straddles a seam, so U is affine on [s0, s0 + h] and
+    def _substep(self, piece, s0, h, w0, eta, target):
+        # No substep straddles a knot, so U is affine on [s0, s0 + h] and
         # its two end values give it at every Lobatto node.
         xstd, tails = cheb_grid(_NODES)
-        u0 = np.interp(s0, self.times, self.positions)
-        du = np.interp(s0 + h, self.times, self.positions) - u0
+        u0 = np.interp(s0, self._knots, self.positions)
+        du = np.interp(s0 + h, self._knots, self.positions) - u0
         u = u0[:, None] + (0.5 * (xstd + 1.0)) * du[:, None]
         return _picard(w0, h, eta, target, lambda V: (1.0 / (V - u)) @ tails.T)
 
@@ -436,8 +426,7 @@ def _evolve_chunk(
     w = z.astype(complex, copy=True)
     err = np.zeros(z.size)
     span = np.maximum(b - a, _MIN_STEP)  # budget scale only; a == b never iterates
-    seams = family._seams
-    lengths, slopes = family._pieces
+    knots, slopes, cumvar = family._knots, family._slopes, family._cumvar
     # Im w never decreases along the path, so the substep parameter R of
     # the loop below is largest on the first round: refuse here if it
     # overflows rather than iterate on infinities.
@@ -447,9 +436,11 @@ def _evolve_chunk(
     # No substep is longer than max_step, nor (rho >= 2) longer than
     # eta / (1.5 c v) on a piece of slope v, while Im w^2 grows by at most 2
     # per unit time: a span, or a path whose variation sum |dU| is too large
-    # to cross within the round cap, refuses here.
+    # to cross within the round cap, refuses here (an overflow to nan never
+    # does).
     eta_max = np.sqrt(z.imag * z.imag + 2.0 * (b - a))
-    too_steep = 1.5 * _SPEED_SLACK * family._variation(a, b) > _MAX_ROUNDS * eta_max
+    variation = np.interp(b, knots, cumvar) - np.interp(a, knots, cumvar)
+    too_steep = 1.5 * _SPEED_SLACK * variation > _MAX_ROUNDS * eta_max
     if np.any(b - a > _MAX_ROUNDS * cfg.max_step) or np.any(too_steep):
         raise NonConvergenceError("substep count exceeded the global cap")
 
@@ -460,8 +451,8 @@ def _evolve_chunk(
         if act.size == 0:
             return w, err
         eta = w.imag[act]
-        # the piece under the substep is the number of seams below s
-        piece = np.searchsorted(seams, s, side="left") if seams.size else 0
+        # the piece under the substep: the last knot below s (s > a >= 0)
+        piece = np.searchsorted(knots, s, side="left") - 1
 
         # Substep rule: the Picard contraction wants h <= margin * eta^2;
         # the interpolation error of the M-node iterate wants a Bernstein
@@ -480,25 +471,22 @@ def _evolve_chunk(
             # A piece shorter than _MIN_STEP (a jump in the atom path) may
             # take shorter substeps as long as each one moves s: their count
             # follows the piece's variation, which the test above caps.
-            short = (lengths[piece] < _MIN_STEP) & (s - h0 < s)
+            short = (knots[piece + 1] - knots[piece] < _MIN_STEP) & (s - h0 < s)
             if not np.all((h0 >= _MIN_STEP) | short):
                 raise NonConvergenceError(
                     "substep size underflow: evaluation too close to the hull "
                     "for the requested tolerance"
                 )
 
-        land = s - h0
-        if seams.size:
-            snap = np.where(piece > 0, seams[np.maximum(piece - 1, 0)], -np.inf)
-            land = np.maximum(land, snap)
-        land = np.maximum(land, a)  # exact arrival, no fp drift
+        # no substep straddles a knot; exact arrival at a, no fp drift
+        land = np.maximum(np.maximum(s - h0, knots[piece]), a)
         h = s - land
 
         amp = 1.0 + (land - a) * inv_eta2
         budget = cfg.tol * h / (span * amp)
         # the certified Picard tail gets 0.8 of the budget; the rule above
         # keeps the interpolation error under the other 0.2
-        Bn, tail = family._substep(land, h, w[act], eta, 0.8 * budget)
+        Bn, tail = family._substep(piece, land, h, w[act], eta, 0.8 * budget)
 
         w[act] = Bn[:, 0]
         err[act] += (tail + 0.2 * budget) * amp

@@ -33,6 +33,7 @@ Y_DOUBLINGS = 10
 
 MASS_TOL = 1e-12
 _MAX_DENSE_NODES = 400_000
+_MAX_ORDER = 2048          # leggauss takes O(order^3) time and O(order^2) memory
 _CAUCHY_BLOCK = 1 << 18  # (point, node) pairs per block of a node sum
 _POLY_SERIES_RADIUS = 2.0  # |zeta| beyond which a polynomial density sums its moment series
 _POLY_SERIES_TERMS = 64    # 2**-64 < eps/100 at the radius
@@ -96,8 +97,8 @@ class DensitySegment:
             raise InvalidInputError("segment needs lo < hi")
         if not math.isfinite(self.hi - self.lo):
             raise InvalidInputError("segment width hi - lo overflows")
-        if not isinstance(self.order, (int, np.integer)) or self.order < 2:
-            raise InvalidInputError("quadrature order must be an integer >= 2")
+        if not isinstance(self.order, (int, np.integer)) or not 2 <= self.order <= _MAX_ORDER:
+            raise InvalidInputError(f"quadrature order must be an integer in [2, {_MAX_ORDER}]")
         if self.cauchy is not None and not callable(self.cauchy):
             raise InvalidInputError("segment cauchy transform must be callable")
 

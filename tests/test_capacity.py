@@ -532,6 +532,7 @@ def test_hayman_validation():
 @pytest.mark.parametrize("kw", [
     {"n": 2.5}, {"n": 1}, {"n": 129}, {"n": float("inf")}, {"n": "8"},
     {"sweeps": 2.7}, {"sweeps": -1}, {"resolution": 64.7},
+    {"n": 8, "resolution": 2**20 + 1},  # 2*resolution*n = 2^24 + 16
 ])
 def test_hayman_rejects_bad_counts_before_tracing(monkeypatch, kw):
     def no_trace(*args, **kwargs):
@@ -540,6 +541,17 @@ def test_hayman_rejects_bad_counts_before_tracing(monkeypatch, kw):
     monkeypatch.setattr(capacity, "boundary_image", no_trace)
     with pytest.raises(InvalidInputError):
         hayman_report(semicircle(), **{"resolution": 64, **kw})
+
+
+def test_hayman_exchange_table_of_2_to_the_24_reaches_the_trace(monkeypatch):
+    def no_trace(*args, **kwargs):
+        raise AssertionError("traced")
+
+    monkeypatch.setattr(capacity, "boundary_image", no_trace)
+    with pytest.raises(AssertionError, match="traced"):
+        hayman_report(semicircle(), n=8, resolution=2**20)
+    with pytest.raises(AssertionError, match="traced"):
+        hayman_report(semicircle(), n=4096)  # the largest n at the default resolution
 
 
 def test_boundary_image_rejects_fractional_resolution():

@@ -438,6 +438,26 @@ def test_overflowing_measure_exits_2_on_one_line(tmp_path, measure, message):
     assert proc.stderr == f"error: {message}\n"
 
 
+@pytest.mark.parametrize("measure, argv, message", [
+    ({"segments": [{"interval": [-2.0, 2.0], "density": "semicircle", "order": 10**6}]},
+     ["transform", "--z", "2i"],
+     "quadrature order must be an integer in [2, 2048]"),
+    ({"segments": [{"interval": [-2.0, 2.0], "density": "semicircle"}]},
+     ["hayman", "--resolution", str(10**12)],
+     "2*resolution*n exceeds 2^24, the size of the exchange table"),
+], ids=["order-1e6", "resolution-1e12"])
+def test_sizes_that_cannot_run_exit_2_on_one_line(tmp_path, measure, argv, message):
+    # each asked numpy for terabytes and ended in a MemoryError traceback
+    path = tmp_path / "m.json"
+    path.write_text(json.dumps(measure))
+    proc = subprocess.run(
+        [sys.executable, "-m", "chordal.cli", *argv, "--measure", str(path)],
+        capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 2
+    assert proc.stdout == ""
+    assert proc.stderr == f"error: {message}\n"
+
+
 def _transform_process(tmp_path, measure, z):
     # run as a process so that a leaked numpy warning would reach stderr
     path = tmp_path / "m.json"

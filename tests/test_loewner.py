@@ -223,6 +223,33 @@ def test_piecewise_composite_closed_form():
     assert np.all(diff <= errs + 1e-12)
 
 
+THREE_ATOMS = DriverFamily.piecewise_constant(
+    [0.0, 0.5, 1.25], [point_mass(0.0), point_mass(0.75), point_mass(-0.5)], horizon=2.0)
+
+
+def three_atoms_map(a, b, zs):
+    # B(a, b) = B(a, k1) o B(k1, k2) o ... o B(km, b): the latest piece first
+    w = zs
+    for lo, hi, c in ((1.25, 2.0, -0.5), (0.5, 1.25, 0.75), (0.0, 0.5, 0.0)):
+        d = min(hi, b) - max(lo, a)
+        if d > 0:
+            w = shifted_slit_map(d, w, c)
+    return w
+
+
+def test_lanes_starting_and_ending_on_knots():
+    # lanes start and end on knots and between them, on one piece or
+    # across all three, in one batch
+    pairs = np.array([(a, b) for a in (0.0, 0.5, 0.8, 1.25) for b in (0.5, 1.25, 2.0) if a <= b])
+    zs = acceptance_grid()
+    a, b = pairs[:, :1], pairs[:, 1:]
+    vals, errs = transition_grid(THREE_ATOMS, a, b, zs[None, :])
+    assert vals.shape == (pairs.shape[0], zs.size)
+    want = np.array([three_atoms_map(ai, bi, zs) for ai, bi in pairs])
+    assert np.all(np.abs(vals - want) <= errs)
+    assert errs.max() <= SolverConfig().tol
+
+
 def test_constant_moving_atom_matches_shifted_slit():
     fam = DriverFamily.moving_atom([(0.0, 0.5), (2.0, 0.5)])
     zs = small_grid()
@@ -377,15 +404,14 @@ def test_semicircle_near_the_support_within_bound(zs, order, tol):
     assert np.all(np.abs(got - want) <= bound)
 
 
-def _node_sum_substep(self, s0, h, w0, eta, target):
+def _node_sum_substep(self, piece, s0, h, w0, eta, target):
     # _PiecewiseConstant._substep as it was before the exact transforms:
     # the Cauchy transform summed over the frozen quadrature nodes
     _, tails = cheb_grid(loewner._NODES)
-    idx = np.searchsorted(self.breaks, s0, side="right") - 1
     B = np.empty((w0.size, loewner._NODES), dtype=complex)
     tail = np.empty(w0.size)
-    for k in np.unique(idx):
-        m = idx == k
+    for k in np.unique(piece):
+        m = piece == k
         pos, wts = self.measures[k].nodes()
         B[m], tail[m] = loewner._picard(
             w0[m], h[m], eta[m], target[m],

@@ -106,6 +106,9 @@ def test_segment_validation():
     with pytest.raises(InvalidInputError):
         DensitySegment(0.0, 1.0, lambda x: x, order=1)
     with pytest.raises(InvalidInputError):
+        DensitySegment(0.0, 1.0, lambda x: x, order=2049)
+    assert DensitySegment(0.0, 1.0, lambda x: x, order=2048).order == 2048
+    with pytest.raises(InvalidInputError):
         DensitySegment(0.0, 1.0, lambda x: x, 8, False, "not callable")
     bad = DensitySegment(0.0, 1.0, lambda x: -np.ones_like(x))
     with pytest.raises(InvalidInputError):
