@@ -37,6 +37,7 @@ from .grunsky import (
     SeriesCoefficients,
     faber_polynomials,
     grunsky_coefficients,
+    measure_certificate,
     univalence_certificate,
 )
 from .loewner import (
@@ -87,6 +88,7 @@ __all__ = [
     "grunsky_coefficients",
     "hayman_report",
     "hydrodynamic_parameter",
+    "measure_certificate",
     "measure_from_dict",
     "moment",
     "nevanlinna_triple",

@@ -47,6 +47,7 @@ _CLOUD_SPACING = 0.25      # bare-segment node spacing as a fraction of epsilon
 _CHUNK = 8                 # segments per bounding box in the crossing test
 _PAIR_BATCH = 1 << 18      # most segment pairs one crossing-test batch holds
 _MAX_EXCHANGE = 1 << 24    # most entries (2*resolution x n) of one exchange table
+RATIO_BAND = 0.05          # |ratio - 1| within this reads consistent_with_univalence
 
 
 def _count(value, name: str) -> int:
@@ -255,10 +256,10 @@ def hayman_report(
 ) -> CapacityReport:
     """Same-n comparison of image vs interval transfinite diameters.
 
-    ``consistent_with_univalence`` needs the ratio within 5% of 1 and a
-    clean (simple, bounded) boundary trace; a ratio below 0.9, a crossing,
-    or an unbounded excursion reads as ``inconsistent``; anything else is
-    ``inconclusive``.
+    ``consistent_with_univalence`` needs the ratio within ``RATIO_BAND``
+    (5%) of 1 and a clean (simple, bounded) boundary trace; a ratio below
+    0.9, a crossing, or an unbounded excursion reads as ``inconsistent``;
+    anything else is ``inconclusive``.
 
     ``n``, ``sweeps`` and ``resolution`` must be integral (an integral
     float such as 64.0 is accepted), with ``2 <= n <= 2*resolution``,
@@ -295,7 +296,7 @@ def hayman_report(
 
     ratio = d_image / d_interval
     broken = curve.self_intersects or curve.unbounded
-    if not broken and abs(ratio - 1.0) <= 0.05:
+    if not broken and abs(ratio - 1.0) <= RATIO_BAND:
         verdict = "consistent_with_univalence"
     elif broken or ratio < 0.9:
         verdict = "inconsistent"

@@ -87,7 +87,7 @@ def _cmd_transform(args) -> None:
             "b": triple.b,
             "c": triple.c,
             "nu_mass": triple.nu_mass,
-            "ladder_settle_tol": 1e-3,
+            "ladder_settle_tol": _measures.SETTLE_TOL,
         })
         return
     if args.z is None:
@@ -96,14 +96,17 @@ def _cmd_transform(args) -> None:
     pos, wts = mu.nodes()
     # a finite but huge measure can overflow either number: refuse below
     with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
-        g = _measures.cauchy_transform(mu, z)
         # summation roundoff over the node cloud, propagated through 1/G
-        g_bound = float((wts / np.abs(z - pos)).sum()) * (pos.size * _EPS)
+        # as |F|^2 one factor at a time, so no product over- or underflows
+        # before the bound does
+        bound = float((wts / np.abs(z - pos)).sum())
         if args.op == "cauchy":
-            value, bound = g, g_bound
+            value = _measures.cauchy_transform(mu, z)
         else:
             value = _measures.reciprocal_cauchy(mu, z)
-            bound = g_bound * abs(value) ** 2
+            mag = float(np.abs(value))
+            bound = bound * mag * mag
+        bound *= pos.size * _EPS
     if not (cmath.isfinite(value) and math.isfinite(bound)):
         raise NonConvergenceError(f"{args.op} transform overflowed")
     _emit_json({
@@ -130,7 +133,7 @@ def _cmd_invert(args) -> None:
         "interval": [a, b],
         "eps_ladder": ladder,
         "value": value,
-        "extrapolation_settle_tol": 1e-3 * max(1.0, abs(value)),
+        "extrapolation_settle_tol": _measures.SETTLE_TOL * max(1.0, abs(value)),
     })
 
 
@@ -168,13 +171,11 @@ def _cmd_grunsky(args) -> None:
             moments = [float(v) for v in args.moments.split(",")]
         except ValueError as exc:
             raise InvalidInputError("--moments expects comma-separated floats") from exc
+        report = _grunsky.univalence_certificate(
+            moments, order, boundary_tol=args.boundary_tol)
     else:
-        mu = _measure_arg(args.measure)
-        # an order beyond the cap is refused below; do not integrate for it
-        top = 2 * min(order, _grunsky.MAX_CERTIFICATE_ORDER) + 1
-        moments = [_measures.moment(mu, k) for k in range(top)]
-    report = _grunsky.univalence_certificate(
-        moments, order, boundary_tol=args.boundary_tol)
+        report = _grunsky.measure_certificate(
+            _measure_arg(args.measure), order, boundary_tol=args.boundary_tol)
     _emit_json({
         "order": report.order,
         "verdict": report.verdict,
@@ -203,7 +204,7 @@ def _cmd_hayman(args) -> None:
         "d_interval": report.d_interval,
         "ratio": report.ratio,
         "verdict": report.verdict,
-        "ratio_band": 0.05,
+        "ratio_band": _capacity.RATIO_BAND,
     })
 
 

@@ -19,6 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InvalidInputError, NonConvergenceError
+from .measures import RealMeasure, moment
 
 SUPPORT_HALF_WIDTH = 2.0  # certificate applies to measures supported in [-2, 2]
 _SERIES_LEADING_TOL = 1e-12
@@ -183,12 +184,12 @@ def univalence_certificate(mu_moments, order: int, boundary_tol: float = 1e-8) -
     moments already certify support outside [-2, 2] are rejected: the
     eigenvalue criterion is only valid inside that window. The verdict is
     three-valued; max |eigenvalue| within boundary_tol of 1 reports
-    "boundary", never "pass".
+    "boundary", never "pass", so boundary_tol must lie in (0, 1).
     """
     a = np.asarray(list(mu_moments), dtype=float)
     _check_order(order)
-    if not boundary_tol > 0:
-        raise InvalidInputError("boundary_tol must be positive")
+    if not 0 < boundary_tol < 1:
+        raise InvalidInputError("boundary_tol must lie in (0, 1)")
     if a.size < 2 * order + 1:
         raise InvalidInputError(f"need moments a_0..a_{2 * order}, got {a.size} entries")
     if not np.all(np.isfinite(a)):
@@ -223,6 +224,18 @@ def univalence_certificate(mu_moments, order: int, boundary_tol: float = 1e-8) -
             f"moment rounding could change the verdict (max |eigenvalue| {mx:.6g} +- {shift:.1e})"
         )
     return GrunskyReport(order, sym, eigs, mx, verdict, float(boundary_tol))
+
+
+def measure_certificate(mu: RealMeasure, order: int, boundary_tol: float = 1e-8) -> GrunskyReport:
+    """``univalence_certificate`` of the moments a_0..a_(2*order) of mu.
+
+    The order is checked before any moment is integrated.
+    """
+    _check_order(order)
+    if not isinstance(mu, RealMeasure):
+        raise InvalidInputError("mu must be a RealMeasure")
+    moments = [moment(mu, k) for k in range(2 * order + 1)]
+    return univalence_certificate(moments, order, boundary_tol)
 
 
 def _grunsky_matrix(alpha: np.ndarray, order: int) -> np.ndarray:

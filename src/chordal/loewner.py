@@ -89,7 +89,9 @@ from typing import Callable, ClassVar, Sequence
 import numpy as np
 
 from .errors import InvalidInputError, NonConvergenceError
-from .measures import RealMeasure, measure_from_dict, point_mass, y_ladder
+from .measures import (
+    SETTLE_TOL, RealMeasure, _require_upper, measure_from_dict, point_mass, y_ladder,
+)
 from .numerics import cheb_grid, y_limit
 
 __all__ = [
@@ -501,8 +503,9 @@ def _solve_many(
     a,
     b,
     z,
-    cfg: SolverConfig,
+    config: SolverConfig | None = None,
 ) -> tuple[np.ndarray, np.ndarray]:
+    cfg = config or _DEFAULT_CONFIG
     if not isinstance(family, DriverFamily):
         raise InvalidInputError("family must be a DriverFamily")
     a_arr = np.asarray(a, dtype=float)
@@ -520,10 +523,7 @@ def _solve_many(
         raise InvalidInputError("need a <= b")
     if np.any(b_arr > family.horizon):
         raise InvalidInputError("b lies beyond the driver horizon")
-    if not np.all(np.isfinite(z_arr)):
-        raise InvalidInputError("z must be finite")
-    if np.any(z_arr.imag <= 0):
-        raise InvalidInputError("z must lie in the open upper half-plane")
+    _require_upper(z_arr)
     floor = cfg.min_imag
     if np.any(z_arr.imag < floor):
         raise InvalidInputError(
@@ -551,8 +551,7 @@ def solve_transition(
     config: SolverConfig | None = None,
 ) -> complex:
     """B(a, b; z) with absolute error at most ``config.tol``."""
-    cfg = config or _DEFAULT_CONFIG
-    w, _ = _solve_many(family, float(a), float(b), complex(z), cfg)
+    w, _ = _solve_many(family, float(a), float(b), complex(z), config)
     return complex(w)
 
 
@@ -568,8 +567,7 @@ def transition_grid(
     ``a``, ``b`` and ``zs`` broadcast against each other, so grids over
     points, over times, or over both run in one lockstep batch.
     """
-    cfg = config or _DEFAULT_CONFIG
-    return _solve_many(family, a, b, zs, cfg)
+    return _solve_many(family, a, b, zs, config)
 
 
 def evaluate_map(
@@ -632,7 +630,7 @@ def hydrodynamic_parameter(
     w, _ = _solve_many(family, 0.0, t, 1j * ys, tight)
     vals = (1j * ys) * (1j * ys - w)
     limit, diff = y_limit(vals, ys)
-    if diff > 1e-3 * max(1.0, abs(limit)):
+    if diff > SETTLE_TOL * max(1.0, abs(limit)):
         raise NonConvergenceError("hydrodynamic extrapolation did not settle")
     if abs(limit.imag) >= 1e-6:
         raise NonConvergenceError(
@@ -650,13 +648,12 @@ def semigroup_defect(
     config: SolverConfig | None = None,
 ) -> float:
     """max over zs of |B(a,c;z) - B(a,b;B(b,c;z))|."""
-    cfg = config or _DEFAULT_CONFIG
     if not (0 <= a <= b <= c):
         raise InvalidInputError("need 0 <= a <= b <= c")
     zs = np.asarray(zs, dtype=complex)
-    direct, _ = _solve_many(family, a, c, zs, cfg)
-    inner, _ = _solve_many(family, b, c, zs, cfg)
-    outer, _ = _solve_many(family, a, b, inner, cfg)
+    direct, _ = _solve_many(family, a, c, zs, config)
+    inner, _ = _solve_many(family, b, c, zs, config)
+    outer, _ = _solve_many(family, a, b, inner, config)
     return float(np.abs(direct - outer).max())
 
 

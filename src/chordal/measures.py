@@ -32,6 +32,9 @@ Y_BASE = 8.0
 Y_DOUBLINGS = 10
 
 MASS_TOL = 1e-12
+# the last two estimates of a ladder limit (y -> inf or eps -> 0) must agree
+# within this, absolutely or times max(1, |limit|)
+SETTLE_TOL = 1e-3
 _MAX_DENSE_NODES = 400_000
 _MAX_ORDER = 2048          # leggauss takes O(order^3) time and O(order^2) memory
 _CAUCHY_BLOCK = 1 << 18  # (point, node) pairs per block of a node sum
@@ -411,6 +414,8 @@ def reciprocal_cauchy(mu: RealMeasure, z):
     if not mu.is_probability:
         raise InvalidInputError("reciprocal transform needs a probability measure")
     g = cauchy_transform(mu, z)
+    if np.any(g == 0):  # |z| near the float limit: the node sum underflowed
+        raise NonConvergenceError("Cauchy transform underflowed to zero")
     return 1.0 / g
 
 
@@ -432,7 +437,7 @@ def class_r_constant(F) -> float:
     ys = y_ladder()
     vals = np.array([abs(1j * y * (1j * y - F(1j * y))) for y in ys])
     limit, diff = y_limit(vals, ys)
-    if diff > 1e-3:
+    if diff > SETTLE_TOL:
         raise NonConvergenceError("class-r ladder failed its Cauchy criterion")
     return max(float(np.real(limit)), 0.0)
 
@@ -457,7 +462,7 @@ def nevanlinna_triple(F) -> NevanlinnaTriple:
     ys = y_ladder()
     vals = np.array([complex(F(1j * y)).imag / y for y in ys])
     c, diff = y_limit(vals, ys)
-    if diff > 1e-3:
+    if diff > SETTLE_TOL:
         raise NonConvergenceError("linear-coefficient ladder failed to converge")
     c = float(c)
     if c < 0:
@@ -502,7 +507,7 @@ def stieltjes_invert(G, interval: tuple[float, float], eps_ladder: Sequence[floa
         value, diff = neville_zero(eps, vals)
     if not math.isfinite(value):
         raise NonConvergenceError("eps ladder extrapolated to a non-finite value")
-    if diff > 1e-3 * max(1.0, abs(value)):
+    if diff > SETTLE_TOL * max(1.0, abs(value)):
         raise NonConvergenceError("eps ladder failed to converge")
     return float(value)
 

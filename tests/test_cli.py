@@ -1,5 +1,6 @@
 """End-to-end command-line checks: parsing, output formats, exit codes."""
 
+import cmath
 import json
 import math
 import subprocess
@@ -9,10 +10,11 @@ import time
 import numpy as np
 import pytest
 
+from chordal.capacity import RATIO_BAND
 from chordal.cli import parse_complex, run
 from chordal.errors import InvalidInputError
 from chordal.loewner import DriverFamily, transition_grid
-from chordal.measures import point_mass
+from chordal.measures import SETTLE_TOL, point_mass
 
 from oracles import semicircle_transition
 
@@ -346,6 +348,22 @@ def test_grunsky_huge_moments_refuse_on_one_line():
     assert proc.stderr == "non-convergence: Grunsky matrix overflowed\n"
 
 
+@pytest.mark.parametrize("tol", ["inf", "1", "2"])
+def test_grunsky_boundary_tol_outside_the_unit_interval_exits_2(capsys, tol):
+    # inf printed "boundary_tol": Infinity; at 1 or above "pass" is unreachable
+    assert run(["grunsky", "--moments", "1,0,1,0,2", "--order", "2",
+                "--boundary-tol", tol]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: boundary_tol must lie in (0, 1)\n"
+
+
+def test_grunsky_boundary_tol_half_still_passes(capsys):
+    out = run_json(capsys, ["grunsky", "--moments", "1,0,1,0,2", "--order", "2",
+                            "--boundary-tol", "0.5"])
+    assert out["verdict"] == "pass" and out["boundary_tol"] == 0.5
+
+
 def test_grunsky_needs_exactly_one_source(capsys, semi_path):
     assert run(["grunsky", "--order", "4"]) == 2
     capsys.readouterr()
@@ -377,6 +395,17 @@ def test_hayman_output_is_deterministic(capsys, semi_path):
     first = capsys.readouterr().out
     assert run(argv) == 0
     assert capsys.readouterr().out == first
+
+
+def test_reported_tolerances_are_the_library_constants(capsys, semi_path):
+    nev = run_json(capsys, ["transform", "--measure", semi_path, "--op", "nevanlinna"])
+    assert nev["ladder_settle_tol"] == SETTLE_TOL
+    inv = run_json(capsys, ["invert", "--measure", semi_path,
+                            "--interval", "-2,2", "--eps-ladder", EPS_LADDER_ARG])
+    assert inv["extrapolation_settle_tol"] == SETTLE_TOL * max(1.0, abs(inv["value"]))
+    hay = run_json(capsys, ["hayman", "--measure", semi_path, "--n", "16",
+                            "--resolution", "128"])
+    assert hay["ratio_band"] == RATIO_BAND
 
 
 # ---------------------------------------------------------------------------
@@ -458,17 +487,19 @@ def test_sizes_that_cannot_run_exit_2_on_one_line(tmp_path, measure, argv, messa
     assert proc.stderr == f"error: {message}\n"
 
 
-def _transform_process(tmp_path, measure, z):
+def _transform_process(tmp_path, measure, z, *flags):
     # run as a process so that a leaked numpy warning would reach stderr
     path = tmp_path / "m.json"
     path.write_text(json.dumps(measure))
     return subprocess.run(
-        [sys.executable, "-m", "chordal.cli", "transform", "--measure", str(path), "--z", z],
+        [sys.executable, "-m", "chordal.cli", "transform", "--measure", str(path), "--z", z,
+         *flags],
         capture_output=True, text=True, timeout=120)
 
 
 # total mass 1.7e308 is finite, so the measure is accepted
 HUGE_ATOMS = {"atoms": [[0.0, 1e308], [1.0, 7e307]]}
+BERNOULLI_1 = {"atoms": [[-1.0, 0.5], [1.0, 0.5]]}
 
 
 def test_huge_measure_transform_keeps_a_finite_bound(tmp_path):
@@ -479,13 +510,36 @@ def test_huge_measure_transform_keeps_a_finite_bound(tmp_path):
     assert math.isfinite(report["roundoff_bound"]) and report["roundoff_bound"] > 0
 
 
-@pytest.mark.parametrize("z", ["0.5+0.5i", "0.5+0.001i"], ids=["bound", "value"])
-def test_overflowing_transform_refuses_on_one_line(tmp_path, z):
-    # at 0.5+0.5i the bound's sum overflows, at 0.5+0.001i the value too
-    proc = _transform_process(tmp_path, HUGE_ATOMS, z)
+@pytest.mark.parametrize("measure, z, flags, message", [
+    (HUGE_ATOMS, "0.5+0.5i", [], "cauchy transform overflowed"),
+    (HUGE_ATOMS, "0.5+0.001i", [], "cauchy transform overflowed"),
+    (BERNOULLI_1, "1e-300i", ["--op", "reciprocal"], "reciprocal transform overflowed"),
+    (BERNOULLI_1, "1e308+1e308i", ["--op", "reciprocal"], "Cauchy transform underflowed to zero"),
+], ids=["bound", "value", "reciprocal-bound", "reciprocal-value"])
+def test_overflowing_transform_refuses_on_one_line(tmp_path, measure, z, flags, message):
+    # at 0.5+0.5i the bound's sum overflows, at 0.5+0.001i the value too;
+    # G(1e-300i) = -1e-300i puts |F|^2 near 1e600, and at 1e308+1e308i G
+    # underflows to 0
+    proc = _transform_process(tmp_path, measure, z, *flags)
     assert proc.returncode == 1
     assert proc.stdout == ""
-    assert proc.stderr == "non-convergence: cauchy transform overflowed\n"
+    assert proc.stderr == f"non-convergence: {message}\n"
+
+
+SEMICIRCLE = {"segments": [{"interval": [-2.0, 2.0], "density": "semicircle", "order": 64}]}
+
+
+@pytest.mark.parametrize("z", ["1e300i", "1e200+1e-200i"])
+def test_reciprocal_transform_at_large_z_keeps_a_finite_bound(tmp_path, z):
+    # |F|^2 taken as a float power overflowed into a traceback
+    proc = _transform_process(tmp_path, SEMICIRCLE, z, "--op", "reciprocal")
+    assert proc.returncode == 0 and proc.stderr == ""
+    report = json.loads(proc.stdout, parse_constant=lambda name: pytest.fail(name))
+    value = complex(*report["value"])
+    assert cmath.isfinite(value)
+    assert math.isfinite(report["roundoff_bound"]) and report["roundoff_bound"] > 0
+    if z == "1e300i":
+        assert abs(value - 1e300j) <= 1e-14 * 1e300
 
 
 @pytest.mark.parametrize("raw", [

@@ -14,11 +14,12 @@ from chordal.grunsky import (
     _grunsky_matrix,
     faber_polynomials,
     grunsky_coefficients,
+    measure_certificate,
     moments_to_alpha,
     symmetric_eigenvalues,
     univalence_certificate,
 )
-from chordal.measures import arcsine, bernoulli, moment, semicircle
+from chordal.measures import arcsine, bernoulli, moment, point_mass, semicircle
 
 from oracles import chebyshev_u, faber_oracle, grunsky_oracle
 
@@ -278,6 +279,62 @@ def test_certificate_input_validation():
         univalence_certificate([1, 2.5, 6.25, 15.625, 39.0625], 2)
     with pytest.raises(InvalidInputError):
         univalence_certificate([1, math.inf, 1, 0, 2], 2)
+
+
+@pytest.mark.parametrize("tol", [1.0, math.inf, math.nan])
+def test_boundary_tol_must_lie_in_the_unit_interval(tol):
+    # at 1 or above no max |eigenvalue| >= 0 can read "pass"
+    with pytest.raises(InvalidInputError, match=r"boundary_tol must lie in \(0, 1\)"):
+        univalence_certificate(CATALAN[:5], 2, boundary_tol=tol)
+    with pytest.raises(InvalidInputError, match=r"boundary_tol must lie in \(0, 1\)"):
+        measure_certificate(semicircle(), 2, boundary_tol=tol)
+
+
+def _report_or_error(fn, *args):
+    try:
+        return fn(*args)
+    except (InvalidInputError, NonConvergenceError) as exc:
+        return type(exc), str(exc)
+
+
+MEASURES = {
+    "semicircle": semicircle,
+    "arcsine": arcsine,
+    "delta0": lambda: point_mass(0.0),
+    "bernoulli1": lambda: bernoulli(1.0),
+    "bernoulli0.5": lambda: bernoulli(0.5),
+}
+
+
+@pytest.mark.parametrize("name", MEASURES)
+def test_measure_certificate_is_the_certificate_of_the_moments(name):
+    mu = MEASURES[name]()
+    for order in range(1, 33):
+        got = _report_or_error(measure_certificate, mu, order)
+        want = _report_or_error(
+            univalence_certificate, [moment(mu, k) for k in range(2 * order + 1)], order)
+        if isinstance(want, tuple):
+            assert got == want, (name, order)
+            continue
+        assert isinstance(got, GrunskyReport), (name, order, got)
+        assert (got.order, got.verdict, got.max_abs_eigenvalue, got.boundary_tol) == (
+            want.order, want.verdict, want.max_abs_eigenvalue, want.boundary_tol)
+        assert np.array_equal(got.eigenvalues, want.eigenvalues)
+        assert np.array_equal(got.c_matrix, want.c_matrix)
+
+
+@pytest.mark.parametrize("order", [0, 33, 10**8])
+def test_measure_certificate_checks_the_order_before_integrating(monkeypatch, order):
+    calls = []
+    monkeypatch.setattr(grunsky, "moment", lambda mu, k: calls.append(k) or 0.0)
+    with pytest.raises(InvalidInputError, match="order must lie in 1..32"):
+        measure_certificate(semicircle(), order)
+    assert calls == []
+
+
+def test_measure_certificate_needs_a_measure():
+    with pytest.raises(InvalidInputError, match="mu must be a RealMeasure"):
+        measure_certificate(CATALAN, 4)
 
 
 def test_certificate_huge_moments_refuse_without_warnings():

@@ -740,9 +740,27 @@ def test_probe_validation():
 
 
 def test_rejects_points_at_or_below_axis():
-    for z in (1.0 + 0.0j, 1.0 - 1.0j):
-        with pytest.raises(InvalidInputError):
-            solve_transition(DELTA0, 0.0, 1.0, z)
+    # every entry point checks z at the one front door, with one message each
+    for z, message in ((1.0 + 0.0j, "open upper half-plane"),
+                       (1.0 - 1.0j, "open upper half-plane"),
+                       (complex(math.nan, 1.0), "z must be finite")):
+        for solve in (lambda: solve_transition(DELTA0, 0.0, 1.0, z),
+                      lambda: transition_grid(DELTA0, 0.0, 1.0, [2j, z]),
+                      lambda: semigroup_defect(DELTA0, 0.0, 0.5, 1.0, [z]),
+                      lambda: TransitionMap(DELTA0, 0.0, 1.0).evaluate(z)):
+            with pytest.raises(InvalidInputError, match=message):
+                solve()
+
+
+def test_no_config_means_the_default_config():
+    zs = np.array([0.5 + 0.5j, -1.0 + 2.0j])
+    for family in (DELTA0, DriverFamily.moving_atom([(0.0, 0.0), (2.0, 1.0)])):
+        got = transition_grid(family, 0.0, 1.5, zs)
+        want = transition_grid(family, 0.0, 1.5, zs, SolverConfig())
+        assert all(np.array_equal(g, w) for g, w in zip(got, want))
+        assert solve_transition(family, 0.0, 1.5, zs[0]) == want[0][0]
+        assert (semigroup_defect(family, 0.0, 0.7, 1.5, zs)
+                == semigroup_defect(family, 0.0, 0.7, 1.5, zs, SolverConfig()))
 
 
 def test_rejects_points_under_the_floor():
