@@ -30,6 +30,7 @@ from .errors import InvalidInputError, NonConvergenceError
 __all__ = ["run", "main", "parse_complex"]
 
 _EPS = float(np.finfo(float).eps)
+_TINY = float(np.finfo(float).tiny)  # the least normal float; eps * tiny is the least subnormal
 
 
 def parse_complex(text: str) -> complex:
@@ -96,17 +97,19 @@ def _cmd_transform(args) -> None:
     pos, wts = mu.nodes()
     # a finite but huge measure can overflow either number: refuse below
     with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
-        # summation roundoff over the node cloud, propagated through 1/G
-        # as |F|^2 one factor at a time, so no product over- or underflows
+        # summation roundoff over the node cloud, n eps (S + 2 tiny) with
+        # S = sum w/|z - x|: n eps 2 tiny is 2n ulps of 0, the rounding of
+        # a G that falls among the subnormals. Propagated through 1/G as
+        # |F|^2 one factor at a time, so no product over- or underflows
         # before the bound does
-        bound = float((wts / np.abs(z - pos)).sum())
+        bound = float((wts / np.abs(z - pos)).sum()) + 2.0 * _TINY
         if args.op == "cauchy":
             value = _measures.cauchy_transform(mu, z)
+            bound *= pos.size * _EPS
         else:
             value = _measures.reciprocal_cauchy(mu, z)
             mag = float(np.abs(value))
-            bound = bound * mag * mag
-        bound *= pos.size * _EPS
+            bound = (bound * mag) * (mag * (pos.size * _EPS))
     if not (cmath.isfinite(value) and math.isfinite(bound)):
         raise NonConvergenceError(f"{args.op} transform overflowed")
     _emit_json({

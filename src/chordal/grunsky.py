@@ -136,6 +136,8 @@ def faber_polynomials(g: SeriesCoefficients, n_max: int) -> list[np.ndarray]:
 
 
 def _check_order(order: int) -> None:
+    if not isinstance(order, (int, np.integer)):
+        raise InvalidInputError("order must be an integer")
     if not 1 <= order <= MAX_CERTIFICATE_ORDER:
         raise InvalidInputError(f"order must lie in 1..{MAX_CERTIFICATE_ORDER}")
 

@@ -9,75 +9,124 @@ interval downward in substeps sized so that the Picard iteration for the
 integral equation contracts factorially, and gives each iteration the
 fewest sweeps n for which the certified remainder
 
-    |B_{n+1} - B_n| <= h^(n+1) / (Im^(2n+1) (n+1)!)
+    |B_{n+1} - B_n| <= M h (L h)^n / (n+1)!
 
 (summed over the sweeps not taken) falls below the substep's share of the
-global error budget.  That remainder depends on h, eta = Im w and n only,
-not on the iterates, so ``_picard`` fixes n before the first sweep, and
-refuses at once when 64 sweeps would not reach the target.  Shares are
-weighted by a Schwarz-Pick amplification factor so that the pointwise error
-of the chained result stays below ``config.tol``; the achieved (usually much
-smaller) bound is reported alongside every value.
+global error budget.  M and L are the regularity constants below; the
+remainder depends on them, h and n only, not on the iterates, so
+``_picard`` fixes n before the first sweep, and refuses at once when 64
+sweeps would not reach the target.  Shares are weighted by an
+amplification factor so that the pointwise error of the chained result
+stays below ``config.tol``; the achieved (usually much smaller) bound is
+reported alongside every value.
+
+Regularity constants.  Write G for the Cauchy transform of the measure
+under a substep (or 1/(w - U) for the moving atom) and eta = Im w where
+the substep is entered.  Each piece of a driver's knot table carries two
+numbers: ``free``, the mass of its atoms and of its segments with no
+density bound (the arcsine, bare callables), and ``peak`` = P, the sum of
+the bounds ``DensitySegment.peak`` of its other segments, which hold the
+mass 1 - free.  On Im w >= y,
+
+    |G(w)|  <= M(y) = free/y   + 2P asinh((1 - free) / (2P y)),
+    |G'(w)| <= L(y) = free/y^2 + min(pi P / y, (1 - free) / y^2).
+
+The atom terms are |w - x| >= y.  The density term of M is the bathtub
+bound: of the densities below P with mass m, int rho(x) dx / |w - x| is
+largest for rho = P on the interval of length m/P centred at Re w, where it
+is 2P asinh(m / (2P y)); that of L is P int dx / |w - x|^2 = pi P / y.  As
+asinh u <= u, M(y) <= 1/y and L(y) <= 1/y^2, the atom-style constants,
+which atoms, the arcsine and bare callables (free = 1, P = 0) get exactly.
+As asinh is concave and vanishes at 0, M(y/2) <= 2 M(y).
+
+Picard remainder.  On the substep [s - h, s] the iterates are B_0 = w and
+B_{n+1}(t) = w - int_t^s G(B_n(r)) dr.  Since -Im G > 0 on the upper
+half-plane, every iterate keeps Im >= eta, where M = M(eta) bounds G and
+L = L(eta) bounds G'; by induction |B_{n+1} - B_n| <= M L^n (s - t)^(n+1)
+/ (n+1)!, which at t = s - h is the remainder above.  With the
+contraction cap h <= margin / L (margin <= 1/2) the terms from the n-th
+on sum to at most 1/(1 - Lh/(n+2)) times the n-th.
+
+Amplification.  An error made in the value w' = B(t, b; z) at the lower
+end t of a substep reaches the result through B(a, t; .), a holomorphic
+self-map of the upper half-plane.  Schwarz-Pick bounds its derivative by
+Im B(a, t; w') / Im w'.  For unit mass, d(Im B)^2 / d(-t) = -2 Im B Im
+G(B) <= 2, so Im B(a, t; w')^2 <= Im w'^2 + 2(t - a), and, since Im w' >=
+eta and the bound falls as Im w' grows, the error reaches the result
+times at most
+
+    amp = sqrt(1 + 2 (t - a) / eta^2).
 
 One Picard loop, ``_picard``, serves every driver.  Per substep the
 iterates live on a Chebyshev-Lobatto grid, and the loop takes from the
 driver only ``integrate(B)``: the suffix integrals over the standard grid of
 the driver's integrand at the node values ``B``.  A driver is a
 ``DriverFamily`` subclass that supplies its measure lookup, its knot table
-(the pieces no substep may straddle, with the slope of the atom path and
-its running variation at each), and ``_substep``, which builds
-``integrate`` and runs the loop.  ``_evolve_chunk`` looks each lane's piece
-up in the table once per round and hands it to ``_substep``.  Two
-drivers exist: piecewise-constant measure families and a moving atom along
-a piecewise-linear path.  A piecewise-constant driver evaluates the Cauchy
-transform by ``RealMeasure.cauchy``: atoms exactly, named densities in
-closed form, and only segments given as a bare callable by their
-quadrature nodes.  The certified bound covers the first two; it has no
-term for the node error of the third, which grows within a node gap of
-the support.  The atom's integrand is ``1/(B - U)``; no substep straddles
-a knot, so ``U`` is affine on each substep and known at the nodes.
+(the pieces no substep may straddle, with the slope of the atom path, its
+running variation and the two regularity columns at each), and
+``_substep``, which builds ``integrate`` and runs the loop.
+``_evolve_chunk`` looks each lane's piece up in the table once per round
+and hands it to ``_substep``.  Two drivers exist: piecewise-constant
+measure families and a moving atom along a piecewise-linear path.  A
+piecewise-constant driver evaluates the Cauchy transform by
+``RealMeasure.cauchy``: atoms exactly, named densities in closed form, and
+only segments given as a bare callable by their quadrature nodes.  The
+certified bound covers the first two; it has no term for the node error of
+the third, which grows within a node gap of the support.  The atom's
+integrand is ``1/(B - U)``; no substep straddles a knot, so ``U`` is
+affine on each substep and known at the nodes.
 
 Both drivers integrate one way: each sweep samples the integrand at the
-M Lobatto nodes and integrates its degree-(M-1) interpolant exactly (the
-``tails`` matrix of ``cheb_grid``).  Of a substep's budget the certified
-Picard tail gets 0.8 and the interpolation error 0.2, and the substep rule
-keeps the latter in its share.  If the integrand f is analytic with
-|f| <= K on the Bernstein ellipse E_rho of the substep (mapped to complex
-time), its interpolant misses by at most 4 K rho^-(M-1) / (rho - 1)
-(Trefethen, *Approximation Theory and Approximation Practice*, Thm 8.2).
-The rule picks rho from the budget and sets h so that E_rho has half-height
+N = 40 Lobatto nodes and integrates its degree-(N-1) interpolant exactly
+(the ``tails`` matrix of ``cheb_grid``).  Of a substep's budget the
+certified Picard tail gets 0.8 and the interpolation error 0.2, and the
+substep rule keeps the latter in its share.  If the integrand f is
+analytic with |f| <= K on the Bernstein ellipse E_rho of the substep
+(mapped to complex time), its interpolant misses by at most
+4 K rho^-(N-1) / (rho - 1) (Trefethen, *Approximation Theory and
+Approximation Practice*, Thm 8.2).  The rule picks rho from the budget and
+sets h so that E_rho has half-height
 
-    H = eta^2 / (4 (1 + c v eta)),
+    H = eta / (2 (K + 2 c v)),    K = M(eta/2) <= 2 M(eta),
 
-where eta is Im w where the substep is entered and v is the slope |dU/dt|
-of the piece under the substep (no substep straddles a knot), 0 for
-piecewise-constant drivers, which get H = eta^2/4.  On the ellipse, as
-long as |f| <= 2/eta, B moves from the real path by at most 2H/eta in
-complex time, and the affine U gains |Im U| <= vH.  With x = c v eta the
-distance from B to the support (real, or U) therefore falls by at most
+where v is the slope |dU/dt| of the piece under the substep (no substep
+straddles a knot), 0 for piecewise-constant drivers.  On the ellipse, as
+long as |f| <= K, B moves from the real path by at most KH in complex
+time, and the affine U gains |Im U| <= vH.  The distance from B to the
+support (real, or U) therefore falls by at most
 
-    2H/eta + vH = eta (2c + x) / (4c (1 + x)),
+    (K + v) H = eta (K + v) / (2 (K + 2 c v)),
 
-which is at most eta/2 for every x >= 0 exactly when c >= 1/2.  Then
-|f| <= 2/eta holds on the whole ellipse for both drivers, and the atom's
-interpolation error obeys the same estimate as a constant driver's.  The
-solver takes c = 3: the atom's own share vH stays below eta/12, and the
-total loss falls toward eta/12 as the path steepens, which leaves slack
-for what the estimate neglects (the ellipse reaches past the substep's
-ends in real time).  With it, atom paths of slope up to 100 keep every
-error within its bound.
+which is at most eta/2 for every v >= 0 exactly when c >= 1/2.  Then the
+distance stays >= eta/2 on the whole ellipse, where M(eta/2) bounds G and
+2/eta bounds the atom's 1/(B - U): |f| <= K holds for both drivers.
+Since K <= 2M, H >= eta / (4 (M + c v)); the moving atom has K = 2/eta,
+and H is the eta^2 / (4 (1 + c v eta)) of the atom-only rule.  The solver
+takes c = 3: the atom's own share vH stays below eta/12, and the total
+loss falls toward eta/12 as the path steepens, which leaves slack for
+what the estimate neglects (the ellipse reaches past the substep's ends
+in real time).  With it, atom paths of slope up to 100 keep every error
+within its bound.  The interpolation share asks 4 K rho^-(N-1) / (rho - 1)
+<= 0.2 tol / (span amp) per unit time; with a factor 3 of slack, rho is
+the least value >= 2 with rho^(N-1) (rho - 1) >= R = 60 K span amp / tol,
+and the rule takes
 
-The node count M = 40 lets the contraction cap h <= eta^2/2, not the
-interpolation limit, set most substeps.  For a constant driver the rule
-gives h = eta^2 / (rho - 1/rho), which reaches the cap once
-rho <= 1 + sqrt(2); and rho = 1 + sqrt(2) meets rho^(M-1) (rho - 1) >= R
-(R = 120 span amp / (eta tol), as ``_evolve_chunk`` sets it) for R up to
-2e14 at M = 38 and 1.2e15 at M = 40.  That covers the default tol on
-grids with Im z >= 0.2 over spans up to 2 (R <= 6e13).  At M = 24 the
-interpolation limit held the substeps below the cap there: delta_0 on
-such a 200-point grid at t = 2 took 148 rounds, against 88 at M = 40.
-Tighter tolerances or points nearer the axis raise R past that range,
-and the interpolation limit binds again.
+    h = min(4H / (rho - 1/rho), margin / L, max_step).
+
+The node count N = 40 lets the contraction cap, not the interpolation
+limit, set most atom substeps.  With M = 1/eta the interpolation limit is
+h = eta^2 / (rho - 1/rho), which reaches the cap eta^2/2 once
+rho <= 1 + sqrt(2); and rho = 1 + sqrt(2) meets rho^(N-1) (rho - 1) >= R
+for R up to 2e14 at N = 38 and 1.2e15 at N = 40.  That covers the default
+tol on grids with Im z >= 0.2 over spans up to 2.  At N = 24 the
+interpolation limit held the substeps below the cap there: delta_0 on such
+a 200-point grid at t = 2 took 148 rounds, against 88 at N = 40.  Tighter
+tolerances or points nearer the axis raise R past that range, and the
+interpolation limit binds again.  A bounded density has L of order 1/eta,
+not 1/eta^2, so its cap lies far above its interpolation limit, which at
+K of order log(1/eta) is of order eta / log(1/eta): the semicircle at
+2 + 0.001i takes 115 substeps to t = 0.5, where the atom-style constants
+took 27,810.
 """
 
 from __future__ import annotations
@@ -114,6 +163,7 @@ _MAX_PICARD = 64
 _MAX_ROUNDS = 200_000
 _MIN_STEP = 1e-12
 _SPEED_SLACK = 3.0    # c of the substep rule's ellipse height (module docstring)
+_TINY = float(np.finfo(float).tiny)
 
 
 @dataclass(frozen=True)
@@ -181,8 +231,10 @@ class DriverFamily:
     table, built once by the constructor, holds the pieces where the driver
     keeps one form, which no substep straddles: piece k is
     ``[_knots[k], _knots[k+1])``, ``_slopes[k]`` is ``|dU/dt|`` on it (0 for
-    piecewise-constant drivers), and ``_cumvar`` is the running sum of
-    ``|dU|`` at each knot.
+    piecewise-constant drivers), ``_cumvar`` is the running sum of
+    ``|dU|`` at each knot, and ``_free[k]`` and ``_peak[k]`` are the
+    piece's regularity columns (module docstring): the mass with no density
+    bound and the sum of the density bounds of the rest.
     """
 
     kind: ClassVar[str]
@@ -191,6 +243,8 @@ class DriverFamily:
     _knots: np.ndarray
     _slopes: np.ndarray
     _cumvar: np.ndarray
+    _free: np.ndarray
+    _peak: np.ndarray
 
     # -- constructors -----------------------------------------------------
 
@@ -222,7 +276,9 @@ class DriverFamily:
         # unit mass guarantees every support is non-empty
         bound = max(max(-mu.support[0], mu.support[1]) for mu in ms)
         knots = np.append(b, np.inf)
-        return _PiecewiseConstant(hor, bound, knots, np.zeros(b.size), np.zeros(knots.size), ms)
+        free, peak = np.array([_regularity_columns(mu) for mu in ms]).T
+        return _PiecewiseConstant(
+            hor, bound, knots, np.zeros(b.size), np.zeros(knots.size), free, peak, ms)
 
     @classmethod
     def constant(cls, measure: RealMeasure, horizon: float | None = None) -> "DriverFamily":
@@ -251,8 +307,8 @@ class DriverFamily:
             du = np.abs(np.diff(positions))
             slopes = du / np.diff(times)
             cumvar = np.concatenate(([0.0], np.cumsum(du)))
-        return _MovingAtom(
-            hor, float(np.max(np.abs(positions))), times, slopes, cumvar, positions)
+        return _MovingAtom(hor, float(np.max(np.abs(positions))), times, slopes, cumvar,
+                           np.ones(slopes.size), np.zeros(slopes.size), positions)
 
     # -- queries -----------------------------------------------------------
 
@@ -272,9 +328,10 @@ class DriverFamily:
         """Largest |dU/dt| of the driver's atom path; 0.0 if nothing moves."""
         return float(np.max(self._slopes))
 
-    def _substep(self, piece, s0, h, w0, eta, target):
+    def _substep(self, piece, s0, h, w0, M, L, target):
         """Picard-solve the substeps ``[s0, s0 + h]`` entered at ``w0``,
-        each within its knot-table ``piece``.
+        each within its knot-table ``piece``, with the regularity constants
+        ``M`` and ``L`` of each.
 
         Returns the node values and the certified Picard tail, which is at
         most ``target``.
@@ -291,18 +348,18 @@ class _PiecewiseConstant(DriverFamily):
         # the breaks, without the inf knot: t = inf reads the last measure
         return self.measures[int(np.searchsorted(self._knots[:-1], t, side="right")) - 1]
 
-    def _substep(self, piece, s0, h, w0, eta, target):
+    def _substep(self, piece, s0, h, w0, M, L, target):
         _, tails = cheb_grid(_NODES)
         if piece.min() == piece.max():  # every lane in one piece: no masks
             g = self.measures[piece[0]].cauchy
-            return _picard(w0, h, eta, target, lambda V: g(V) @ tails.T)
+            return _picard(w0, h, M, L, target, lambda V: g(V) @ tails.T)
         B = np.empty((w0.size, _NODES), dtype=complex)
         tail = np.empty(w0.size)
         for k in np.unique(piece):
             m = piece == k
             g = self.measures[k].cauchy
             B[m], tail[m] = _picard(
-                w0[m], h[m], eta[m], target[m], lambda V: g(V) @ tails.T)
+                w0[m], h[m], M[m], L[m], target[m], lambda V: g(V) @ tails.T)
         return B, tail
 
 
@@ -314,14 +371,14 @@ class _MovingAtom(DriverFamily):
     def _measure(self, t: float) -> RealMeasure:
         return point_mass(float(np.interp(t, self._knots, self.positions)))
 
-    def _substep(self, piece, s0, h, w0, eta, target):
+    def _substep(self, piece, s0, h, w0, M, L, target):
         # No substep straddles a knot, so U is affine on [s0, s0 + h] and
         # its two end values give it at every Lobatto node.
         xstd, tails = cheb_grid(_NODES)
         u0 = np.interp(s0, self._knots, self.positions)
         du = np.interp(s0 + h, self._knots, self.positions) - u0
         u = u0[:, None] + (0.5 * (xstd + 1.0)) * du[:, None]
-        return _picard(w0, h, eta, target, lambda V: (1.0 / (V - u)) @ tails.T)
+        return _picard(w0, h, M, L, target, lambda V: (1.0 / (V - u)) @ tails.T)
 
 
 def driver_measure_at(family: DriverFamily, t: float) -> RealMeasure:
@@ -361,8 +418,32 @@ def driver_from_dict(obj: dict) -> DriverFamily:
 # Substep machinery
 
 
+def _regularity_columns(mu: RealMeasure) -> tuple[float, float]:
+    # (free, peak) of one measure piece (module docstring); a piece with no
+    # density bound keeps all its mass free, so it gets the atom constants
+    bounded = [seg for seg in mu.segments if seg.peak is not None]
+    peak = sum(seg.peak for seg in bounded)
+    if peak == 0:
+        return 1.0, 0.0
+    dense = sum(float(seg.nodes()[1].sum()) for seg in bounded)
+    return max(mu.total_mass - dense, 0.0), peak
+
+
+def _regularity(free, peak, eta):
+    # M(eta), K = M(eta/2) and L(eta) of the module docstring, capped by the
+    # atom constants, which lanes with free = 1, peak = 0 get exactly
+    inv = 1.0 / eta
+    eta2 = eta * eta
+    dense = 1.0 - free
+    spread = np.maximum(peak * eta, _TINY)  # 2P (eta/2)
+    M = np.minimum(free * inv + 2.0 * peak * np.arcsinh(0.5 * dense / spread), inv)
+    K = np.minimum(2.0 * free * inv + 2.0 * peak * np.arcsinh(dense / spread), 2.0 * inv)
+    L = np.minimum(free / eta2 + np.minimum(np.pi * peak * inv, dense / eta2), 1.0 / eta2)
+    return M, K, L
+
+
 def _solve_rho(R: np.ndarray) -> np.ndarray:
-    # Smallest rho >= 2 with rho^(M-1) (rho - 1) >= R; fixed point in log
+    # Smallest rho >= 2 with rho^(N-1) (rho - 1) >= R; fixed point in log
     # form. The map is decreasing, so the iterates alternate around the
     # root and the larger of the last two lies on its safe side.
     logR = np.log(np.maximum(R, 10.0))
@@ -376,7 +457,8 @@ def _solve_rho(R: np.ndarray) -> np.ndarray:
 def _picard(
     w0: np.ndarray,
     h: np.ndarray,
-    eta: np.ndarray,
+    M: np.ndarray,
+    L: np.ndarray,
     target: np.ndarray,
     integrate: Callable[[np.ndarray], np.ndarray],
 ) -> tuple[np.ndarray, np.ndarray]:
@@ -384,22 +466,22 @@ def _picard(
 
     Iterates live as values on the Lobatto grid; ``integrate`` maps them to
     the suffix integrals of the Cauchy transform over the standard grid.
-    The certified remainder after n sweeps depends on ``(h, eta, n)`` only,
-    so the sweep count is fixed before the first sweep: the least n that
-    brings every point within its target.  Returns the accepted node values
-    and the certified remainder per point.
+    ``M`` and ``L`` bound |G| and |G'| where the iterates go.  The certified
+    remainder after n sweeps depends on ``(h, M, L, n)`` only, so the sweep
+    count is fixed before the first sweep: the least n that brings every
+    point within its target.  Returns the accepted node values and the
+    certified remainder per point.
     """
-    with np.errstate(over="ignore"):  # eta^2 = inf far above the axis: 1/eta^2 = 0
-        inv_eta2 = (1.0 / (eta * eta))[:, None]
+    L_col = L[:, None]
     h_col = h[:, None]
     k = np.arange(2.0, _MAX_PICARD + 2.0)  # n + 1 for sweep n = 1, 2, ...
-    # after sweep n the remainder is (h/eta) prod_{k=2}^{n+1} (h/eta^2)/k
-    # over 1 - (h/eta^2)/(n+2); h/eta^2 is not rounded once and reused, so
-    # its rounding does not compound over the n factors
-    tails = np.cumprod(h_col * (inv_eta2 / k), axis=1)
-    tails *= (h / eta)[:, None]
-    tails /= 1.0 - h_col * inv_eta2 / (k + 1.0)
-    done = np.all(tails <= target[:, None], axis=0)
+    # after sweep n the remainder is M h prod_{k=2}^{n+1} (L h)/k over
+    # 1 - (L h)/(n+2); L h is not rounded once and reused, so its rounding
+    # does not compound over the n factors
+    tails = np.cumprod(h_col * (L_col / k), axis=1)
+    tails *= (M * h)[:, None]
+    tails /= 1.0 - h_col * L_col / (k + 1.0)
+    done = (tails <= target[:, None]).all(axis=0)
     if not done.any():
         raise NonConvergenceError("Picard iteration failed to certify within 64 sweeps")
     sweeps = int(done.argmax()) + 1
@@ -429,21 +511,24 @@ def _evolve_chunk(
     err = np.zeros(z.size)
     span = np.maximum(b - a, _MIN_STEP)  # budget scale only; a == b never iterates
     knots, slopes, cumvar = family._knots, family._slopes, family._cumvar
-    # Im w never decreases along the path, so the substep parameter R of
-    # the loop below is largest on the first round: refuse here if it
+    free, peak = family._free, family._peak
+    bounded = bool(peak.any())  # some piece has a density bound
+    # Im w never decreases along the path, and K <= 2/Im w, so the substep
+    # parameter R of the loop below is at most this: refuse here if it
     # overflows rather than iterate on infinities.
-    worst_r = 120.0 * span * (1.0 + (b - a) / (z.imag * z.imag)) / (z.imag * cfg.tol)
-    if not np.all(np.isfinite(worst_r)):
+    worst_r = 120.0 * span * np.sqrt(1.0 + 2.0 * (b - a) / (z.imag * z.imag)) / (
+        z.imag * cfg.tol)
+    if not np.isfinite(worst_r).all():
         raise NonConvergenceError("time span too long for the requested tolerance")
     # No substep is longer than max_step, nor (rho >= 2) longer than
-    # eta / (1.5 c v) on a piece of slope v, while Im w^2 grows by at most 2
-    # per unit time: a span, or a path whose variation sum |dU| is too large
-    # to cross within the round cap, refuses here (an overflow to nan never
-    # does).
+    # eta / (1.5 (K/2 + c v)) < eta / (1.5 c v) on a piece of slope v, while
+    # Im w^2 grows by at most 2 per unit time: a span, or a path whose
+    # variation sum |dU| is too large to cross within the round cap,
+    # refuses here (an overflow to nan never does).
     eta_max = np.sqrt(z.imag * z.imag + 2.0 * (b - a))
     variation = np.interp(b, knots, cumvar) - np.interp(a, knots, cumvar)
     too_steep = 1.5 * _SPEED_SLACK * variation > _MAX_ROUNDS * eta_max
-    if np.any(b - a > _MAX_ROUNDS * cfg.max_step) or np.any(too_steep):
+    if (b - a > _MAX_ROUNDS * cfg.max_step).any() or too_steep.any():
         raise NonConvergenceError("substep count exceeded the global cap")
 
     # the lanes still moving, and their s, a and span
@@ -456,25 +541,31 @@ def _evolve_chunk(
         # the piece under the substep: the last knot below s (s > a >= 0)
         piece = np.searchsorted(knots, s, side="left") - 1
 
-        # Substep rule: the Picard contraction wants h <= margin * eta^2;
-        # the interpolation error of the M-node iterate wants a Bernstein
+        # Substep rule: the Picard contraction wants h <= margin / L;
+        # the interpolation error of the N-node iterate wants a Bernstein
         # parameter rho large enough that its tail stays under a fifth of
         # the substep budget, on an ellipse of half-height
-        # eta^2 / (4 (1 + c v eta)) with v the piece's slope (module
-        # docstring); the max_step cap limits it far above the axis.
-        inv_eta2 = 1.0 / (eta * eta)
-        amp_cap = 1.0 + (s - a) * inv_eta2
-        R = 120.0 * span * amp_cap / (eta * cfg.tol)
+        # eta / (2 (K + 2 c v)) with v the piece's slope (module docstring);
+        # the max_step cap limits it far above the axis.
+        if bounded:
+            M, K, L = _regularity(free[piece], peak[piece], eta)
+        else:  # the atom constants
+            M = 1.0 / eta
+            K, L = 2.0 * M, 1.0 / (eta * eta)
+        two_over_eta2 = 2.0 / (eta * eta)
+        amp_cap = np.sqrt(1.0 + (s - a) * two_over_eta2)
+        R = 60.0 * span * amp_cap * K / cfg.tol
         rho = _solve_rho(R)
-        h0 = eta * eta / ((rho - 1.0 / rho) * (1.0 + _SPEED_SLACK * slopes[piece] * eta))
-        h0 = np.minimum(h0, cfg.contraction_margin * eta * eta)
+        h0 = eta / ((rho - 1.0 / rho) * (0.5 * K + _SPEED_SLACK * slopes[piece]))
+        # L = 0 far above the axis, where the cap is moot
+        h0 = np.minimum(h0, cfg.contraction_margin / np.maximum(L, _TINY))
         h0 = np.minimum(h0, cfg.max_step)
-        if not np.all(h0 >= _MIN_STEP):
+        if not (h0 >= _MIN_STEP).all():
             # A piece shorter than _MIN_STEP (a jump in the atom path) may
             # take shorter substeps as long as each one moves s: their count
             # follows the piece's variation, which the test above caps.
             short = (knots[piece + 1] - knots[piece] < _MIN_STEP) & (s - h0 < s)
-            if not np.all((h0 >= _MIN_STEP) | short):
+            if not ((h0 >= _MIN_STEP) | short).all():
                 raise NonConvergenceError(
                     "substep size underflow: evaluation too close to the hull "
                     "for the requested tolerance"
@@ -484,11 +575,11 @@ def _evolve_chunk(
         land = np.maximum(np.maximum(s - h0, knots[piece]), a)
         h = s - land
 
-        amp = 1.0 + (land - a) * inv_eta2
+        amp = np.sqrt(1.0 + (land - a) * two_over_eta2)
         budget = cfg.tol * h / (span * amp)
         # the certified Picard tail gets 0.8 of the budget; the rule above
         # keeps the interpolation error under the other 0.2
-        Bn, tail = family._substep(piece, land, h, w[act], eta, 0.8 * budget)
+        Bn, tail = family._substep(piece, land, h, w[act], M, L, 0.8 * budget)
 
         w[act] = Bn[:, 0]
         err[act] += (tail + 0.2 * budget) * amp
@@ -508,24 +599,21 @@ def _solve_many(
     cfg = config or _DEFAULT_CONFIG
     if not isinstance(family, DriverFamily):
         raise InvalidInputError("family must be a DriverFamily")
-    a_arr = np.asarray(a, dtype=float)
-    b_arr = np.asarray(b, dtype=float)
-    z_arr = np.asarray(z, dtype=complex)
-    shape = np.broadcast_shapes(a_arr.shape, b_arr.shape, z_arr.shape)
-    a_arr = np.broadcast_to(a_arr, shape).ravel()
-    b_arr = np.broadcast_to(b_arr, shape).ravel()
-    z_arr = np.broadcast_to(z_arr, shape).ravel()
-    if not (np.all(np.isfinite(a_arr)) and np.all(np.isfinite(b_arr))):
+    a_arr, b_arr, z_arr = np.broadcast_arrays(
+        np.asarray(a, dtype=float), np.asarray(b, dtype=float), np.asarray(z, dtype=complex))
+    shape = a_arr.shape
+    a_arr, b_arr, z_arr = a_arr.ravel(), b_arr.ravel(), z_arr.ravel()
+    if not (np.isfinite(a_arr).all() and np.isfinite(b_arr).all()):
         raise InvalidInputError("times must be finite")
-    if np.any(a_arr < 0):
+    if (a_arr < 0).any():
         raise InvalidInputError("times must be non-negative")
-    if np.any(a_arr > b_arr):
+    if (a_arr > b_arr).any():
         raise InvalidInputError("need a <= b")
-    if np.any(b_arr > family.horizon):
+    if (b_arr > family.horizon).any():
         raise InvalidInputError("b lies beyond the driver horizon")
     _require_upper(z_arr)
     floor = cfg.min_imag
-    if np.any(z_arr.imag < floor):
+    if (z_arr.imag < floor).any():
         raise InvalidInputError(
             f"Im z below the solver floor {floor:.3g} for tol {cfg.tol:.3g}"
         )

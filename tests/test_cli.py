@@ -7,6 +7,7 @@ import subprocess
 import sys
 import time
 
+import mpmath
 import numpy as np
 import pytest
 
@@ -500,6 +501,8 @@ def _transform_process(tmp_path, measure, z, *flags):
 # total mass 1.7e308 is finite, so the measure is accepted
 HUGE_ATOMS = {"atoms": [[0.0, 1e308], [1.0, 7e307]]}
 BERNOULLI_1 = {"atoms": [[-1.0, 0.5], [1.0, 0.5]]}
+D0_ATOM = {"atoms": [[0.0, 1.0]]}
+FAR_ATOMS = {"atoms": [[-1e308, 0.5], [1e308, 0.5]]}
 
 
 def test_huge_measure_transform_keeps_a_finite_bound(tmp_path):
@@ -514,16 +517,39 @@ def test_huge_measure_transform_keeps_a_finite_bound(tmp_path):
     (HUGE_ATOMS, "0.5+0.5i", [], "cauchy transform overflowed"),
     (HUGE_ATOMS, "0.5+0.001i", [], "cauchy transform overflowed"),
     (BERNOULLI_1, "1e-300i", ["--op", "reciprocal"], "reciprocal transform overflowed"),
-    (BERNOULLI_1, "1e308+1e308i", ["--op", "reciprocal"], "Cauchy transform underflowed to zero"),
+    (FAR_ATOMS, "1i", ["--op", "reciprocal"], "Cauchy transform underflowed to zero"),
 ], ids=["bound", "value", "reciprocal-bound", "reciprocal-value"])
 def test_overflowing_transform_refuses_on_one_line(tmp_path, measure, z, flags, message):
     # at 0.5+0.5i the bound's sum overflows, at 0.5+0.001i the value too;
-    # G(1e-300i) = -1e-300i puts |F|^2 near 1e600, and at 1e308+1e308i G
-    # underflows to 0
+    # G(1e-300i) = -1e-300i puts |F|^2 near 1e600, and atoms at +-1e308
+    # give G(i) = -i/(1e616 + 1), which underflows to 0 (at 1e308+1e308i
+    # G = 1/z is a subnormal: see the next test)
     proc = _transform_process(tmp_path, measure, z, *flags)
     assert proc.returncode == 1
     assert proc.stdout == ""
     assert proc.stderr == f"non-convergence: {message}\n"
+
+
+@pytest.mark.parametrize("measure, op, exact", [
+    (D0_ATOM, "cauchy", lambda z: 1 / z),
+    (BERNOULLI_1, "cauchy", lambda z: z / (z * z - 1)),
+    (D0_ATOM, "reciprocal", lambda z: z),
+    (BERNOULLI_1, "reciprocal", lambda z: z - 1 / z),
+], ids=["d0", "bernoulli", "d0-reciprocal", "bernoulli-reciprocal"])
+def test_transform_near_the_float_limit_within_its_bound(capsys, tmp_path, measure, op, exact):
+    # G = 1/z ~ 5e-309 (1 - i) is subnormal here; numpy's complex division
+    # overflowed and printed 0 with bound 0 (and the reciprocal refused).
+    # Within the subnormals the bound counts ulps of 0, not eps |G|.
+    path = tmp_path / "mu.json"
+    path.write_text(json.dumps(measure))
+    out = run_json(capsys, ["transform", "--measure", str(path), "--z", "1e308+1e308i",
+                            "--op", op])
+    with mpmath.workdps(60):
+        want = exact(mpmath.mpc(1e308, 1e308))
+        err = abs(mpmath.mpc(*out["value"]) - want)
+    assert 0.0 < out["roundoff_bound"] and err <= out["roundoff_bound"]
+    # G to a few ulps of 0; F = 1/G inherits the relative error of those ulps
+    assert err <= (4 * math.ulp(0.0) if op == "cauchy" else 1e-14 * abs(want))
 
 
 SEMICIRCLE = {"segments": [{"interval": [-2.0, 2.0], "density": "semicircle", "order": 64}]}

@@ -332,6 +332,17 @@ def test_measure_certificate_checks_the_order_before_integrating(monkeypatch, or
     assert calls == []
 
 
+@pytest.mark.parametrize("certify, args", [
+    (univalence_certificate, ([1, 0, 1, 0, 2], 2.0)),
+    (measure_certificate, (semicircle(), 1.5)),
+    (measure_certificate, (semicircle(), 2.0)),
+], ids=["moments-2.0", "measure-1.5", "measure-2.0"])
+def test_certificate_refuses_a_float_order(certify, args):
+    # a float order passed the range test and ended in a TypeError
+    with pytest.raises(InvalidInputError, match="order must be an integer"):
+        certify(*args)
+
+
 def test_measure_certificate_needs_a_measure():
     with pytest.raises(InvalidInputError, match="mu must be a RealMeasure"):
         measure_certificate(CATALAN, 4)

@@ -23,11 +23,14 @@ from chordal.loewner import (
     transition_grid,
     univalence_probe,
 )
-from chordal.measures import RealMeasure, arcsine, bernoulli, point_mass, semicircle
+from chordal.measures import (
+    RealMeasure, arcsine, bernoulli, measure_from_dict, point_mass, semicircle,
+)
 from chordal.numerics import cheb_grid
 
 from oracles import (
     moving_atom_transition,
+    rk4_constant_flow,
     rk4_transition,
     semicircle_transition,
     shifted_slit_map,
@@ -404,17 +407,53 @@ def test_semicircle_near_the_support_within_bound(zs, order, tol):
     assert np.all(np.abs(got - want) <= bound)
 
 
-def _node_sum_substep(self, piece, s0, h, w0, eta, target):
+# the band at Im z from the solver floor to 1e-2, on the support (0, 1.99),
+# at its end (2) and off it (2.5). The floor lanes at 2.5 barely rise, so
+# their rounds grow linearly in t: the band stops at t = 0.05.
+BAND_T = 0.05
+
+
+def _band():
+    ims = (SolverConfig().min_imag, 1e-3, 1e-2)
+    return np.array([x + 1j * y for x in (0.0, 1.99, 2.0, 2.5) for y in ims])
+
+
+def _log_ratio(w):
+    # log((w + 2)/(w - 2)); both factors stay in the upper half-plane
+    return np.log(w + 2.0) - np.log(w - 2.0)
+
+
+@pytest.mark.parametrize("name, want", [
+    ("semicircle", lambda zs: np.array([semicircle_transition(BAND_T, z) for z in zs])),
+    # density 1/4: G = log((w + 2)/(w - 2)) / 4
+    ("uniform", lambda zs: rk4_constant_flow(
+        lambda w: 0.25 * _log_ratio(w), zs, BAND_T, -2.0, 2.0)),
+    # density p(x) = 3/16 + 3x^2/64: G = p(w) log((w + 2)/(w - 2)) - 3w/16
+    ("poly:0.1875,0,0.046875", lambda zs: rk4_constant_flow(
+        lambda w: (0.1875 + 0.046875 * w * w) * _log_ratio(w) - 0.1875 * w,
+        zs, BAND_T, -2.0, 2.0)),
+], ids=["semicircle", "uniform", "poly"])
+def test_density_drivers_near_the_axis_within_bound(name, want):
+    mu = measure_from_dict({"segments": [{"interval": [-2.0, 2.0], "density": name}]})
+    zs = _band()
+    got, bound = transition_grid(DriverFamily.constant(mu, horizon=1.0), 0.0, BAND_T, zs)
+    assert np.all(np.abs(got - want(zs)) <= bound)
+    assert np.all(bound <= SolverConfig().tol)
+
+
+def _node_sum_substep(self, piece, s0, h, w0, M, L, target):
     # _PiecewiseConstant._substep as it was before the exact transforms:
-    # the Cauchy transform summed over the frozen quadrature nodes
+    # the Cauchy transform summed over the frozen quadrature nodes, with
+    # the atom constants M = 1/eta and L = 1/eta^2 that atoms must keep
     _, tails = cheb_grid(loewner._NODES)
     B = np.empty((w0.size, loewner._NODES), dtype=complex)
     tail = np.empty(w0.size)
+    eta = w0.imag
     for k in np.unique(piece):
         m = piece == k
         pos, wts = self.measures[k].nodes()
         B[m], tail[m] = loewner._picard(
-            w0[m], h[m], eta[m], target[m],
+            w0[m], h[m], 1.0 / eta[m], 1.0 / (eta[m] * eta[m]), target[m],
             lambda V: (wts / (V[:, :, None] - pos)).sum(axis=2) @ tails.T,
         )
     return B, tail
@@ -491,48 +530,61 @@ def test_class_r_geometry():
 
 def test_certified_bound_covers_picard_increments(monkeypatch):
     # every sweep's sup-change |B_n - B_(n-1)| stays within the remainder
-    # h^n / (eta^(2n-1) n!) of the module docstring
+    # M h (L h)^(n-1) / n! of the module docstring, with each piece's own M
+    # and L: the atom constants 1/eta, 1/eta^2 for the atoms, the density
+    # bounds for the semicircle, near the support too
     real_picard = loewner._picard
     records = []
 
-    def recording(w0, h, eta, target, integrate):
+    def recording(w0, h, M, L, target, integrate):
         iterates = []
 
         def spy(B):
             iterates.append(B.copy())
             return integrate(B)
 
-        B, tail = real_picard(w0, h, eta, target, spy)
-        records.append((h, eta, iterates + [B]))
+        B, tail = real_picard(w0, h, M, L, target, spy)
+        records[-1][1].append((w0.imag, h, M, L, iterates + [B]))
         return B, tail
 
     monkeypatch.setattr(loewner, "_picard", recording)
-    transition_grid(DELTA0, 0.0, 2.0, small_grid())
-    fam = DriverFamily.moving_atom([(0.0, 0.0), (2.0, 1.0)])
-    transition_grid(fam, 0.0, 2.0, small_grid()[:8])
-    sweeps = 0
-    for h, eta, iterates in records:
-        for n in range(1, len(iterates)):
-            observed = np.abs(iterates[n] - iterates[n - 1]).max(axis=1)
-            bound = h ** n / (eta ** (2 * n - 1) * math.factorial(n))
-            assert np.all(observed <= bound * (1.0 + 1e-9) + 1e-15)
-            sweeps += 1
-    assert sweeps > 10
+    semi = DriverFamily.constant(semicircle(), horizon=2.0)
+    near = np.array([0.01j, 1.99 + 0.001j, 2.0 + 0.001j])
+    for kind, fam, b, zs in (
+        ("atom", DELTA0, 2.0, small_grid()),
+        ("atom", DriverFamily.moving_atom([(0.0, 0.0), (2.0, 1.0)]), 2.0, small_grid()[:8]),
+        ("density", semi, 1.0, np.concatenate([small_grid()[:10], near])),
+    ):
+        records.append((kind, []))
+        transition_grid(fam, 0.0, b, zs)
+    for kind, substeps in records:
+        sweeps = 0
+        for eta, h, M, L, iterates in substeps:
+            if kind == "density":  # peak 1/pi: L = min(1/eta, 1/eta^2)
+                assert np.all(L <= np.minimum(1.0 / eta, 1.0 / eta**2) * (1.0 + 1e-12))
+                assert np.all(M <= 1.0 / eta)
+            else:
+                assert np.array_equal(M, 1.0 / eta) and np.array_equal(L, 1.0 / (eta * eta))
+            for n in range(1, len(iterates)):
+                observed = np.abs(iterates[n] - iterates[n - 1]).max(axis=1)
+                bound = M * h * (L * h) ** (n - 1) / math.factorial(n)
+                assert np.all(observed <= bound * (1.0 + 1e-9) + 1e-15)
+                sweeps += 1
+        assert sweeps > 10
 
 
 # the Picard loop as it was when it tested the tail after every sweep, kept
-# verbatim: the sweep count fixed before the sweeps must agree with it
-def reference_picard(w0, h, eta, target, integrate):
+# as it was but for the constants M and L in place of 1/eta and 1/eta^2: the
+# sweep count fixed before the sweeps must agree with it
+def reference_picard(w0, h, M, L, target, integrate):
     B = np.repeat(w0[:, None], loewner._NODES, axis=1)
     w_col = w0[:, None]
     half_h = 0.5 * h[:, None]
-    with np.errstate(over="ignore"):  # eta^2 = inf far above the axis: 1/eta^2 = 0
-        inv_eta2 = 1.0 / (eta * eta)
-    bound = h / eta
+    bound = M * h
     for n in range(1, loewner._MAX_PICARD + 1):
         Bn = w_col - integrate(B) * half_h
-        bound = bound * h * inv_eta2 / (n + 1.0)
-        q = h * inv_eta2 / (n + 2.0)
+        bound = bound * h * L / (n + 1.0)
+        q = h * L / (n + 2.0)
         tail = bound / (1.0 - q)
         B = Bn
         if np.all(tail <= target):
@@ -542,7 +594,8 @@ def reference_picard(w0, h, eta, target, integrate):
 
 def _picard_case(seed, kind):
     # random lanes with one at the contraction cap and one far above the
-    # axis, and the integrand of an affine atom path or of the semicircle
+    # axis, and the integrand of an affine atom path or of the semicircle,
+    # with the atom constants M = 1/eta and L = 1/eta^2
     rng = np.random.default_rng(seed)
     n = 48
     eta = rng.uniform(0.05, 4.0, n)
@@ -563,7 +616,9 @@ def _picard_case(seed, kind):
         calls.append(1)
         return integrand(V) @ tails.T
 
-    return (w0, h, eta, target), integrate, calls
+    with np.errstate(over="ignore"):  # eta^2 = inf far above the axis: 1/eta^2 = 0
+        inv_eta2 = 1.0 / (eta * eta)
+    return (w0, h, 1.0 / eta, inv_eta2, target), integrate, calls
 
 
 @pytest.mark.parametrize("nodes", [24, 40])
@@ -580,14 +635,14 @@ def test_picard_matches_the_reference_loop(monkeypatch, nodes, kind, seed):
     # both tails are products of the same factors, rounded in another
     # order: at most 3 roundings a sweep on each side, plus the ends
     assert np.all(np.abs(tail - tail_ref) <= (6 * sweeps + 6) * 2.0**-53 * tail_ref)
-    assert np.all(tail <= args[3])
+    assert np.all(tail <= args[4])
 
 
 @pytest.mark.parametrize("kind", ["atom", "semicircle"])
 def test_picard_refuses_before_the_first_sweep(kind):
     # a lane at the cap that 64 sweeps cannot bring within 1e-250
     args, integrate, calls = _picard_case(3, kind)
-    args[3][0] = 1e-250
+    args[4][0] = 1e-250
     with pytest.raises(NonConvergenceError) as new:
         loewner._picard(*args, integrate)
     assert calls == []
@@ -610,9 +665,8 @@ def test_solve_rho_meets_its_inequality(monkeypatch, nodes):
     assert np.all(rho >= 2.0)
 
 
-def test_delta0_grid_substeps_at_the_contraction_cap(monkeypatch):
-    # at 40 nodes the cap eta^2/2, not the interpolation limit, sets these
-    # substeps: 88 rounds (148 at 24 nodes)
+def _grid_rounds(monkeypatch, fam, t):
+    # rounds of the lockstep loop for the acceptance grid from 0 to t
     rounds = [0]
     substep = loewner._PiecewiseConstant._substep
 
@@ -621,8 +675,21 @@ def test_delta0_grid_substeps_at_the_contraction_cap(monkeypatch):
         return substep(self, *args)
 
     monkeypatch.setattr(loewner._PiecewiseConstant, "_substep", counted)
-    transition_grid(DELTA0, 0.0, 2.0, acceptance_grid())
-    assert rounds[0] <= 100
+    transition_grid(fam, 0.0, t, acceptance_grid())
+    return rounds[0]
+
+
+def test_delta0_grid_substeps_at_the_contraction_cap(monkeypatch):
+    # at 40 nodes the cap eta^2/2, not the interpolation limit, sets these
+    # substeps: 88 rounds (148 at 24 nodes)
+    assert _grid_rounds(monkeypatch, DELTA0, 2.0) <= 100
+
+
+def test_semicircle_grid_substeps_by_its_density_bound(monkeypatch):
+    # the semicircle's bounds |G| <= 2P asinh(1/(2P eta)) and
+    # |G'| <= pi P/eta (P = 1/pi) size these substeps: 19 rounds, where
+    # the atom constants 1/eta and 1/eta^2 took 85
+    assert _grid_rounds(monkeypatch, DriverFamily.constant(semicircle(), horizon=4.0), 2.0) <= 25
 
 
 def test_seamed_atom_grid_at_tight_tol_within_bound():

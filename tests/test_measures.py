@@ -9,6 +9,7 @@ with the square root branch fixed by G(iy) ~ 1/(iy) at infinity.
 """
 
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -119,6 +120,40 @@ def test_segment_validation():
         DensitySegment(-1e308, 1e308, lambda x: x)
     with pytest.raises(InvalidInputError, match="total mass"):
         RealMeasure([(0.0, 1e308), (1.0, 1e308)])
+
+
+@pytest.mark.parametrize("peak", [-1.0, math.inf, math.nan, "1"])
+def test_segment_peak_validation(peak):
+    with pytest.raises(InvalidInputError, match="peak"):
+        DensitySegment(0.0, 1.0, lambda x: x, 8, False, None, peak)
+
+
+@pytest.mark.parametrize("name, lo, hi", [
+    ("semicircle", -2.0, 2.0),
+    ("semicircle", 0.5, 1.0),
+    ("uniform", -2.0, 2.0),
+    ("uniform", 3.0, 3.5),
+    ("poly:0.1875,0,0.046875", -2.0, 2.0),
+    ("poly:1,-1.5,0.25", 0.0, 2.0),
+])
+def test_named_density_peak_bounds_the_density(name, lo, hi):
+    # the supremum for the semicircle and the uniform; a bound for poly:
+    seg = named_density(name, lo, hi)
+    x = np.linspace(lo, hi, 100_001)
+    dens = np.abs(seg.density(x))
+    assert dens.max() <= seg.peak * (1.0 + 1e-12)
+    if not name.startswith("poly:"):
+        assert dens.max() >= seg.peak * (1.0 - 1e-9)
+    assert named_density("arcsine", lo, hi).peak is None
+
+
+def test_pushforward_carries_the_peak():
+    mu = RealMeasure([], [named_density("uniform", -2.0, 2.0), named_density("arcsine", 3.0, 4.0)],
+                     mass=2.0)
+    pushed = affine_pushforward(mu, 0.5, 1.0)
+    assert [seg.peak for seg in pushed.segments] == [0.5, None]
+    loose = RealMeasure([], [DensitySegment(0.0, 1.0, lambda x: np.ones_like(x), peak=1e300)])
+    assert affine_pushforward(loose, 1e-10, 0.0).segments[0].peak is None  # 1e310 overflows
 
 
 def test_measure_from_dict_round_trip():
@@ -542,3 +577,20 @@ def test_spacing_resamples_only_the_bare_segments():
     for spacing in (0.0, -1.0, float("nan")):
         with pytest.raises(InvalidInputError):
             mu.cauchy(z, spacing)
+
+
+def test_cauchy_transform_near_the_float_limit():
+    # numpy's complex division overflowed |z|^2 here and gave 0; G = 1/z is
+    # a representable subnormal, right to within its rounding
+    z = 1e308 + 1e308j
+    g = cauchy_transform(point_mass(0.0), z)
+    exact = Fraction(1, 2) / Fraction(1e308)  # 1/z = (1 - i) / (2e308)
+    ulp = math.ulp(0.0)
+    assert abs(Fraction(g.real) - exact) <= ulp and abs(Fraction(g.imag) + exact) <= ulp
+    # the scaling by a power of two leaves normal-range points bit-identical
+    mu = semicircle()
+    both = cauchy_transform(mu, np.array([0.5 + 1j, z, -1e308 + 1e-300j]))
+    assert both[0] == cauchy_transform(mu, 0.5 + 1j)
+    assert both[1] == pytest.approx(1.0 / z, rel=1e-9)
+    assert both[2].real == pytest.approx(-1e-308, rel=1e-9) and both[2].imag <= 0.0
+    assert reciprocal_cauchy(point_mass(0.0), z) == z
