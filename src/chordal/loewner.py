@@ -58,15 +58,20 @@ times at most
     amp = sqrt(1 + 2 (t - a) / eta^2).
 
 One Picard loop, ``_picard``, serves every driver.  Per substep the
-iterates live on a Chebyshev-Lobatto grid, and the loop takes from the
-driver only ``integrate(B)``: the suffix integrals over the standard grid of
-the driver's integrand at the node values ``B``.  A driver is a
-``DriverFamily`` subclass that supplies its measure lookup, its knot table
-(the pieces no substep may straddle, with the slope of the atom path, its
-running variation and the two regularity columns at each), and
-``_substep``, which builds ``integrate`` and runs the loop.
-``_evolve_chunk`` looks each lane's piece up in the table once per round
-and hands it to ``_substep``.  Two drivers exist: piecewise-constant
+iterates live on a Chebyshev-Lobatto grid, node-major: an ``(N, lanes)``
+array whose first row, at the lower end of the substep, is where each lane
+lands.  The loop takes from the driver only ``integrand(B)``: the driver's
+integrand at the node values ``B``.  The quadrature is the loop's own, one
+real product ``tails @ F.view(float)`` per sweep over the real and
+imaginary parts side by side, written into ``B``: no complex copy of
+``tails``, half the multiply-adds of a complex product, and no array
+allocated per sweep but the integrand's value, kept only until its product
+has run.  A driver is a ``DriverFamily`` subclass that supplies its
+measure lookup, its knot table (the pieces no substep may straddle, with
+the slope of the atom path, its running variation and the two regularity
+columns at each), and ``_substep``, which builds ``integrand`` and runs the
+loop.  ``_evolve_chunk`` looks each lane's piece up in the table once per
+round and hands it to ``_substep``.  Two drivers exist: piecewise-constant
 measure families and a moving atom along a piecewise-linear path.  A
 piecewise-constant driver evaluates the Cauchy transform by
 ``RealMeasure.cauchy``: atoms exactly, named densities in closed form, and
@@ -77,15 +82,15 @@ integrand is ``1/(B - U)``; no substep straddles a knot, so ``U`` is
 affine on each substep and known at the nodes.
 
 Both drivers integrate one way: each sweep samples the integrand at the
-N = 40 Lobatto nodes and integrates its degree-(N-1) interpolant exactly
-(the ``tails`` matrix of ``cheb_grid``).  Of a substep's budget the
-certified Picard tail gets 0.8 and the interpolation error 0.2, and the
-substep rule keeps the latter in its share.  If the integrand f is
-analytic with |f| <= K on the Bernstein ellipse E_rho of the substep
-(mapped to complex time), its interpolant misses by at most
-4 K rho^-(N-1) / (rho - 1) (Trefethen, *Approximation Theory and
-Approximation Practice*, Thm 8.2).  The rule picks rho from the budget and
-sets h so that E_rho has half-height
+N = 40 Lobatto nodes, and ``_picard`` integrates its degree-(N-1)
+interpolant exactly (the ``tails`` matrix of ``cheb_grid``); a driver
+supplies only the integrand.  Of a substep's budget the certified Picard
+tail gets 0.8 and the interpolation error 0.2, and the substep rule keeps
+the latter in its share.  If the integrand f is analytic with |f| <= K on
+the Bernstein ellipse E_rho of the substep (mapped to complex time), its
+interpolant misses by at most 4 K rho^-(N-1) / (rho - 1) (Trefethen,
+*Approximation Theory and Approximation Practice*, Thm 8.2).  The rule
+picks rho from the budget and sets h so that E_rho has half-height
 
     H = eta / (2 (K + 2 c v)),    K = M(eta/2) <= 2 M(eta),
 
@@ -333,8 +338,8 @@ class DriverFamily:
         each within its knot-table ``piece``, with the regularity constants
         ``M`` and ``L`` of each.
 
-        Returns the node values and the certified Picard tail, which is at
-        most ``target``.
+        Returns the node values, node-major as ``_picard`` leaves them,
+        and the certified Picard tail, which is at most ``target``.
         """
         raise NotImplementedError
 
@@ -349,17 +354,14 @@ class _PiecewiseConstant(DriverFamily):
         return self.measures[int(np.searchsorted(self._knots[:-1], t, side="right")) - 1]
 
     def _substep(self, piece, s0, h, w0, M, L, target):
-        _, tails = cheb_grid(_NODES)
         if piece.min() == piece.max():  # every lane in one piece: no masks
-            g = self.measures[piece[0]].cauchy
-            return _picard(w0, h, M, L, target, lambda V: g(V) @ tails.T)
-        B = np.empty((w0.size, _NODES), dtype=complex)
+            return _picard(w0, h, M, L, target, self.measures[piece[0]].cauchy)
+        B = np.empty((_NODES, w0.size), dtype=complex)
         tail = np.empty(w0.size)
         for k in np.unique(piece):
             m = piece == k
-            g = self.measures[k].cauchy
-            B[m], tail[m] = _picard(
-                w0[m], h[m], M[m], L[m], target[m], lambda V: g(V) @ tails.T)
+            B[:, m], tail[m] = _picard(
+                w0[m], h[m], M[m], L[m], target[m], self.measures[k].cauchy)
         return B, tail
 
 
@@ -374,11 +376,15 @@ class _MovingAtom(DriverFamily):
     def _substep(self, piece, s0, h, w0, M, L, target):
         # No substep straddles a knot, so U is affine on [s0, s0 + h] and
         # its two end values give it at every Lobatto node.
-        xstd, tails = cheb_grid(_NODES)
+        xstd, _ = cheb_grid(_NODES)
         u0 = np.interp(s0, self._knots, self.positions)
         du = np.interp(s0 + h, self._knots, self.positions) - u0
-        u = u0[:, None] + (0.5 * (xstd + 1.0)) * du[:, None]
-        return _picard(w0, h, M, L, target, lambda V: (1.0 / (V - u)) @ tails.T)
+        u = u0 + (0.5 * (xstd[:, None] + 1.0)) * du
+
+        def integrand(V):  # 1/(V - u), in place
+            d = V - u
+            return np.divide(1.0, d, out=d)
+        return _picard(w0, h, M, L, target, integrand)
 
 
 def driver_measure_at(family: DriverFamily, t: float) -> RealMeasure:
@@ -460,17 +466,20 @@ def _picard(
     M: np.ndarray,
     L: np.ndarray,
     target: np.ndarray,
-    integrate: Callable[[np.ndarray], np.ndarray],
+    integrand: Callable[[np.ndarray], np.ndarray],
 ) -> tuple[np.ndarray, np.ndarray]:
     """Fixed-point iteration for one substep per point.
 
-    Iterates live as values on the Lobatto grid; ``integrate`` maps them to
-    the suffix integrals of the Cauchy transform over the standard grid.
-    ``M`` and ``L`` bound |G| and |G'| where the iterates go.  The certified
-    remainder after n sweeps depends on ``(h, M, L, n)`` only, so the sweep
-    count is fixed before the first sweep: the least n that brings every
-    point within its target.  Returns the accepted node values and the
-    certified remainder per point.
+    Iterates live as values on the Lobatto grid, node-major: row j holds
+    every point's value at node j.  ``integrand`` maps them to the driver's
+    integrand there (the Cauchy transform, or 1/(B - U)); each sweep
+    integrates it over the standard grid as one real product with
+    ``tails``.  ``M`` and ``L`` bound |G| and |G'| where the iterates go.
+    The certified remainder after n sweeps depends on ``(h, M, L, n)``
+    only, so the sweep count is fixed before the first sweep: the least n
+    that brings every point within its target.  Returns the accepted node
+    values, shape ``(nodes, points)``, and the certified remainder per
+    point.
     """
     L_col = L[:, None]
     h_col = h[:, None]
@@ -487,14 +496,18 @@ def _picard(
     sweeps = int(done.argmax()) + 1
     tail = tails[:, sweeps - 1].copy()
     del tails
-    B = np.repeat(w0[:, None], _NODES, axis=1)
-    w_col = w0[:, None]
-    half_h = 0.5 * h_col
+    _, quad = cheb_grid(_NODES)
+    B = np.repeat(w0[None, :], _NODES, axis=0)
+    real = B.view(float)  # (nodes, 2 points): re and im side by side
+    half_h = 0.5 * h
     for _ in range(sweeps):
-        step = integrate(B)
-        step *= half_h  # in place: no second node-sized temporary
-        np.subtract(w_col, step, out=B)
-        del step
+        F = np.ascontiguousarray(integrand(B), dtype=complex)
+        # cheb_grid's tails act on re and im alike: one real product,
+        # written into B, whose old values F has replaced
+        np.matmul(quad, F.view(float), out=real)
+        del F
+        B *= half_h
+        np.subtract(w0, B, out=B)
     return B, tail
 
 
@@ -581,7 +594,7 @@ def _evolve_chunk(
         # keeps the interpolation error under the other 0.2
         Bn, tail = family._substep(piece, land, h, w[act], M, L, 0.8 * budget)
 
-        w[act] = Bn[:, 0]
+        w[act] = Bn[0]
         err[act] += (tail + 0.2 * budget) * amp
         moving = land > a
         act, s, a, span = act[moving], land[moving], a[moving], span[moving]

@@ -19,6 +19,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import partial
 from typing import Callable, Sequence
 
 import numpy as np
@@ -37,9 +38,16 @@ MASS_TOL = 1e-12
 SETTLE_TOL = 1e-3
 _MAX_DENSE_NODES = 400_000
 _MAX_ORDER = 2048          # leggauss takes O(order^3) time and O(order^2) memory
-_CAUCHY_BLOCK = 1 << 18  # (point, node) pairs per block of a node sum
+# (point, node) pairs per block of a node sum: 2^13 complex pairs are 128 KiB
+# per temporary, glibc's default mmap threshold, so blocks reuse heap memory
+# instead of mapping and zero-filling fresh pages. Against 2^18 pairs (4 MiB)
+# this halved the benchmark's three Stieltjes inversions (diagnose invert_s
+# 0.39 s -> 0.19 s on 2 cores), in a fresh process and after large frees alike
+_CAUCHY_BLOCK = 1 << 13
 _POLY_SERIES_RADIUS = 2.0  # |zeta| beyond which a polynomial density sums its moment series
 _POLY_SERIES_TERMS = 64    # 2**-64 < eps/100 at the radius
+_POLY_PEAK_DEGREE = 64     # past it a poly: peak is the coefficient sum (roots cost O(deg^3))
+_EPS = float(np.finfo(float).eps)
 
 
 def y_ladder() -> np.ndarray:
@@ -176,8 +184,9 @@ class RealMeasure:
         # segments that have no closed form ("bare" segments)
         self._closed = tuple(seg.cauchy for seg in self._segments if seg.cauchy is not None)
         self._bare = tuple(seg for seg in self._segments if seg.cauchy is None)
-        self._sum_pos, self._sum_wts = self._with_atoms(
+        pos, wts = self._with_atoms(
             xw for seg, xw in zip(self._segments, frozen) if seg.cauchy is None)
+        self._g = _cauchy_plan(pos, wts, self._closed)
 
     def _with_atoms(self, nodes) -> tuple[np.ndarray, np.ndarray]:
         # the atoms followed by the (positions, weights) pairs of `nodes`
@@ -228,13 +237,9 @@ class RealMeasure:
         """
         z = np.asarray(z, dtype=complex)
         if spacing is None:
-            pos, wts = self._sum_pos, self._sum_wts
-        else:
-            pos, wts = self._resampled(self._bare, spacing)
-        terms = [f(z) for f in self._closed]
-        if pos.size or not terms:
-            terms.insert(0, _node_sum(pos, wts, z))
-        return sum(terms[1:], terms[0])
+            return self._g(z)
+        pos, wts = self._resampled(self._bare, spacing)
+        return _cauchy_plan(pos, wts, self._closed)(z)
 
     def _resampled(self, segments, spacing: float) -> tuple[np.ndarray, np.ndarray]:
         if not spacing > 0:
@@ -248,6 +253,32 @@ class RealMeasure:
         declared-order node gap; atoms are kept exact.
         """
         return self._resampled(self._segments, spacing)
+
+
+def _lone_node(x: float, w: float, z: np.ndarray) -> np.ndarray:
+    d = np.subtract(z, x, out=np.empty_like(z))  # in place: one temporary, not two
+    return np.divide(w, d, out=d)
+
+
+def _plus_closed(nodes: Callable, closed: tuple, z: np.ndarray) -> np.ndarray:
+    g = nodes(z)
+    for f in closed:
+        g = g + f(z)
+    return g
+
+
+def _cauchy_plan(pos: np.ndarray, wts: np.ndarray, closed: tuple) -> Callable:
+    # z -> the node sum over (pos, wts) plus the closed forms, added in that
+    # order; a lone node (one atom) skips the reduce over a length-1 axis,
+    # and no node skips the empty sum unless nothing else is left. Partials
+    # of module functions, so a measure of atoms still pickles.
+    if pos.size == 1:
+        nodes = partial(_lone_node, float(pos[0]), float(wts[0]))
+    elif pos.size or not closed:
+        nodes = partial(_node_sum, pos, wts)
+    else:
+        nodes, closed = closed[0], closed[1:]
+    return partial(_plus_closed, nodes, closed) if closed else nodes
 
 
 # ---------------------------------------------------------------------------
@@ -280,6 +311,24 @@ def _log_ratio(z, lo, hi):
 def _sqrt_pair(z, lo, hi):
     # sqrt(z - hi) sqrt(z - lo): analytic off [lo, hi], ~ z - mid at infinity
     return np.sqrt(z - hi) * np.sqrt(z - lo)
+
+
+def _poly_peak(a) -> float | None:
+    # max |P| over [-1, 1] for P(xi) with ascending coefficients a: at an end
+    # or a real root of P' (complex roots only add their clipped real parts,
+    # points of [-1, 1] too), raised by Horner's rounding bound
+    # 2 (deg + 1) eps sum|a_k| so that it stays an upper bound
+    total = float(np.abs(a).sum())
+    if a.size > _POLY_PEAK_DEGREE + 1:
+        return _finite_or_none(total)
+    with np.errstate(all="ignore"):
+        try:
+            crit = _poly.polyroots(_poly.polyder(a)).real
+        except np.linalg.LinAlgError:  # a companion matrix past the float range
+            return _finite_or_none(total)
+        xs = np.concatenate(([-1.0, 1.0], np.clip(crit, -1.0, 1.0)))
+        peak = np.abs(_poly.polyval(xs, a)).max() + 2.0 * a.size * _EPS * total
+    return _finite_or_none(float(peak))
 
 
 def _xi_coeffs(coeffs, lo, hi):
@@ -333,8 +382,9 @@ def named_density(name: str, lo: float, hi: float, order: int = 64) -> DensitySe
     p(z) log((z - lo)/(z - hi)) - r(z), switching to the moment series far
     from the interval; each is written so that it does not cancel. The
     density bounds are 2/(pi rad) (semicircle), 1/(hi - lo) (uniform) and,
-    for `poly:`, the sum of |coefficients| of p in the variable
-    xi = (x - mid)/rad, which ranges over [-1, 1]; the arcsine has none.
+    for `poly:`, the maximum of |p| on [lo, hi], taken in the variable
+    xi = (x - mid)/rad from the ends and the critical points; the arcsine
+    has none.
     """
     mid = 0.5 * (lo + hi)
     rad = 0.5 * (hi - lo)
@@ -372,7 +422,7 @@ def named_density(name: str, lo: float, hi: float, order: int = 64) -> DensitySe
             return _poly.polyval(np.asarray(x, dtype=float), coeffs)
         a = _xi_coeffs(coeffs, lo, hi)
         return DensitySegment(lo, hi, dens, order, False, _poly_transform(a, lo, hi),
-                              _finite_or_none(float(np.abs(a).sum())))
+                              _poly_peak(a))
     raise InvalidInputError(f"unknown density {name!r}")
 
 

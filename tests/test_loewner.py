@@ -445,16 +445,15 @@ def _node_sum_substep(self, piece, s0, h, w0, M, L, target):
     # _PiecewiseConstant._substep as it was before the exact transforms:
     # the Cauchy transform summed over the frozen quadrature nodes, with
     # the atom constants M = 1/eta and L = 1/eta^2 that atoms must keep
-    _, tails = cheb_grid(loewner._NODES)
-    B = np.empty((w0.size, loewner._NODES), dtype=complex)
+    B = np.empty((loewner._NODES, w0.size), dtype=complex)
     tail = np.empty(w0.size)
     eta = w0.imag
     for k in np.unique(piece):
         m = piece == k
         pos, wts = self.measures[k].nodes()
-        B[m], tail[m] = loewner._picard(
+        B[:, m], tail[m] = loewner._picard(
             w0[m], h[m], 1.0 / eta[m], 1.0 / (eta[m] * eta[m]), target[m],
-            lambda V: (wts / (V[:, :, None] - pos)).sum(axis=2) @ tails.T,
+            lambda V: (wts / (V[:, :, None] - pos)).sum(axis=2),
         )
     return B, tail
 
@@ -536,12 +535,12 @@ def test_certified_bound_covers_picard_increments(monkeypatch):
     real_picard = loewner._picard
     records = []
 
-    def recording(w0, h, M, L, target, integrate):
+    def recording(w0, h, M, L, target, integrand):
         iterates = []
 
         def spy(B):
             iterates.append(B.copy())
-            return integrate(B)
+            return integrand(B)
 
         B, tail = real_picard(w0, h, M, L, target, spy)
         records[-1][1].append((w0.imag, h, M, L, iterates + [B]))
@@ -566,7 +565,7 @@ def test_certified_bound_covers_picard_increments(monkeypatch):
             else:
                 assert np.array_equal(M, 1.0 / eta) and np.array_equal(L, 1.0 / (eta * eta))
             for n in range(1, len(iterates)):
-                observed = np.abs(iterates[n] - iterates[n - 1]).max(axis=1)
+                observed = np.abs(iterates[n] - iterates[n - 1]).max(axis=0)
                 bound = M * h * (L * h) ** (n - 1) / math.factorial(n)
                 assert np.all(observed <= bound * (1.0 + 1e-9) + 1e-15)
                 sweeps += 1
@@ -574,15 +573,16 @@ def test_certified_bound_covers_picard_increments(monkeypatch):
 
 
 # the Picard loop as it was when it tested the tail after every sweep, kept
-# as it was but for the constants M and L in place of 1/eta and 1/eta^2: the
-# sweep count fixed before the sweeps must agree with it
-def reference_picard(w0, h, M, L, target, integrate):
-    B = np.repeat(w0[:, None], loewner._NODES, axis=1)
-    w_col = w0[:, None]
-    half_h = 0.5 * h[:, None]
+# as it was but for the constants M and L in place of 1/eta and 1/eta^2,
+# the node-major layout and the real product with the tails: the sweep
+# count fixed before the sweeps must agree with it
+def reference_picard(w0, h, M, L, target, integrand):
+    _, tails = cheb_grid(loewner._NODES)
+    B = np.repeat(w0[None, :], loewner._NODES, axis=0)
+    half_h = 0.5 * h
     bound = M * h
     for n in range(1, loewner._MAX_PICARD + 1):
-        Bn = w_col - integrate(B) * half_h
+        Bn = w0 - (tails @ integrand(B).view(float)).view(complex) * half_h
         bound = bound * h * L / (n + 1.0)
         q = h * L / (n + 2.0)
         tail = bound / (1.0 - q)
@@ -604,21 +604,22 @@ def _picard_case(seed, kind):
     eta[1], h[1] = 1e200, 1.0
     w0 = rng.uniform(-3.0, 3.0, n) + 1j * eta
     target = 10.0 ** rng.uniform(-14.0, -6.0, n) * h
-    xstd, tails = cheb_grid(loewner._NODES)
-    if kind == "atom":
-        u = rng.uniform(-2.0, 2.0, (n, 1)) + 0.5 * (xstd + 1.0) * rng.uniform(-1.0, 1.0, (n, 1))
-        integrand = lambda V: 1.0 / (V - u)
+    xstd, _ = cheb_grid(loewner._NODES)
+    if kind == "atom":  # node-major, as the iterates
+        u = (rng.uniform(-2.0, 2.0, (n, 1))
+             + 0.5 * (xstd + 1.0) * rng.uniform(-1.0, 1.0, (n, 1))).T
+        f = lambda V: 1.0 / (V - u)
     else:
-        integrand = semicircle().cauchy
+        f = semicircle().cauchy
     calls = []
 
-    def integrate(V):
+    def integrand(V):
         calls.append(1)
-        return integrand(V) @ tails.T
+        return f(V)
 
     with np.errstate(over="ignore"):  # eta^2 = inf far above the axis: 1/eta^2 = 0
         inv_eta2 = 1.0 / (eta * eta)
-    return (w0, h, 1.0 / eta, inv_eta2, target), integrate, calls
+    return (w0, h, 1.0 / eta, inv_eta2, target), integrand, calls
 
 
 @pytest.mark.parametrize("nodes", [24, 40])
@@ -626,10 +627,10 @@ def _picard_case(seed, kind):
 @pytest.mark.parametrize("seed", [0, 1, 2])
 def test_picard_matches_the_reference_loop(monkeypatch, nodes, kind, seed):
     monkeypatch.setattr(loewner, "_NODES", nodes)
-    args, integrate, calls = _picard_case(seed, kind)
-    B, tail = loewner._picard(*args, integrate)
+    args, integrand, calls = _picard_case(seed, kind)
+    B, tail = loewner._picard(*args, integrand)
     sweeps = len(calls)
-    B_ref, tail_ref = reference_picard(*args, integrate)
+    B_ref, tail_ref = reference_picard(*args, integrand)
     assert sweeps == len(calls) - sweeps > 1  # the reference swept as often
     assert np.array_equal(B, B_ref)
     # both tails are products of the same factors, rounded in another
@@ -641,13 +642,13 @@ def test_picard_matches_the_reference_loop(monkeypatch, nodes, kind, seed):
 @pytest.mark.parametrize("kind", ["atom", "semicircle"])
 def test_picard_refuses_before_the_first_sweep(kind):
     # a lane at the cap that 64 sweeps cannot bring within 1e-250
-    args, integrate, calls = _picard_case(3, kind)
+    args, integrand, calls = _picard_case(3, kind)
     args[4][0] = 1e-250
     with pytest.raises(NonConvergenceError) as new:
-        loewner._picard(*args, integrate)
+        loewner._picard(*args, integrand)
     assert calls == []
     with pytest.raises(NonConvergenceError) as ref:
-        reference_picard(*args, integrate)
+        reference_picard(*args, integrand)
     assert len(calls) == loewner._MAX_PICARD
     assert str(new.value) == str(ref.value)
 
