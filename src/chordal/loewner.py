@@ -12,7 +12,7 @@ fewest sweeps n for which the certified remainder
     |B_{n+1} - B_n| <= M h (L h)^n / (n+1)!
 
 (summed over the sweeps not taken) falls below the substep's share of the
-global error budget.  M and L are the regularity constants below; the
+global error budget.  M and L bound |G| and |G'| (below); the
 remainder depends on them, h and n only, not on the iterates, so
 ``_picard`` fixes n before the first sweep, and refuses at once when 64
 sweeps would not reach the target.  Shares are weighted by an
@@ -20,24 +20,10 @@ amplification factor so that the pointwise error of the chained result
 stays below ``config.tol``; the achieved (usually much smaller) bound is
 reported alongside every value.
 
-Regularity constants.  Write G for the Cauchy transform of the measure
-under a substep (or 1/(w - U) for the moving atom) and eta = Im w where
-the substep is entered.  Each piece of a driver's knot table carries two
-numbers: ``free``, the mass of its atoms and of its segments with no
-density bound (the arcsine, bare callables), and ``peak`` = P, the sum of
-the bounds ``DensitySegment.peak`` of its other segments, which hold the
-mass 1 - free.  On Im w >= y,
-
-    |G(w)|  <= M(y) = free/y   + 2P asinh((1 - free) / (2P y)),
-    |G'(w)| <= L(y) = free/y^2 + min(pi P / y, (1 - free) / y^2).
-
-The atom terms are |w - x| >= y.  The density term of M is the bathtub
-bound: of the densities below P with mass m, int rho(x) dx / |w - x| is
-largest for rho = P on the interval of length m/P centred at Re w, where it
-is 2P asinh(m / (2P y)); that of L is P int dx / |w - x|^2 = pi P / y.  As
-asinh u <= u, M(y) <= 1/y and L(y) <= 1/y^2, the atom-style constants,
-which atoms, the arcsine and bare callables (free = 1, P = 0) get exactly.
-As asinh is concave and vanishes at 0, M(y/2) <= 2 M(y).
+Regularity constants.  With G the Cauchy transform of the measure under a
+substep (1/(w - U), a unit atom's, for the moving atom) and eta = Im w
+where the substep is entered, ``RealMeasure.g_bounds(eta)`` gives
+M >= |G| and L >= |G'| on Im w >= eta, and K >= |G| on Im w >= eta/2.
 
 Picard remainder.  On the substep [s - h, s] the iterates are B_0 = w and
 B_{n+1}(t) = w - int_t^s G(B_n(r)) dr.  Since -Im G > 0 on the upper
@@ -68,11 +54,13 @@ imaginary parts side by side, written into ``B``: no complex copy of
 allocated per sweep but the integrand's value, kept only until its product
 has run.  A driver is a ``DriverFamily`` subclass that supplies its
 measure lookup, its knot table (the pieces no substep may straddle, with
-the slope of the atom path, its running variation and the two regularity
-columns at each), and ``_substep``, which builds ``integrand`` and runs the
-loop.  ``_evolve_chunk`` looks each lane's piece up in the table once per
-round and hands it to ``_substep``.  Two drivers exist: piecewise-constant
-measure families and a moving atom along a piecewise-linear path.  A
+the slope of the atom path and its running variation at each),
+``_substep``, which builds ``integrand`` and runs the loop, and, unless
+the atom constants serve, ``_bounds``, the regularity constants of each
+lane's piece.  ``_evolve_chunk`` looks each lane's piece up in the table
+once per round and hands it to both.  Two drivers exist:
+piecewise-constant measure families and a moving atom along a
+piecewise-linear path.  A
 piecewise-constant driver evaluates the Cauchy transform by
 ``RealMeasure.cauchy``: atoms exactly, named densities in closed form, and
 only segments given as a bare callable by their quadrature nodes.  The
@@ -144,7 +132,7 @@ import numpy as np
 
 from .errors import InvalidInputError, NonConvergenceError
 from .measures import (
-    SETTLE_TOL, RealMeasure, _require_upper, measure_from_dict, point_mass, y_ladder,
+    _TINY, SETTLE_TOL, RealMeasure, _require_upper, measure_from_dict, point_mass, y_ladder,
 )
 from .numerics import cheb_grid, y_limit
 
@@ -168,7 +156,7 @@ _MAX_PICARD = 64
 _MAX_ROUNDS = 200_000
 _MIN_STEP = 1e-12
 _SPEED_SLACK = 3.0    # c of the substep rule's ellipse height (module docstring)
-_TINY = float(np.finfo(float).tiny)
+_UNIT_ATOM = point_mass()  # its g_bounds are the atom constants
 
 
 @dataclass(frozen=True)
@@ -236,10 +224,8 @@ class DriverFamily:
     table, built once by the constructor, holds the pieces where the driver
     keeps one form, which no substep straddles: piece k is
     ``[_knots[k], _knots[k+1])``, ``_slopes[k]`` is ``|dU/dt|`` on it (0 for
-    piecewise-constant drivers), ``_cumvar`` is the running sum of
-    ``|dU|`` at each knot, and ``_free[k]`` and ``_peak[k]`` are the
-    piece's regularity columns (module docstring): the mass with no density
-    bound and the sum of the density bounds of the rest.
+    piecewise-constant drivers) and ``_cumvar`` is the running sum of
+    ``|dU|`` at each knot.
     """
 
     kind: ClassVar[str]
@@ -248,8 +234,6 @@ class DriverFamily:
     _knots: np.ndarray
     _slopes: np.ndarray
     _cumvar: np.ndarray
-    _free: np.ndarray
-    _peak: np.ndarray
 
     # -- constructors -----------------------------------------------------
 
@@ -281,9 +265,7 @@ class DriverFamily:
         # unit mass guarantees every support is non-empty
         bound = max(max(-mu.support[0], mu.support[1]) for mu in ms)
         knots = np.append(b, np.inf)
-        free, peak = np.array([_regularity_columns(mu) for mu in ms]).T
-        return _PiecewiseConstant(
-            hor, bound, knots, np.zeros(b.size), np.zeros(knots.size), free, peak, ms)
+        return _PiecewiseConstant(hor, bound, knots, np.zeros(b.size), np.zeros(knots.size), ms)
 
     @classmethod
     def constant(cls, measure: RealMeasure, horizon: float | None = None) -> "DriverFamily":
@@ -313,7 +295,7 @@ class DriverFamily:
             slopes = du / np.diff(times)
             cumvar = np.concatenate(([0.0], np.cumsum(du)))
         return _MovingAtom(hor, float(np.max(np.abs(positions))), times, slopes, cumvar,
-                           np.ones(slopes.size), np.zeros(slopes.size), positions)
+                           positions)
 
     # -- queries -----------------------------------------------------------
 
@@ -332,6 +314,12 @@ class DriverFamily:
     def speed(self) -> float:
         """Largest |dU/dt| of the driver's atom path; 0.0 if nothing moves."""
         return float(np.max(self._slopes))
+
+    def _bounds(self, piece, eta):
+        """The regularity constants ``(M, K, L)`` of each lane's knot-table
+        ``piece``: here the unit atom's ``g_bounds(eta)``, the atom
+        constants, which hold for every probability measure."""
+        return _UNIT_ATOM.g_bounds(eta)
 
     def _substep(self, piece, s0, h, w0, M, L, target):
         """Picard-solve the substeps ``[s0, s0 + h]`` entered at ``w0``,
@@ -353,16 +341,12 @@ class _PiecewiseConstant(DriverFamily):
         # the breaks, without the inf knot: t = inf reads the last measure
         return self.measures[int(np.searchsorted(self._knots[:-1], t, side="right")) - 1]
 
+    def _bounds(self, piece, eta):
+        return _by_piece(piece, lambda k, e: self.measures[k].g_bounds(e), eta)
+
     def _substep(self, piece, s0, h, w0, M, L, target):
-        if piece.min() == piece.max():  # every lane in one piece: no masks
-            return _picard(w0, h, M, L, target, self.measures[piece[0]].cauchy)
-        B = np.empty((_NODES, w0.size), dtype=complex)
-        tail = np.empty(w0.size)
-        for k in np.unique(piece):
-            m = piece == k
-            B[:, m], tail[m] = _picard(
-                w0[m], h[m], M[m], L[m], target[m], self.measures[k].cauchy)
-        return B, tail
+        return _by_piece(piece, lambda k, *lanes: _picard(*lanes, self.measures[k].cauchy),
+                         w0, h, M, L, target)
 
 
 @dataclass(frozen=True, eq=False)
@@ -424,28 +408,19 @@ def driver_from_dict(obj: dict) -> DriverFamily:
 # Substep machinery
 
 
-def _regularity_columns(mu: RealMeasure) -> tuple[float, float]:
-    # (free, peak) of one measure piece (module docstring); a piece with no
-    # density bound keeps all its mass free, so it gets the atom constants
-    bounded = [seg for seg in mu.segments if seg.peak is not None]
-    peak = sum(seg.peak for seg in bounded)
-    if peak == 0:
-        return 1.0, 0.0
-    dense = sum(float(seg.nodes()[1].sum()) for seg in bounded)
-    return max(mu.total_mass - dense, 0.0), peak
-
-
-def _regularity(free, peak, eta):
-    # M(eta), K = M(eta/2) and L(eta) of the module docstring, capped by the
-    # atom constants, which lanes with free = 1, peak = 0 get exactly
-    inv = 1.0 / eta
-    eta2 = eta * eta
-    dense = 1.0 - free
-    spread = np.maximum(peak * eta, _TINY)  # 2P (eta/2)
-    M = np.minimum(free * inv + 2.0 * peak * np.arcsinh(0.5 * dense / spread), inv)
-    K = np.minimum(2.0 * free * inv + 2.0 * peak * np.arcsinh(dense / spread), 2.0 * inv)
-    L = np.minimum(free / eta2 + np.minimum(np.pi * peak * inv, dense / eta2), 1.0 / eta2)
-    return M, K, L
+def _by_piece(piece, solve, *lanes):
+    # solve(k, *lanes of piece k) for each piece k under the lanes, its
+    # arrays (lanes on the last axis) put back in lane order; every lane in
+    # one piece needs no masks
+    if piece.min() == piece.max():
+        return solve(piece[0], *lanes)
+    masks = {k: piece == k for k in np.unique(piece)}
+    parts = [solve(k, *(x[m] for x in lanes)) for k, m in masks.items()]
+    out = tuple(np.empty(p.shape[:-1] + piece.shape, p.dtype) for p in parts[0])
+    for m, part in zip(masks.values(), parts):
+        for o, p in zip(out, part):
+            o[..., m] = p
+    return out
 
 
 def _solve_rho(R: np.ndarray) -> np.ndarray:
@@ -524,8 +499,6 @@ def _evolve_chunk(
     err = np.zeros(z.size)
     span = np.maximum(b - a, _MIN_STEP)  # budget scale only; a == b never iterates
     knots, slopes, cumvar = family._knots, family._slopes, family._cumvar
-    free, peak = family._free, family._peak
-    bounded = bool(peak.any())  # some piece has a density bound
     # Im w never decreases along the path, and K <= 2/Im w, so the substep
     # parameter R of the loop below is at most this: refuse here if it
     # overflows rather than iterate on infinities.
@@ -560,11 +533,7 @@ def _evolve_chunk(
         # the substep budget, on an ellipse of half-height
         # eta / (2 (K + 2 c v)) with v the piece's slope (module docstring);
         # the max_step cap limits it far above the axis.
-        if bounded:
-            M, K, L = _regularity(free[piece], peak[piece], eta)
-        else:  # the atom constants
-            M = 1.0 / eta
-            K, L = 2.0 * M, 1.0 / (eta * eta)
+        M, K, L = family._bounds(piece, eta)
         two_over_eta2 = 2.0 / (eta * eta)
         amp_cap = np.sqrt(1.0 + (s - a) * two_over_eta2)
         R = 60.0 * span * amp_cap * K / cfg.tol

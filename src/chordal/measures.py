@@ -48,6 +48,7 @@ _POLY_SERIES_RADIUS = 2.0  # |zeta| beyond which a polynomial density sums its m
 _POLY_SERIES_TERMS = 64    # 2**-64 < eps/100 at the radius
 _POLY_PEAK_DEGREE = 64     # past it a poly: peak is the coefficient sum (roots cost O(deg^3))
 _EPS = float(np.finfo(float).eps)
+_TINY = float(np.finfo(float).tiny)
 
 
 def y_ladder() -> np.ndarray:
@@ -93,9 +94,10 @@ class DensitySegment:
     boundary trace, uses it in place of quadrature nodes; the frozen nodes
     still give the moments and `cauchy_transform`. `peak`, when given, is an
     upper bound on the density over [lo, hi] (its supremum for the named
-    densities; None for the arcsine, which has none). The Loewner solver
-    reads it to bound |G| and |G'| near the support and sizes its substeps
-    by them; a segment without it is treated like an atom there.
+    densities; None for the arcsine, which has none). `RealMeasure.g_bounds`
+    reads it to bound |G| and |G'| near the support, and the Loewner solver
+    sizes its substeps by those bounds; a segment without it counts like an
+    atom there.
     """
 
     lo: float
@@ -132,7 +134,8 @@ class DensitySegment:
         else:
             x = mid + rad * t
             jac = np.full_like(x, rad)
-        dens = _eval_array(self.density, x)
+        with np.errstate(over="ignore", invalid="ignore"):  # refused just below
+            dens = _eval_array(self.density, x)
         if np.any(dens < -1e-12) or not np.all(np.isfinite(dens)):
             raise InvalidInputError("density must be finite and nonnegative on nodes")
         return x, dens * jac * w
@@ -180,6 +183,12 @@ class RealMeasure:
                 f"declared mass {mass} but quadrature gives {total!r}"
             )
         self._mass = total
+        # g_bounds' data: the sum of the density bounds, and the mass that
+        # has none (all of it when no segment is bounded)
+        self._peak = sum(seg.peak for seg in self._segments if seg.peak is not None)
+        dense = sum(float(w.sum()) for seg, (_, w) in zip(self._segments, frozen)
+                    if seg.peak is not None)
+        self._free = max(total - dense, 0.0) if self._peak else 1.0
         # G: the closed forms plus one node sum over the atoms and the
         # segments that have no closed form ("bare" segments)
         self._closed = tuple(seg.cauchy for seg in self._segments if seg.cauchy is not None)
@@ -212,19 +221,46 @@ class RealMeasure:
     @property
     def support(self) -> tuple[float, float] | None:
         """Hull of the support, or None for the zero measure."""
-        lows, highs = [], []
-        for x, _ in self._atoms:
-            lows.append(x)
-            highs.append(x)
-        for seg in self._segments:
-            lows.append(seg.lo)
-            highs.append(seg.hi)
-        if not lows:
-            return None
-        return min(lows), max(highs)
+        lows = [x for x, _ in self._atoms] + [seg.lo for seg in self._segments]
+        highs = [x for x, _ in self._atoms] + [seg.hi for seg in self._segments]
+        return (min(lows), max(highs)) if lows else None
 
     def nodes(self) -> tuple[np.ndarray, np.ndarray]:
         return self._pos, self._wts
+
+    def g_bounds(self, eta):
+        """Bounds (M, K, L) on G over Im w >= eta, elementwise in eta.
+
+        Write ``free`` for the mass of the atoms and of the segments with no
+        density bound (the arcsine, bare callables), and P for the sum of
+        the bounds ``DensitySegment.peak`` of the other segments, which hold
+        the mass 1 - free. On Im w >= y,
+
+            |G(w)|  <= M(y) = free/y   + 2P asinh((1 - free) / (2P y)),
+            |G'(w)| <= L(y) = free/y^2 + min(pi P / y, (1 - free) / y^2),
+
+        and K = M(eta/2) bounds |G| on Im w >= eta/2. The atom terms are
+        |w - x| >= y. The density term of M is the bathtub bound: of the
+        densities below P with mass m, int rho(x) dx / |w - x| is largest
+        for rho = P on the interval of length m/P centred at Re w, where it
+        is 2P asinh(m / (2P y)); that of L is P int dx / |w - x|^2 =
+        pi P / y. As asinh u <= u, M(y) <= 1/y and L(y) <= 1/y^2, the atom
+        constants, which a measure with no density bound (free = 1, P = 0)
+        gets exactly. As asinh is concave and vanishes at 0, K <= 2 M(eta).
+        """
+        if not self.is_probability:
+            raise InvalidInputError("bounds on G need a probability measure")
+        inv = 1.0 / eta
+        eta2 = eta * eta
+        if not self._peak:  # the atom constants
+            return inv, 2.0 * inv, 1.0 / eta2
+        free, peak = self._free, self._peak
+        dense = 1.0 - free
+        spread = np.maximum(peak * eta, _TINY)  # 2P (eta/2)
+        M = np.minimum(free * inv + 2.0 * peak * np.arcsinh(0.5 * dense / spread), inv)
+        K = np.minimum(2.0 * free * inv + 2.0 * peak * np.arcsinh(dense / spread), 2.0 * inv)
+        L = np.minimum(free / eta2 + np.minimum(np.pi * peak * inv, dense / eta2), 1.0 / eta2)
+        return M, K, L
 
     def cauchy(self, z, spacing: float | None = None) -> np.ndarray:
         """G(z) = integral of 1/(z - x) dmu(x) at every point of an array.
@@ -335,8 +371,9 @@ def _xi_coeffs(coeffs, lo, hi):
     # ascending coefficients of P(xi) = p(mid + rad*xi)
     mid, rad = 0.5 * (lo + hi), 0.5 * (hi - lo)
     a = np.zeros(1)
-    for c in reversed(coeffs):
-        a = _poly.polyadd(_poly.polymul(a, [mid, rad]), [c])
+    with np.errstate(over="ignore", invalid="ignore"):  # _poly_transform checks
+        for c in reversed(coeffs):
+            a = _poly.polyadd(_poly.polymul(a, [mid, rad]), [c])
     return a
 
 
@@ -346,14 +383,18 @@ def _poly_transform(a, lo, hi):
     # of P(xi)/(zeta - xi) = P(zeta) log((zeta+1)/(zeta-1)) - R(zeta), R an
     # exact polynomial. Far out both terms grow like zeta^deg while G ~ 1/zeta,
     # so beyond _POLY_SERIES_RADIUS the moment series sum mu_n zeta^-(n+1) runs.
+    # None when a coefficient is past the float range: the nodes serve then.
     mid, rad = 0.5 * (lo + hi), 0.5 * (hi - lo)
     deg = a.size - 1
     n = np.arange(deg + _POLY_SERIES_TERMS)
     m = np.where(n % 2 == 0, 2.0 / (n + 1.0), 0.0)  # integrals of xi^n over [-1, 1]
-    # R(zeta) = integral of (P(zeta) - P(xi))/(zeta - xi): r_j = sum_(k>j) a_k m_(k-1-j)
-    r = [sum(a[k] * m[k - 1 - j] for k in range(j + 1, deg + 1)) for j in range(deg)]
-    r = np.array(r or [0.0])
-    mom = np.array([(a * m[j:j + deg + 1]).sum() for j in range(_POLY_SERIES_TERMS)])
+    with np.errstate(over="ignore", invalid="ignore"):
+        # R(zeta) = integral of (P(zeta) - P(xi))/(zeta - xi): r_j = sum_(k>j) a_k m_(k-1-j)
+        r = [sum(a[k] * m[k - 1 - j] for k in range(j + 1, deg + 1)) for j in range(deg)]
+        r = np.array(r or [0.0])
+        mom = np.array([(a * m[j:j + deg + 1]).sum() for j in range(_POLY_SERIES_TERMS)])
+    if not (np.isfinite(a).all() and np.isfinite(r).all() and np.isfinite(mom).all()):
+        return None
 
     def transform(z):
         flat = np.asarray(z, dtype=complex).reshape(-1)

@@ -513,6 +513,29 @@ def test_huge_measure_transform_keeps_a_finite_bound(tmp_path):
     assert math.isfinite(report["roundoff_bound"]) and report["roundoff_bound"] > 0
 
 
+def _huge_poly(lo, hi):
+    return {"segments": [{"interval": [lo, hi], "density": "poly:1e-300,1,1e308"}]}
+
+
+def test_huge_poly_transform_prints_only_the_report(tmp_path):
+    # the closed form's coefficients overflow (and warned on stderr): the
+    # segment falls back to its nodes, and the frozen-node report stands
+    proc = _transform_process(tmp_path, _huge_poly(-1.0, 1.0), "1i")
+    assert proc.returncode == 0 and proc.stderr == ""
+    assert json.loads(proc.stdout) == {
+        "op": "cauchy", "roundoff_bound": 7.572111476201128e+293,
+        "value": [3.508313044104e+290, -4.292036732051026e+307], "z": [0.0, 1.0]}
+
+
+@pytest.mark.parametrize("lo, hi", [(-2.0, 2.0), (0.0, 3.0)])
+def test_overflowing_poly_density_exits_2_on_one_line(tmp_path, lo, hi):
+    # 1e308 x^2 passes the float range on the nodes: three RuntimeWarnings
+    # came before the refusal
+    proc = _transform_process(tmp_path, _huge_poly(lo, hi), "1i")
+    assert proc.returncode == 2 and proc.stdout == ""
+    assert proc.stderr == "error: density must be finite and nonnegative on nodes\n"
+
+
 @pytest.mark.parametrize("measure, z, flags, message", [
     (HUGE_ATOMS, "0.5+0.5i", [], "cauchy transform overflowed"),
     (HUGE_ATOMS, "0.5+0.001i", [], "cauchy transform overflowed"),

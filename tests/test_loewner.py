@@ -24,7 +24,7 @@ from chordal.loewner import (
     univalence_probe,
 )
 from chordal.measures import (
-    RealMeasure, arcsine, bernoulli, measure_from_dict, point_mass, semicircle,
+    DensitySegment, RealMeasure, arcsine, bernoulli, measure_from_dict, point_mass, semicircle,
 )
 from chordal.numerics import cheb_grid
 
@@ -469,6 +469,58 @@ def test_atom_drivers_match_the_node_sum_bit_for_bit(monkeypatch):
     for (fam, t), (w, e) in zip(cases, new):
         w_old, e_old = transition_grid(fam, 0.0, t, zs)
         assert np.array_equal(w, w_old) and np.array_equal(e, e_old)
+
+
+# The solver's regularity columns as they were before RealMeasure.g_bounds
+# took them over, kept verbatim as the reference for its arithmetic.
+
+_TINY = float(np.finfo(float).tiny)
+
+
+def _regularity_columns(mu: RealMeasure) -> tuple[float, float]:
+    # (free, peak) of one measure piece (module docstring); a piece with no
+    # density bound keeps all its mass free, so it gets the atom constants
+    bounded = [seg for seg in mu.segments if seg.peak is not None]
+    peak = sum(seg.peak for seg in bounded)
+    if peak == 0:
+        return 1.0, 0.0
+    dense = sum(float(seg.nodes()[1].sum()) for seg in bounded)
+    return max(mu.total_mass - dense, 0.0), peak
+
+
+def _regularity(free, peak, eta):
+    # M(eta), K = M(eta/2) and L(eta) of the module docstring, capped by the
+    # atom constants, which lanes with free = 1, peak = 0 get exactly
+    inv = 1.0 / eta
+    eta2 = eta * eta
+    dense = 1.0 - free
+    spread = np.maximum(peak * eta, _TINY)  # 2P (eta/2)
+    M = np.minimum(free * inv + 2.0 * peak * np.arcsinh(0.5 * dense / spread), inv)
+    K = np.minimum(2.0 * free * inv + 2.0 * peak * np.arcsinh(dense / spread), 2.0 * inv)
+    L = np.minimum(free / eta2 + np.minimum(np.pi * peak * inv, dense / eta2), 1.0 / eta2)
+    return M, K, L
+
+
+def test_g_bounds_match_the_regularity_columns_bit_for_bit(g_bound_measures):
+    eta = np.concatenate(([1e-6, 1e6], 10.0 ** np.random.default_rng(41).uniform(-6.0, 6.0, 500)))
+    for name, mu in g_bound_measures.items():
+        for got, want in zip(mu.g_bounds(eta), _regularity(*_regularity_columns(mu), eta)):
+            assert np.array_equal(got, want), name
+
+
+def test_driver_build_evaluates_no_density():
+    # the bounds on G come from the weights the measure froze when it was
+    # built, so neither the driver nor a solve evaluates the density again
+    calls = []
+
+    def density(x):
+        calls.append(x.size)
+        return np.ones_like(x)
+    mu = RealMeasure([], [DensitySegment(0.0, 1.0, density, peak=1.0)], mass=1.0)
+    before = len(calls)
+    fam = DriverFamily.constant(mu)
+    transition_grid(fam, 0.0, 0.5, [0.5 + 0.1j, 2.0j])
+    assert len(calls) == before == 1
 
 
 # ---------------------------------------------------------------------------

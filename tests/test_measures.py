@@ -168,6 +168,16 @@ def test_poly_peak_is_the_maximum_not_the_coefficient_sum():
     assert long.peak == 0.75
 
 
+def test_poly_closed_form_past_the_float_range_falls_back_to_the_nodes():
+    # r_1 = 2e308 overflows: the closed form gave nan - inf i where G is
+    # -4.29e307 i, and warned
+    mu = measure_from_dict({"segments": [
+        {"interval": [-1.0, 1.0], "density": "poly:1e-300,1,1e308"}]})
+    assert mu.segments[0].cauchy is None
+    g = mu.cauchy(np.array([1j]))[0]
+    assert np.isfinite(g) and g == cauchy_transform(mu, 1j)
+
+
 def test_pushforward_carries_the_peak():
     mu = RealMeasure([], [named_density("uniform", -2.0, 2.0), named_density("arcsine", 3.0, 4.0)],
                      mass=2.0)
@@ -175,6 +185,33 @@ def test_pushforward_carries_the_peak():
     assert [seg.peak for seg in pushed.segments] == [0.5, None]
     loose = RealMeasure([], [DensitySegment(0.0, 1.0, lambda x: np.ones_like(x), peak=1e300)])
     assert affine_pushforward(loose, 1e-10, 0.0).segments[0].peak is None  # 1e310 overflows
+
+
+def _g_prime(mu, w, eta):
+    # G' exactly for atoms, else a central difference along the real axis
+    if not mu.segments:
+        return sum(-m / (w - x) ** 2 for x, m in mu.atoms)
+    step = 1e-6 * eta
+    return (mu.cauchy(w + step) - mu.cauchy(w - step)) / (2.0 * step)
+
+
+@pytest.mark.parametrize("eta", [1e-3, 1e-2, 0.1, 1.0])
+def test_g_bounds_bound_the_transform(g_bound_measures, eta):
+    # M and L over Im w >= eta, at eta and above; K = M(eta/2) at eta/2
+    re = np.linspace(-3.0, 3.0, 121)
+    w = (re[:, None] + 1j * eta * np.array([1.0, 2.0, 10.0])).ravel()
+    for name, mu in g_bound_measures.items():
+        M, K, L = mu.g_bounds(eta)
+        assert np.abs(mu.cauchy(w)).max() <= M, name
+        assert np.abs(_g_prime(mu, w, eta)).max() <= L * (1.0 + 1e-6), name
+        assert np.abs(mu.cauchy(re + 0.5j * eta)).max() <= K, name
+
+
+def test_g_bounds_need_a_probability_measure():
+    with pytest.raises(InvalidInputError, match="probability"):
+        RealMeasure([(0.0, 0.5)]).g_bounds(1.0)
+    with pytest.raises(InvalidInputError, match="probability"):
+        RealMeasure([], [named_density("uniform", -2.0, 2.0)] * 2).g_bounds(np.ones(3))
 
 
 def test_measure_from_dict_round_trip():
