@@ -14,9 +14,9 @@ atoms and the named densities, and only segments given by a bare density
 callable are resampled finely enough for the trace height.  The interval
 cloud is an affine image of one Chebyshev-spaced cloud on [-1, 1], so its
 diameter is computed once per ``(n, resolution, sweeps)`` and scaled by
-(B-A)/2.  The crossing test prefilters segment pairs by the bounding boxes
-of 8-segment chunks and tests the survivors in batches, so its temporaries
-stay bounded.
+(B-A)/2.  The crossing test sorts the segments once by left x and sweeps,
+at most ``_PAIR_BATCH`` pairs a batch: O(n log n + K) for K segment pairs
+overlapping in x, near linear for a trace, quadratic for a raster.
 Everything here is deterministic: greedy seeding and exchange sweeps break
 ties by lowest sample index.
 """
@@ -44,7 +44,6 @@ __all__ = [
 _GAIN_FLOOR = 1e-13        # exchange swaps must beat this to count
 _EXCURSION_FACTOR = 10.0   # |F| beyond this multiple of B-A flags blow-up
 _CLOUD_SPACING = 0.25      # bare-segment node spacing as a fraction of epsilon
-_CHUNK = 8                 # segments per bounding box in the crossing test
 _PAIR_BATCH = 1 << 18      # most segment pairs one crossing-test batch holds
 _MAX_EXCHANGE = 1 << 24    # most entries (2*resolution x n) of one exchange table
 RATIO_BAND = 0.05          # |ratio - 1| within this reads consistent_with_univalence
@@ -92,9 +91,11 @@ class CapacityReport:
 def _proper_crossings(pts: np.ndarray) -> bool:
     """True if any two non-adjacent polyline segments properly cross.
 
-    Segments are grouped into chunks of ``_CHUNK``; only segment pairs from
-    chunks whose bounding boxes meet go to the exact predicate, at most
-    ``_PAIR_BATCH`` pairs at a time.
+    One stable sort by left x lists each pair overlapping in x exactly once,
+    the later-starting segment in the run of the other; pairs whose y
+    extents also meet go to the exact predicate, ``_PAIR_BATCH`` at a time.
+    O(n log n + K) for K pairs overlapping in x: near linear for a boundary
+    trace, which a vertical line meets a few times, quadratic for a raster.
     """
     p = pts[:-1]
     r = pts[1:] - p
@@ -103,44 +104,38 @@ def _proper_crossings(pts: np.ndarray) -> bool:
     if n < 3:
         return False
 
-    # chunk bounding boxes; fmin/fmax skip NaN ends, whose segments never hit
-    starts = np.arange(0, n, _CHUNK)
-    m = starts.size
-
-    def box(a, b):
-        return (np.fmin.reduceat(np.fmin(a, b), starts),
-                np.fmax.reduceat(np.fmax(a, b), starts))
-
-    x0, x1 = box(p.real, e.real)
-    y0, y1 = box(p.imag, e.imag)
+    # fmin/fmax skip NaN ends; an all-NaN segment sorts last and reaches -inf
+    x0 = np.fmin(p.real, e.real)
+    s = np.argsort(x0, kind="stable")
+    x1 = np.fmax(np.fmax(p.real, e.real), -np.inf)[s]
+    reach = np.searchsorted(x0[s], x1, "right") - np.arange(1, n + 1)
+    y0, y1 = np.fmin(p.imag, e.imag)[s], np.fmax(p.imag, e.imag)[s]
 
     def cross(o, d, q):
         return d.real * (q.imag - o.imag) - d.imag * (q.real - o.real)
 
-    offs = np.arange(_CHUNK)
-    rows_per_block = max(1, _PAIR_BATCH // m)
-    pairs_per_batch = _PAIR_BATCH // (_CHUNK * _CHUNK)
-    for c0 in range(0, m, rows_per_block):
-        c1 = min(m, c0 + rows_per_block)
-        meet = ((x0[c0:c1, None] <= x1[None, :]) & (x0[None, :] <= x1[c0:c1, None])
-                & (y0[c0:c1, None] <= y1[None, :]) & (y0[None, :] <= y1[c0:c1, None]))
-        ci, cj = np.nonzero(meet)
-        ci += c0
-        keep = cj >= ci
-        ci, cj = ci[keep], cj[keep]
-        for k in range(0, ci.size, pairs_per_batch):
-            bi, bj = ci[k:k + pairs_per_batch, None, None], cj[k:k + pairs_per_batch, None, None]
-            si, sj = np.broadcast_arrays(bi * _CHUNK + offs[:, None], bj * _CHUNK + offs)
-            # same pairs as i < j - 1; first and last share the loop gap region
-            ok = (sj >= si + 2) & (sj < n) & ~((si == 0) & (sj == n - 1))
-            i, j = si[ok], sj[ok]
+    live = np.flatnonzero(reach >= 1)
+    lag = 1
+    while live.size:
+        lags = np.arange(lag, lag + max(1, _PAIR_BATCH // live.size))
+        for c in range(0, live.size, _PAIR_BATCH):
+            k = live[c:c + _PAIR_BATCH]
+            rows, cols = np.nonzero(lags <= reach[k, None])
+            i = k[rows]
+            j = i + lags[cols]
+            gap = np.abs(s[i] - s[j])
+            # y extents meet, indices 2+ apart, and not (0, n - 1): the loop gap
+            ok = (y0[i] <= y1[j]) & (y0[j] <= y1[i]) & (gap >= 2) & (gap != n - 1)
+            a, b = s[i[ok]], s[j[ok]]
             # strict sign tests: shared endpoints and grazing touches don't count
-            d1 = cross(p[i], r[i], p[j])
-            d2 = cross(p[i], r[i], e[j])
-            d3 = cross(p[j], r[j], p[i])
-            d4 = cross(p[j], r[j], e[i])
+            d1 = cross(p[a], r[a], p[b])
+            d2 = cross(p[a], r[a], e[b])
+            d3 = cross(p[b], r[b], p[a])
+            d4 = cross(p[b], r[b], e[a])
             if np.any((d1 * d2 < 0) & (d3 * d4 < 0)):
                 return True
+        lag = lags[-1] + 1
+        live = live[reach[live] >= lag]
     return False
 
 
@@ -206,15 +201,14 @@ def discrete_transfinite_diameter(points, n: int, sweeps: int = 20) -> float:
     # -inf marks a candidate colliding with a selected point; the masking
     # below keeps any inf-inf artifacts out of the argmax.
     with np.errstate(divide="ignore", invalid="ignore"):
-        # greedy seed, translation-equivariant start
+        # greedy seed, translation-equivariant start; each pick fills a column
         sel = np.empty(n, dtype=int)
-        sel[0] = int(np.argmax(np.abs(pts - pts.mean())))
-        score = np.log(np.abs(pts - pts[sel[0]]))
-        for k in range(1, n):
+        la = np.empty((pts.size, n))
+        score = np.abs(pts - pts.mean())
+        for k in range(n):
             sel[k] = int(np.argmax(score))
-            score = score + np.log(np.abs(pts - pts[sel[k]]))
-
-        la = np.log(np.abs(pts[:, None] - pts[sel][None, :]))
+            la[:, k] = np.log(np.abs(pts - pts[sel[k]]))
+            score = la[:, 0] if k == 0 else score + la[:, k]
         iu = np.triu_indices(n, k=1)
         # a repeated point enters only the seed, when no distinct point is
         # left: no exchange swaps one in, as its gain is -inf or nan

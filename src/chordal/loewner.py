@@ -165,8 +165,10 @@ class SolverConfig:
 
     ``tol`` is the absolute pointwise error target for a solved value,
     ``max_step`` caps the substep length, and ``contraction_margin`` bounds
-    the ratio h / Im(w)^2 on every substep (at most 1/2 so the certified
-    remainder series is geometrically dominated from the first term).
+    L * h on every substep, with L >= |G'| on Im w >= eta from
+    ``RealMeasure.g_bounds`` (for an atom L = 1/eta^2, so the bound is on
+    h / Im(w)^2); at most 1/2 so the certified remainder series is
+    geometrically dominated from the first term.
     """
 
     tol: float = 1e-9

@@ -457,8 +457,6 @@ def named_density(name: str, lo: float, hi: float, order: int = 64) -> DensitySe
             coeffs = [float(c) for c in name[5:].split(",")]
         except ValueError as exc:
             raise InvalidInputError(f"bad polynomial density {name!r}") from exc
-        if not coeffs:
-            raise InvalidInputError("polynomial density needs coefficients")
         def dens(x):
             return _poly.polyval(np.asarray(x, dtype=float), coeffs)
         a = _xi_coeffs(coeffs, lo, hi)

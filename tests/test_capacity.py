@@ -256,6 +256,17 @@ def test_exchange_matches_the_reference_on_the_interval_cloud():
     assert discrete_transfinite_diameter(cloud, 64) == reference_diameter(cloud, 64)
 
 
+def test_fekete_seed_fills_the_exchange_table():
+    # the (4096, 64) table of logs is 2.1 MB; rebuilding it after the seed
+    # from a complex difference array peaked at 6.3 MB
+    pts = boundary_image(semicircle(), resolution=2048, epsilon=4e-3).points
+    tracemalloc.start()
+    discrete_transfinite_diameter(pts, 64)
+    peak = tracemalloc.get_traced_memory()[1]
+    tracemalloc.stop()
+    assert peak < 3.5e6
+
+
 # ---------------------------------------------------------------------------
 # the cached unit-interval diameter
 
@@ -418,19 +429,30 @@ def test_crossings_match_the_reference_loop_on_seeded_curves():
     got = [_proper_crossings(c) for c in curves]
     want = [reference_crossings(c) for c in curves]
     assert got == want
-    # both answers occur, and most segment counts are not a multiple of
-    # the chunk size
+    # both answers occur
     assert 0.2 < sum(want) / len(want) < 0.8
-    assert sum((c.size - 1) % capacity._CHUNK != 0 for c in curves) > 200
 
 
 @pytest.mark.parametrize("batch", [1 << 6, 1 << 9])
 def test_crossings_are_independent_of_the_batch_size(monkeypatch, batch):
-    # small batches split the chunk rows and the candidate pairs many ways
+    # small batches split the live set into parts and the lags into blocks
     curves = seeded_curves(40)
     want = [_proper_crossings(c) for c in curves]
     monkeypatch.setattr(capacity, "_PAIR_BATCH", batch)
     assert [_proper_crossings(c) for c in curves] == want
+
+
+@pytest.mark.parametrize("batch", [1, 3])
+def test_short_walks_match_the_reference_lag_by_lag(monkeypatch, batch):
+    # walks of 4 to 12 points cross once or twice, if at all, so a segment
+    # dropped from the sweep one lag early loses the verdict
+    rng = np.random.default_rng(8)
+    curves = [np.cumsum(rng.standard_normal(m) + 1j * rng.standard_normal(m))
+              for m in rng.integers(4, 13, 1000)]
+    want = [reference_crossings(c) for c in curves]
+    monkeypatch.setattr(capacity, "_PAIR_BATCH", batch)
+    assert [_proper_crossings(c) for c in curves] == want
+    assert 0.3 < sum(want) / len(want) < 0.7
 
 
 @pytest.mark.parametrize("length", [47, 48, 49])
@@ -487,6 +509,15 @@ def test_spiral_crossings_are_fast_and_bounded():
     # 2**18 segment pairs a batch: a few tens of MB, not the ~450 MB of an
     # unbatched candidate list
     assert peak < 64e6
+
+
+def test_crossings_of_a_fine_trace_are_fast():
+    # 262,143 segments: the sweep meets each segment's few x-neighbours,
+    # where comparing all pairs of chunk boxes took 4.5 to 10 s
+    curve = boundary_image(semicircle(), resolution=131072, epsilon=4e-3)
+    start = time.perf_counter()
+    assert _proper_crossings(curve.points) is False
+    assert time.perf_counter() - start < 3.0
 
 
 # ---------------------------------------------------------------------------

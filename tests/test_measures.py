@@ -168,6 +168,12 @@ def test_poly_peak_is_the_maximum_not_the_coefficient_sum():
     assert long.peak == 0.75
 
 
+def test_empty_poly_density_is_a_bad_polynomial():
+    # "".split(",") is [""], never empty: float("") is what refuses
+    with pytest.raises(InvalidInputError, match="bad polynomial density 'poly:'"):
+        named_density("poly:", -1.0, 1.0)
+
+
 def test_poly_closed_form_past_the_float_range_falls_back_to_the_nodes():
     # r_1 = 2e308 overflows: the closed form gave nan - inf i where G is
     # -4.29e307 i, and warned
