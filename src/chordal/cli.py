@@ -26,6 +26,7 @@ from . import grunsky as _grunsky
 from . import loewner as _loewner
 from . import measures as _measures
 from .errors import InvalidInputError, NonConvergenceError
+from .numerics import settle_tol
 
 __all__ = ["run", "main", "parse_complex"]
 
@@ -88,7 +89,7 @@ def _cmd_transform(args) -> None:
             "b": triple.b,
             "c": triple.c,
             "nu_mass": triple.nu_mass,
-            "ladder_settle_tol": _measures.SETTLE_TOL,
+            "ladder_settle_tol": settle_tol(triple.c),
         })
         return
     if args.z is None:
@@ -136,7 +137,7 @@ def _cmd_invert(args) -> None:
         "interval": [a, b],
         "eps_ladder": ladder,
         "value": value,
-        "extrapolation_settle_tol": _measures.SETTLE_TOL * max(1.0, abs(value)),
+        "extrapolation_settle_tol": settle_tol(value),
     })
 
 

@@ -63,14 +63,18 @@ class GrunskyReport:
 def _alpha_and_scale(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     # Row n of U holds the monomial coefficients of U_n(x/2), built by
     # U_n = x U_(n-1) - U_(n-2); |U| @ |a| is the scale on which the
-    # alternating binomial sums of U @ a round.
+    # alternating binomial sums of U @ a round. U is integral, so for
+    # integer moments every partial sum of a row whose scale stays below
+    # 2^53 is an integer float can hold: that row is exact, scale 0.
     U = np.zeros((a.size, a.size))
     U[0, 0] = 1.0
     for n in range(1, a.size):
         U[n, 1:] = U[n - 1, :-1]
         if n >= 2:
             U[n] -= U[n - 2]
-    return U @ a, np.abs(U) @ np.abs(a)
+    scale = np.abs(U) @ np.abs(a)
+    exact = np.all(a == np.round(a)) & (scale < 2.0 ** 53)
+    return U @ a, np.where(exact, 0.0, scale)
 
 
 def moments_to_alpha(moments) -> np.ndarray:

@@ -131,10 +131,8 @@ from typing import Callable, ClassVar, Sequence
 import numpy as np
 
 from .errors import InvalidInputError, NonConvergenceError
-from .measures import (
-    _TINY, SETTLE_TOL, RealMeasure, _require_upper, measure_from_dict, point_mass, y_ladder,
-)
-from .numerics import cheb_grid, y_limit
+from .measures import _TINY, RealMeasure, _require_upper, measure_from_dict, point_mass
+from .numerics import Y_LADDER, cheb_grid, y_limit
 
 __all__ = [
     "SolverConfig",
@@ -686,10 +684,11 @@ def hydrodynamic_parameter(
 ) -> float:
     """The coefficient c in f(t; iy) = i(y + c/y) + o(1/y), extrapolated.
 
-    For unit-mass drivers this equals t.  Solved on a doubling y-ladder at
-    a tightened tolerance, then Richardson-extrapolated twice in 1/y; the
-    extrapolation must settle and the imaginary residual must vanish below
-    1e-6, else the computation is reported as non-convergent.
+    For unit-mass drivers this equals t.  Solved on ``numerics.Y_LADDER``
+    at a tightened tolerance, then extrapolated by ``numerics.y_limit``; the
+    limit must settle within ``numerics.settle_tol(limit)`` and its
+    imaginary residual must vanish below 1e-6, else the computation is
+    reported as non-convergent.
     """
     cfg = config or _DEFAULT_CONFIG
     t = float(t)
@@ -698,12 +697,8 @@ def hydrodynamic_parameter(
     if t == 0.0:
         return 0.0
     tight = replace(cfg, tol=min(cfg.tol, 1e-12))
-    ys = y_ladder()
-    w, _ = _solve_many(family, 0.0, t, 1j * ys, tight)
-    vals = (1j * ys) * (1j * ys - w)
-    limit, diff = y_limit(vals, ys)
-    if diff > SETTLE_TOL * max(1.0, abs(limit)):
-        raise NonConvergenceError("hydrodynamic extrapolation did not settle")
+    w, _ = _solve_many(family, 0.0, t, 1j * Y_LADDER, tight)
+    limit = y_limit((1j * Y_LADDER) * (1j * Y_LADDER - w), "hydrodynamic ladder")
     if abs(limit.imag) >= 1e-6:
         raise NonConvergenceError(
             f"imaginary residual {limit.imag:.3e} in the hydrodynamic limit"

@@ -26,16 +26,9 @@ import numpy as np
 from numpy.polynomial import polynomial as _poly
 
 from .errors import InvalidInputError, NonConvergenceError
-from .numerics import adaptive_simpson, gauss_legendre, neville_zero, y_limit
-
-# y-ladder used by every y -> infinity limit in the package.
-Y_BASE = 8.0
-Y_DOUBLINGS = 10
+from .numerics import Y_LADDER, adaptive_simpson, gauss_legendre, neville_zero, settled, y_limit
 
 MASS_TOL = 1e-12
-# the last two estimates of a ladder limit (y -> inf or eps -> 0) must agree
-# within this, absolutely or times max(1, |limit|)
-SETTLE_TOL = 1e-3
 _MAX_DENSE_NODES = 400_000
 _MAX_ORDER = 2048          # leggauss takes O(order^3) time and O(order^2) memory
 # (point, node) pairs per block of a node sum: 2^13 complex pairs are 128 KiB
@@ -49,10 +42,6 @@ _POLY_SERIES_TERMS = 64    # 2**-64 < eps/100 at the radius
 _POLY_PEAK_DEGREE = 64     # past it a poly: peak is the coefficient sum (roots cost O(deg^3))
 _EPS = float(np.finfo(float).eps)
 _TINY = float(np.finfo(float).tiny)
-
-
-def y_ladder() -> np.ndarray:
-    return Y_BASE * 2.0 ** np.arange(Y_DOUBLINGS + 1)
 
 
 def _eval_array(fn, x: np.ndarray, dtype=float) -> np.ndarray:
@@ -124,36 +113,34 @@ class DensitySegment:
             raise InvalidInputError("segment density peak must be a finite number >= 0")
 
     def nodes(self) -> tuple[np.ndarray, np.ndarray]:
-        mid = 0.5 * (self.lo + self.hi)
-        rad = 0.5 * (self.hi - self.lo)
-        t, w = gauss_legendre(int(self.order))
-        if self.chebyshev:
-            theta = 0.5 * np.pi * (t + 1.0)
-            x = mid + rad * np.cos(theta)
-            jac = rad * np.sin(theta) * (0.5 * np.pi)
-        else:
-            x = mid + rad * t
-            jac = np.full_like(x, rad)
-        with np.errstate(over="ignore", invalid="ignore"):  # refused just below
-            dens = _eval_array(self.density, x)
-        if np.any(dens < -1e-12) or not np.all(np.isfinite(dens)):
-            raise InvalidInputError("density must be finite and nonnegative on nodes")
-        return x, dens * jac * w
+        return _mapped(self, *gauss_legendre(int(self.order)))
+
+
+def _mapped(seg: DensitySegment, t: np.ndarray, w) -> tuple[np.ndarray, np.ndarray]:
+    # the rule (t, w) on [-1, 1] mapped onto seg, through the cos
+    # substitution for chebyshev segments: its nodes and density weights
+    mid = 0.5 * (seg.lo + seg.hi)
+    rad = 0.5 * (seg.hi - seg.lo)
+    if seg.chebyshev:
+        theta = 0.5 * np.pi * (t + 1.0)
+        x = mid + rad * np.cos(theta)
+        jac = rad * np.sin(theta) * (0.5 * np.pi)
+    else:
+        x = mid + rad * t
+        jac = rad
+    with np.errstate(over="ignore", invalid="ignore"):  # refused just below
+        dens = _eval_array(seg.density, x)
+    if np.any(dens < -1e-12) or not np.all(np.isfinite(dens)):
+        raise InvalidInputError("density must be finite and nonnegative on nodes")
+    return x, dens * jac * w
 
 
 def _midpoint_nodes(seg: DensitySegment, spacing: float) -> tuple[np.ndarray, np.ndarray]:
     # the midpoint rule on seg with node gaps below spacing, in theta for
     # chebyshev segments
-    rad = 0.5 * (seg.hi - seg.lo)
-    span = np.pi * rad if seg.chebyshev else seg.hi - seg.lo
+    span = 0.5 * np.pi * (seg.hi - seg.lo) if seg.chebyshev else seg.hi - seg.lo
     n = min(max(int(seg.order), int(np.ceil(span / spacing)) + 1), _MAX_DENSE_NODES)
-    if seg.chebyshev:
-        theta = np.pi * (np.arange(n) + 0.5) / n
-        x = 0.5 * (seg.lo + seg.hi) + rad * np.cos(theta)
-        return x, _eval_array(seg.density, x) * rad * np.sin(theta) * (np.pi / n)
-    step = (seg.hi - seg.lo) / n
-    x = seg.lo + step * (np.arange(n) + 0.5)
-    return x, _eval_array(seg.density, x) * step
+    return _mapped(seg, (2.0 * np.arange(n) + 1.0) / n - 1.0, 2.0 / n)
 
 
 class RealMeasure:
@@ -559,17 +546,15 @@ def moment(mu: RealMeasure, n: int) -> float:
 
 
 def class_r_constant(F) -> float:
-    """Least C with |F(z) - z| <= C/Im z, from the y-ladder of |iy(iy - F(iy))|.
+    """Least C with |F(z) - z| <= C/Im z, the y -> infinity limit of |iy(iy - F(iy))|.
 
     Equals the total mass of the representing measure (the variance when F is
-    a reciprocal Cauchy transform).
+    a reciprocal Cauchy transform). The limit is ``numerics.y_limit`` on
+    ``numerics.Y_LADDER``; NonConvergenceError unless it settles within
+    ``numerics.settle_tol(C)`` = 1e-3 max(1, C).
     """
-    ys = y_ladder()
-    vals = np.array([abs(1j * y * (1j * y - F(1j * y))) for y in ys])
-    limit, diff = y_limit(vals, ys)
-    if diff > SETTLE_TOL:
-        raise NonConvergenceError("class-r ladder failed its Cauchy criterion")
-    return max(float(np.real(limit)), 0.0)
+    vals = np.array([abs(1j * y * (1j * y - F(1j * y))) for y in Y_LADDER])
+    return max(float(y_limit(vals, "class-r ladder")), 0.0)
 
 
 @dataclass(frozen=True)
@@ -586,15 +571,16 @@ class NevanlinnaTriple:
 
 
 def nevanlinna_triple(F) -> NevanlinnaTriple:
-    """Extract (b, c, nu_mass) of a Pick function from ladder limits."""
+    """Extract (b, c, nu_mass) of a Pick function: b = Re F(i), nu_mass = Im F(i) - c.
+
+    c is the y -> infinity limit of Im F(iy)/y, ``numerics.y_limit`` on
+    ``numerics.Y_LADDER``; NonConvergenceError unless it settles within
+    ``numerics.settle_tol(c)`` = 1e-3 max(1, |c|).
+    """
     fi = complex(F(1j))
     b = fi.real
-    ys = y_ladder()
-    vals = np.array([complex(F(1j * y)).imag / y for y in ys])
-    c, diff = y_limit(vals, ys)
-    if diff > SETTLE_TOL:
-        raise NonConvergenceError("linear-coefficient ladder failed to converge")
-    c = float(c)
+    vals = np.array([complex(F(1j * y)).imag / y for y in Y_LADDER])
+    c = float(y_limit(vals, "linear-coefficient ladder"))
     if c < 0:
         if c < -1e-9:
             raise InvalidInputError("negative linear coefficient: not a Pick function")
@@ -609,8 +595,11 @@ def stieltjes_invert(G, interval: tuple[float, float], eps_ladder: Sequence[floa
     """Recover mu((a,b)) + mu([a,b]) from boundary values of G.
 
     Integrates -(2/pi) Im G(x + i*eps) over (a, b) by adaptive Simpson for
-    each rung, then extrapolates the ladder to eps = 0. Interior atoms count
-    twice, endpoint atoms once, matching the open/closed average.
+    each rung, then extrapolates the ladder to eps = 0 by Neville's rule;
+    NonConvergenceError unless the limit is finite and the last rung moved
+    it by at most ``numerics.settle_tol(value)`` = 1e-3 max(1, |value|).
+    Interior atoms count twice, endpoint atoms once, matching the
+    open/closed average.
 
     G is called on 1-D complex arrays of points, one call per Simpson
     level and slice; a G that raises TypeError on an array, or returns the
@@ -633,13 +622,8 @@ def stieltjes_invert(G, interval: tuple[float, float], eps_ladder: Sequence[floa
     for e in eps:
         integrand = lambda x, _e=e: _eval_array(G, x + 1j * _e, complex).imag
         vals.append(-(2.0 / np.pi) * adaptive_simpson(integrand, a, b, tol=tol))
-    with np.errstate(over="ignore", invalid="ignore"):
-        value, diff = neville_zero(eps, vals)
-    if not math.isfinite(value):
-        raise NonConvergenceError("eps ladder extrapolated to a non-finite value")
-    if diff > SETTLE_TOL * max(1.0, abs(value)):
-        raise NonConvergenceError("eps ladder failed to converge")
-    return float(value)
+    with np.errstate(over="ignore", invalid="ignore"):  # settled refuses
+        return float(settled(*neville_zero(eps, vals), "eps ladder"))
 
 
 def affine_pushforward(mu: RealMeasure, scale: float, shift: float) -> RealMeasure:

@@ -1,5 +1,10 @@
 """Shared numerical plumbing: quadrature nodes, spectral integration on
-Chebyshev grids, adaptive Simpson, and limit extrapolation ladders.
+Chebyshev grids, adaptive Simpson, and the one home of ladder limits.
+
+Every extrapolated limit in the package is Neville's rule and settles by
+one test: it must be finite and its last rung may move it by at most
+``SETTLE_TOL * max(1, |limit|)``. The y -> infinity limits all read the
+one read-only ladder ``Y_LADDER``.
 
 Adaptive Simpson refines all open intervals of one level together, so its
 integrand is called on arrays: once per level, in slices of at most 4096
@@ -116,6 +121,27 @@ def adaptive_simpson(f, a: float, b: float, tol: float, max_depth: int = 48) -> 
         depth += 1
 
 
+# y = 8 * 2^k, k = 0..10: the ladder of every y -> infinity limit
+Y_LADDER = 8.0 * 2.0 ** np.arange(11)
+Y_LADDER.setflags(write=False)
+SETTLE_TOL = 1e-3
+
+
+def settle_tol(limit) -> float:
+    """The largest last-rung move ``settled`` accepts for this limit."""
+    return SETTLE_TOL * max(1.0, abs(limit))
+
+
+def settled(limit, move, ladder: str):
+    """limit, when it is finite and its last rung moved it by at most
+    ``settle_tol(limit)``; otherwise NonConvergenceError names the ladder."""
+    if not np.isfinite(limit):
+        raise NonConvergenceError(f"{ladder} extrapolated to a non-finite value")
+    if not move <= settle_tol(limit):
+        raise NonConvergenceError(f"{ladder} did not settle")
+    return limit
+
+
 def neville_zero(hs, vals):
     """Neville extrapolation of vals(h) to h = 0.
 
@@ -137,19 +163,16 @@ def neville_zero(hs, vals):
     return diag[-1], abs(diag[-1] - diag[-2])
 
 
-def y_limit(values, ys):
-    """Extrapolated y -> infinity limit from a doubling ladder.
+def y_limit(values, ladder: str):
+    """The settled y -> infinity limit of values taken on ``Y_LADDER``.
 
-    Two Richardson elimination levels in 1/y (removing the 1/y and 1/y^2
-    terms of the large-y expansion). Returns (limit, cauchy_diff) where
-    cauchy_diff measures the tail of the extrapolated column.
+    Neville's rule in h = 1/y on the last three rungs removes the 1/y and
+    1/y^2 terms of the large-y expansion; the same rule one rung earlier
+    gives the last-rung move that ``settled`` judges. Every h is a power of
+    two, so this is exactly two Richardson halvings of the ladder.
     """
-    v = np.asarray(values)
-    ys = np.asarray(ys, dtype=float)
-    if v.size < 4:
-        raise InvalidInputError("ladder too short for order-2 extrapolation")
-    if not np.allclose(ys[1:] / ys[:-1], 2.0, rtol=1e-12):
-        raise InvalidInputError("ladder must double")
-    t1 = 2.0 * v[1:] - v[:-1]
-    t2 = (4.0 * t1[1:] - t1[:-1]) / 3.0
-    return t2[-1], abs(t2[-1] - t2[-2])
+    h = 1.0 / Y_LADDER
+    with np.errstate(over="ignore", invalid="ignore"):  # settled refuses
+        limit = neville_zero(h[-3:], values[-3:])[0]
+        move = abs(limit - neville_zero(h[-4:-1], values[-4:-1])[0])
+    return settled(limit, move, ladder)

@@ -6,6 +6,7 @@ import itertools
 import math
 import time
 import tracemalloc
+import warnings
 
 import mpmath
 import numpy as np
@@ -394,6 +395,19 @@ def test_trace_resamples_bare_callable_segments():
     z = 2.0 * np.cos(np.linspace(math.pi, 0.0, 512)) + 4e-3j
     frozen = 1.0 / mu.cauchy(z)
     assert np.max(np.abs(frozen - boundary_image(mu, 512, 4e-3).points[:512])) > 1.0
+
+
+def test_resampling_checks_the_density_like_the_frozen_rule():
+    # sin(2x)/x is 0/0 at x = 0: no Gauss node lands there, but the trace at
+    # height 2e-3 resamples at spacing 5e-4, and its middle node does
+    si2 = float(mpmath.si(2))
+    seg = DensitySegment(-1.0, 1.0, lambda x: np.sin(2.0 * x) / (2.0 * si2 * x), 64)
+    mu = RealMeasure([], [seg], mass=1.0)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for call in (lambda: hayman_report(mu, epsilon=2e-3), lambda: mu.dense_nodes(5e-4)):
+            with pytest.raises(InvalidInputError, match="finite and nonnegative"):
+                call()
 
 
 def test_boundary_image_validation():

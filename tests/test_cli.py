@@ -15,7 +15,8 @@ from chordal.capacity import RATIO_BAND
 from chordal.cli import parse_complex, run
 from chordal.errors import InvalidInputError
 from chordal.loewner import DriverFamily, transition_grid
-from chordal.measures import SETTLE_TOL, point_mass
+from chordal.measures import point_mass
+from chordal.numerics import SETTLE_TOL
 
 from oracles import semicircle_transition
 
@@ -318,6 +319,14 @@ def test_grunsky_numerical_breakdown_exits_1(capsys):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err.startswith("non-convergence: moment rounding could change the verdict")
+
+
+def test_grunsky_exact_integer_moments_read_boundary(capsys):
+    # the central binomials through a_32 are exact: no rounding to charge
+    moments = ",".join(str(math.comb(n, n // 2) * (1 - n % 2)) for n in range(33))
+    assert run(["grunsky", "--moments", moments, "--order", "16"]) == 0
+    captured = capsys.readouterr()
+    assert json.loads(captured.out)["verdict"] == "boundary" and captured.err == ""
 
 
 def test_grunsky_pm1_pair_fails_at_order_24(capsys):

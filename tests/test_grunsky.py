@@ -373,6 +373,37 @@ def test_certificate_arcsine_order_16_refuses():
         univalence_certificate(moments, 16)
 
 
+def central_binomial(n_max):
+    return [math.comb(n, n // 2) * (1 - n % 2) for n in range(n_max + 1)]
+
+
+def catalan(n_max):
+    return [math.comb(n, n // 2) // (n // 2 + 1) * (1 - n % 2) for n in range(n_max + 1)]
+
+
+def test_integer_moments_below_2_53_carry_no_rounding():
+    # U is integral, so integer moments give integer partial sums: exact
+    # while every row's scale stays below 2^53
+    alpha, scale = grunsky._alpha_and_scale(np.array(central_binomial(32), dtype=float))
+    assert np.array_equal(alpha, [1.0, 0.0] * 16 + [1.0]) and not scale.any()
+    _, scale = grunsky._alpha_and_scale(np.array([1.0, 0.0, 0.5]))
+    assert scale[2] > 0
+    # binom(64, 32) = 1.8e18 > 2^53: that row keeps its scale
+    _, scale = grunsky._alpha_and_scale(np.array(central_binomial(64), dtype=float))
+    assert scale[64] > 2.0 ** 53 and scale[32] == 0
+
+
+def test_exact_integer_moments_reach_their_verdict():
+    # the arcsine's exact moments: g(z) = z - 1/z, |eigenvalues| = 1; the
+    # rounding model of quadrature moments refused this at order 16
+    assert univalence_certificate(central_binomial(32), 16).verdict == "boundary"
+    for order in (8, 16):
+        assert univalence_certificate(catalan(2 * order), order).verdict == "pass"
+    for order in (24, 32):  # scales past 2^53: rounding is charged, and it refuses
+        with pytest.raises(NonConvergenceError, match="moment rounding could change the verdict"):
+            univalence_certificate(central_binomial(2 * order), order)
+
+
 @pytest.mark.parametrize("moments, delta, verdict", [
     ([1.0] + [0.0] * 16, 1e-6, None),
     ([moment(bernoulli(0.5), n) for n in range(17)], 1e-6, "fail"),

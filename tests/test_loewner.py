@@ -829,6 +829,28 @@ def test_hydrodynamic_parameter_edge_cases():
         hydrodynamic_parameter(DELTA0, 9.0)
 
 
+def test_hydrodynamic_parameter_refuses_an_unsettled_ladder():
+    # an atom at 300 leaves terms in 300/y that the ladder's top rung,
+    # y = 8192, has not yet left behind
+    far = DriverFamily.constant(point_mass(300.0))
+    with pytest.raises(NonConvergenceError, match="hydrodynamic ladder did not settle"):
+        hydrodynamic_parameter(far, 1.0)
+
+
+def test_driver_and_span_refusals():
+    unbounded = DriverFamily.constant(point_mass())
+    with pytest.raises(NonConvergenceError, match="time span too long"):
+        solve_transition(unbounded, 0.0, 1e200, 1j)
+    with pytest.raises(InvalidInputError, match="horizon must be positive"):
+        DriverFamily.constant(point_mass(), horizon=-1)
+    with pytest.raises(InvalidInputError, match="samples must be finite"):
+        DriverFamily.moving_atom([(0.0, 0.0), (1.0, math.nan)])
+    with pytest.raises(InvalidInputError, match="breaks must be a non-empty 1-d finite array"):
+        DriverFamily.piecewise_constant([[0.0]], [point_mass()])
+    with pytest.raises(InvalidInputError, match="need 0 <= a <= b <= c"):
+        semigroup_defect(DELTA0, 1.0, 0.5, 2.0, [1j])
+
+
 # ---------------------------------------------------------------------------
 # univalence probe
 

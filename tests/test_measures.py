@@ -271,12 +271,6 @@ def test_dense_nodes_refine_mass_and_spacing():
         mu.dense_nodes(0.0)
 
 
-def test_y_ladder_shape():
-    ys = measures.y_ladder()
-    assert ys[0] == 8.0 and ys.size == 11
-    assert np.all(ys[1:] / ys[:-1] == 2.0)
-
-
 # ---------------------------------------------------------------------------
 # Cauchy transform and friends
 
@@ -411,6 +405,22 @@ def test_class_r_constant_diverges_off_center():
         class_r_constant(lambda z: reciprocal_cauchy(mu, z))
 
 
+def test_class_r_constant_settles_relative_to_a_large_variance():
+    # radius 200: variance 1e4, and the last rung moves the limit by 3.6e-5
+    # of it, far past 1e-3 absolutely
+    c = class_r_constant(lambda z: reciprocal_cauchy(semicircle(radius=200.0), z))
+    assert abs(c - 1e4) <= 1e-4 * 1e4
+    # radius 1000 reaches past the ladder's low rungs: no limit yet
+    with pytest.raises(NonConvergenceError, match="class-r ladder did not settle"):
+        class_r_constant(lambda z: reciprocal_cauchy(semicircle(radius=1000.0), z))
+
+
+@pytest.mark.parametrize("ladder", [class_r_constant, nevanlinna_triple])
+def test_a_nan_valued_f_refuses(ladder):
+    with pytest.raises(NonConvergenceError, match="ladder extrapolated to a non-finite value"):
+        ladder(lambda z: complex(math.nan, math.nan))
+
+
 def test_nevanlinna_triple_point_mass():
     tr = nevanlinna_triple(lambda z: reciprocal_cauchy(point_mass(0.7), z))
     assert abs(tr.b - (-0.7)) < 1e-12
@@ -429,6 +439,10 @@ def test_nevanlinna_triple_semicircle():
 def test_nevanlinna_triple_rejects_non_pick():
     with pytest.raises(InvalidInputError):
         nevanlinna_triple(lambda z: np.conj(z) - 1.0 / np.conj(z))
+    with pytest.raises(InvalidInputError, match="negative linear coefficient"):
+        nevanlinna_triple(lambda z: -z)
+    with pytest.raises(InvalidInputError, match=r"Im F\(i\) < c"):
+        nevanlinna_triple(lambda z: z - 2j)
 
 
 # ---------------------------------------------------------------------------

@@ -8,6 +8,7 @@ Oracles used here:
 """
 
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -189,7 +190,68 @@ def test_bad_arguments_raise_the_package_error():
         numerics.neville_zero([1.0, 0.5], [1.0])
     with pytest.raises(InvalidInputError):
         numerics.neville_zero([0.5, 1.0], [1.0, 2.0])
-    with pytest.raises(InvalidInputError):
-        numerics.y_limit([1.0, 2.0, 3.0], [1.0, 2.0, 4.0])
-    with pytest.raises(InvalidInputError):
-        numerics.y_limit([1.0, 2.0, 3.0, 4.0], [1.0, 3.0, 9.0, 27.0])
+
+
+# ---------------------------------------------------------------------------
+# ladder limits
+
+
+def richardson_y_limit(values, ys):
+    """The former y_limit, verbatim: two Richardson levels on a doubling ladder."""
+    v = np.asarray(values)
+    ys = np.asarray(ys, dtype=float)
+    if v.size < 4:
+        raise InvalidInputError("ladder too short for order-2 extrapolation")
+    if not np.allclose(ys[1:] / ys[:-1], 2.0, rtol=1e-12):
+        raise InvalidInputError("ladder must double")
+    t1 = 2.0 * v[1:] - v[:-1]
+    t2 = (4.0 * t1[1:] - t1[:-1]) / 3.0
+    return t2[-1], abs(t2[-1] - t2[-2])
+
+
+def test_y_ladder_shape():
+    ys = numerics.Y_LADDER
+    assert ys[0] == 8.0 and ys.size == 11
+    assert np.all(ys[1:] / ys[:-1] == 2.0)
+    with pytest.raises(ValueError):
+        ys[0] = 1.0
+
+
+@pytest.mark.parametrize("kind", ["real", "complex"])
+def test_y_limit_equals_the_richardson_limit_exactly(monkeypatch, kind):
+    # every h = 1/y is a power of two, so Neville's rule on the last three
+    # rungs (and one rung earlier) rounds exactly as the two Richardson levels
+    monkeypatch.setattr(numerics, "settled", lambda limit, move, ladder: (limit, move))
+    rng = np.random.default_rng(18)
+    ys = numerics.Y_LADDER
+    powers = ys[:, None] ** -np.arange(5.0)
+    for _ in range(10_000):
+        coef = rng.standard_normal((2, 5)) * 10.0 ** rng.uniform(-6, 6, (2, 5))
+        coef = coef[0] + 1j * coef[1] if kind == "complex" else coef[0]
+        vals = powers @ coef
+        if rng.random() < 0.3:  # ladders that do not settle too
+            vals = vals + rng.standard_normal(vals.shape) * 10.0 ** rng.uniform(-12, 3)
+        assert numerics.y_limit(vals, "test") == richardson_y_limit(vals, ys)
+
+
+def test_settle_rule_is_relative_past_one():
+    assert numerics.settle_tol(0.5) == numerics.SETTLE_TOL
+    assert numerics.settle_tol(-1e4) == 1e4 * numerics.SETTLE_TOL
+    assert numerics.settle_tol(3e4j) == 3e4 * numerics.SETTLE_TOL
+    assert numerics.settled(1e4, 10.0, "test") == 1e4
+    with pytest.raises(NonConvergenceError, match="test ladder did not settle"):
+        numerics.settled(1e4, 10.000001, "test ladder")
+    with pytest.raises(NonConvergenceError, match="did not settle"):
+        numerics.settled(1.0, math.nan, "test")
+    for limit in (math.nan, math.inf, complex(1.0, math.inf)):
+        with pytest.raises(NonConvergenceError, match="test extrapolated to a non-finite value"):
+            numerics.settled(limit, 0.0, "test")
+
+
+def test_y_limit_refuses_overflowing_rungs_without_warnings():
+    vals = np.full(numerics.Y_LADDER.size, 1e308)
+    vals[-1] = -1e308
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(NonConvergenceError, match="non-finite"):
+            numerics.y_limit(vals, "test")
