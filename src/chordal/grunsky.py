@@ -114,29 +114,22 @@ def _log_rows(P: np.ndarray) -> np.ndarray:
 def faber_polynomials(g: SeriesCoefficients, n_max: int) -> list[np.ndarray]:
     """Monic Faber polynomials F_0..F_n_max of g, ascending coefficients.
 
-    Recursion unrolled from the generating relation
-    zeta g'(zeta) / (g(zeta) - w) = sum_n F_n(w) zeta^-n:
-    F_(n+1) = (w - b_0) F_n - sum_(j=1)^(n-1) b_j F_(n-j) - (n+1) b_n
-    with g(z) = z + b_0 + b_1/z + ...
+    With g(z) = z + b_0 + b_1/z + ... and u = 1/z,
+    log((g(z) - w)/z) = -sum_(n >= 1) F_n(w) u^n / n, so
+    F_n(w) = -n [u^n] log(1 + (b_0 - w) u + b_1 u^2 + ...), the rows of
+    ``_log_rows`` for that series in u and w (Pommerenke, Univalent
+    Functions, ch. 3); F_0 = 1.  Coefficients past the end of the series
+    count as zero.
     """
     if n_max < 0:
         raise InvalidInputError("polynomial order must be nonnegative")
-    b = np.zeros(max(n_max, 1))
-    avail = np.asarray(g.coeffs[1:], dtype=float)
-    b[: min(avail.size, b.size)] = avail[: b.size]
-    polys = [np.array([1.0])]
-    if n_max == 0:
-        return polys
-    polys.append(np.array([-b[0], 1.0]))
-    for n in range(1, n_max):
-        nxt = np.zeros(n + 2)
-        nxt[1:] += polys[n]           # w * F_n
-        nxt[: n + 1] -= b[0] * polys[n]
-        for j in range(1, n):
-            nxt[: n - j + 1] -= b[j] * polys[n - j]
-        nxt[0] -= (n + 1) * b[n]
-        polys.append(nxt)
-    return polys
+    tail = np.asarray(g.coeffs[1 : n_max + 1], dtype=float)
+    P = np.zeros((n_max + 2, n_max + 2))
+    P[0, 0] = 1.0
+    P[1 : tail.size + 1, 0] = tail
+    P[1, 1] = -1.0
+    D = _log_rows(P)
+    return [np.array([1.0])] + [-D[n, : n + 1] for n in range(1, n_max + 1)]
 
 
 def _check_order(order: int) -> None:

@@ -100,17 +100,17 @@ loss falls toward eta/12 as the path steepens, which leaves slack for
 what the estimate neglects (the ellipse reaches past the substep's ends
 in real time).  With it, atom paths of slope up to 100 keep every error
 within its bound.  The interpolation share asks 4 K rho^-(N-1) / (rho - 1)
-<= 0.2 tol / (span amp) per unit time; with a factor 3 of slack, rho is
-the least value >= 2 with rho^(N-1) (rho - 1) >= R = 60 K span amp / tol,
-and the rule takes
+<= 0.2 tol / (span amp) per unit time; with a factor 3 of slack it asks
+rho^(N-1) (rho - 1) >= R = 60 K span amp / tol.  The rule takes
+rho = max(2, R^(1/(N-1))), which meets that because rho - 1 >= 1, and
 
     h = min(4H / (rho - 1/rho), margin / L, max_step).
 
 The node count N = 40 lets the contraction cap, not the interpolation
 limit, set most atom substeps.  With M = 1/eta the interpolation limit is
 h = eta^2 / (rho - 1/rho), which reaches the cap eta^2/2 once
-rho <= 1 + sqrt(2); and rho = 1 + sqrt(2) meets rho^(N-1) (rho - 1) >= R
-for R up to 2e14 at N = 38 and 1.2e15 at N = 40.  That covers the default
+rho <= 1 + sqrt(2), that is for R <= (1 + sqrt(2))^(N-1): about 1.5e14
+at N = 38 and 8.5e14 at N = 40.  That covers the default
 tol on grids with Im z >= 0.2 over spans up to 2.  At N = 24 the
 interpolation limit held the substeps below the cap there: delta_0 on such
 a 200-point grid at t = 2 took 148 rounds, against 88 at N = 40.  Tighter
@@ -118,7 +118,7 @@ tolerances or points nearer the axis raise R past that range, and the
 interpolation limit binds again.  A bounded density has L of order 1/eta,
 not 1/eta^2, so its cap lies far above its interpolation limit, which at
 K of order log(1/eta) is of order eta / log(1/eta): the semicircle at
-2 + 0.001i takes 115 substeps to t = 0.5, where the atom-style constants
+2 + 0.001i takes 116 substeps to t = 0.5, where the atom-style constants
 took 27,810.
 """
 
@@ -424,15 +424,8 @@ def _by_piece(piece, solve, *lanes):
 
 
 def _solve_rho(R: np.ndarray) -> np.ndarray:
-    # Smallest rho >= 2 with rho^(N-1) (rho - 1) >= R; fixed point in log
-    # form. The map is decreasing, so the iterates alternate around the
-    # root and the larger of the last two lies on its safe side.
-    logR = np.log(np.maximum(R, 10.0))
-    rho = np.maximum(np.exp(logR / _NODES), 2.0)
-    for _ in range(4):
-        last = rho
-        rho = np.maximum(np.exp((logR - np.log(rho - 1.0)) / (_NODES - 1)), 2.0)
-    return np.maximum(rho, last)
+    # rho^(N-1) >= R and rho - 1 >= 1, so rho^(N-1) (rho - 1) >= R
+    return np.maximum(R ** (1.0 / (_NODES - 1)), 2.0)
 
 
 def _picard(

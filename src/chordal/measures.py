@@ -575,12 +575,14 @@ def nevanlinna_triple(F) -> NevanlinnaTriple:
 
     c is the y -> infinity limit of Im F(iy)/y, ``numerics.y_limit`` on
     ``numerics.Y_LADDER``; NonConvergenceError unless it settles within
-    ``numerics.settle_tol(c)`` = 1e-3 max(1, |c|).
+    ``numerics.settle_tol(c)`` = 1e-3 max(1, |c|), and unless F(i) is finite.
     """
     fi = complex(F(1j))
     b = fi.real
     vals = np.array([complex(F(1j * y)).imag / y for y in Y_LADDER])
     c = float(y_limit(vals, "linear-coefficient ladder"))
+    if not np.isfinite(fi):
+        raise NonConvergenceError("F(i) is not finite")
     if c < 0:
         if c < -1e-9:
             raise InvalidInputError("negative linear coefficient: not a Pick function")

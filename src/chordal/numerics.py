@@ -4,7 +4,8 @@ Chebyshev grids, adaptive Simpson, and the one home of ladder limits.
 Every extrapolated limit in the package is Neville's rule and settles by
 one test: it must be finite and its last rung may move it by at most
 ``SETTLE_TOL * max(1, |limit|)``. The y -> infinity limits all read the
-one read-only ladder ``Y_LADDER``.
+one read-only ladder ``Y_LADDER``, and also refuse when the rounding of
+their rungs alone could exceed that tolerance.
 
 Adaptive Simpson refines all open intervals of one level together, so its
 integrand is called on arrays: once per level, in slices of at most 4096
@@ -125,6 +126,7 @@ def adaptive_simpson(f, a: float, b: float, tol: float, max_depth: int = 48) -> 
 Y_LADDER = 8.0 * 2.0 ** np.arange(11)
 Y_LADDER.setflags(write=False)
 SETTLE_TOL = 1e-3
+_EPS = float(np.finfo(float).eps)
 
 
 def settle_tol(limit) -> float:
@@ -169,10 +171,16 @@ def y_limit(values, ladder: str):
     Neville's rule in h = 1/y on the last three rungs removes the 1/y and
     1/y^2 terms of the large-y expansion; the same rule one rung earlier
     gives the last-rung move that ``settled`` judges. Every h is a power of
-    two, so this is exactly two Richardson halvings of the ladder.
+    two, so this is exactly two Richardson halvings of the ladder. Neville's
+    weights on the last three rungs, (1/3, -2, 8/3), sum to 5 in size, so
+    the limit carries up to 5 eps max|rung| of their rounding: when that
+    exceeds ``settle_tol(limit)`` the ladder did not settle either.
     """
     h = 1.0 / Y_LADDER
     with np.errstate(over="ignore", invalid="ignore"):  # settled refuses
         limit = neville_zero(h[-3:], values[-3:])[0]
         move = abs(limit - neville_zero(h[-4:-1], values[-4:-1])[0])
-    return settled(limit, move, ladder)
+    out = settled(limit, move, ladder)
+    if not 5.0 * _EPS * np.max(np.abs(values[-3:])) <= settle_tol(limit):
+        raise NonConvergenceError(f"{ladder} did not settle")
+    return out

@@ -562,6 +562,24 @@ def test_overflowing_transform_refuses_on_one_line(tmp_path, measure, z, flags, 
     assert proc.stderr == f"non-convergence: {message}\n"
 
 
+@pytest.mark.parametrize("measure, message", [
+    # G(i) is the subnormal 1.66e-316, so F(i) = 1/G(i) overflows
+    ({"segments": [{"interval": [-1e300, 1e300], "density": "uniform"}]}, "F(i) is not finite"),
+    # F(z) = z - 1e300/z: c = 1 lies far below the rounding of the rungs
+    ({"atoms": [[-1e150, 0.5], [1e150, 0.5]]}, "linear-coefficient ladder did not settle"),
+], ids=["f-of-i", "rungs"])
+def test_nevanlinna_refuses_on_one_line(tmp_path, measure, message):
+    path = tmp_path / "m.json"
+    path.write_text(json.dumps(measure))
+    proc = subprocess.run(
+        [sys.executable, "-m", "chordal.cli", "transform", "--measure", str(path),
+         "--op", "nevanlinna"],
+        capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 1
+    assert proc.stdout == ""
+    assert proc.stderr == f"non-convergence: {message}\n"
+
+
 @pytest.mark.parametrize("measure, op, exact", [
     (D0_ATOM, "cauchy", lambda z: 1 / z),
     (BERNOULLI_1, "cauchy", lambda z: z / (z * z - 1)),

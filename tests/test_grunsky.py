@@ -104,6 +104,56 @@ def test_faber_matches_series_oracle():
         assert np.abs(got - ref).max() < 1e-12 * scale
 
 
+def _faber_by_recursion(g, n_max):
+    # an independent reference, from zeta g'(zeta) / (g(zeta) - w) =
+    # sum_n F_n(w) zeta^-n:
+    # F_(n+1) = (w - b_0) F_n - sum_(j=1)^(n-1) b_j F_(n-j) - (n+1) b_n
+    b = np.zeros(max(n_max, 1))
+    avail = np.asarray(g.coeffs[1:], dtype=float)
+    b[: min(avail.size, b.size)] = avail[: b.size]
+    polys = [np.array([1.0])]
+    if n_max == 0:
+        return polys
+    polys.append(np.array([-b[0], 1.0]))
+    for n in range(1, n_max):
+        nxt = np.zeros(n + 2)
+        nxt[1:] += polys[n]
+        nxt[: n + 1] -= b[0] * polys[n]
+        for j in range(1, n):
+            nxt[: n - j + 1] -= b[j] * polys[n - j]
+        nxt[0] -= (n + 1) * b[n]
+        polys.append(nxt)
+    return polys
+
+
+def test_faber_matches_the_recursion():
+    rng = np.random.default_rng(19)
+    for _ in range(300):
+        g = random_series(rng, tail=int(rng.integers(0, 30)),
+                          scale=float(rng.choice([0.1, 0.5, 2.0, 10.0])))
+        n = int(rng.integers(0, 33))
+        got, ref = faber_polynomials(g, n), _faber_by_recursion(g, n)
+        assert len(got) == len(ref) == n + 1
+        for p, q in zip(got, ref):
+            assert p.shape == q.shape
+            assert np.abs(p - q).max() <= 1e-14 * np.abs(q).max()
+
+
+def test_faber_order_zero_is_one():
+    polys = faber_polynomials(random_series(np.random.default_rng(3)), 0)
+    assert len(polys) == 1 and np.array_equal(polys[0], [1.0])
+
+
+def test_faber_pads_a_short_series_with_zeros():
+    # g = z + 1/2 exactly: F_n(w) = (w - 1/2)^n, past the single tail term
+    polys = faber_polynomials(SeriesCoefficients([1.0, 0.5]), 6)
+    for n, p in enumerate(polys):
+        assert np.array_equal(p, np.polynomial.polynomial.polypow([-0.5, 1.0], n))
+    # g = z: F_n(w) = w^n
+    for n, p in enumerate(faber_polynomials(SeriesCoefficients([1.0]), 4)):
+        assert np.array_equal(p, np.eye(n + 1)[n])
+
+
 def test_faber_rejects_negative_order():
     with pytest.raises(InvalidInputError):
         faber_polynomials(SeriesCoefficients([1.0, 0.0]), -1)

@@ -707,9 +707,9 @@ def test_picard_refuses_before_the_first_sweep(kind):
 
 @pytest.mark.parametrize("nodes", [24, 40])
 def test_solve_rho_meets_its_inequality(monkeypatch, nodes):
-    # rho^(M-1) (rho - 1) >= max(R, 10): the fixed-point iterates alternate
-    # around the root, and the last one alone fell below it on 1,308 of
-    # these R at 24 nodes
+    # rho^(M-1) (rho - 1) >= max(R, 10) for rho = max(2, R^(1/(M-1))): the
+    # first factor is R up to rounding and at least 2^(M-1) > 10, the second
+    # at least 1
     monkeypatch.setattr(loewner, "_NODES", nodes)
     R = np.logspace(0.0, 20.0, 2001)
     rho = loewner._solve_rho(R)
@@ -746,9 +746,9 @@ def test_semicircle_grid_substeps_by_its_density_bound(monkeypatch):
 
 
 def test_seamed_atom_grid_at_tight_tol_within_bound():
-    # at tol 1e-12 the substep parameter R reaches ~6e16, past the 1.2e15
-    # up to which 40 nodes keep the cap binding: the interpolation limit
-    # sets the substeps again
+    # at tol 1e-12 the substep parameter R reaches ~6e16, past the
+    # (1 + sqrt(2))^39 ~ 8.5e14 up to which 40 nodes keep the cap binding:
+    # the interpolation limit sets the substeps again
     cfg = SolverConfig(tol=1e-12)
     zs = acceptance_grid()
     vals, errs = transition_grid(DriverFamily.moving_atom(SEAMED_ATOM), 0.0, 2.0, zs, cfg)

@@ -151,7 +151,7 @@ def test_named_density_peak_bounds_the_density(name, lo, hi):
 def test_poly_peak_is_the_maximum_not_the_coefficient_sum():
     # 3/32 (4 - x^2) peaks at 0.375 inside; its |coefficients| in
     # xi = x/2 sum to 0.75, and the near-axis band of the solver took
-    # 1,850 rounds with that bound against 973 with this one
+    # 1,863 rounds with that bound against 979 with this one
     seg = named_density("poly:0.375,0,-0.09375", -2.0, 2.0)
     assert 0.375 <= seg.peak <= 0.375 * (1.0 + 1e-12)
     rng = np.random.default_rng(31)
@@ -443,6 +443,23 @@ def test_nevanlinna_triple_rejects_non_pick():
         nevanlinna_triple(lambda z: -z)
     with pytest.raises(InvalidInputError, match=r"Im F\(i\) < c"):
         nevanlinna_triple(lambda z: z - 2j)
+
+
+def test_nevanlinna_triple_refuses_a_non_finite_f_of_i():
+    # uniform on [-1e300, 1e300]: G(i) is the subnormal 1.66e-316, so
+    # F(i) = 1/G(i) overflows while the ladder settles
+    mu = measure_from_dict({"segments": [{"interval": [-1e300, 1e300], "density": "uniform"}]})
+    with pytest.raises(NonConvergenceError, match=r"^F\(i\) is not finite$"):
+        nevanlinna_triple(lambda z: reciprocal_cauchy(mu, z))
+
+
+def test_nevanlinna_triple_refuses_a_c_below_the_rounding_of_its_rungs():
+    # F(z) = z - 1e300/z: the rungs Im F(iy)/y = 1 + 1e300/y^2 are ~1e293,
+    # so c = 1 is lost: the last-rung move alone accepts c = 0, nu_mass = 1e300
+    for F in (lambda z: z - 1e300 / z,
+              lambda z: reciprocal_cauchy(bernoulli(1e150), z)):
+        with pytest.raises(NonConvergenceError, match="^linear-coefficient ladder did not settle$"):
+            nevanlinna_triple(F)
 
 
 # ---------------------------------------------------------------------------

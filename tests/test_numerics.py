@@ -234,6 +234,19 @@ def test_y_limit_equals_the_richardson_limit_exactly(monkeypatch, kind):
         assert numerics.y_limit(vals, "test") == richardson_y_limit(vals, ys)
 
 
+def test_y_limit_refuses_a_limit_below_the_rounding_of_its_rungs():
+    # values 1 + A/y^2: Neville's rule removes the A h^2 term, but the last
+    # three rungs carry 5 eps max|rung| of rounding into the limit
+    ys = numerics.Y_LADDER
+    top = 1.0 + 4e17 / ys[-3] ** 2  # ~1e11: 1.1e-4 of rounding, accepted
+    assert abs(numerics.y_limit(1.0 + 4e17 / ys ** 2, "test") - 1.0) <= 5 * np.spacing(top)
+    with pytest.raises(NonConvergenceError, match="^test did not settle$"):
+        numerics.y_limit(1.0 + 4e18 / ys ** 2, "test")  # ~1e12: 1.1e-3
+    # 1 lies below one ulp of every rung, and the last-rung move is 0
+    with pytest.raises(NonConvergenceError, match="^test did not settle$"):
+        numerics.y_limit(1.0 + 1e300 / ys ** 2, "test")
+
+
 def test_settle_rule_is_relative_past_one():
     assert numerics.settle_tol(0.5) == numerics.SETTLE_TOL
     assert numerics.settle_tol(-1e4) == 1e4 * numerics.SETTLE_TOL
