@@ -599,6 +599,11 @@ def test_hayman_exchange_table_of_2_to_the_24_reaches_the_trace(monkeypatch):
         hayman_report(semicircle(), n=4096)  # the largest n at the default resolution
 
 
+def test_boundary_image_needs_a_probability_measure():
+    with pytest.raises(InvalidInputError, match="^mu must be a probability measure$"):
+        boundary_image(RealMeasure([(-1.0, 0.5), (1.0, 0.25)]))
+
+
 def test_boundary_image_rejects_fractional_resolution():
     with pytest.raises(InvalidInputError):
         boundary_image(semicircle(), resolution=64.7)

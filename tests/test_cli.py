@@ -138,6 +138,21 @@ def test_invert_interval_parse_error(capsys, semi_path):
     assert "error:" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("argv, message", [
+    (["invert", "--interval", "0,1", "--eps-ladder", "0.1,x"],
+     "--eps-ladder expects comma-separated floats"),
+    (["grunsky", "--moments", "1,0,x", "--order", "1"],
+     "--moments expects comma-separated floats"),
+], ids=["eps-ladder", "moments"])
+def test_malformed_float_list_exits_2_on_one_line(capsys, semi_path, argv, message):
+    if argv[0] == "invert":
+        argv = [*argv, "--measure", semi_path]
+    assert run(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: {message}\n"
+
+
 @pytest.mark.parametrize("interval, ladder", [
     ("-1e308,1e308", "0.4,0.2,0.1"),  # width overflows
     ("0,inf", "0.4,0.2,0.1"),
@@ -191,6 +206,15 @@ def test_evolve_grid_matches_library(capsys, tmp_path, driver_path):
         # %.17g round-trips doubles exactly
         assert complex(vals[3], vals[4]) == w
         assert vals[5] == b
+
+
+def test_evolve_grid_entry_that_is_not_a_number_exits_2(capsys, tmp_path, driver_path):
+    grid = tmp_path / "grid.json"
+    grid.write_text('[[0.0, 1.0], ["a", 1.0]]')
+    assert run(["evolve", "--driver", driver_path, "--t", "0.5", "--grid", str(grid)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: --grid entries must be [re, im] pairs\n"
 
 
 def test_evolve_needs_exactly_one_input(capsys, tmp_path, driver_path):

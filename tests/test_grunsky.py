@@ -74,6 +74,11 @@ def test_moments_to_alpha_matches_the_exact_binomial_sums():
         assert abs(alpha[n] - float(sum(terms))) <= (n + 1) * EPS * scale
 
 
+def test_moments_to_alpha_needs_the_zeroth_moment():
+    with pytest.raises(InvalidInputError, match="^need at least the zeroth moment$"):
+        moments_to_alpha([])
+
+
 # ---------------------------------------------------------------------------
 # Faber polynomials
 

@@ -162,6 +162,9 @@ def test_driver_from_dict_forms():
         driver_from_dict([1, 2])
     with pytest.raises(InvalidInputError):
         driver_from_dict({"horizon": 1.0})
+    with pytest.raises(InvalidInputError,
+                       match="^piecewise_constant driver needs 'breaks' and 'measures'$"):
+        driver_from_dict({"type": "piecewise_constant", "measures": [{"atoms": [[0.0, 1.0]]}]})
 
 
 # ---------------------------------------------------------------------------

@@ -124,6 +124,12 @@ def test_segment_validation():
         RealMeasure([(0.0, 1e308), (1.0, 1e308)])
 
 
+@pytest.mark.parametrize("lo, hi", [(-math.inf, 1.0), (0.0, math.inf)])
+def test_segment_with_an_infinite_endpoint_is_refused(lo, hi):
+    with pytest.raises(InvalidInputError, match="^segment endpoints must be finite$"):
+        DensitySegment(lo, hi, lambda x: x)
+
+
 @pytest.mark.parametrize("peak", [-1.0, math.inf, math.nan, "1"])
 def test_segment_peak_validation(peak):
     with pytest.raises(InvalidInputError, match="peak"):
