@@ -24,7 +24,6 @@ ties by lowest sample index.
 from __future__ import annotations
 
 import math
-import numbers
 from dataclasses import dataclass, field
 from functools import lru_cache
 
@@ -32,6 +31,7 @@ import numpy as np
 
 from .errors import InvalidInputError
 from .measures import RealMeasure
+from .numerics import count, finite_interval
 
 __all__ = [
     "BoundaryCurve",
@@ -47,15 +47,6 @@ _CLOUD_SPACING = 0.25      # bare-segment node spacing as a fraction of epsilon
 _PAIR_BATCH = 1 << 18      # most segment pairs one crossing-test batch holds
 _MAX_EXCHANGE = 1 << 24    # most entries (2*resolution x n) of one exchange table
 RATIO_BAND = 0.05          # |ratio - 1| within this reads consistent_with_univalence
-
-
-def _count(value, name: str) -> int:
-    """``value`` as an int; InvalidInputError unless it is integral."""
-    if isinstance(value, numbers.Integral):
-        return int(value)
-    if isinstance(value, numbers.Real) and float(value).is_integer():
-        return int(value)
-    raise InvalidInputError(f"{name} must be an integer")
 
 
 @dataclass(frozen=True)
@@ -139,6 +130,16 @@ def _proper_crossings(pts: np.ndarray) -> bool:
     return False
 
 
+def _support(mu: RealMeasure) -> tuple[float, float]:
+    """The hull [A, B] of a probability measure's support; InvalidInputError
+    unless it is a nondegenerate interval of finite width."""
+    if not isinstance(mu, RealMeasure):
+        raise InvalidInputError("mu must be a RealMeasure")
+    if not mu.is_probability:
+        raise InvalidInputError("mu must be a probability measure")
+    return finite_interval(*mu.support, "support")
+
+
 def boundary_image(
     mu: RealMeasure,
     resolution: int = 2048,
@@ -152,18 +153,12 @@ def boundary_image(
     midpoint resampling at spacing ``epsilon/4``, fine enough to stay
     accurate this close to the axis.
     """
-    if not isinstance(mu, RealMeasure):
-        raise InvalidInputError("mu must be a RealMeasure")
-    if not mu.is_probability:
-        raise InvalidInputError("mu must be a probability measure")
-    lo, hi = mu.support
-    if not hi > lo:
-        raise InvalidInputError("degenerate support: boundary tracing needs A < B")
+    lo, hi = _support(mu)
     width = hi - lo
     epsilon = float(epsilon)
     if not (0.0 < epsilon < 0.1 * width):
         raise InvalidInputError("epsilon must lie in (0, 0.1*(B-A))")
-    resolution = _count(resolution, "resolution")
+    resolution = count(resolution, "resolution")
     if resolution < 8:
         raise InvalidInputError("resolution must be at least 8")
 
@@ -189,8 +184,8 @@ def discrete_transfinite_diameter(points, n: int, sweeps: int = 20) -> float:
     d_n = (prod |p_i - p_j|)^(2/(n(n-1))).
     """
     pts = np.asarray(points, dtype=complex).ravel()
-    n = _count(n, "n")
-    sweeps = _count(sweeps, "sweeps")
+    n = count(n, "n")
+    sweeps = count(sweeps, "sweeps")
     if n < 2:
         raise InvalidInputError("need n >= 2 Fekete points")
     if pts.size < n:
@@ -259,21 +254,15 @@ def hayman_report(
     float such as 64.0 is accepted), with ``2 <= n <= 2*resolution``,
     ``2*resolution*n <= 2**24`` (the size of the exchange table) and
     ``sweeps >= 0``; anything else raises InvalidInputError before the
-    boundary is traced.
+    boundary is traced, as does a support whose width B - A overflows.
     The interval diameter is that of the same Chebyshev-spaced cloud on
     [-1, 1], computed once per ``(n, resolution, sweeps)`` and scaled by
     (B-A)/2.
     """
-    if not isinstance(mu, RealMeasure):
-        raise InvalidInputError("mu must be a RealMeasure")
-    if not mu.is_probability:
-        raise InvalidInputError("mu must be a probability measure")
-    lo, hi = mu.support
-    if not hi > lo:
-        raise InvalidInputError("degenerate support: diagnostic needs A < B")
-    n = _count(n, "n")
-    sweeps = _count(sweeps, "sweeps")
-    resolution = _count(resolution, "resolution")
+    lo, hi = _support(mu)
+    n = count(n, "n")
+    sweeps = count(sweeps, "sweeps")
+    resolution = count(resolution, "resolution")
     if not 2 <= n <= 2 * resolution:
         raise InvalidInputError("n must lie in [2, 2*resolution]")
     if 2 * resolution * n > _MAX_EXCHANGE:

@@ -26,7 +26,7 @@ from . import grunsky as _grunsky
 from . import loewner as _loewner
 from . import measures as _measures
 from .errors import InvalidInputError, NonConvergenceError
-from .numerics import settle_tol
+from .numerics import floats, settle_tol
 
 __all__ = ["run", "main", "parse_complex"]
 
@@ -35,15 +35,14 @@ _TINY = float(np.finfo(float).tiny)  # the least normal float; eps * tiny is the
 
 
 def parse_complex(text: str) -> complex:
-    """Parse ``a+bi`` (no spaces), e.g. ``0+1i``, ``-1.5-0.25i``, ``2i``."""
+    """Parse ``a+bi`` (no spaces), e.g. ``0+1i``, ``-1.5-0.25i``, ``2i``, ``i``.
+
+    The trailing ``i`` becomes ``j`` and ``complex()`` reads the rest: it
+    takes a bare ``j`` as ``1j`` and refuses blanks and inner spaces.
+    """
     s = text.strip()
-    if not s or " " in s:
-        raise InvalidInputError(f"malformed complex number {text!r}")
     if s.endswith("i"):
         s = s[:-1] + "j"
-        # bare trailing i means coefficient 1
-        if s in ("j", "+j", "-j") or s[-2] in "+-":
-            s = s[:-1] + "1j"
     try:
         z = complex(s)
     except ValueError as exc:
@@ -123,14 +122,11 @@ def _cmd_transform(args) -> None:
 
 def _cmd_invert(args) -> None:
     mu = _measure_arg(args.measure)
-    try:
-        a, b = (float(v) for v in args.interval.split(","))
-    except ValueError as exc:
-        raise InvalidInputError("--interval expects 'a,b'") from exc
-    try:
-        ladder = [float(v) for v in args.eps_ladder.split(",")]
-    except ValueError as exc:
-        raise InvalidInputError("--eps-ladder expects comma-separated floats") from exc
+    # "a,b,c" leaves "b,c" for b, which is no float
+    a, _, b = args.interval.partition(",")
+    a, b = floats([a, b], "--interval expects 'a,b'").tolist()
+    ladder = floats(args.eps_ladder.split(","),
+                    "--eps-ladder expects comma-separated floats").tolist()
     value = _measures.stieltjes_invert(
         lambda z: _measures.cauchy_transform(mu, z), (a, b), ladder)
     _emit_json({
@@ -151,10 +147,9 @@ def _cmd_evolve(args) -> None:
         raw = _load_json(args.grid)
         if not isinstance(raw, list):
             raise InvalidInputError("--grid file must hold a JSON list of [re, im] pairs")
-        try:
-            zs = np.array([complex(float(p[0]), float(p[1])) for p in raw])
-        except (TypeError, ValueError, OverflowError, IndexError) as exc:
-            raise InvalidInputError("--grid entries must be [re, im] pairs") from exc
+        pairs = floats(raw, "--grid entries must be [re, im] pairs", pairs=True)
+        # each (re, im) row read as one complex, with no arithmetic to turn inf into nan
+        zs = pairs.view(complex).ravel()
     config = _loewner.SolverConfig(tol=args.tol) if args.tol is not None else None
     t = float(args.t)
     values, bounds = _loewner.transition_grid(family, 0.0, t, zs, config)
@@ -169,17 +164,13 @@ def _cmd_evolve(args) -> None:
 def _cmd_grunsky(args) -> None:
     if (args.moments is None) == (args.measure is None):
         raise InvalidInputError("grunsky needs exactly one of --moments or --measure")
-    order = int(args.order)
     if args.moments is not None:
-        try:
-            moments = [float(v) for v in args.moments.split(",")]
-        except ValueError as exc:
-            raise InvalidInputError("--moments expects comma-separated floats") from exc
+        moments = floats(args.moments.split(","), "--moments expects comma-separated floats")
         report = _grunsky.univalence_certificate(
-            moments, order, boundary_tol=args.boundary_tol)
+            moments, args.order, boundary_tol=args.boundary_tol)
     else:
         report = _grunsky.measure_certificate(
-            _measure_arg(args.measure), order, boundary_tol=args.boundary_tol)
+            _measure_arg(args.measure), args.order, boundary_tol=args.boundary_tol)
     _emit_json({
         "order": report.order,
         "verdict": report.verdict,

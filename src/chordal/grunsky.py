@@ -20,6 +20,7 @@ import numpy as np
 
 from .errors import InvalidInputError, NonConvergenceError
 from .measures import RealMeasure, moment
+from .numerics import count
 
 SUPPORT_HALF_WIDTH = 2.0  # certificate applies to measures supported in [-2, 2]
 _SERIES_LEADING_TOL = 1e-12
@@ -121,6 +122,7 @@ def faber_polynomials(g: SeriesCoefficients, n_max: int) -> list[np.ndarray]:
     Functions, ch. 3); F_0 = 1.  Coefficients past the end of the series
     count as zero.
     """
+    n_max = count(n_max, "polynomial order")
     if n_max < 0:
         raise InvalidInputError("polynomial order must be nonnegative")
     tail = np.asarray(g.coeffs[1 : n_max + 1], dtype=float)
@@ -132,11 +134,11 @@ def faber_polynomials(g: SeriesCoefficients, n_max: int) -> list[np.ndarray]:
     return [np.array([1.0])] + [-D[n, : n + 1] for n in range(1, n_max + 1)]
 
 
-def _check_order(order: int) -> None:
-    if not isinstance(order, (int, np.integer)):
-        raise InvalidInputError("order must be an integer")
+def _check_order(order) -> int:
+    order = count(order, "order")
     if not 1 <= order <= MAX_CERTIFICATE_ORDER:
         raise InvalidInputError(f"order must lie in 1..{MAX_CERTIFICATE_ORDER}")
+    return order
 
 
 def grunsky_coefficients(g: SeriesCoefficients, order: int) -> np.ndarray:
@@ -147,7 +149,7 @@ def grunsky_coefficients(g: SeriesCoefficients, order: int) -> np.ndarray:
     beta_nk = -n [u^n v^k] log of it, so tail data through b_(2*order-1)
     is needed.
     """
-    _check_order(order)
+    order = _check_order(order)
     if g.tail_length < 2 * order:
         raise InvalidInputError(f"series carries {g.tail_length} tail coefficients, needs {2 * order}")
     i = np.arange(order + 1)
@@ -186,7 +188,7 @@ def univalence_certificate(mu_moments, order: int, boundary_tol: float = 1e-8) -
     "boundary", never "pass", so boundary_tol must lie in (0, 1).
     """
     a = np.asarray(list(mu_moments), dtype=float)
-    _check_order(order)
+    order = _check_order(order)
     if not 0 < boundary_tol < 1:
         raise InvalidInputError("boundary_tol must lie in (0, 1)")
     if a.size < 2 * order + 1:
@@ -230,7 +232,7 @@ def measure_certificate(mu: RealMeasure, order: int, boundary_tol: float = 1e-8)
 
     The order is checked before any moment is integrated.
     """
-    _check_order(order)
+    order = _check_order(order)
     if not isinstance(mu, RealMeasure):
         raise InvalidInputError("mu must be a RealMeasure")
     moments = [moment(mu, k) for k in range(2 * order + 1)]

@@ -132,7 +132,7 @@ import numpy as np
 
 from .errors import InvalidInputError, NonConvergenceError
 from .measures import _TINY, RealMeasure, _require_upper, measure_from_dict, point_mass
-from .numerics import Y_LADDER, cheb_grid, y_limit
+from .numerics import Y_LADDER, cheb_grid, floats, y_limit
 
 __all__ = [
     "SolverConfig",
@@ -190,14 +190,6 @@ class SolverConfig:
 _DEFAULT_CONFIG = SolverConfig()
 
 
-def _float_array(values, message: str) -> np.ndarray:
-    # strings, ragged lists and numbers past the float range are bad input
-    try:
-        return np.asarray(values, dtype=float)
-    except (TypeError, ValueError, OverflowError) as exc:
-        raise InvalidInputError(message) from exc
-
-
 def _horizon(horizon, default: float) -> float:
     try:
         hor = default if horizon is None else float(horizon)
@@ -244,7 +236,7 @@ class DriverFamily:
         measures: Sequence[RealMeasure],
         horizon: float | None = None,
     ) -> "DriverFamily":
-        b = _float_array(breaks, "breaks must be a non-empty 1-d finite array")
+        b = floats(breaks, "breaks must be a non-empty 1-d finite array")
         if b.ndim != 1 or b.size == 0 or not np.all(np.isfinite(b)):
             raise InvalidInputError("breaks must be a non-empty 1-d finite array")
         if b[0] != 0.0:
@@ -277,8 +269,8 @@ class DriverFamily:
         samples: Sequence[tuple[float, float]],
         horizon: float | None = None,
     ) -> "DriverFamily":
-        arr = _float_array(samples, "samples must be at least two (time, position) pairs")
-        if arr.ndim != 2 or arr.shape[1] != 2 or arr.shape[0] < 2:
+        arr = floats(samples, "samples must be at least two (time, position) pairs", pairs=True)
+        if arr.shape[0] < 2:
             raise InvalidInputError("samples must be at least two (time, position) pairs")
         if not np.all(np.isfinite(arr)):
             raise InvalidInputError("samples must be finite")

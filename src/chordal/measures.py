@@ -26,7 +26,10 @@ import numpy as np
 from numpy.polynomial import polynomial as _poly
 
 from .errors import InvalidInputError, NonConvergenceError
-from .numerics import Y_LADDER, adaptive_simpson, gauss_legendre, neville_zero, settled, y_limit
+from .numerics import (
+    Y_LADDER, adaptive_simpson, count, finite_interval, floats, gauss_legendre, neville_zero,
+    settled, y_limit,
+)
 
 MASS_TOL = 1e-12
 _MAX_DENSE_NODES = 400_000
@@ -98,14 +101,11 @@ class DensitySegment:
     peak: float | None = None
 
     def __post_init__(self):
-        if not (math.isfinite(self.lo) and math.isfinite(self.hi)):
-            raise InvalidInputError("segment endpoints must be finite")
-        if not self.hi > self.lo:
-            raise InvalidInputError("segment needs lo < hi")
-        if not math.isfinite(self.hi - self.lo):
-            raise InvalidInputError("segment width hi - lo overflows")
-        if not isinstance(self.order, (int, np.integer)) or not 2 <= self.order <= _MAX_ORDER:
+        finite_interval(self.lo, self.hi, "segment")
+        order = count(self.order, "segment order")
+        if not 2 <= order <= _MAX_ORDER:
             raise InvalidInputError(f"quadrature order must be an integer in [2, {_MAX_ORDER}]")
+        object.__setattr__(self, "order", order)
         if self.cauchy is not None and not callable(self.cauchy):
             raise InvalidInputError("segment cauchy transform must be callable")
         if self.peak is not None and not (isinstance(self.peak, (int, float))
@@ -113,7 +113,7 @@ class DensitySegment:
             raise InvalidInputError("segment density peak must be a finite number >= 0")
 
     def nodes(self) -> tuple[np.ndarray, np.ndarray]:
-        return _mapped(self, *gauss_legendre(int(self.order)))
+        return _mapped(self, *gauss_legendre(self.order))
 
 
 def _mapped(seg: DensitySegment, t: np.ndarray, w) -> tuple[np.ndarray, np.ndarray]:
@@ -139,7 +139,7 @@ def _midpoint_nodes(seg: DensitySegment, spacing: float) -> tuple[np.ndarray, np
     # the midpoint rule on seg with node gaps below spacing, in theta for
     # chebyshev segments
     span = 0.5 * np.pi * (seg.hi - seg.lo) if seg.chebyshev else seg.hi - seg.lo
-    n = min(max(int(seg.order), int(np.ceil(span / spacing)) + 1), _MAX_DENSE_NODES)
+    n = min(max(seg.order, int(np.ceil(span / spacing)) + 1), _MAX_DENSE_NODES)
     return _mapped(seg, (2.0 * np.arange(n) + 1.0) / n - 1.0, 2.0 / n)
 
 
@@ -147,15 +147,12 @@ class RealMeasure:
     """Atoms plus density segments; quadrature nodes are frozen at build time."""
 
     def __init__(self, atoms: Sequence = (), segments: Sequence = (), mass: float | None = None):
-        checked = []
-        for a in atoms:
-            x, w = float(a[0]), float(a[1])
-            if not (math.isfinite(x) and math.isfinite(w)):
-                raise InvalidInputError("atom entries must be finite")
-            if w < 0:
-                raise InvalidInputError("atom weights must be nonnegative")
-            checked.append((x, w))
-        self._atoms = tuple(checked)
+        pairs = floats(atoms, "atoms must be a list of [position, weight] pairs", pairs=True)
+        if not np.isfinite(pairs).all():
+            raise InvalidInputError("atom entries must be finite")
+        if (pairs[:, 1] < 0).any():
+            raise InvalidInputError("atom weights must be nonnegative")
+        self._atoms = tuple(map(tuple, pairs.tolist()))
         self._segments = tuple(segments)
         if not all(isinstance(seg, DensitySegment) for seg in self._segments):
             raise InvalidInputError("segments must be DensitySegment instances")
@@ -414,6 +411,7 @@ def named_density(name: str, lo: float, hi: float, order: int = 64) -> DensitySe
     xi = (x - mid)/rad from the ends and the critical points; the arcsine
     has none.
     """
+    lo, hi = finite_interval(lo, hi, "segment")  # before the bounds divide by the width
     mid = 0.5 * (lo + hi)
     rad = 0.5 * (hi - lo)
     if name == "semicircle":
@@ -461,10 +459,6 @@ def measure_from_dict(obj: dict) -> RealMeasure:
     """
     if not isinstance(obj, dict):
         raise InvalidInputError("measure JSON must be an object")
-    try:
-        atoms = [(float(x), float(w)) for x, w in obj.get("atoms", [])]
-    except (TypeError, ValueError, OverflowError) as exc:
-        raise InvalidInputError("atoms must be a list of [position, weight] pairs") from exc
     segments = obj.get("segments", [])
     if not isinstance(segments, (list, tuple)):
         raise InvalidInputError("segments must be a list")
@@ -477,19 +471,13 @@ def measure_from_dict(obj: dict) -> RealMeasure:
         name = s.get("density")
         if not isinstance(name, str):
             raise InvalidInputError("segment density must be a name string")
-        try:
-            order = float(s.get("order", 64))
-        except (TypeError, ValueError, OverflowError) as exc:
-            raise InvalidInputError("segment order must be an integer") from exc
-        if not order.is_integer():
-            raise InvalidInputError("segment order must be an integer")
-        segs.append(named_density(name, lo, hi, int(order)))
+        segs.append(named_density(name, lo, hi, s.get("order", 64)))
     mass = obj.get("mass")
     try:
         mass = None if mass is None else float(mass)
     except (TypeError, ValueError, OverflowError) as exc:
         raise InvalidInputError("declared mass must be a number") from exc
-    return RealMeasure(atoms, segs, mass=mass)
+    return RealMeasure(obj.get("atoms", []), segs, mass=mass)
 
 
 # ---------------------------------------------------------------------------
@@ -537,12 +525,14 @@ def reciprocal_cauchy(mu: RealMeasure, z):
 
 
 def moment(mu: RealMeasure, n: int) -> float:
-    if not isinstance(n, (int, np.integer)) or n < 0:
+    n = count(n, "moment order")
+    if n < 0:
         raise InvalidInputError("moment order must be a nonnegative integer")
     if mu.support is None:
         return 0.0
     pos, wts = mu.nodes()
-    return float((wts * pos ** int(n)).sum())
+    with np.errstate(over="ignore", invalid="ignore"):  # the certificate refuses inf and nan
+        return float((wts * pos ** n).sum())
 
 
 def class_r_constant(F) -> float:
@@ -607,13 +597,7 @@ def stieltjes_invert(G, interval: tuple[float, float], eps_ladder: Sequence[floa
     level and slice; a G that raises TypeError on an array, or returns the
     wrong shape, is called point by point instead.
     """
-    a, b = (float(v) for v in interval)
-    if not (math.isfinite(a) and math.isfinite(b)):
-        raise InvalidInputError("interval endpoints must be finite")
-    if not b > a:
-        raise InvalidInputError("interval needs a < b")
-    if not math.isfinite(b - a):
-        raise InvalidInputError("interval width b - a overflows")
+    a, b = finite_interval(*interval, "interval")
     eps = np.asarray(list(eps_ladder), dtype=float)
     if not np.all(np.isfinite(eps)):
         raise InvalidInputError("eps ladder must be finite")

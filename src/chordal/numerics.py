@@ -1,5 +1,12 @@
-"""Shared numerical plumbing: quadrature nodes, spectral integration on
-Chebyshev grids, adaptive Simpson, and the one home of ladder limits.
+"""Shared numerical plumbing: the argument readers, quadrature nodes,
+spectral integration on Chebyshev grids, adaptive Simpson, and the one home
+of ladder limits.
+
+Callers' arguments are read by three readers: ``count`` for counts and
+orders (any integral number, 64.0 and numpy integers included), ``floats``
+for lists of floats and of pairs, and ``finite_interval`` for the ends of
+an interval (finite, lo < hi, and a finite width hi - lo). Each raises
+InvalidInputError naming the argument.
 
 Every extrapolated limit in the package is Neville's rule and settles by
 one test: it must be finite and its last rung may move it by at most
@@ -15,6 +22,7 @@ points, and at most 2**22 points per integral in all.
 from __future__ import annotations
 
 import math
+import numbers
 from functools import lru_cache
 
 import numpy as np
@@ -22,6 +30,46 @@ from numpy.polynomial import chebyshev as _cheb
 from numpy.polynomial.legendre import leggauss
 
 from .errors import InvalidInputError, NonConvergenceError
+
+
+def count(value, name: str) -> int:
+    """``value`` as an int; InvalidInputError unless it is integral."""
+    if isinstance(value, numbers.Integral):
+        return int(value)
+    if isinstance(value, numbers.Real) and float(value).is_integer():
+        return int(value)
+    raise InvalidInputError(f"{name} must be an integer")
+
+
+def floats(values, message: str, pairs: bool = False) -> np.ndarray:
+    """``values`` as a float array; InvalidInputError(message) for strings
+    that are not numbers, ragged lists and numbers past the float range.
+
+    With ``pairs`` the values must be a list of pairs, returned with shape
+    (n, 2); an empty list reads as no pairs.
+    """
+    try:
+        out = np.asarray(values, dtype=float)
+    except (TypeError, ValueError, OverflowError) as exc:
+        raise InvalidInputError(message) from exc
+    if pairs and out.shape[1:] != (2,):
+        if out.shape != (0,):
+            raise InvalidInputError(message)
+        out = out.reshape(0, 2)
+    return out
+
+
+def finite_interval(lo, hi, what: str) -> tuple[float, float]:
+    """(lo, hi) as floats; InvalidInputError naming ``what`` unless both
+    ends are finite, lo < hi and the width hi - lo is finite."""
+    lo, hi = float(lo), float(hi)
+    if not (math.isfinite(lo) and math.isfinite(hi)):
+        raise InvalidInputError(f"{what} endpoints must be finite")
+    if not hi > lo:
+        raise InvalidInputError(f"{what} needs lo < hi")
+    if not math.isfinite(hi - lo):
+        raise InvalidInputError(f"{what} width hi - lo overflows")
+    return lo, hi
 
 
 @lru_cache(maxsize=None)

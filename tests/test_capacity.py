@@ -604,6 +604,15 @@ def test_boundary_image_needs_a_probability_measure():
         boundary_image(RealMeasure([(-1.0, 0.5), (1.0, 0.25)]))
 
 
+@pytest.mark.parametrize("trace", [boundary_image, hayman_report])
+def test_support_wider_than_the_float_range_is_refused(trace):
+    # the width 2e308 overflowed: hayman_report gave d_image NaN and
+    # d_interval inf at an epsilon of 1
+    far = bernoulli(1e308)
+    with pytest.raises(InvalidInputError, match="^support width hi - lo overflows$"):
+        trace(far, epsilon=1.0)
+
+
 def test_boundary_image_rejects_fractional_resolution():
     with pytest.raises(InvalidInputError):
         boundary_image(semicircle(), resolution=64.7)

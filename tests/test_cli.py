@@ -521,14 +521,17 @@ def test_sizes_that_cannot_run_exit_2_on_one_line(tmp_path, measure, argv, messa
     assert proc.stderr == f"error: {message}\n"
 
 
-def _transform_process(tmp_path, measure, z, *flags):
+def _cli_process(tmp_path, measure, *argv):
     # run as a process so that a leaked numpy warning would reach stderr
     path = tmp_path / "m.json"
     path.write_text(json.dumps(measure))
     return subprocess.run(
-        [sys.executable, "-m", "chordal.cli", "transform", "--measure", str(path), "--z", z,
-         *flags],
+        [sys.executable, "-m", "chordal.cli", *argv, "--measure", str(path)],
         capture_output=True, text=True, timeout=120)
+
+
+def _transform_process(tmp_path, measure, z, *flags):
+    return _cli_process(tmp_path, measure, "transform", "--z", z, *flags)
 
 
 # total mass 1.7e308 is finite, so the measure is accepted
@@ -602,6 +605,37 @@ def test_nevanlinna_refuses_on_one_line(tmp_path, measure, message):
     assert proc.returncode == 1
     assert proc.stdout == ""
     assert proc.stderr == f"non-convergence: {message}\n"
+
+
+def test_segment_on_a_point_exits_2_on_one_line(tmp_path):
+    # the uniform density's bound 1/(hi - lo) ended in a ZeroDivisionError traceback
+    proc = _cli_process(tmp_path, {"segments": [{"interval": [1.0, 1.0], "density": "uniform"}]},
+                        "transform", "--z", "i")
+    assert proc.returncode == 2
+    assert proc.stdout == ""
+    assert proc.stderr == "error: segment needs lo < hi\n"
+
+
+@pytest.mark.parametrize("flags", [["--eps", "1"], []], ids=["eps-1", "default-eps"])
+def test_hayman_on_a_support_wider_than_the_float_range_exits_2_on_one_line(tmp_path, flags):
+    # with --eps 1 three RuntimeWarnings and "d_image": NaN came with exit 0;
+    # without it the refusal named an epsilon that was never passed
+    proc = _cli_process(tmp_path, FAR_ATOMS, "hayman", *flags)
+    assert proc.returncode == 2
+    assert proc.stdout == ""
+    assert proc.stderr == "error: support width hi - lo overflows\n"
+
+
+@pytest.mark.parametrize("measure", [
+    {"atoms": [[1e300, 1.0]]},
+    {"segments": [{"interval": [1e200, 2e200], "density": "uniform"}]},
+], ids=["atom", "uniform"])
+def test_grunsky_measure_far_out_refuses_without_warnings(tmp_path, measure):
+    # the moments overflow: two RuntimeWarnings came before the refusal
+    proc = _cli_process(tmp_path, measure, "grunsky", "--order", "8")
+    assert proc.returncode == 2
+    assert proc.stdout == ""
+    assert proc.stderr == "error: moments must be finite\n"
 
 
 @pytest.mark.parametrize("measure, op, exact", [

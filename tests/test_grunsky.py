@@ -164,6 +164,16 @@ def test_faber_rejects_negative_order():
         faber_polynomials(SeriesCoefficients([1.0, 0.0]), -1)
 
 
+def test_faber_reads_an_integral_float_order_and_refuses_a_fraction():
+    # a float n_max reached the series slice and ended in a bare TypeError
+    g = SeriesCoefficients([1.0, 0.5])
+    got, want = faber_polynomials(g, 2.0), faber_polynomials(g, 2)
+    assert len(got) == len(want) == 3
+    assert all(np.array_equal(p, q) for p, q in zip(got, want))
+    with pytest.raises(InvalidInputError, match="^polynomial order must be an integer$"):
+        faber_polynomials(g, 2.5)
+
+
 # ---------------------------------------------------------------------------
 # Grunsky coefficients
 
@@ -387,15 +397,24 @@ def test_measure_certificate_checks_the_order_before_integrating(monkeypatch, or
     assert calls == []
 
 
-@pytest.mark.parametrize("certify, args", [
-    (univalence_certificate, ([1, 0, 1, 0, 2], 2.0)),
-    (measure_certificate, (semicircle(), 1.5)),
-    (measure_certificate, (semicircle(), 2.0)),
+@pytest.mark.parametrize("certify, source, order", [
+    (univalence_certificate, [1, 0, 1, 0, 2], 2.0),
+    (measure_certificate, semicircle(), 1.5),
+    (measure_certificate, semicircle(), 2.0),
 ], ids=["moments-2.0", "measure-1.5", "measure-2.0"])
-def test_certificate_refuses_a_float_order(certify, args):
-    # a float order passed the range test and ended in a TypeError
-    with pytest.raises(InvalidInputError, match="order must be an integer"):
-        certify(*args)
+def test_certificate_reads_order_2_0_as_2_and_refuses_1_5(certify, source, order):
+    # an integral float order is that integer, as hayman's counts are; a
+    # float order once passed the range test and ended in a TypeError
+    if not order.is_integer():
+        with pytest.raises(InvalidInputError, match="^order must be an integer$"):
+            certify(source, order)
+        return
+    got, want = certify(source, order), certify(source, 2)
+    assert type(got.order) is int
+    assert (got.order, got.verdict, got.max_abs_eigenvalue, got.boundary_tol) == (
+        want.order, want.verdict, want.max_abs_eigenvalue, want.boundary_tol)
+    assert np.array_equal(got.eigenvalues, want.eigenvalues)
+    assert np.array_equal(got.c_matrix, want.c_matrix)
 
 
 def test_measure_certificate_needs_a_measure():

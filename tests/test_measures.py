@@ -174,6 +174,13 @@ def test_poly_peak_is_the_maximum_not_the_coefficient_sum():
     assert long.peak == 0.75
 
 
+@pytest.mark.parametrize("name", ["semicircle", "arcsine", "uniform", "poly:1"])
+def test_named_density_on_a_point_is_refused(name):
+    # the density bounds divided by the zero width: a bare ZeroDivisionError
+    with pytest.raises(InvalidInputError, match="^segment needs lo < hi$"):
+        named_density(name, 1.0, 1.0)
+
+
 def test_empty_poly_density_is_a_bad_polynomial():
     # "".split(",") is [""], never empty: float("") is what refuses
     with pytest.raises(InvalidInputError, match="bad polynomial density 'poly:'"):

@@ -268,3 +268,45 @@ def test_y_limit_refuses_overflowing_rungs_without_warnings():
         warnings.simplefilter("error")
         with pytest.raises(NonConvergenceError, match="non-finite"):
             numerics.y_limit(vals, "test")
+
+
+# ---------------------------------------------------------------------------
+# argument readers
+
+
+@pytest.mark.parametrize("value", [8, 8.0, np.int64(8), np.float32(8.0)])
+def test_count_reads_any_integral_number(value):
+    got = numerics.count(value, "n")
+    assert got == 8 and type(got) is int
+
+
+@pytest.mark.parametrize("value", [8.5, math.inf, math.nan, "8", None, 8j])
+def test_count_refuses_what_is_not_integral(value):
+    with pytest.raises(InvalidInputError, match="^n must be an integer$"):
+        numerics.count(value, "n")
+
+
+def test_floats_reads_pairs_and_refuses_other_shapes():
+    assert numerics.floats([], "bad", pairs=True).shape == (0, 2)
+    assert numerics.floats([[0, 1], [2, 3]], "bad", pairs=True).tolist() == [[0, 1], [2, 3]]
+    for values in ([[]], [[0, 1, 5]], [0, 1], ["12"], [[0, 1], [2]], [["a", 1]], [[10**400, 1]]):
+        with pytest.raises(InvalidInputError, match="^bad$"):
+            numerics.floats(values, "bad", pairs=True)
+    assert numerics.floats([1, "2.5"], "bad").tolist() == [1.0, 2.5]
+
+
+@pytest.mark.parametrize("lo, hi, message", [
+    (-math.inf, 1.0, "x endpoints must be finite"),
+    (0.0, math.nan, "x endpoints must be finite"),
+    (1.0, 1.0, "x needs lo < hi"),
+    (2.0, 1.0, "x needs lo < hi"),
+    (-1e308, 1e308, "x width hi - lo overflows"),
+])
+def test_finite_interval_refusals(lo, hi, message):
+    with pytest.raises(InvalidInputError, match=f"^{message}$"):
+        numerics.finite_interval(lo, hi, "x")
+
+
+def test_finite_interval_returns_floats():
+    lo, hi = numerics.finite_interval(np.int64(-1), 2, "x")
+    assert (lo, hi) == (-1.0, 2.0) and type(lo) is float and type(hi) is float
