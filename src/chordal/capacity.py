@@ -7,16 +7,16 @@ transfinite diameter of E' matches that of [A, B]; a materially smaller
 image diameter, a self-crossing boundary trace, or an unbounded excursion
 all witness failure.
 
-Both diameters are estimated by the same discrete Fekete routine at the
-same point count, so the slow (logarithmic) convergence of d_n cancels in
-the ratio.  The trace takes G from ``RealMeasure.cauchy``: exact for the
-atoms and the named densities, and only segments given by a bare density
-callable are resampled finely enough for the trace height.  The interval
-cloud is an affine image of one Chebyshev-spaced cloud on [-1, 1], so its
-diameter is computed once per ``(n, resolution, sweeps)`` and scaled by
-(B-A)/2.  The crossing test sorts the segments once by left x and sweeps,
-at most ``_PAIR_BATCH`` pairs a batch: O(n log n + K) for K segment pairs
-overlapping in x, near linear for a trace, quadratic for a raster.
+Both diameters are taken at the same point count n, so the slow
+(logarithmic) convergence of d_n cancels in the ratio.  The interval side
+is exact at n, a closed form scaled by (B-A)/2; only the image side
+samples, by a discrete Fekete exchange over the trace.  The trace takes G
+from ``RealMeasure.cauchy``: exact for the atoms and the named densities,
+and only segments given by a bare density callable are resampled finely
+enough for the trace height.  The crossing test sorts the segments once by
+left x and sweeps, at most ``_PAIR_BATCH`` pairs a batch: O(n log n + K)
+for K segment pairs overlapping in x, near linear for a trace, quadratic
+for a raster.
 Everything here is deterministic: greedy seeding and exchange sweeps break
 ties by lowest sample index.
 """
@@ -25,7 +25,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from functools import lru_cache
 
 import numpy as np
 
@@ -229,11 +228,19 @@ def discrete_transfinite_diameter(points, n: int, sweeps: int = 20) -> float:
     return float(np.exp(2.0 * la[sel][iu].sum() / (n * (n - 1))))
 
 
-@lru_cache(maxsize=32)
-def _unit_interval_diameter(n: int, resolution: int, sweeps: int) -> float:
-    """Fekete diameter of cos(linspace(pi, 0, 2*resolution)) on [-1, 1]."""
-    theta = np.linspace(math.pi, 0.0, 2 * resolution)
-    return discrete_transfinite_diameter(np.cos(theta).astype(complex), n, sweeps)
+def _unit_interval_diameter(n: int) -> float:
+    """The exact d_n of [-1, 1] in O(n).  Its Fekete points are +-1 and the
+    zeros of P_m^(1,1), m = n - 2, of leading coefficient k_m = 2^-m C(2m+2, m),
+    discriminant D_m (Szego, *Orthogonal Polynomials*, (6.71.5)) and values
+    +-(m + 1) at +-1, so the log product of their pairwise distances is
+    log 2 + 2 log((m + 1)/k_m) + (log D_m - (2m - 2) log k_m)/2."""
+    m = n - 2
+    log_k = math.lgamma(2 * m + 3) - math.lgamma(m + 1) - math.lgamma(m + 3) - m * math.log(2.0)
+    nu = np.arange(1.0, m + 1.0)
+    log_disc = float(np.sum((nu - 2 * m + 2) * np.log(nu) + 2.0 * (nu - 1.0) * np.log(nu + 1.0)
+                            + (m - nu) * np.log(m + nu + 2.0))) - m * (m - 1) * math.log(2.0)
+    log_pairs = math.log(2.0) + 2.0 * math.log(m + 1) + 0.5 * log_disc - (m + 1) * log_k
+    return math.exp(2.0 * log_pairs / (n * (n - 1)))
 
 
 def hayman_report(
@@ -255,9 +262,8 @@ def hayman_report(
     ``2*resolution*n <= 2**24`` (the size of the exchange table) and
     ``sweeps >= 0``; anything else raises InvalidInputError before the
     boundary is traced, as does a support whose width B - A overflows.
-    The interval diameter is that of the same Chebyshev-spaced cloud on
-    [-1, 1], computed once per ``(n, resolution, sweeps)`` and scaled by
-    (B-A)/2.
+    The interval side is exact at n, scaled from [-1, 1] by (B-A)/2; only
+    the image side samples, so ``resolution`` and ``sweeps`` act on it alone.
     """
     lo, hi = _support(mu)
     n = count(n, "n")
@@ -275,7 +281,7 @@ def hayman_report(
 
     curve = boundary_image(mu, resolution=resolution, epsilon=epsilon)
     d_image = discrete_transfinite_diameter(curve.points, n, sweeps)
-    d_interval = 0.5 * width * _unit_interval_diameter(n, resolution, sweeps)
+    d_interval = 0.5 * width * _unit_interval_diameter(n)
 
     ratio = d_image / d_interval
     broken = curve.self_intersects or curve.unbounded

@@ -251,21 +251,20 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _join_negative_values(argv: list[str]) -> list[str]:
-    # argparse treats "-2,2" as an option string; fold such values into
-    # --flag=value form so intervals and moment lists may start negative
-    out = []
-    i = 0
-    while i < len(argv):
-        tok = argv[i]
-        nxt = argv[i + 1] if i + 1 < len(argv) else None
-        if (tok.startswith("--") and "=" not in tok and nxt is not None
-                and len(nxt) > 1 and nxt[0] == "-" and (nxt[1].isdigit() or nxt[1] == ".")):
-            out.append(f"{tok}={nxt}")
-            i += 2
+def _join_negative_values(parser: argparse.ArgumentParser, argv: list[str]) -> list[str]:
+    # argparse reads a "-"-leading value such as "-2,2" or "-i" as an option
+    # string: fold each one that follows an option taking a value into
+    # --flag=value form, unless it is itself one of the parser's options
+    sub = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+    actions = [a for p in sub.choices.values() for a in p._actions]
+    flags = {f for a in actions for f in a.option_strings}
+    valued = {f for a in actions if a.nargs != 0 for f in a.option_strings}
+    out: list[str] = []
+    for tok in argv:
+        if out and out[-1] in valued and tok.startswith("-") and tok not in flags:
+            out[-1] += "=" + tok
         else:
             out.append(tok)
-            i += 1
     return out
 
 
@@ -273,7 +272,7 @@ def run(argv) -> int:
     """Dispatch one invocation; returns the process exit code."""
     parser = _build_parser()
     try:
-        args = parser.parse_args(_join_negative_values(list(argv)))
+        args = parser.parse_args(_join_negative_values(parser, list(argv)))
     except SystemExit as exc:
         code = exc.code
         return int(code) if code is not None else 0

@@ -57,17 +57,21 @@ measure lookup, its knot table (the pieces no substep may straddle, with
 the slope of the atom path and its running variation at each),
 ``_substep``, which builds ``integrand`` and runs the loop, and, unless
 the atom constants serve, ``_bounds``, the regularity constants of each
-lane's piece.  ``_evolve_chunk`` looks each lane's piece up in the table
-once per round and hands it to both.  Two drivers exist:
-piecewise-constant measure families and a moving atom along a
-piecewise-linear path.  A
-piecewise-constant driver evaluates the Cauchy transform by
-``RealMeasure.cauchy``: atoms exactly, named densities in closed form, and
-only segments given as a bare callable by their quadrature nodes.  The
-certified bound covers the first two; it has no term for the node error of
-the third, which grows within a node gap of the support.  The atom's
-integrand is ``1/(B - U)``; no substep straddles a knot, so ``U`` is
-affine on each substep and known at the nodes.
+lane's piece.  ``_evolve`` moves at most ``_CHUNK`` lanes at once, in
+lockstep, a substep each per round, and looks each lane's piece up in the
+table once per round and hands it to both.  A lane that lands gives its
+slot to the next one waiting, in index order, and ``_MAX_ROUNDS`` caps each
+lane's substeps from the round it entered; a round sweeps as often as its
+neediest lane asks, so a value depends on its set within its bound, not bit
+for bit.  Two drivers exist: piecewise-constant measure families and a
+moving atom along a piecewise-linear path.  A piecewise-constant driver
+evaluates the Cauchy transform by ``RealMeasure.cauchy``: atoms exactly,
+named densities in closed form, and only segments given as a bare callable
+by their quadrature nodes.  The certified bound covers the first two; it
+has no term for the node error of the third, which grows within a node gap
+of the support.  The atom's integrand is ``1/(B - U)``; no substep
+straddles a knot, so ``U`` is affine on each substep and known at the
+nodes.
 
 Both drivers integrate one way: each sweep samples the integrand at the
 N = 40 Lobatto nodes, and ``_picard`` integrates its degree-(N-1)
@@ -149,9 +153,10 @@ __all__ = [
 ]
 
 _NODES = 40           # Chebyshev-Lobatto collocation points per substep
-_CHUNK = 1024         # z-points advanced per lockstep batch
+_CHUNK = 1024         # most lanes moving at once (module docstring)
 _MAX_PICARD = 64
-_MAX_ROUNDS = 200_000
+_SWEEP_BLOCK = 16     # columns of the Picard remainder table built at a time
+_MAX_ROUNDS = 200_000  # most substeps of one lane
 _MIN_STEP = 1e-12
 _SPEED_SLACK = 3.0    # c of the substep rule's ellipse height (module docstring)
 _UNIT_ATOM = point_mass()  # its g_bounds are the atom constants
@@ -443,24 +448,29 @@ def _picard(
     """
     L_col = L[:, None]
     h_col = h[:, None]
-    k = np.arange(2.0, _MAX_PICARD + 2.0)  # n + 1 for sweep n = 1, 2, ...
     # after sweep n the remainder is M h prod_{k=2}^{n+1} (L h)/k over
-    # 1 - (L h)/(n+2); L h is not rounded once and reused, so its rounding
-    # does not compound over the n factors
-    tails = np.cumprod(h_col * (L_col / k), axis=1)
-    tails *= (M * h)[:, None]
-    tails /= 1.0 - h_col * L_col / (k + 1.0)
-    done = (tails <= target[:, None]).all(axis=0)
-    if not done.any():
+    # 1 - (L h)/(n+2), with L h not rounded once and reused, lest its rounding
+    # compound; each block seeds its cumprod with the last of the one before
+    for lo in range(0, _MAX_PICARD, _SWEEP_BLOCK):
+        k = np.arange(lo + 2.0, lo + _SWEEP_BLOCK + 2.0)  # n + 1 for sweep n
+        factors = h_col * (L_col / k)
+        if lo:
+            factors[:, 0] *= prods[:, -1]
+        prods = np.cumprod(factors, axis=1, out=factors)
+        tails = prods * (M * h)[:, None]
+        tails /= 1.0 - h_col * L_col / (k + 1.0)
+        done = (tails <= target[:, None]).all(axis=0)
+        if done.any():
+            break
+    else:
         raise NonConvergenceError("Picard iteration failed to certify within 64 sweeps")
-    sweeps = int(done.argmax()) + 1
-    tail = tails[:, sweeps - 1].copy()
-    del tails
+    col = int(done.argmax())
+    tail = tails[:, col]
     _, quad = cheb_grid(_NODES)
     B = np.repeat(w0[None, :], _NODES, axis=0)
     real = B.view(float)  # (nodes, 2 points): re and im side by side
     half_h = 0.5 * h
-    for _ in range(sweeps):
+    for _ in range(lo + col + 1):
         F = np.ascontiguousarray(integrand(B), dtype=complex)
         # cheb_grid's tails act on re and im alike: one real product,
         # written into B, whose old values F has replaced
@@ -471,7 +481,7 @@ def _picard(
     return B, tail
 
 
-def _evolve_chunk(
+def _evolve(
     family: DriverFamily,
     a: np.ndarray,
     b: np.ndarray,
@@ -502,12 +512,16 @@ def _evolve_chunk(
     if (b - a > _MAX_ROUNDS * cfg.max_step).any() or too_steep.any():
         raise NonConvergenceError("substep count exceeded the global cap")
 
-    # the lanes still moving, and their s, a and span
-    act = np.flatnonzero(b > a)
-    s, a, span = b[act], a[act], span[act]
-    for _ in range(_MAX_ROUNDS):
-        if act.size == 0:
-            return w, err
+    # the lockstep set act, with its s, a and span; act[0] entered first
+    queue = np.flatnonzero(b > a)
+    act, queue = queue[:_CHUNK], queue[_CHUNK:]
+    lanes = (b, a, span)
+    s, a, span = (x[act] for x in lanes)
+    entered = np.zeros(z.size, dtype=int)
+    r = 0
+    while act.size:
+        if r - entered[act[0]] >= _MAX_ROUNDS:
+            raise NonConvergenceError("substep count exceeded the global cap")
         eta = w.imag[act]
         # the piece under the substep: the last knot below s (s > a >= 0)
         piece = np.searchsorted(knots, s, side="left") - 1
@@ -552,8 +566,13 @@ def _evolve_chunk(
         err[act] += (tail + 0.2 * budget) * amp
         moving = land > a
         act, s, a, span = act[moving], land[moving], a[moving], span[moving]
-
-    raise NonConvergenceError("substep count exceeded the global cap")
+        r += 1
+        if queue.size and act.size < _CHUNK:
+            new, queue = queue[:_CHUNK - act.size], queue[_CHUNK - act.size:]
+            entered[new] = r
+            act = np.concatenate((act, new))
+            s, a, span = (np.concatenate((x, y[new])) for x, y in zip((s, a, span), lanes))
+    return w, err
 
 
 def _solve_many(
@@ -585,12 +604,8 @@ def _solve_many(
             f"Im z below the solver floor {floor:.3g} for tol {cfg.tol:.3g}"
         )
 
-    w = np.empty(a_arr.size, dtype=complex)
-    e = np.empty(a_arr.size)
-    with np.errstate(over="ignore", invalid="ignore"):  # one for all chunks
-        for lo in range(0, a_arr.size, _CHUNK):
-            sl = slice(lo, lo + _CHUNK)
-            w[sl], e[sl] = _evolve_chunk(family, a_arr[sl], b_arr[sl], z_arr[sl], cfg)
+    with np.errstate(over="ignore", invalid="ignore"):
+        w, e = _evolve(family, a_arr, b_arr, z_arr, cfg)
     return w.reshape(shape), e.reshape(shape)
 
 
@@ -620,7 +635,7 @@ def transition_grid(
     """Vectorized ``solve_transition``; returns values and error bounds.
 
     ``a``, ``b`` and ``zs`` broadcast against each other, so grids over
-    points, over times, or over both run in one lockstep batch.
+    points, over times, or over both run as one batch (module docstring).
     """
     return _solve_many(family, a, b, zs, config)
 

@@ -111,13 +111,34 @@ def reference_diameter(points, n, sweeps=20):
     return float(np.exp(2.0 * np.log(pair).sum() / (n * (n - 1))))
 
 
+def lgl_nodes(n):
+    """The n Legendre-Gauss-Lobatto nodes of [-1, 1] at 40 digits: +-1 and
+    the zeros of P'_(n-1), that is of x P_(n-1) - P_(n-2), each refined by
+    mpmath from numpy's estimate."""
+    mpmath.mp.dps = 40
+    c = np.zeros(n)
+    c[-1] = 1.0
+    guess = np.polynomial.legendre.legroots(np.polynomial.legendre.legder(c)) if n > 2 else []
+    f = lambda x: x * mpmath.legendre(n - 1, x) - mpmath.legendre(n - 2, x)
+    inner = [mpmath.findroot(f, mpmath.mpf(float(x)), verify=False) for x in guess]
+    return [mpmath.mpf(-1)] + inner + [mpmath.mpf(1)]
+
+
+def lgl_diameter(n, lo=-1.0, hi=1.0):
+    """The geometric mean of the pairwise distances of the LGL nodes mapped
+    onto [lo, hi], the exact d_n of that interval, at 40 digits."""
+    mpmath.mp.dps = 40
+    pts = [mpmath.mpf(lo) + (mpmath.mpf(hi) - mpmath.mpf(lo)) * (x + 1) / 2 for x in lgl_nodes(n)]
+    logs = mpmath.fsum(mpmath.log(abs(p - q)) for p, q in itertools.combinations(pts, 2))
+    return float(mpmath.exp(2 * logs / (n * (n - 1))))
+
+
 def reference_hayman(mu, curve, n=64, resolution=2048, sweeps=20):
-    """The direct pipeline: both diameters from their own clouds."""
+    """The direct pipeline: the image diameter from its own cloud, the
+    interval's from its Fekete points."""
     lo, hi = mu.support
     d_image = reference_diameter(curve.points, n, sweeps)
-    theta = np.linspace(math.pi, 0.0, 2 * resolution)
-    cloud = 0.5 * (lo + hi) + 0.5 * (hi - lo) * np.cos(theta)
-    d_interval = reference_diameter(cloud.astype(complex), n, sweeps)
+    d_interval = lgl_diameter(n, lo, hi)
     ratio = d_image / d_interval
     broken = reference_crossings(curve.points) or curve.unbounded
     if not broken and abs(ratio - 1.0) <= 0.05:
@@ -269,37 +290,42 @@ def test_fekete_seed_fills_the_exchange_table():
 
 
 # ---------------------------------------------------------------------------
-# the cached unit-interval diameter
+# the exact unit-interval diameter
 
 
 @pytest.mark.parametrize("lo,hi", [(-2.0, 2.0), (-1.0, 1.0), (-1.2, 1.8), (-0.5, 0.5),
                                    (3.0, 1e3), (-1e-3, 2e-3)])
 def test_scaled_unit_diameter_matches_the_direct_value(lo, hi):
-    theta = np.linspace(math.pi, 0.0, 4096)
-    cloud = 0.5 * (lo + hi) + 0.5 * (hi - lo) * np.cos(theta)
-    direct = discrete_transfinite_diameter(cloud.astype(complex), 64, 20)
-    scaled = 0.5 * (hi - lo) * _unit_interval_diameter(64, 2048, 20)
-    assert abs(scaled - direct) <= 1e-13 * direct
-    if (lo, hi) in ((-2.0, 2.0), (-1.0, 1.0)):
-        assert scaled == direct
+    # the scaled d_n of [-1, 1] against the LGL nodes mapped onto [lo, hi]
+    scaled = 0.5 * (hi - lo) * _unit_interval_diameter(64)
+    assert scaled == pytest.approx(lgl_diameter(64, lo, hi), rel=1e-14)
 
 
-def test_unit_diameter_cache_clears():
-    _unit_interval_diameter.cache_clear()
-    _unit_interval_diameter(8, 64, 20)
-    _unit_interval_diameter(8, 64, 20)
-    info = _unit_interval_diameter.cache_info()
-    assert (info.hits, info.misses, info.currsize) == (1, 1, 1)
-    _unit_interval_diameter.cache_clear()
-    assert _unit_interval_diameter.cache_info().currsize == 0
+def test_unit_interval_diameter_matches_the_lgl_product():
+    for n in (2, 3, 4, 5, 8, 17, 64, 129):
+        assert _unit_interval_diameter(n) == pytest.approx(lgl_diameter(n), rel=1e-14), n
+    assert _unit_interval_diameter(2) == 2.0
+    # the Fekete points maximise the product, so no exchange over a cloud
+    # reaches it: over the 4096 Chebyshev points of the default resolution,
+    # the interval side before, it came out 1.2e-6 (relative) below
+    exact = _unit_interval_diameter(64)
+    assert abs(exact - 0.540167993716489) <= 1e-15
+    below = 1.0 - discrete_transfinite_diameter(interval_cloud(4096) / 2.0, 64) / exact
+    assert 1e-6 < below < 1.5e-6
+    # O(n): the largest n hayman admits, above the capacity 1/2
+    t0 = time.perf_counter()
+    assert 0.5 < _unit_interval_diameter(4096) < _unit_interval_diameter(64)
+    assert time.perf_counter() - t0 < 0.05
 
 
 @pytest.mark.parametrize("name", ["semi", "arcsine", "b1"])
 def test_hayman_matches_the_reference_pipeline(library_traces, name):
     mu, _ = library_traces[name]
     r = hayman_report(mu)
-    want = reference_hayman(mu, r.curve)
-    assert (r.ratio, r.d_image, r.d_interval, r.verdict) == want
+    ratio, d_image, d_interval, verdict = reference_hayman(mu, r.curve)
+    assert (r.d_image, r.verdict) == (d_image, verdict)
+    assert r.d_interval == pytest.approx(d_interval, rel=1e-14)
+    assert r.ratio == pytest.approx(ratio, rel=1e-14)
 
 
 # ---------------------------------------------------------------------------

@@ -111,6 +111,21 @@ def test_transform_cauchy_requires_z(capsys, atom_path):
     assert capsys.readouterr().err.startswith("error:")
 
 
+@pytest.mark.parametrize("z", ["-i", "-2-1i", "-inf+1i", "-"])
+def test_dash_leading_value_reads_as_its_equals_form(capsys, semi_path, z):
+    # argparse took "-i" for an option string and printed its usage message
+    assert run(["transform", "--measure", semi_path, "--z", z]) == 2
+    spaced = capsys.readouterr()
+    assert run(["transform", "--measure", semi_path, f"--z={z}"]) == 2
+    assert capsys.readouterr() == spaced
+    assert spaced.err.startswith("error:") and spaced.err.count("\n") == 1
+
+
+def test_an_option_after_a_valued_option_is_not_its_value(capsys, semi_path):
+    assert run(["transform", "--measure", semi_path, "--z", "--op", "cauchy"]) == 2
+    assert "argument --z: expected one argument" in capsys.readouterr().err
+
+
 # ---------------------------------------------------------------------------
 # invert
 

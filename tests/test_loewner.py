@@ -708,6 +708,40 @@ def test_picard_refuses_before_the_first_sweep(kind):
     assert str(new.value) == str(ref.value)
 
 
+def full_table(h, M, L):
+    # _picard's remainder table as it was built before it grew in blocks:
+    # one (lanes, 64) cumprod, column n - 1 the tail after sweep n
+    k = np.arange(2.0, loewner._MAX_PICARD + 2.0)
+    tails = np.cumprod(h[:, None] * (L[:, None] / k), axis=1)
+    tails *= (M * h)[:, None]
+    tails /= 1.0 - h[:, None] * L[:, None] / (k + 1.0)
+    return tails
+
+
+@pytest.mark.parametrize("kind", ["atom", "semicircle"])
+@pytest.mark.parametrize("depth,sweeps", [(1e-30, (16, 32)), (1e-60, (32, 48)),
+                                          ("last", (63, 64))])
+def test_picard_table_in_blocks_matches_the_full_table(kind, depth, sweeps):
+    # the lane at the contraction cap needs a second, third or last block
+    args, integrand, calls = _picard_case(4, kind)
+    w0, h, M, L, target = args
+    tails = full_table(h, M, L)
+    target[0] = tails[0, -1] if depth == "last" else depth
+    _, tail = loewner._picard(*args, integrand)
+    want = int((tails <= target[:, None]).all(axis=0).argmax()) + 1
+    assert len(calls) == want and sweeps[0] < want <= sweeps[1]
+    assert np.array_equal(tail, tails[:, want - 1])
+
+
+@pytest.mark.parametrize("kind", ["atom", "semicircle"])
+def test_picard_refuses_just_past_the_last_column(kind):
+    args, integrand, calls = _picard_case(4, kind)
+    args[4][0] = np.nextafter(full_table(*args[1:4])[0, -1], 0.0)
+    with pytest.raises(NonConvergenceError, match="within 64 sweeps"):
+        loewner._picard(*args, integrand)
+    assert calls == []
+
+
 @pytest.mark.parametrize("nodes", [24, 40])
 def test_solve_rho_meets_its_inequality(monkeypatch, nodes):
     # rho^(M-1) (rho - 1) >= max(R, 10) for rho = max(2, R^(1/(M-1))): the
@@ -772,6 +806,55 @@ def test_delta0_chunk_peak_memory():
     peak = tracemalloc.get_traced_memory()[1]
     tracemalloc.stop()
     assert peak <= 1.15 * 2.02e6
+
+
+def _short_lanes():
+    # 64 points at 0.8 <= Im z <= 3 that delta_0 moves to t = 1 in at most
+    # 4 substeps each
+    rng = np.random.default_rng(6)
+    return rng.uniform(-3.0, 3.0, 64) + 1j * rng.uniform(0.8, 3.0, 64)
+
+
+def test_refilled_lanes_count_their_own_substeps(monkeypatch):
+    # 8 lanes at a time and a cap of 4 substeps per lane: the batch takes
+    # more than twice 4 rounds, but no lane more than 4 substeps
+    monkeypatch.setattr(loewner, "_CHUNK", 8)
+    monkeypatch.setattr(loewner, "_MAX_ROUNDS", 4)
+    zs = _short_lanes()
+    lanes = []
+    picard = loewner._picard
+
+    def counted(w0, *args):
+        lanes.append(w0.size)
+        return picard(w0, *args)
+
+    monkeypatch.setattr(loewner, "_picard", counted)
+    vals, errs = transition_grid(DELTA0, 0.0, 1.0, zs)
+    assert len(lanes) > 2 * 4 and max(lanes) == 8
+    # landed lanes' slots are refilled: the set runs short only once the
+    # queue is empty, for at most the 4 substeps of its last lanes
+    assert sum(n < 8 for n in lanes) <= 4
+    assert np.all(np.abs(vals - slit_map(1.0, zs)) <= errs)
+    # one lane that needs more substeps than the cap still refuses
+    with pytest.raises(NonConvergenceError, match="substep count exceeded the global cap"):
+        transition_grid(DELTA0, 0.0, 1.0, np.array([0.3j]))
+
+
+@pytest.mark.parametrize("family", [THREE_ATOMS, DriverFamily.moving_atom(SEAMED_ATOM)],
+                         ids=["three-atoms", "seamed-atom"])
+def test_lanes_of_a_refilled_batch_match_the_lanes_alone(monkeypatch, family):
+    # 40 lanes of unequal spans, 8 at a time, enter as others land; each
+    # agrees with its own solve within the two bounds
+    monkeypatch.setattr(loewner, "_CHUNK", 8)
+    rng = np.random.default_rng(7)
+    zs = _short_lanes()[:40]
+    a = rng.uniform(0.0, 1.0, zs.size)
+    b = a + rng.uniform(0.0, 1.0, zs.size)
+    vals, errs = transition_grid(family, a, b, zs)
+    for k in range(zs.size):
+        alone, err = transition_grid(family, a[k], b[k], zs[k])
+        assert abs(vals[k] - alone) <= errs[k] + err
+    assert errs.max() <= SolverConfig().tol
 
 
 def test_reported_bound_shrinks_with_tol():
