@@ -5,7 +5,8 @@ expose the measure transforms, ``evolve`` the certified flow solver,
 ``grunsky`` the univalence certificate, and ``hayman`` the capacity
 diagnostic.  Reports are deterministic: JSON with sorted keys, or CSV with
 a fixed column order, and every numeric result is accompanied by the error
-bound or tolerance it was produced under.
+bound or tolerance it was produced under.  Each handler imports the layer
+it runs, past ``measures`` and ``numerics``, so one call loads only its own.
 
 Exit codes: 0 success, 2 invalid input (bad flags, malformed files,
 constraint violations), 1 numerical non-convergence.
@@ -21,9 +22,6 @@ import sys
 
 import numpy as np
 
-from . import capacity as _capacity
-from . import grunsky as _grunsky
-from . import loewner as _loewner
 from . import measures as _measures
 from .errors import InvalidInputError, NonConvergenceError
 from .numerics import floats, settle_tol
@@ -138,6 +136,8 @@ def _cmd_invert(args) -> None:
 
 
 def _cmd_evolve(args) -> None:
+    from . import loewner as _loewner
+
     family = _loewner.driver_from_dict(_load_json(args.driver))
     if (args.z is None) == (args.grid is None):
         raise InvalidInputError("evolve needs exactly one of --z or --grid")
@@ -162,6 +162,8 @@ def _cmd_evolve(args) -> None:
 
 
 def _cmd_grunsky(args) -> None:
+    from . import grunsky as _grunsky
+
     if (args.moments is None) == (args.measure is None):
         raise InvalidInputError("grunsky needs exactly one of --moments or --measure")
     if args.moments is not None:
@@ -182,6 +184,8 @@ def _cmd_grunsky(args) -> None:
 
 
 def _cmd_hayman(args) -> None:
+    from . import capacity as _capacity
+
     mu = _measure_arg(args.measure)
     report = _capacity.hayman_report(
         mu, n=args.n, resolution=args.resolution, epsilon=args.eps)

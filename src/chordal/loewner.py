@@ -136,7 +136,7 @@ import numpy as np
 
 from .errors import InvalidInputError, NonConvergenceError
 from .measures import _TINY, RealMeasure, _require_upper, measure_from_dict, point_mass
-from .numerics import Y_LADDER, cheb_grid, floats, y_limit
+from .numerics import Y_LADDER, cheb_grid, floats, json_keys, json_numbers, y_limit
 
 __all__ = [
     "SolverConfig",
@@ -373,32 +373,45 @@ def driver_measure_at(family: DriverFamily, t: float) -> RealMeasure:
     return family.measure_at(t)
 
 
+_DRIVER_KEYS = {
+    "piecewise_constant": ("type", "breaks", "measures"),
+    "moving_atom": ("type", "samples"),
+}
+
+
 def driver_from_dict(obj: dict) -> DriverFamily:
     """Build a driver from its JSON object form.
 
     Accepts ``{"horizon": T, "driver": {...}}`` or the bare inner object.
     Piecewise drivers carry ``breaks`` and a list of measure objects; the
-    moving atom carries ``samples`` as ``[t, u]`` pairs.
+    moving atom carries ``samples`` as ``[t, u]`` pairs. A key that the
+    wrapper or the driver's type does not name is refused, and so are
+    strings and booleans in ``horizon``, ``breaks`` and ``samples``.
     """
     if not isinstance(obj, dict):
         raise InvalidInputError("driver specification must be a JSON object")
-    horizon = obj.get("horizon")
-    inner = obj.get("driver", obj)
+    wrapped = "driver" in obj
+    if wrapped:
+        json_keys(obj, ("horizon", "driver"), "driver wrapper")
+    inner = obj["driver"] if wrapped else obj
     if not isinstance(inner, dict) or "type" not in inner:
         raise InvalidInputError("driver object needs a 'type' field")
     kind = inner["type"]
+    if not isinstance(kind, str) or kind not in _DRIVER_KEYS:
+        raise InvalidInputError(f"unknown driver type {kind!r}")
+    json_keys(inner, _DRIVER_KEYS[kind], "driver")
+    horizon = json_numbers(obj.get("horizon"), "horizon")
     if kind == "piecewise_constant":
         if "breaks" not in inner or "measures" not in inner:
             raise InvalidInputError("piecewise_constant driver needs 'breaks' and 'measures'")
         if not isinstance(inner["measures"], list):
             raise InvalidInputError("piecewise_constant 'measures' must be a list")
         measures = [measure_from_dict(m) for m in inner["measures"]]
-        return DriverFamily.piecewise_constant(inner["breaks"], measures, horizon=horizon)
-    if kind == "moving_atom":
-        if "samples" not in inner:
-            raise InvalidInputError("moving_atom driver needs 'samples'")
-        return DriverFamily.moving_atom(inner["samples"], horizon=horizon)
-    raise InvalidInputError(f"unknown driver type {kind!r}")
+        return DriverFamily.piecewise_constant(
+            json_numbers(inner["breaks"], "breaks"), measures, horizon=horizon)
+    if "samples" not in inner:
+        raise InvalidInputError("moving_atom driver needs 'samples'")
+    return DriverFamily.moving_atom(json_numbers(inner["samples"], "samples"), horizon=horizon)
 
 
 # ---------------------------------------------------------------------------

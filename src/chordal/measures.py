@@ -27,8 +27,8 @@ from numpy.polynomial import polynomial as _poly
 
 from .errors import InvalidInputError, NonConvergenceError
 from .numerics import (
-    Y_LADDER, adaptive_simpson, count, finite_interval, floats, gauss_legendre, neville_zero,
-    settled, y_limit,
+    Y_LADDER, adaptive_simpson, count, finite_interval, floats, gauss_legendre, json_keys,
+    json_numbers, neville_zero, settled, y_limit,
 )
 
 MASS_TOL = 1e-12
@@ -456,28 +456,36 @@ def measure_from_dict(obj: dict) -> RealMeasure:
     {"atoms": [[x, w], ...],
      "segments": [{"interval": [lo, hi], "density": "<name>", "order": n}, ...],
      "mass": optional declared total}
+
+    Every key is optional, and any other key is refused; so are strings and
+    booleans in ``atoms``, ``interval`` and ``mass``.
     """
     if not isinstance(obj, dict):
         raise InvalidInputError("measure JSON must be an object")
+    json_keys(obj, ("atoms", "segments", "mass"), "measure")
     segments = obj.get("segments", [])
     if not isinstance(segments, (list, tuple)):
         raise InvalidInputError("segments must be a list")
     segs = []
     for s in segments:
+        if not isinstance(s, dict):
+            raise InvalidInputError("segment must be a JSON object")
+        json_keys(s, ("interval", "density", "order"), "segment")
+        interval = json_numbers(s.get("interval"), "segment interval")
         try:
-            lo, hi = (float(v) for v in s["interval"])
-        except (KeyError, TypeError, ValueError, OverflowError) as exc:
+            lo, hi = (float(v) for v in interval)
+        except (TypeError, ValueError, OverflowError) as exc:
             raise InvalidInputError("segment needs an [lo, hi] interval") from exc
         name = s.get("density")
         if not isinstance(name, str):
             raise InvalidInputError("segment density must be a name string")
         segs.append(named_density(name, lo, hi, s.get("order", 64)))
-    mass = obj.get("mass")
+    mass = json_numbers(obj.get("mass"), "declared mass")
     try:
         mass = None if mass is None else float(mass)
     except (TypeError, ValueError, OverflowError) as exc:
         raise InvalidInputError("declared mass must be a number") from exc
-    return RealMeasure(obj.get("atoms", []), segs, mass=mass)
+    return RealMeasure(json_numbers(obj.get("atoms", []), "atoms"), segs, mass=mass)
 
 
 # ---------------------------------------------------------------------------

@@ -6,7 +6,10 @@ Callers' arguments are read by three readers: ``count`` for counts and
 orders (any integral number, 64.0 and numpy integers included), ``floats``
 for lists of floats and of pairs, and ``finite_interval`` for the ends of
 an interval (finite, lo < hi, and a finite width hi - lo). Each raises
-InvalidInputError naming the argument.
+InvalidInputError naming the argument. JSON objects are checked first by
+``json_keys``, which refuses a key the object kind does not name, and their
+number fields by ``json_numbers``, which refuses strings and booleans that
+``float()`` and numpy would read as numbers.
 
 Every extrapolated limit in the package is Neville's rule and settles by
 one test: it must be finite and its last rung may move it by at most
@@ -57,6 +60,26 @@ def floats(values, message: str, pairs: bool = False) -> np.ndarray:
             raise InvalidInputError(message)
         out = out.reshape(0, 2)
     return out
+
+
+def json_keys(obj: dict, keys: tuple[str, ...], kind: str) -> None:
+    """InvalidInputError naming the first key of ``obj`` not in ``keys``."""
+    for key in obj:
+        if key not in keys:
+            raise InvalidInputError(f"unknown {kind} key {key!r} (expected {', '.join(keys)})")
+
+
+def json_numbers(value, what: str):
+    """``value`` unchanged; InvalidInputError naming ``what`` when it is, or
+    its lists hold at any depth, a string, a boolean or an object."""
+    todo = [value]
+    while todo:
+        v = todo.pop()
+        if isinstance(v, (list, tuple)):
+            todo.extend(v)
+        elif isinstance(v, (str, bool, dict)):
+            raise InvalidInputError(f"{what} must hold numbers, not strings, booleans or objects")
+    return value
 
 
 def finite_interval(lo, hi, what: str) -> tuple[float, float]:

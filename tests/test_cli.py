@@ -732,6 +732,59 @@ def test_malformed_driver_is_an_input_error(capsys, tmp_path, driver):
     assert err.startswith("error: ") and "Traceback" not in err
 
 
+_NUMBERS = "must hold numbers, not strings, booleans or objects"
+_SEMI_SEGMENT = {"interval": [-2.0, 2.0], "density": "semicircle"}
+
+
+@pytest.mark.parametrize("measure, message", [
+    # each printed G = -i with exit 0: float() and numpy read "1" and true
+    ({"atoms": [["0", "1"]], "mass": "1"}, f"declared mass {_NUMBERS}"),
+    ({"atoms": [["0", "1"]]}, f"atoms {_NUMBERS}"),
+    ({"atoms": [[0, True]]}, f"atoms {_NUMBERS}"),
+    ({"segments": [{**_SEMI_SEGMENT, "interval": ["-2", "2"]}]},
+     f"segment interval {_NUMBERS}"),
+    # each read as the zero measure or dropped the key without a word
+    ({"atom": [[0, 1]]}, "unknown measure key 'atom' (expected atoms, segments, mass)"),
+    ({"segmnts": [_SEMI_SEGMENT]},
+     "unknown measure key 'segmnts' (expected atoms, segments, mass)"),
+    ({"segments": [{**_SEMI_SEGMENT, "ordr": 8}]},
+     "unknown segment key 'ordr' (expected interval, density, order)"),
+], ids=["string-mass", "string-atoms", "boolean-weight", "string-interval", "atom",
+        "segmnts", "ordr"])
+def test_json_measure_that_is_not_read_as_written_exits_2_on_one_line(
+        tmp_path, measure, message):
+    proc = _transform_process(tmp_path, measure, "1i")
+    assert proc.returncode == 2
+    assert proc.stdout == ""
+    assert proc.stderr == f"error: {message}\n"
+
+
+@pytest.mark.parametrize("driver, message", [
+    ({"driver": {**_ATOM_PIECES, "breaks": ["0"]}}, f"breaks {_NUMBERS}"),
+    ({"horizon": "2", "driver": _ATOM_PIECES}, f"horizon {_NUMBERS}"),
+    ({"horizon": True, "driver": _ATOM_PIECES}, f"horizon {_NUMBERS}"),
+    ({"driver": {**_MOVING, "samples": [[0.0, 0.0], ["2", 1.0]]}}, f"samples {_NUMBERS}"),
+    # evolve --t 5 answered past the horizon the file meant
+    ({"horizn": 4.0, "driver": _ATOM_PIECES},
+     "unknown driver wrapper key 'horizn' (expected horizon, driver)"),
+    ({**_MOVING, "horizon": 6.0}, "unknown driver key 'horizon' (expected type, samples)"),
+    ({"driver": {**_ATOM_PIECES, "measures": [{"atom": [[0, 1]]}]}},
+     "unknown measure key 'atom' (expected atoms, segments, mass)"),
+], ids=["string-breaks", "string-horizon", "boolean-horizon", "string-samples", "horizn",
+        "bare-horizon", "atom"])
+def test_json_driver_that_is_not_read_as_written_exits_2_on_one_line(
+        tmp_path, driver, message):
+    path = tmp_path / "driver.json"
+    path.write_text(json.dumps(driver))
+    proc = subprocess.run(
+        [sys.executable, "-m", "chordal.cli", "evolve", "--driver", str(path),
+         "--t", "5", "--z", "1i"],
+        capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 2
+    assert proc.stdout == ""
+    assert proc.stderr == f"error: {message}\n"
+
+
 def test_unwritable_curve_csv_is_an_input_error(capsys, tmp_path, semi_path):
     curve = tmp_path / "missing-dir" / "curve.csv"
     assert run(["hayman", "--measure", semi_path, "--n", "8", "--resolution", "64",

@@ -275,6 +275,18 @@ def test_measure_from_dict_rejects_garbage():
         measure_from_dict({"segments": [{"interval": [0, 1], "density": 7}]})
 
 
+def test_measure_from_dict_reads_only_numbers_and_named_keys():
+    assert measure_from_dict({}).total_mass == 0.0
+    # an object's keys "-2", "2" were read as the interval [-2, 2]
+    with pytest.raises(InvalidInputError, match="^segment interval must hold numbers"):
+        measure_from_dict({"segments": [
+            {"interval": {"-2": 0, "2": 1}, "density": "semicircle"}]})
+    with pytest.raises(InvalidInputError, match="^segment must be a JSON object$"):
+        measure_from_dict({"segments": [[-2.0, 2.0]]})
+    with pytest.raises(InvalidInputError, match="^atoms must hold numbers"):
+        measure_from_dict({"atoms": ((0.0, "1"),)})
+
+
 def test_dense_nodes_refine_mass_and_spacing():
     mu = semicircle()
     pos, wts = mu.dense_nodes(1e-3)
