@@ -24,7 +24,7 @@ import numpy as np
 
 from . import measures as _measures
 from .errors import InvalidInputError, NonConvergenceError
-from .numerics import floats, settle_tol
+from .numerics import floats, json_numbers, settle_tol
 
 __all__ = ["run", "main", "parse_complex"]
 
@@ -147,7 +147,8 @@ def _cmd_evolve(args) -> None:
         raw = _load_json(args.grid)
         if not isinstance(raw, list):
             raise InvalidInputError("--grid file must hold a JSON list of [re, im] pairs")
-        pairs = floats(raw, "--grid entries must be [re, im] pairs", pairs=True)
+        pairs = floats(json_numbers(raw, "--grid entries"),
+                       "--grid entries must be [re, im] pairs", pairs=True)
         # each (re, im) row read as one complex, with no arithmetic to turn inf into nan
         zs = pairs.view(complex).ravel()
     config = _loewner.SolverConfig(tol=args.tol) if args.tol is not None else None

@@ -117,12 +117,8 @@ def cheb_grid(m: int):
     x = -np.cos(np.pi * np.arange(m) / (m - 1))
     x[0], x[-1] = -1.0, 1.0
     vinv = np.linalg.inv(_cheb.chebvander(x, m - 1))  # values -> coefficients
-    basis_tails = np.empty((m, m))
-    for i in range(m):
-        c = np.zeros(i + 1)
-        c[i] = 1.0
-        ci = _cheb.chebint(c)
-        basis_tails[:, i] = _cheb.chebval(1.0, ci) - _cheb.chebval(x, ci)
+    ints = _cheb.chebint(np.eye(m))  # column i: an integral of T_i
+    basis_tails = (_cheb.chebval(1.0, ints)[:, None] - _cheb.chebval(x, ints)).T
     tails = basis_tails @ vinv
     x.setflags(write=False)
     tails.setflags(write=False)

@@ -1,11 +1,9 @@
-"""End-to-end command-line checks: parsing, output formats, exit codes."""
+"""Command-line checks through ``run`` in this process: parsing, output
+formats, exit codes.  What a call prints as its own process is the table in
+``test_cli_contract.py``."""
 
-import cmath
 import json
 import math
-import subprocess
-import sys
-import time
 
 import mpmath
 import numpy as np
@@ -168,25 +166,6 @@ def test_malformed_float_list_exits_2_on_one_line(capsys, semi_path, argv, messa
     assert captured.err == f"error: {message}\n"
 
 
-@pytest.mark.parametrize("interval, ladder", [
-    ("-1e308,1e308", "0.4,0.2,0.1"),  # width overflows
-    ("0,inf", "0.4,0.2,0.1"),
-    ("nan,1", "0.4,0.2,0.1"),
-    ("0,1", "0.4,nan"),
-    ("0,1", "inf,0.4"),
-])
-def test_invert_non_finite_input_exits_2_on_one_line(atom_path, interval, ladder):
-    # run as a process so that a leaked numpy warning would reach stderr
-    proc = subprocess.run(
-        [sys.executable, "-m", "chordal.cli", "invert", "--measure", atom_path,
-         f"--interval={interval}", "--eps-ladder", ladder],
-        capture_output=True, text=True, timeout=120)
-    assert proc.returncode == 2
-    assert proc.stdout == ""
-    assert proc.stderr.startswith("error: ")
-    assert proc.stderr.count("\n") == 1
-
-
 # ---------------------------------------------------------------------------
 # evolve
 
@@ -229,7 +208,8 @@ def test_evolve_grid_entry_that_is_not_a_number_exits_2(capsys, tmp_path, driver
     assert run(["evolve", "--driver", driver_path, "--t", "0.5", "--grid", str(grid)]) == 2
     captured = capsys.readouterr()
     assert captured.out == ""
-    assert captured.err == "error: --grid entries must be [re, im] pairs\n"
+    assert captured.err == ("error: --grid entries must hold numbers, "
+                            "not strings, booleans or objects\n")
 
 
 def test_evolve_needs_exactly_one_input(capsys, tmp_path, driver_path):
@@ -247,20 +227,6 @@ def test_evolve_beyond_horizon(capsys, driver_path):
     assert "error:" in capsys.readouterr().err
 
 
-def test_evolve_huge_span_refuses_on_one_line(tmp_path):
-    # no horizon, t = 1e300: the substep rule overflows before the first step
-    driver = tmp_path / "unbounded.json"
-    driver.write_text(json.dumps({"driver": {
-        "type": "piecewise_constant", "breaks": [0.0], "measures": [{"atoms": [[0.0, 1.0]]}]}}))
-    proc = subprocess.run(
-        [sys.executable, "-m", "chordal.cli", "evolve", "--driver", str(driver),
-         "--t", "1e300", "--z", "1i"],
-        capture_output=True, text=True, timeout=120)
-    assert proc.returncode == 1
-    assert proc.stdout == ""
-    assert proc.stderr == "non-convergence: time span too long for the requested tolerance\n"
-
-
 def test_evolve_semicircle_driver_near_the_support_within_bound(capsys, tmp_path):
     # ROADMAP D1 through the JSON driver path: the 64-node sum missed this
     # point by 1.6e-2 against a bound of 4e-10
@@ -273,37 +239,6 @@ def test_evolve_semicircle_driver_near_the_support_within_bound(capsys, tmp_path
     err = abs(complex(vals[3], vals[4]) - semicircle_transition(0.5, 0.5 + 0.02j))
     assert 0.0 < vals[5] <= 1e-9
     assert err <= vals[5]
-
-
-def test_evolve_far_above_the_axis_prints_only_the_row(driver_path):
-    # Im z = 1e200 squares to inf inside the substep rule; that is the
-    # right limit, so no warning may reach stderr
-    proc = subprocess.run(
-        [sys.executable, "-m", "chordal.cli", "evolve", "--driver", driver_path,
-         "--t", "1", "--z", "1e200i"],
-        capture_output=True, text=True, timeout=120)
-    assert proc.returncode == 0
-    assert proc.stderr == ""
-    header, row = proc.stdout.strip().split("\n")
-    vals = [float(v) for v in row.split(",")]
-    assert vals[:5] == [1.0, 0.0, 1e200, 0.0, 1e200]
-    assert 0.0 < vals[5] <= 1e-9
-
-
-def test_evolve_span_beyond_the_round_cap_refuses_at_once(tmp_path):
-    # 1e6 time units at max_step 1 need more than the 200,000-round cap
-    driver = tmp_path / "unbounded.json"
-    driver.write_text(json.dumps({"driver": {
-        "type": "piecewise_constant", "breaks": [0.0], "measures": [{"atoms": [[0.0, 1.0]]}]}}))
-    start = time.perf_counter()
-    proc = subprocess.run(
-        [sys.executable, "-m", "chordal.cli", "evolve", "--driver", str(driver),
-         "--t", "1e6", "--z", "1i"],
-        capture_output=True, text=True, timeout=120)
-    assert time.perf_counter() - start < 10.0
-    assert proc.returncode == 1
-    assert proc.stdout == ""
-    assert proc.stderr == "non-convergence: substep count exceeded the global cap\n"
 
 
 def test_evolve_rejects_bad_tol(capsys, driver_path):
@@ -384,17 +319,6 @@ def test_grunsky_measure_order_beyond_cap_is_rejected_at_once(capsys, semi_path)
     # no moments up to 2e8 are integrated (nor overflow) before the rejection
     assert run(["grunsky", "--measure", semi_path, "--order", "100000000"]) == 2
     assert capsys.readouterr().err == "error: order must lie in 1..32\n"
-
-
-def test_grunsky_huge_moments_refuse_on_one_line():
-    # run as a process so that a leaked numpy warning would reach stderr
-    proc = subprocess.run(
-        [sys.executable, "-m", "chordal.cli", "grunsky",
-         "--moments", "1,1e200,1,0,2", "--order", "2"],
-        capture_output=True, text=True, timeout=120)
-    assert proc.returncode == 1
-    assert proc.stdout == ""
-    assert proc.stderr == "non-convergence: Grunsky matrix overflowed\n"
 
 
 @pytest.mark.parametrize("tol", ["inf", "1", "2"])
@@ -498,159 +422,8 @@ def test_malformed_measure_is_an_input_error(capsys, tmp_path, measure):
     assert err.startswith("error: ") and "Traceback" not in err
 
 
-@pytest.mark.parametrize("measure, message", [
-    ({"segments": [{"interval": [-1e308, 1e308], "density": "uniform"}]},
-     "segment width hi - lo overflows"),
-    ({"atoms": [[0.0, 1e308], [1.0, 1e308]]}, "total mass overflows"),
-], ids=["width", "mass"])
-def test_overflowing_measure_exits_2_on_one_line(tmp_path, measure, message):
-    # rejected before any transform, which would print a RuntimeWarning
-    # and NaN or Infinity with exit 0
-    path = tmp_path / "bad.json"
-    path.write_text(json.dumps(measure))
-    proc = subprocess.run(
-        [sys.executable, "-m", "chordal.cli", "transform", "--measure", str(path), "--z", "i"],
-        capture_output=True, text=True, timeout=120)
-    assert proc.returncode == 2
-    assert proc.stdout == ""
-    assert proc.stderr == f"error: {message}\n"
-
-
-@pytest.mark.parametrize("measure, argv, message", [
-    ({"segments": [{"interval": [-2.0, 2.0], "density": "semicircle", "order": 10**6}]},
-     ["transform", "--z", "2i"],
-     "quadrature order must be an integer in [2, 2048]"),
-    ({"segments": [{"interval": [-2.0, 2.0], "density": "semicircle"}]},
-     ["hayman", "--resolution", str(10**12)],
-     "2*resolution*n exceeds 2^24, the size of the exchange table"),
-], ids=["order-1e6", "resolution-1e12"])
-def test_sizes_that_cannot_run_exit_2_on_one_line(tmp_path, measure, argv, message):
-    # each asked numpy for terabytes and ended in a MemoryError traceback
-    path = tmp_path / "m.json"
-    path.write_text(json.dumps(measure))
-    proc = subprocess.run(
-        [sys.executable, "-m", "chordal.cli", *argv, "--measure", str(path)],
-        capture_output=True, text=True, timeout=120)
-    assert proc.returncode == 2
-    assert proc.stdout == ""
-    assert proc.stderr == f"error: {message}\n"
-
-
-def _cli_process(tmp_path, measure, *argv):
-    # run as a process so that a leaked numpy warning would reach stderr
-    path = tmp_path / "m.json"
-    path.write_text(json.dumps(measure))
-    return subprocess.run(
-        [sys.executable, "-m", "chordal.cli", *argv, "--measure", str(path)],
-        capture_output=True, text=True, timeout=120)
-
-
-def _transform_process(tmp_path, measure, z, *flags):
-    return _cli_process(tmp_path, measure, "transform", "--z", z, *flags)
-
-
-# total mass 1.7e308 is finite, so the measure is accepted
-HUGE_ATOMS = {"atoms": [[0.0, 1e308], [1.0, 7e307]]}
 BERNOULLI_1 = {"atoms": [[-1.0, 0.5], [1.0, 0.5]]}
 D0_ATOM = {"atoms": [[0.0, 1.0]]}
-FAR_ATOMS = {"atoms": [[-1e308, 0.5], [1e308, 0.5]]}
-
-
-def test_huge_measure_transform_keeps_a_finite_bound(tmp_path):
-    # the sum times n times eps, taken left to right, overflowed to Infinity
-    proc = _transform_process(tmp_path, HUGE_ATOMS, "1i")
-    assert proc.returncode == 0 and proc.stderr == ""
-    report = json.loads(proc.stdout, parse_constant=lambda name: pytest.fail(name))
-    assert math.isfinite(report["roundoff_bound"]) and report["roundoff_bound"] > 0
-
-
-def _huge_poly(lo, hi):
-    return {"segments": [{"interval": [lo, hi], "density": "poly:1e-300,1,1e308"}]}
-
-
-def test_huge_poly_transform_prints_only_the_report(tmp_path):
-    # the closed form's coefficients overflow (and warned on stderr): the
-    # segment falls back to its nodes, and the frozen-node report stands
-    proc = _transform_process(tmp_path, _huge_poly(-1.0, 1.0), "1i")
-    assert proc.returncode == 0 and proc.stderr == ""
-    assert json.loads(proc.stdout) == {
-        "op": "cauchy", "roundoff_bound": 7.572111476201128e+293,
-        "value": [3.508313044104e+290, -4.292036732051026e+307], "z": [0.0, 1.0]}
-
-
-@pytest.mark.parametrize("lo, hi", [(-2.0, 2.0), (0.0, 3.0)])
-def test_overflowing_poly_density_exits_2_on_one_line(tmp_path, lo, hi):
-    # 1e308 x^2 passes the float range on the nodes: three RuntimeWarnings
-    # came before the refusal
-    proc = _transform_process(tmp_path, _huge_poly(lo, hi), "1i")
-    assert proc.returncode == 2 and proc.stdout == ""
-    assert proc.stderr == "error: density must be finite and nonnegative on nodes\n"
-
-
-@pytest.mark.parametrize("measure, z, flags, message", [
-    (HUGE_ATOMS, "0.5+0.5i", [], "cauchy transform overflowed"),
-    (HUGE_ATOMS, "0.5+0.001i", [], "cauchy transform overflowed"),
-    (BERNOULLI_1, "1e-300i", ["--op", "reciprocal"], "reciprocal transform overflowed"),
-    (FAR_ATOMS, "1i", ["--op", "reciprocal"], "Cauchy transform underflowed to zero"),
-], ids=["bound", "value", "reciprocal-bound", "reciprocal-value"])
-def test_overflowing_transform_refuses_on_one_line(tmp_path, measure, z, flags, message):
-    # at 0.5+0.5i the bound's sum overflows, at 0.5+0.001i the value too;
-    # G(1e-300i) = -1e-300i puts |F|^2 near 1e600, and atoms at +-1e308
-    # give G(i) = -i/(1e616 + 1), which underflows to 0 (at 1e308+1e308i
-    # G = 1/z is a subnormal: see the next test)
-    proc = _transform_process(tmp_path, measure, z, *flags)
-    assert proc.returncode == 1
-    assert proc.stdout == ""
-    assert proc.stderr == f"non-convergence: {message}\n"
-
-
-@pytest.mark.parametrize("measure, message", [
-    # G(i) is the subnormal 1.66e-316, so F(i) = 1/G(i) overflows
-    ({"segments": [{"interval": [-1e300, 1e300], "density": "uniform"}]}, "F(i) is not finite"),
-    # F(z) = z - 1e300/z: c = 1 lies far below the rounding of the rungs
-    ({"atoms": [[-1e150, 0.5], [1e150, 0.5]]}, "linear-coefficient ladder did not settle"),
-], ids=["f-of-i", "rungs"])
-def test_nevanlinna_refuses_on_one_line(tmp_path, measure, message):
-    path = tmp_path / "m.json"
-    path.write_text(json.dumps(measure))
-    proc = subprocess.run(
-        [sys.executable, "-m", "chordal.cli", "transform", "--measure", str(path),
-         "--op", "nevanlinna"],
-        capture_output=True, text=True, timeout=120)
-    assert proc.returncode == 1
-    assert proc.stdout == ""
-    assert proc.stderr == f"non-convergence: {message}\n"
-
-
-def test_segment_on_a_point_exits_2_on_one_line(tmp_path):
-    # the uniform density's bound 1/(hi - lo) ended in a ZeroDivisionError traceback
-    proc = _cli_process(tmp_path, {"segments": [{"interval": [1.0, 1.0], "density": "uniform"}]},
-                        "transform", "--z", "i")
-    assert proc.returncode == 2
-    assert proc.stdout == ""
-    assert proc.stderr == "error: segment needs lo < hi\n"
-
-
-@pytest.mark.parametrize("flags", [["--eps", "1"], []], ids=["eps-1", "default-eps"])
-def test_hayman_on_a_support_wider_than_the_float_range_exits_2_on_one_line(tmp_path, flags):
-    # with --eps 1 three RuntimeWarnings and "d_image": NaN came with exit 0;
-    # without it the refusal named an epsilon that was never passed
-    proc = _cli_process(tmp_path, FAR_ATOMS, "hayman", *flags)
-    assert proc.returncode == 2
-    assert proc.stdout == ""
-    assert proc.stderr == "error: support width hi - lo overflows\n"
-
-
-@pytest.mark.parametrize("measure", [
-    {"atoms": [[1e300, 1.0]]},
-    {"segments": [{"interval": [1e200, 2e200], "density": "uniform"}]},
-], ids=["atom", "uniform"])
-def test_grunsky_measure_far_out_refuses_without_warnings(tmp_path, measure):
-    # the moments overflow: two RuntimeWarnings came before the refusal
-    proc = _cli_process(tmp_path, measure, "grunsky", "--order", "8")
-    assert proc.returncode == 2
-    assert proc.stdout == ""
-    assert proc.stderr == "error: moments must be finite\n"
 
 
 @pytest.mark.parametrize("measure, op, exact", [
@@ -673,22 +446,6 @@ def test_transform_near_the_float_limit_within_its_bound(capsys, tmp_path, measu
     assert 0.0 < out["roundoff_bound"] and err <= out["roundoff_bound"]
     # G to a few ulps of 0; F = 1/G inherits the relative error of those ulps
     assert err <= (4 * math.ulp(0.0) if op == "cauchy" else 1e-14 * abs(want))
-
-
-SEMICIRCLE = {"segments": [{"interval": [-2.0, 2.0], "density": "semicircle", "order": 64}]}
-
-
-@pytest.mark.parametrize("z", ["1e300i", "1e200+1e-200i"])
-def test_reciprocal_transform_at_large_z_keeps_a_finite_bound(tmp_path, z):
-    # |F|^2 taken as a float power overflowed into a traceback
-    proc = _transform_process(tmp_path, SEMICIRCLE, z, "--op", "reciprocal")
-    assert proc.returncode == 0 and proc.stderr == ""
-    report = json.loads(proc.stdout, parse_constant=lambda name: pytest.fail(name))
-    value = complex(*report["value"])
-    assert cmath.isfinite(value)
-    assert math.isfinite(report["roundoff_bound"]) and report["roundoff_bound"] > 0
-    if z == "1e300i":
-        assert abs(value - 1e300j) <= 1e-14 * 1e300
 
 
 @pytest.mark.parametrize("raw", [
@@ -732,59 +489,6 @@ def test_malformed_driver_is_an_input_error(capsys, tmp_path, driver):
     assert err.startswith("error: ") and "Traceback" not in err
 
 
-_NUMBERS = "must hold numbers, not strings, booleans or objects"
-_SEMI_SEGMENT = {"interval": [-2.0, 2.0], "density": "semicircle"}
-
-
-@pytest.mark.parametrize("measure, message", [
-    # each printed G = -i with exit 0: float() and numpy read "1" and true
-    ({"atoms": [["0", "1"]], "mass": "1"}, f"declared mass {_NUMBERS}"),
-    ({"atoms": [["0", "1"]]}, f"atoms {_NUMBERS}"),
-    ({"atoms": [[0, True]]}, f"atoms {_NUMBERS}"),
-    ({"segments": [{**_SEMI_SEGMENT, "interval": ["-2", "2"]}]},
-     f"segment interval {_NUMBERS}"),
-    # each read as the zero measure or dropped the key without a word
-    ({"atom": [[0, 1]]}, "unknown measure key 'atom' (expected atoms, segments, mass)"),
-    ({"segmnts": [_SEMI_SEGMENT]},
-     "unknown measure key 'segmnts' (expected atoms, segments, mass)"),
-    ({"segments": [{**_SEMI_SEGMENT, "ordr": 8}]},
-     "unknown segment key 'ordr' (expected interval, density, order)"),
-], ids=["string-mass", "string-atoms", "boolean-weight", "string-interval", "atom",
-        "segmnts", "ordr"])
-def test_json_measure_that_is_not_read_as_written_exits_2_on_one_line(
-        tmp_path, measure, message):
-    proc = _transform_process(tmp_path, measure, "1i")
-    assert proc.returncode == 2
-    assert proc.stdout == ""
-    assert proc.stderr == f"error: {message}\n"
-
-
-@pytest.mark.parametrize("driver, message", [
-    ({"driver": {**_ATOM_PIECES, "breaks": ["0"]}}, f"breaks {_NUMBERS}"),
-    ({"horizon": "2", "driver": _ATOM_PIECES}, f"horizon {_NUMBERS}"),
-    ({"horizon": True, "driver": _ATOM_PIECES}, f"horizon {_NUMBERS}"),
-    ({"driver": {**_MOVING, "samples": [[0.0, 0.0], ["2", 1.0]]}}, f"samples {_NUMBERS}"),
-    # evolve --t 5 answered past the horizon the file meant
-    ({"horizn": 4.0, "driver": _ATOM_PIECES},
-     "unknown driver wrapper key 'horizn' (expected horizon, driver)"),
-    ({**_MOVING, "horizon": 6.0}, "unknown driver key 'horizon' (expected type, samples)"),
-    ({"driver": {**_ATOM_PIECES, "measures": [{"atom": [[0, 1]]}]}},
-     "unknown measure key 'atom' (expected atoms, segments, mass)"),
-], ids=["string-breaks", "string-horizon", "boolean-horizon", "string-samples", "horizn",
-        "bare-horizon", "atom"])
-def test_json_driver_that_is_not_read_as_written_exits_2_on_one_line(
-        tmp_path, driver, message):
-    path = tmp_path / "driver.json"
-    path.write_text(json.dumps(driver))
-    proc = subprocess.run(
-        [sys.executable, "-m", "chordal.cli", "evolve", "--driver", str(path),
-         "--t", "5", "--z", "1i"],
-        capture_output=True, text=True, timeout=120)
-    assert proc.returncode == 2
-    assert proc.stdout == ""
-    assert proc.stderr == f"error: {message}\n"
-
-
 def test_unwritable_curve_csv_is_an_input_error(capsys, tmp_path, semi_path):
     curve = tmp_path / "missing-dir" / "curve.csv"
     assert run(["hayman", "--measure", semi_path, "--n", "8", "--resolution", "64",
@@ -815,15 +519,3 @@ def test_internal_fault_is_not_reported_as_bad_input(monkeypatch, capsys, atom_p
     with pytest.raises(np.linalg.LinAlgError):
         run(["transform", "--measure", atom_path, "--z", "2i"])
     assert capsys.readouterr().err == ""
-
-
-def test_module_entry_point(atom_path):
-    proc = subprocess.run(
-        [sys.executable, "-m", "chordal.cli", "transform",
-         "--measure", atom_path, "--z", "0.5+0.5i"],
-        capture_output=True, text=True, timeout=120)
-    assert proc.returncode == 0
-    payload = json.loads(proc.stdout)
-    # G(z) = 1/(z - 0) for the unit atom at the origin
-    want = 1.0 / complex(0.5, 0.5)
-    assert abs(complex(*payload["value"]) - want) < 1e-15

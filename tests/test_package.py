@@ -29,7 +29,8 @@ def test_import_loads_no_numpy_and_no_layer():
 
 
 # runs `chordal <argv>` as `python -m chordal.cli` does, then prints the
-# chordal modules the run loaded; the cli itself runs as __main__
+# chordal modules the run loaded, and numpy.ma if it loaded that too (its
+# import costs about 9 ms); the cli itself runs as __main__
 _RUN_CLI = """
 import json, runpy, sys
 sys.argv = ["chordal", *json.loads(sys.argv[1])]
@@ -37,7 +38,8 @@ try:
     runpy.run_module("chordal.cli", run_name="__main__", alter_sys=True)
 except SystemExit as exc:
     assert exc.code == 0, exc.code
-print(json.dumps(sorted(m for m in sys.modules if m.split(".")[0] == "chordal")))
+print(json.dumps(sorted(m for m in sys.modules
+                        if m.split(".")[0] == "chordal" or m == "numpy.ma")))
 """
 
 _SEMI = {"segments": [{"interval": [-2.0, 2.0], "density": "semicircle"}]}
