@@ -17,7 +17,6 @@ from __future__ import annotations
 import argparse
 import cmath
 import json
-import math
 import sys
 
 import numpy as np
@@ -27,9 +26,6 @@ from .errors import InvalidInputError, NonConvergenceError
 from .numerics import floats, json_numbers, settle_tol
 
 __all__ = ["run", "main", "parse_complex"]
-
-_EPS = float(np.finfo(float).eps)
-_TINY = float(np.finfo(float).tiny)  # the least normal float; eps * tiny is the least subnormal
 
 
 def parse_complex(text: str) -> complex:
@@ -92,24 +88,7 @@ def _cmd_transform(args) -> None:
     if args.z is None:
         raise InvalidInputError(f"--z is required for op {args.op!r}")
     z = parse_complex(args.z)
-    pos, wts = mu.nodes()
-    # a finite but huge measure can overflow either number: refuse below
-    with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
-        # summation roundoff over the node cloud, n eps (S + 2 tiny) with
-        # S = sum w/|z - x|: n eps 2 tiny is 2n ulps of 0, the rounding of
-        # a G that falls among the subnormals. Propagated through 1/G as
-        # |F|^2 one factor at a time, so no product over- or underflows
-        # before the bound does
-        bound = float((wts / np.abs(z - pos)).sum()) + 2.0 * _TINY
-        if args.op == "cauchy":
-            value = _measures.cauchy_transform(mu, z)
-            bound *= pos.size * _EPS
-        else:
-            value = _measures.reciprocal_cauchy(mu, z)
-            mag = float(np.abs(value))
-            bound = (bound * mag) * (mag * (pos.size * _EPS))
-    if not (cmath.isfinite(value) and math.isfinite(bound)):
-        raise NonConvergenceError(f"{args.op} transform overflowed")
+    value, bound = _measures._transform_bound(mu, z, args.op == "reciprocal")
     _emit_json({
         "op": args.op,
         "z": [z.real, z.imag],

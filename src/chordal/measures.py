@@ -17,6 +17,7 @@ interval masses.
 
 from __future__ import annotations
 
+import cmath
 import math
 from dataclasses import dataclass
 from functools import partial
@@ -499,14 +500,15 @@ def _require_upper(z):
         raise InvalidInputError("z must lie in the open upper half-plane")
 
 
-def cauchy_transform(mu: RealMeasure, z):
-    """G(z) = integral of 1/(z - x) dmu(x); maps the upper half-plane down.
+def _scaled(mu: RealMeasure, z) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The nodes, weights and points of G(z), after the domain check.
 
     Numpy's complex division overflows an intermediate once |z - x| nears
     the float limit, though G is representable there. So when a point or a
     node reaches 2^1021, points, nodes and weights are all scaled by one
     power of two that brings them below it: each term w/(z - x) keeps its
-    value, exactly unless a scaled weight or coordinate is subnormal.
+    value, exactly unless a scaled weight or coordinate is subnormal, and so
+    does w/|z - x|.
     """
     _require_upper(z)
     pos, wts = mu.nodes()
@@ -518,18 +520,67 @@ def cauchy_transform(mu: RealMeasure, z):
         # parts apart: numpy's complex product overflows as its division does
         zz = zz.real * scale + 1j * (zz.imag * scale)
         pos, wts = pos * scale, wts * scale
+    return pos, wts, zz
+
+
+def cauchy_transform(mu: RealMeasure, z):
+    """G(z) = integral of 1/(z - x) dmu(x); maps the upper half-plane down.
+
+    One node sum over the frozen nodes, scaled near the float limit (see
+    `_scaled`).
+    """
+    pos, wts, zz = _scaled(mu, z)
     g = _node_sum(pos, wts, zz)
     return complex(g) if zz.ndim == 0 else g
 
 
-def reciprocal_cauchy(mu: RealMeasure, z):
-    """F = 1/G for a probability measure; a Pick function fixing infinity."""
+def _probability(mu: RealMeasure) -> RealMeasure:
     if not mu.is_probability:
         raise InvalidInputError("reciprocal transform needs a probability measure")
-    g = cauchy_transform(mu, z)
+    return mu
+
+
+def _reciprocal(g):
     if np.any(g == 0):  # |G| below the subnormals, e.g. atoms at +-1e308 seen from i
         raise NonConvergenceError("Cauchy transform underflowed to zero")
     return 1.0 / g
+
+
+def reciprocal_cauchy(mu: RealMeasure, z):
+    """F = 1/G for a probability measure; a Pick function fixing infinity."""
+    return _reciprocal(cauchy_transform(_probability(mu), z))
+
+
+def _transform_bound(mu: RealMeasure, z: complex, reciprocal: bool = False):
+    """(value, roundoff_bound) of G(z), or of F(z) = 1/G(z) with `reciprocal`.
+
+    Both come from one pass over the scaled terms w/(z - x) of
+    `cauchy_transform`'s node sum. The bound is n eps (S + 2 tiny), with
+    S = sum w/|z - x| over the n nodes: n eps 2 tiny is 2n ulps of 0, the
+    rounding of a G that falls among the subnormals. S is unchanged by the
+    common scaling, so it is finite wherever G is. Through 1/G the bound is
+    propagated as |F|^2, one factor at a time, so no product over- or
+    underflows before the bound does. NonConvergenceError when the value or
+    the bound is not finite.
+    """
+    if reciprocal:
+        _probability(mu)
+    pos, wts, zz = _scaled(mu, z)
+    # a finite but huge measure can overflow either number: refused below
+    with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
+        d = zz - pos
+        value = complex((wts / d).sum())
+        bound = float((wts / np.abs(d)).sum()) + 2.0 * _TINY
+        charge = pos.size * _EPS
+        if reciprocal:
+            value = _reciprocal(value)
+            mag = abs(value)
+            bound = (bound * mag) * (mag * charge)
+        else:
+            bound *= charge
+    if not (cmath.isfinite(value) and math.isfinite(bound)):
+        raise NonConvergenceError(f"{'reciprocal' if reciprocal else 'cauchy'} transform overflowed")
+    return value, bound
 
 
 def moment(mu: RealMeasure, n: int) -> float:

@@ -512,10 +512,10 @@ def test_argparse_failures_exit_2(capsys):
 
 def test_internal_fault_is_not_reported_as_bad_input(monkeypatch, capsys, atom_path):
     # numpy's LinAlgError subclasses ValueError; only InvalidInputError means exit 2
-    def broken(mu, z):
+    def broken(mu, z, reciprocal=False):
         raise np.linalg.LinAlgError("singular matrix")
 
-    monkeypatch.setattr("chordal.measures.cauchy_transform", broken)
+    monkeypatch.setattr("chordal.measures._transform_bound", broken)
     with pytest.raises(np.linalg.LinAlgError):
         run(["transform", "--measure", atom_path, "--z", "2i"])
     assert capsys.readouterr().err == ""
