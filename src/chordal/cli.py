@@ -5,8 +5,10 @@ expose the measure transforms, ``evolve`` the certified flow solver,
 ``grunsky`` the univalence certificate, and ``hayman`` the capacity
 diagnostic.  Reports are deterministic: JSON with sorted keys, or CSV with
 a fixed column order, and every numeric result is accompanied by the error
-bound or tolerance it was produced under.  Each handler imports the layer
-it runs, past ``measures`` and ``numerics``, so one call loads only its own.
+bound or tolerance it was produced under; ``transform`` prints the value
+and round-off bound that ``measures`` takes from one pass over its node
+terms.  Each handler imports the layer it runs, past ``measures`` and
+``numerics``, so one call loads only its own.
 
 Exit codes: 0 success, 2 invalid input (bad flags, malformed files,
 constraint violations), 1 numerical non-convergence.
@@ -18,6 +20,7 @@ import argparse
 import cmath
 import json
 import sys
+from dataclasses import asdict
 
 import numpy as np
 
@@ -77,13 +80,8 @@ def _cmd_transform(args) -> None:
     mu = _measure_arg(args.measure)
     if args.op == "nevanlinna":
         triple = _measures.nevanlinna_triple(lambda z: _measures.reciprocal_cauchy(mu, z))
-        _emit_json({
-            "op": "nevanlinna",
-            "b": triple.b,
-            "c": triple.c,
-            "nu_mass": triple.nu_mass,
-            "ladder_settle_tol": settle_tol(triple.c),
-        })
+        _emit_json({"op": "nevanlinna", **asdict(triple),
+                    "ladder_settle_tol": settle_tol(triple.c)})
         return
     if args.z is None:
         raise InvalidInputError(f"--z is required for op {args.op!r}")
@@ -153,14 +151,8 @@ def _cmd_grunsky(args) -> None:
     else:
         report = _grunsky.measure_certificate(
             _measure_arg(args.measure), args.order, boundary_tol=args.boundary_tol)
-    _emit_json({
-        "order": report.order,
-        "verdict": report.verdict,
-        "max_abs_eigenvalue": report.max_abs_eigenvalue,
-        "eigenvalues": [float(v) for v in report.eigenvalues],
-        "c_matrix": [[float(v) for v in row] for row in report.c_matrix],
-        "boundary_tol": report.boundary_tol,
-    })
+    _emit_json({**asdict(report), "eigenvalues": report.eigenvalues.tolist(),
+                "c_matrix": report.c_matrix.tolist()})
 
 
 def _cmd_hayman(args) -> None:

@@ -12,12 +12,12 @@ over the atoms and the bare-callable segments (those without one). On top
 of the measure representation this module provides the node-sum Cauchy
 transform, its reciprocal F, moments, the tightest |F(z) - z| <= C/Im z
 constant, the Nevanlinna data of F, and Stieltjes inversion of G back to
-interval masses.
+interval masses. `transform`'s round-off bound, on G or F at one point,
+is taken here from the same scaled node terms as the value it bounds.
 """
 
 from __future__ import annotations
 
-import cmath
 import math
 from dataclasses import dataclass
 from functools import partial
@@ -505,16 +505,19 @@ def _scaled(mu: RealMeasure, z) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
 
     Numpy's complex division overflows an intermediate once |z - x| nears
     the float limit, though G is representable there. So when a point or a
-    node reaches 2^1021, points, nodes and weights are all scaled by one
+    node reaches 2^1020, points, nodes and weights are all scaled by one
     power of two that brings them below it: each term w/(z - x) keeps its
     value, exactly unless a scaled weight or coordinate is subnormal, and so
-    does w/|z - x|.
+    does w/|z - x|. Below 2^1020, each part of z - x stays below 2^1021,
+    so the denominator c + d r of Smith's algorithm (`_transform_bound`),
+    at most twice the larger part, stays below 2^1022 and its reciprocal
+    stays normal.
     """
     _require_upper(z)
     pos, wts = mu.nodes()
     zz = np.asarray(z, dtype=complex)
     reach = max(np.abs(zz.real).max(), np.abs(zz.imag).max(), np.abs(pos).max(initial=0.0))
-    shift = max(math.frexp(reach)[1] - 1021, 0)
+    shift = max(math.frexp(reach)[1] - 1020, 0)
     if shift:
         scale = 2.0 ** -shift
         # parts apart: numpy's complex product overflows as its division does
@@ -555,31 +558,53 @@ def _transform_bound(mu: RealMeasure, z: complex, reciprocal: bool = False):
     """(value, roundoff_bound) of G(z), or of F(z) = 1/G(z) with `reciprocal`.
 
     Both come from one pass over the scaled terms w/(z - x) of
-    `cauchy_transform`'s node sum. The bound is n eps (S + 2 tiny), with
-    S = sum w/|z - x| over the n nodes: n eps 2 tiny is 2n ulps of 0, the
-    rounding of a G that falls among the subnormals. S is unchanged by the
-    common scaling, so it is finite wherever G is. Through 1/G the bound is
-    propagated as |F|^2, one factor at a time, so no product over- or
-    underflows before the bound does. NonConvergenceError when the value or
-    the bound is not finite.
+    `cauchy_transform`'s node sum. With n nodes, u = eps/2 and
+    S = sum w/|z - x| (unchanged by the common scaling, so finite wherever
+    G is), the standard model fl(a op b) = (a op b)(1 + d), |d| <= u, gives
+    to first order in u (Higham, *Accuracy and Stability of Numerical
+    Algorithms*, sections 2.2, 3.6 and 4.2):
+
+    - z - x rounds its real part only, so it is off by u relative.
+    - Numpy divides w by c + id (|c| >= |d|; the other case is alike) by
+      Smith's algorithm: r = d/c, s = 1/(c + d r), then (w s, -(w r) s).
+      The two terms of c + d r share a sign and d r is at most half of it,
+      so c + d r is off by 2u, s by 3u, the real part by 4u and the
+      imaginary part, through r and w r, by 6u. With the subtraction a
+      term is off by at most 7u |w/(z - x)|.
+    - A sum of n terms in any order is off by (n - 1) u times the sum of
+      their moduli: real and imaginary parts apart, then Minkowski.
+
+    So G is off by at most (n + 6) u S <= (n + 3) eps S, and the n u S to
+    spare covers the second-order terms. Two terms charge the subnormals:
+    S + 2 tiny charges (2n + 6) ulps of 0 for a G that falls among them,
+    and each weight counts at least tiny in S, which covers a weight that
+    is subnormal, or that the scaling made so. The scaling also keeps s
+    normal (`_scaled`). Points within 2^-1022 of a node are outside the
+    model.
+
+    F = 1/G adds (n + 3) eps S |F|^2, taken one factor at a time so that
+    no product over- or underflows before the bound does, and the rounding
+    of 1/fl(G): Python divides by Smith's algorithm without the reciprocal
+    s, (1/(c + d r), -r/(c + d r)), off by 3u and 4u, so by at most
+    2 eps |F|. NonConvergenceError when the value or the bound is not
+    finite.
     """
-    if reciprocal:
-        _probability(mu)
-    pos, wts, zz = _scaled(mu, z)
+    pos, wts, zz = _scaled(_probability(mu) if reciprocal else mu, z)
     # a finite but huge measure can overflow either number: refused below
     with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
         d = zz - pos
         value = complex((wts / d).sum())
-        bound = float((wts / np.abs(d)).sum()) + 2.0 * _TINY
-        charge = pos.size * _EPS
+        bound = float((np.maximum(wts, _TINY) / np.abs(d)).sum()) + 2.0 * _TINY
+        charge = (pos.size + 3) * _EPS
         if reciprocal:
             value = _reciprocal(value)
             mag = abs(value)
-            bound = (bound * mag) * (mag * charge)
+            bound = (bound * mag) * (mag * charge) + 2.0 * _EPS * mag
         else:
             bound *= charge
-    if not (cmath.isfinite(value) and math.isfinite(bound)):
-        raise NonConvergenceError(f"{'reciprocal' if reciprocal else 'cauchy'} transform overflowed")
+    if not (np.isfinite(value) and math.isfinite(bound)):
+        op = "reciprocal" if reciprocal else "cauchy"
+        raise NonConvergenceError(f"{op} transform overflowed")
     return value, bound
 
 
@@ -587,8 +612,6 @@ def moment(mu: RealMeasure, n: int) -> float:
     n = count(n, "moment order")
     if n < 0:
         raise InvalidInputError("moment order must be a nonnegative integer")
-    if mu.support is None:
-        return 0.0
     pos, wts = mu.nodes()
     with np.errstate(over="ignore", invalid="ignore"):  # the certificate refuses inf and nan
         return float((wts * pos ** n).sum())

@@ -127,6 +127,7 @@ def cheb_grid(m: int):
 
 _SLICE = 4096            # most integrand points handed to one call
 _MAX_EVALS = 1 << 22     # integrand points one integral may spend
+_MAX_DEPTH = 48          # levels one integral may refine
 
 
 def _sample(f, x: np.ndarray) -> np.ndarray:
@@ -140,7 +141,7 @@ def _simpson(lo, hi, flo, fmid, fhi):
     return (hi - lo) * (flo + 4.0 * fmid + fhi) / 6.0
 
 
-def adaptive_simpson(f, a: float, b: float, tol: float, max_depth: int = 48) -> float:
+def adaptive_simpson(f, a: float, b: float, tol: float) -> float:
     """Adaptive Simpson for a real integrand, refined level by level.
 
     ``f`` maps a 1-D float array of points to their values; it is called
@@ -150,7 +151,7 @@ def adaptive_simpson(f, a: float, b: float, tol: float, max_depth: int = 48) -> 
     the Simpson value by at most ``15 * tol / 2**d``; the rest are split.
     The decisions are those of the classic recursive routine, so only the
     summation order differs from it.  Raises NonConvergenceError on a
-    non-finite value, past ``max_depth`` levels, or when the next level
+    non-finite value, past ``_MAX_DEPTH`` levels, or when the next level
     would take the integral past ``_MAX_EVALS`` integrand points.
     """
     if not b > a:
@@ -177,7 +178,7 @@ def adaptive_simpson(f, a: float, b: float, tol: float, max_depth: int = 48) -> 
         split = np.flatnonzero(~done)
         if split.size == 0:
             return math.fsum(np.concatenate(accepted))
-        if depth >= max_depth:
+        if depth >= _MAX_DEPTH:
             raise NonConvergenceError("adaptive Simpson depth exhausted")
         # the split intervals' halves: left halves first, then right halves
         lo, hi = (np.concatenate([lo[split], mid[split]]),

@@ -426,26 +426,70 @@ BERNOULLI_1 = {"atoms": [[-1.0, 0.5], [1.0, 0.5]]}
 D0_ATOM = {"atoms": [[0.0, 1.0]]}
 
 
-@pytest.mark.parametrize("measure, op, exact", [
-    (D0_ATOM, "cauchy", lambda z: 1 / z),
-    (BERNOULLI_1, "cauchy", lambda z: z / (z * z - 1)),
-    (D0_ATOM, "reciprocal", lambda z: z),
-    (BERNOULLI_1, "reciprocal", lambda z: z - 1 / z),
-], ids=["d0", "bernoulli", "d0-reciprocal", "bernoulli-reciprocal"])
-def test_transform_near_the_float_limit_within_its_bound(capsys, tmp_path, measure, op, exact):
-    # G = 1/z ~ 5e-309 (1 - i) is subnormal here; numpy's complex division
-    # overflowed and printed 0 with bound 0 (and the reciprocal refused).
-    # Within the subnormals the bound counts ulps of 0, not eps |G|.
+FAR = "1e308+1e308i"
+
+
+@pytest.mark.parametrize("measure, z, op, exact", [
+    (D0_ATOM, FAR, "cauchy", lambda z: 1 / z),
+    (BERNOULLI_1, FAR, "cauchy", lambda z: z / (z * z - 1)),
+    (D0_ATOM, FAR, "reciprocal", lambda z: z),
+    (BERNOULLI_1, FAR, "reciprocal", lambda z: z - 1 / z),
+    # one eps a node missed the subtraction and Smith's division: bound
+    # 9.17e-17 against an error of 9.70e-17
+    (D0_ATOM, "1.54+1.87i", "cauchy", lambda z: 1 / z),
+    # the bound came from unscaled terms, where z - x overflowed: bound
+    # 1e-323 against errors of 3.3e-17 and 3.0e-25
+    ({"atoms": [[-1e308, 3e307]]}, "0.9e308+1i", "cauchy", lambda z: 3e307 / (z + 1e308)),
+    ({"atoms": [[-1.5e308, 1e300]]}, "0.5e308+0.5e308i", "cauchy",
+     lambda z: 1e300 / (z + 1.5e308)),
+    # a subnormal weight, and one the scaling made subnormal, lose digits
+    # that eps S did not charge: bounds 9.9e-324 and 7.3e-34 against errors
+    # of 9.1e-315 and 9.5e-34
+    ({"atoms": [[0.0, 1e-320]]}, "1e-10+3e-11i", "cauchy", lambda z: 1e-320 / z),
+    ({"atoms": [[1e308, 3.3e-308]]}, "1e308+1e-290i", "cauchy",
+     lambda z: 3.3e-308 / (z - 1e308)),
+], ids=["d0", "bernoulli", "d0-reciprocal", "bernoulli-reciprocal", "d0-one-atom",
+        "far-atom", "far-light-atom", "subnormal-weight", "scaled-subnormal-weight"])
+def test_transform_near_the_float_limit_within_its_bound(capsys, tmp_path, measure, z, op,
+                                                        exact):
+    # at 1e308+1e308i, G = 1/z ~ 5e-309 (1 - i) is subnormal; numpy's complex
+    # division overflowed and printed 0 with bound 0 (and the reciprocal
+    # refused). Within the subnormals the bound counts ulps of 0, not eps |G|.
     path = tmp_path / "mu.json"
     path.write_text(json.dumps(measure))
-    out = run_json(capsys, ["transform", "--measure", str(path), "--z", "1e308+1e308i",
-                            "--op", op])
+    out = run_json(capsys, ["transform", "--measure", str(path), "--z", z, "--op", op])
     with mpmath.workdps(60):
-        want = exact(mpmath.mpc(1e308, 1e308))
+        want = exact(mpmath.mpc(parse_complex(z)))
         err = abs(mpmath.mpc(*out["value"]) - want)
     assert 0.0 < out["roundoff_bound"] and err <= out["roundoff_bound"]
-    # G to a few ulps of 0; F = 1/G inherits the relative error of those ulps
-    assert err <= (4 * math.ulp(0.0) if op == "cauchy" else 1e-14 * abs(want))
+    if z == FAR:
+        # G to a few ulps of 0; F = 1/G inherits the relative error of those ulps
+        assert err <= (4 * math.ulp(0.0) if op == "cauchy" else 1e-14 * abs(want))
+
+
+def test_transform_bound_covers_seeded_atoms(capsys, tmp_path):
+    # 1-5 atoms and a point spread over six decades; for the reciprocal the
+    # weights sum to 1. The bound must cover the 40-digit error of both ops
+    rng = np.random.default_rng(1)
+    path = tmp_path / "mu.json"
+    worst = {"cauchy": 0.0, "reciprocal": 0.0}
+    for k in range(800):
+        op = ("cauchy", "reciprocal")[k % 2]
+        n = int(rng.integers(1, 6))
+        x = rng.standard_normal(n) * 10.0 ** rng.integers(-3, 4)
+        w = rng.random(n) + 1e-3
+        w = w / w.sum() if op == "reciprocal" else w
+        z = complex(rng.standard_normal() * 10.0 ** rng.integers(-3, 4),
+                    10.0 ** rng.uniform(-6, 3))
+        atoms = list(zip(x.tolist(), w.tolist()))
+        path.write_text(json.dumps({"atoms": atoms}))
+        out = run_json(capsys, ["transform", "--measure", str(path),
+                                "--z", f"{z.real!r}+{z.imag!r}i", "--op", op])
+        with mpmath.workdps(40):
+            g = sum(mpmath.mpf(wj) / (mpmath.mpc(z) - xj) for xj, wj in atoms)
+            err = abs(mpmath.mpc(*out["value"]) - (1 / g if op == "reciprocal" else g))
+        worst[op] = max(worst[op], float(err / out["roundoff_bound"]))
+    assert max(worst.values()) <= 1.0, worst
 
 
 @pytest.mark.parametrize("raw", [

@@ -113,7 +113,7 @@ ROWS = [
     # the closed form's coefficients overflow (and warned): the segment falls
     # back to its nodes, and the frozen-node report stands
     row("poly-huge-report", transform(huge_poly(-1.0, 1.0), "1i"), out=lambda o: report(o) == {
-        "op": "cauchy", "roundoff_bound": 7.572111476201128e+293,
+        "op": "cauchy", "roundoff_bound": 7.927054201648056e+293,
         "value": [3.508313044104e+290, -4.292036732051026e+307], "z": [0.0, 1.0]}),
     # |F|^2 taken as a float power overflowed into a traceback
     row("reciprocal-1e300i", transform(SEMI64, "1e300i", "--op", "reciprocal"),

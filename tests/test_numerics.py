@@ -118,7 +118,7 @@ def test_g_is_called_on_arrays_once_per_level_and_slice():
     stieltjes_invert(g, (-1.0, 1.0), EPS_LADDER)
     assert all(len(s) == 1 for s in shapes)
     assert max(s[0] for s in shapes) <= numerics._SLICE
-    # 27600 points in all; at most max_depth + 2 calls per rung
+    # 27600 points in all; at most _MAX_DEPTH + 2 calls per rung
     assert sum(s[0] for s in shapes) == 27600
     assert len(shapes) <= len(EPS_LADDER) * 50
 
@@ -168,11 +168,11 @@ def test_unsettled_integrand_stops_at_the_evaluation_cap():
     assert max(sizes) <= numerics._SLICE
 
 
-def test_depth_limit_is_kept():
+def test_depth_limit_is_kept(monkeypatch):
     # a jump at an irrational point never settles; depth 4 stops it first
+    monkeypatch.setattr(numerics, "_MAX_DEPTH", 4)
     with pytest.raises(NonConvergenceError, match="depth"):
-        numerics.adaptive_simpson(lambda x: (x > 1 / math.pi).astype(float), 0.0, 1.0,
-                                  1e-10, max_depth=4)
+        numerics.adaptive_simpson(lambda x: (x > 1 / math.pi).astype(float), 0.0, 1.0, 1e-10)
 
 
 def test_empty_interval_is_rejected():
