@@ -554,7 +554,7 @@ def reciprocal_cauchy(mu: RealMeasure, z):
     return _reciprocal(cauchy_transform(_probability(mu), z))
 
 
-def _transform_bound(mu: RealMeasure, z: complex, reciprocal: bool = False):
+def _transform_bound(mu: RealMeasure, z: complex, reciprocal: bool):
     """(value, roundoff_bound) of G(z), or of F(z) = 1/G(z) with `reciprocal`.
 
     Both come from one pass over the scaled terms w/(z - x) of

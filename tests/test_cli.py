@@ -556,7 +556,7 @@ def test_argparse_failures_exit_2(capsys):
 
 def test_internal_fault_is_not_reported_as_bad_input(monkeypatch, capsys, atom_path):
     # numpy's LinAlgError subclasses ValueError; only InvalidInputError means exit 2
-    def broken(mu, z, reciprocal=False):
+    def broken(mu, z, reciprocal):
         raise np.linalg.LinAlgError("singular matrix")
 
     monkeypatch.setattr("chordal.measures._transform_bound", broken)
