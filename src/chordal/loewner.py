@@ -24,14 +24,26 @@ Regularity constants.  With G the Cauchy transform of the measure under a
 substep (1/(w - U), a unit atom's, for the moving atom) and eta = Im w
 where the substep is entered, ``RealMeasure.g_bounds(eta)`` gives
 M >= |G| and L >= |G'| on Im w >= eta, and K >= |G| on Im w >= eta/2.
+These size the substep h.  The sweeps also read d, the distance from w
+to the hull of the support under the substep (the measure's support, or
+the segment between U at the substep's ends): a unit mass at distance at
+least r has |G| <= 1/r and |G'| <= 1/r^2, so the sweep count takes
+
+    a = min(M, 1/d),    L_d = min(L, 1/max(d - M h, eta)^2).
+
+A lane whose real part lies in the hull has d = eta and keeps M and L bit
+for bit.
 
 Picard remainder.  On the substep [s - h, s] the iterates are B_0 = w and
 B_{n+1}(t) = w - int_t^s G(B_n(r)) dr.  Since -Im G > 0 on the upper
-half-plane, every iterate keeps Im >= eta, where M = M(eta) bounds G and
-L = L(eta) bounds G'; by induction |B_{n+1} - B_n| <= M L^n (s - t)^(n+1)
-/ (n+1)!, which at t = s - h is the remainder above.  With the
-contraction cap h <= margin / L (margin <= 1/2) the terms from the n-th
-on sum to at most 1/(1 - Lh/(n+2)) times the n-th.
+half-plane, every iterate keeps Im >= eta, where M = M(eta) bounds G, so
+it stays within M h of w, at distance at least max(d - M h, eta) from the
+hull, where L_d bounds G'.  B_1 - B_0 integrates G at w alone, where a
+bounds it, and by induction |B_{n+1} - B_n| <= a L_d^n (s - t)^(n+1)
+/ (n+1)!, which at t = s - h is the remainder above with a and L_d for M
+and L.  With the contraction cap h <= margin / L (margin <= 1/2), L_d h
+<= 1/2 too, and the terms from the n-th on sum to at most
+1/(1 - L_d h/(n+2)) times the n-th.
 
 Amplification.  An error made in the value w' = B(t, b; z) at the lower
 end t of a substep reaches the result through B(a, t; .), a holomorphic
@@ -54,7 +66,8 @@ imaginary parts side by side, written into ``B``: no complex copy of
 allocated per sweep but the integrand's value, kept only until its product
 has run.  A driver is a ``DriverFamily`` subclass that supplies its
 measure lookup, its knot table (the pieces no substep may straddle, with
-the slope of the atom path and its running variation at each),
+the hull of the support at each, the slope at which the atom path moves it
+and the path's running variation),
 ``_substep``, which builds ``integrand`` and runs the loop, and, unless
 the atom constants serve, ``_bounds``, the regularity constants of each
 lane's piece.  ``_evolve`` moves at most ``_CHUNK`` lanes at once, in
@@ -174,7 +187,9 @@ class SolverConfig:
     L * h on every substep, with L >= |G'| on Im w >= eta from
     ``RealMeasure.g_bounds`` (for an atom L = 1/eta^2, so the bound is on
     h / Im(w)^2); at most 1/2 so the certified remainder series is
-    geometrically dominated from the first term.
+    geometrically dominated from the first term.  The substep length reads
+    eta alone; the sweep count also reads the distance to the support,
+    which can only lower its constants (module docstring).
     """
 
     tol: float = 1e-9
@@ -223,8 +238,10 @@ class DriverFamily:
     variant supplies the measure lookup and one Picard substep.  The knot
     table, built once by the constructor, holds the pieces where the driver
     keeps one form, which no substep straddles: piece k is
-    ``[_knots[k], _knots[k+1])``, ``_slopes[k]`` is ``|dU/dt|`` on it (0 for
-    piecewise-constant drivers) and ``_cumvar`` is the running sum of
+    ``[_knots[k], _knots[k+1])``; ``[_lows[k], _highs[k]]`` is the hull of
+    the support at ``_knots[k]`` (the atom's position, for the moving atom),
+    which moves on the piece with slope ``_slopes[k] = dU/dt`` (0 for
+    piecewise-constant drivers), and ``_cumvar`` is the running sum of
     ``|dU|`` at each knot.
     """
 
@@ -234,6 +251,8 @@ class DriverFamily:
     _knots: np.ndarray
     _slopes: np.ndarray
     _cumvar: np.ndarray
+    _lows: np.ndarray
+    _highs: np.ndarray
 
     # -- constructors -----------------------------------------------------
 
@@ -263,9 +282,10 @@ class DriverFamily:
         if hor < b[-1]:
             raise InvalidInputError("horizon lies before the last breakpoint")
         # unit mass guarantees every support is non-empty
-        bound = max(max(-mu.support[0], mu.support[1]) for mu in ms)
+        lows, highs = np.array([mu.support for mu in ms]).T
         knots = np.append(b, np.inf)
-        return _PiecewiseConstant(hor, bound, knots, np.zeros(b.size), np.zeros(knots.size), ms)
+        return _PiecewiseConstant(hor, float(max(-lows.min(), highs.max())), knots,
+                                  np.zeros(b.size), np.zeros(knots.size), lows, highs, ms)
 
     @classmethod
     def constant(cls, measure: RealMeasure, horizon: float | None = None) -> "DriverFamily":
@@ -291,11 +311,11 @@ class DriverFamily:
         if hor > times[-1]:
             raise InvalidInputError("samples do not reach the requested horizon")
         with np.errstate(over="ignore"):  # inf refuses in the substep rule
-            du = np.abs(np.diff(positions))
+            du = np.diff(positions)
             slopes = du / np.diff(times)
-            cumvar = np.concatenate(([0.0], np.cumsum(du)))
+            cumvar = np.concatenate(([0.0], np.cumsum(np.abs(du))))
         return _MovingAtom(hor, float(np.max(np.abs(positions))), times, slopes, cumvar,
-                           positions)
+                           positions, positions)
 
     # -- queries -----------------------------------------------------------
 
@@ -313,7 +333,7 @@ class DriverFamily:
     @property
     def speed(self) -> float:
         """Largest |dU/dt| of the driver's atom path; 0.0 if nothing moves."""
-        return float(np.max(self._slopes))
+        return float(np.max(np.abs(self._slopes)))
 
     def _bounds(self, piece, eta):
         """The regularity constants ``(M, K, L)`` of each lane's knot-table
@@ -321,10 +341,11 @@ class DriverFamily:
         constants, which hold for every probability measure."""
         return _UNIT_ATOM.g_bounds(eta)
 
-    def _substep(self, piece, s0, h, w0, M, L, target):
-        """Picard-solve the substeps ``[s0, s0 + h]`` entered at ``w0``,
-        each within its knot-table ``piece``, with the regularity constants
-        ``M`` and ``L`` of each.
+    def _substep(self, piece, u0, du, h, w0, M, L, target):
+        """Picard-solve the substeps of length ``h`` entered at ``w0``,
+        each within its knot-table ``piece``, with the constants ``M`` and
+        ``L`` of ``_picard``.  The moving atom sits at ``u0`` at the lower
+        end of each and moves by ``du`` over it; other drivers ignore both.
 
         Returns the node values, node-major as ``_picard`` leaves them,
         and the certified Picard tail, which is at most ``target``.
@@ -344,7 +365,7 @@ class _PiecewiseConstant(DriverFamily):
     def _bounds(self, piece, eta):
         return _by_piece(piece, lambda k, e: self.measures[k].g_bounds(e), eta)
 
-    def _substep(self, piece, s0, h, w0, M, L, target):
+    def _substep(self, piece, u0, du, h, w0, M, L, target):
         return _by_piece(piece, lambda k, *lanes: _picard(*lanes, self.measures[k].cauchy),
                          w0, h, M, L, target)
 
@@ -352,17 +373,14 @@ class _PiecewiseConstant(DriverFamily):
 @dataclass(frozen=True, eq=False)
 class _MovingAtom(DriverFamily):
     kind: ClassVar[str] = "moving_atom"
-    positions: np.ndarray
 
     def _measure(self, t: float) -> RealMeasure:
-        return point_mass(float(np.interp(t, self._knots, self.positions)))
+        return point_mass(float(np.interp(t, self._knots, self._lows)))
 
-    def _substep(self, piece, s0, h, w0, M, L, target):
-        # No substep straddles a knot, so U is affine on [s0, s0 + h] and
-        # its two end values give it at every Lobatto node.
+    def _substep(self, piece, u0, du, h, w0, M, L, target):
+        # No substep straddles a knot, so U is affine on each substep and
+        # its start and change give it at every Lobatto node.
         xstd, _ = cheb_grid(_NODES)
-        u0 = np.interp(s0, self._knots, self.positions)
-        du = np.interp(s0 + h, self._knots, self.positions) - u0
         u = u0 + (0.5 * (xstd[:, None] + 1.0)) * du
 
         def integrand(V):  # 1/(V - u), in place
@@ -455,10 +473,10 @@ def _picard(
     every point's value at node j.  ``integrand`` maps them to the driver's
     integrand there (the Cauchy transform, or 1/(B - U)); each sweep
     integrates it over the standard grid as one real product with
-    ``tails``.  ``M`` and ``L`` bound |G| and |G'| where the iterates go.
-    The certified remainder after n sweeps depends on ``(h, M, L, n)``
-    only, so the sweep count is fixed before the first sweep: the least n
-    that brings every point within its target.  Returns the accepted node
+    ``tails``.  ``M`` bounds |G| at ``w0`` and ``L`` bounds |G'| where
+    the iterates go.  The certified remainder after n sweeps depends on
+    ``(h, M, L, n)`` only, so the sweep count is fixed before the first
+    sweep: the least n that brings every point within its target.  Returns the accepted node
     values, shape ``(nodes, points)``, and the certified remainder per
     point.
     """
@@ -510,6 +528,7 @@ def _evolve(
     err = np.zeros(z.size)
     span = np.maximum(b - a, _MIN_STEP)  # budget scale only; a == b never iterates
     knots, slopes, cumvar = family._knots, family._slopes, family._cumvar
+    lows, highs = family._lows, family._highs
     # Im w never decreases along the path, and K <= 2/Im w, so the substep
     # parameter R of the loop below is at most this: refuse here if it
     # overflows rather than iterate on infinities.
@@ -546,14 +565,15 @@ def _evolve(
         # the interpolation error of the N-node iterate wants a Bernstein
         # parameter rho large enough that its tail stays under a fifth of
         # the substep budget, on an ellipse of half-height
-        # eta / (2 (K + 2 c v)) with v the piece's slope (module docstring);
+        # eta / (2 (K + 2 c |v|)) with v the piece's slope (module docstring);
         # the max_step cap limits it far above the axis.
         M, K, L = family._bounds(piece, eta)
+        v = slopes[piece]
         two_over_eta2 = 2.0 / (eta * eta)
         amp_cap = np.sqrt(1.0 + (s - a) * two_over_eta2)
         R = 60.0 * span * amp_cap * K / cfg.tol
         rho = _solve_rho(R)
-        h0 = eta / ((rho - 1.0 / rho) * (0.5 * K + _SPEED_SLACK * slopes[piece]))
+        h0 = eta / ((rho - 1.0 / rho) * (0.5 * K + _SPEED_SLACK * np.abs(v)))
         # L = 0 far above the axis, where the cap is moot
         h0 = np.minimum(h0, cfg.contraction_margin / np.maximum(L, _TINY))
         h0 = np.minimum(h0, cfg.max_step)
@@ -569,14 +589,28 @@ def _evolve(
                 )
 
         # no substep straddles a knot; exact arrival at a, no fp drift
-        land = np.maximum(np.maximum(s - h0, knots[piece]), a)
+        start = knots[piece]
+        land = np.maximum(np.maximum(s - h0, start), a)
         h = s - land
+
+        # Sweep constants from d, the distance from w to the hull of the
+        # support under the substep: G at w is at most 1/d, and every
+        # iterate stays within M h of w (module docstring)
+        shift = v * (land - start)
+        u0, du = lows[piece] + shift, v * h
+        w0 = w[act]
+        x = w0.real
+        gap = np.maximum(np.maximum(u0 + np.minimum(du, 0.0) - x,
+                                    x - (highs[piece] + shift + np.maximum(du, 0.0))), 0.0)
+        d = np.hypot(gap, eta)
+        near = np.maximum(d - M * h, eta)
+        L = np.minimum(L, 1.0 / (near * near))
 
         amp = np.sqrt(1.0 + (land - a) * two_over_eta2)
         budget = cfg.tol * h / (span * amp)
         # the certified Picard tail gets 0.8 of the budget; the rule above
         # keeps the interpolation error under the other 0.2
-        Bn, tail = family._substep(piece, land, h, w[act], M, L, 0.8 * budget)
+        Bn, tail = family._substep(piece, u0, du, h, w0, np.minimum(M, 1.0 / d), L, 0.8 * budget)
 
         w[act] = Bn[0]
         err[act] += (tail + 0.2 * budget) * amp

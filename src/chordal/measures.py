@@ -516,7 +516,8 @@ def _scaled(mu: RealMeasure, z) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     _require_upper(z)
     pos, wts = mu.nodes()
     zz = np.asarray(z, dtype=complex)
-    reach = max(np.abs(zz.real).max(), np.abs(zz.imag).max(), np.abs(pos).max(initial=0.0))
+    reach = max(np.abs(zz.real).max(initial=0.0), np.abs(zz.imag).max(initial=0.0),
+                np.abs(pos).max(initial=0.0))
     shift = max(math.frexp(reach)[1] - 1020, 0)
     if shift:
         scale = 2.0 ** -shift

@@ -9,6 +9,7 @@ in seconds.  An argv entry that is not a string is an input file: it is
 written to ``tmp_path`` as JSON and its path takes its place.
 """
 
+import cmath
 import json
 import math
 import subprocess
@@ -60,6 +61,15 @@ def far_above_axis(text):
     return vals[:5] == [1.0, 0.0, 1e200, 0.0, 1e200] and 0.0 < vals[5] <= 1e-9
 
 
+def slit_within_bound(t, z):
+    """The evolve row lies within its err_bound (at most tol) of sqrt(z^2 - 2t)."""
+    def check(text):
+        header, line = text.strip().split("\n")
+        *_, re_f, im_f, bound = (float(v) for v in line.split(","))
+        return abs(complex(re_f, im_f) - cmath.sqrt(z * z - 2.0 * t)) <= bound <= 1e-9
+    return check
+
+
 def transform(measure, z, *flags):
     return ["transform", "--measure", measure, "--z", z, *flags]
 
@@ -100,6 +110,9 @@ ROWS = [
         out="t,re_z,im_z,re_f,im_f,err_bound", timeout=10),
     # Im z = 1e200 squares to inf inside the substep rule; that is the right limit
     row("evolve-far-above-axis", evolve(D0_DRIVER, "1", "1e200i"), out=far_above_axis),
+    # far off the support the sweeps read the distance 30, not Im z = 0.05
+    row("evolve-far-off-support", evolve(D0_DRIVER, "2", "30+0.05i"),
+        out=slit_within_bound(2.0, 30 + 0.05j), timeout=10),
     # Stieltjes inversion over the whole support counts the mass twice: 2
     row("invert-full-support",
         ["invert", "--measure", SEMI, "--interval", "-2,2", "--eps-ladder", EPS_LADDER],

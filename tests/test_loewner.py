@@ -4,6 +4,7 @@ integrator, and the package's own certified error bounds."""
 import math
 import time
 import tracemalloc
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -444,18 +445,17 @@ def test_density_drivers_near_the_axis_within_bound(name, want):
     assert np.all(bound <= SolverConfig().tol)
 
 
-def _node_sum_substep(self, piece, s0, h, w0, M, L, target):
+def _node_sum_substep(self, piece, u0, du, h, w0, M, L, target):
     # _PiecewiseConstant._substep as it was before the exact transforms:
     # the Cauchy transform summed over the frozen quadrature nodes, with
-    # the atom constants M = 1/eta and L = 1/eta^2 that atoms must keep
+    # the caller's constants M and L
     B = np.empty((loewner._NODES, w0.size), dtype=complex)
     tail = np.empty(w0.size)
-    eta = w0.imag
     for k in np.unique(piece):
         m = piece == k
         pos, wts = self.measures[k].nodes()
         B[:, m], tail[m] = loewner._picard(
-            w0[m], h[m], 1.0 / eta[m], 1.0 / (eta[m] * eta[m]), target[m],
+            w0[m], h[m], M[m], L[m], target[m],
             lambda V: (wts / (V[:, :, None] - pos)).sum(axis=2),
         )
     return B, tail
@@ -585,8 +585,9 @@ def test_class_r_geometry():
 def test_certified_bound_covers_picard_increments(monkeypatch):
     # every sweep's sup-change |B_n - B_(n-1)| stays within the remainder
     # M h (L h)^(n-1) / n! of the module docstring, with each piece's own M
-    # and L: the atom constants 1/eta, 1/eta^2 for the atoms, the density
-    # bounds for the semicircle, near the support too
+    # and L: at most the atom constants 1/eta, 1/eta^2 for the atoms, the
+    # density bounds for the semicircle, near the support too, and strictly
+    # less from the distance to the support on the lanes far off it
     real_picard = loewner._picard
     records = []
 
@@ -608,6 +609,8 @@ def test_certified_bound_covers_picard_increments(monkeypatch):
         ("atom", DELTA0, 2.0, small_grid()),
         ("atom", DriverFamily.moving_atom([(0.0, 0.0), (2.0, 1.0)]), 2.0, small_grid()[:8]),
         ("density", semi, 1.0, np.concatenate([small_grid()[:10], near])),
+        ("far", DELTA0, 2.0, np.array([6.0 + 0.3j])),
+        ("far", DriverFamily.moving_atom([(0.0, 0.0), (2.0, 1.0)]), 2.0, np.array([-5.0 + 0.2j])),
     ):
         records.append((kind, []))
         transition_grid(fam, 0.0, b, zs)
@@ -617,14 +620,76 @@ def test_certified_bound_covers_picard_increments(monkeypatch):
             if kind == "density":  # peak 1/pi: L = min(1/eta, 1/eta^2)
                 assert np.all(L <= np.minimum(1.0 / eta, 1.0 / eta**2) * (1.0 + 1e-12))
                 assert np.all(M <= 1.0 / eta)
+            elif kind == "atom":
+                assert np.all(M <= 1.0 / eta) and np.all(L <= 1.0 / (eta * eta))
             else:
-                assert np.array_equal(M, 1.0 / eta) and np.array_equal(L, 1.0 / (eta * eta))
+                assert np.all(M < 1.0 / eta) and np.all(L < 1.0 / (eta * eta))
             for n in range(1, len(iterates)):
                 observed = np.abs(iterates[n] - iterates[n - 1]).max(axis=0)
                 bound = M * h * (L * h) ** (n - 1) / math.factorial(n)
                 assert np.all(observed <= bound * (1.0 + 1e-9) + 1e-15)
                 sweeps += 1
         assert sweeps > 10
+
+
+# lanes off the support: |Re z| up to 40, Im z down to 0.05
+OFF_SUPPORT = np.array([2.5 + 0.05j, -3.0 + 0.05j, 6.0 + 0.2j, -12.0 + 0.05j, 40.0 + 0.05j,
+                        -40.0 + 1.0j])
+
+
+@pytest.mark.parametrize("fam, want", [
+    (DELTA0, lambda a, b, z: slit_map(b - a, z)),
+    (DriverFamily.moving_atom(SEAMED_ATOM),
+     lambda a, b, z: moving_atom_transition(SEAMED_ATOM, a, b, z)),
+    (DriverFamily.constant(semicircle(), horizon=4.0),
+     lambda a, b, z: semicircle_transition(b - a, z)),
+], ids=["delta0", "moving-atom", "semicircle"])
+def test_off_support_lanes_within_bound(fam, want):
+    # spans up to 2, each lane's sweeps sized by its distance to the support
+    spans = np.array([(0.0, 2.0), (0.5, 1.5), (1.0, 1.25)])
+    a, b = spans[:, :1], spans[:, 1:]
+    vals, errs = transition_grid(fam, a, b, OFF_SUPPORT[None, :])
+    ref = np.array([[want(ai, bi, z) for z in OFF_SUPPORT] for ai, bi in spans])
+    assert np.all(np.abs(vals - ref) <= errs)
+    assert errs.max() <= SolverConfig().tol
+
+
+def test_first_substep_off_the_support_sweeps_less(monkeypatch):
+    # the same eta and span give the same first substep; 4 off the atom,
+    # the lane certifies it in fewer sweeps than the lane above it
+    picard = loewner._picard
+    substeps = []
+
+    def counted(w0, h, M, L, target, integrand):
+        calls = []
+
+        def spy(B):
+            calls.append(1)
+            return integrand(B)
+        out = picard(w0, h, M, L, target, spy)
+        substeps[-1].append((h[0], len(calls)))
+        return out
+
+    monkeypatch.setattr(loewner, "_picard", counted)
+    for z in (0.2j, 4.0 + 0.2j):
+        substeps.append([])
+        transition_grid(DELTA0, 0.0, 1.0, z)
+    (h_over, sweeps_over), (h_off, sweeps_off) = (lane[0] for lane in substeps)
+    assert h_over == h_off and sweeps_off < sweeps_over
+
+
+@pytest.mark.parametrize("fam", [DELTA0, DriverFamily.constant(semicircle(), horizon=4.0)],
+                         ids=["delta0", "semicircle"])
+def test_lanes_over_the_support_keep_the_eta_constants(fam):
+    # with the hull widened to the whole line every lane reads d = eta, as
+    # when the sweeps took 1/eta and 1/eta^2 alone; lanes on the imaginary
+    # axis stay over the support and must not move at all
+    whole = replace(fam, _lows=np.array([-np.inf]), _highs=np.array([np.inf]))
+    zs = 1j * np.linspace(0.2, 4.0, 20)
+    for t in (0.5, 2.0):
+        w, e = transition_grid(fam, 0.0, t, zs)
+        w_eta, e_eta = transition_grid(whole, 0.0, t, zs)
+        assert np.array_equal(w, w_eta) and np.array_equal(e, e_eta)
 
 
 # the Picard loop as it was when it tested the tail after every sweep, kept

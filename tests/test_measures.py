@@ -353,6 +353,15 @@ def test_cauchy_rejects_non_finite_points(z):
             cauchy_transform(point_mass(0.0), arg)
 
 
+@pytest.mark.parametrize("mu", [point_mass(0.5), semicircle()], ids=["atom", "semicircle"])
+def test_transforms_of_no_points_are_empty(mu):
+    # as transition_grid returns empty arrays; the scaling's maxima over z
+    # raised on the empty reduction
+    none = np.array([], dtype=complex)
+    for op in (cauchy_transform, reciprocal_cauchy):
+        assert op(mu, none).shape == (0,)
+
+
 def test_cauchy_batches_match_pointwise_values(monkeypatch):
     # large batches are summed in blocks of points; each row stays exact
     monkeypatch.setattr(measures, "_CAUCHY_BLOCK", 1000)
