@@ -10,7 +10,11 @@ all witness failure.
 Both diameters are taken at the same point count n, so the slow
 (logarithmic) convergence of d_n cancels in the ratio.  The interval side
 is exact at n, a closed form scaled by (B-A)/2; only the image side
-samples, by a discrete Fekete exchange over the trace.  The trace takes G
+samples, by a discrete Fekete exchange over the trace.  The exchange
+keeps its table node-major, shape (n, points): row k holds the
+log-distances from the k-th selected point to every sample, so a gain
+reads one contiguous row and a swap rewrites one row and re-sums the
+table, O(n * points).  The trace takes G
 from ``RealMeasure.cauchy``: exact for the atoms and the named densities,
 and only segments given by a bare density callable are resampled finely
 enough for the trace height.  The crossing test sorts the segments once by
@@ -184,8 +188,14 @@ def discrete_transfinite_diameter(points, n: int, sweeps: int = 20) -> float:
 
     Greedy seeding maximizes the product of distances to the points chosen
     so far; exchange sweeps then try every (selected, candidate) swap and
-    keep improvements.  Returns the geometric mean of pairwise distances,
+    keep improvements, at most ``sweeps`` sweeps and none after one that
+    swaps nothing.  Returns the geometric mean of pairwise distances,
     d_n = (prod |p_i - p_j|)^(2/(n(n-1))).
+
+    The table ``la`` is node-major: row k holds log |p - p_sel[k]| over the
+    cloud, so each seed pick writes one row and each gain reads one row.  A
+    swap costs one row of logs, O(points), and the re-sum of the table into
+    each candidate's total, O(n * points).
     """
     pts = np.asarray(points, dtype=complex).ravel()
     n = count(n, "n")
@@ -200,37 +210,39 @@ def discrete_transfinite_diameter(points, n: int, sweeps: int = 20) -> float:
     # -inf marks a candidate colliding with a selected point; the masking
     # below keeps any inf-inf artifacts out of the argmax.
     with np.errstate(divide="ignore", invalid="ignore"):
-        # greedy seed, translation-equivariant start; each pick fills a column
+        # greedy seed, translation-equivariant start; each pick fills a row
         sel = np.empty(n, dtype=int)
-        la = np.empty((pts.size, n))
+        la = np.empty((n, pts.size))
         score = np.abs(pts - pts.mean())
         for k in range(n):
             sel[k] = int(np.argmax(score))
-            la[:, k] = np.log(np.abs(pts - pts[sel[k]]))
-            score = la[:, 0] if k == 0 else score + la[:, k]
+            la[k] = np.log(np.abs(pts - pts[sel[k]]))
+            score = la[0] if k == 0 else score + la[k]
         iu = np.triu_indices(n, k=1)
         # a repeated point enters only the seed, when no distinct point is
         # left: no exchange swaps one in, as its gain is -inf or nan
-        if np.any(la[sel][iu] == -np.inf):
+        if np.any(la[:, sel].T[iu] == -np.inf):
             raise InvalidInputError("sample cloud has fewer than n distinct points")
-        rows = la.sum(axis=1)
+        rows = la.sum(axis=0)
         for _ in range(sweeps):
             swapped = False
             for j in range(n):
-                s_j = np.delete(la[sel, j], j).sum()
-                gain = rows - la[:, j] - s_j
+                s_j = np.delete(la[j, sel], j).sum()
+                gain = rows - la[j] - s_j
                 gain[sel] = -np.inf
                 best = int(np.argmax(gain))
                 if not _GAIN_FLOOR < gain[best] < np.inf:
                     continue
                 sel[j] = best
-                la[:, j] = np.log(np.abs(pts - pts[best]))
-                rows = la.sum(axis=1)
+                la[j] = np.log(np.abs(pts - pts[best]))
+                rows = la.sum(axis=0)
                 swapped = True
             if not swapped:
                 break
 
-    return float(np.exp(2.0 * la[sel][iu].sum() / (n * (n - 1))))
+    # entry (a, b) of la[:, sel].T is log|p_sel[a] - p_sel[b]|; the upper
+    # triangle, row by row, is each pair once
+    return float(np.exp(2.0 * la[:, sel].T[iu].sum() / (n * (n - 1))))
 
 
 def _unit_interval_diameter(n: int) -> float:

@@ -203,22 +203,9 @@ def univalence_certificate(mu_moments, order: int, boundary_tol: float = 1e-8) -
         raise InvalidInputError(
             "even moments exceed the support window [-2, 2]; certificate not applicable"
         )
-    # Huge finite moments overflow mid-pipeline; the non-finite checks below
-    # turn that into a refusal, so numpy need not warn about it.
-    with np.errstate(over="ignore", invalid="ignore"):
-        alpha, scale = _alpha_and_scale(a)
-        cmat = _grunsky_matrix(alpha, order)
-        sym = 0.5 * (cmat + cmat.T)
-        # the binomial sums round alpha by up to ~4 eps times their scale
-        dev = _grunsky_matrix(alpha + 4.0 * _EPS * scale, order) - sym
-    if not np.all(np.isfinite(sym)):
-        raise NonConvergenceError("Grunsky matrix overflowed")
-    # The exact matrix is symmetric; dev holds the rounding of alpha and the
-    # skew part the pipeline's own rounding left in cmat, and by Weyl's
-    # inequality no eigenvalue of sym moves by more than its spectral norm.
-    eigs = np.linalg.eigvalsh(sym)
-    mx = float(np.max(np.abs(eigs)))
-    shift = float(np.linalg.norm(dev, 2)) if np.all(np.isfinite(dev)) else np.inf
+    # the refusal below raises from this frame, so a kept traceback pins a,
+    # ks, sym and eigs, not the helper's intermediate matrices
+    sym, eigs, mx, shift = _spectrum(a, order)
     verdict = _verdict(mx + shift, boundary_tol)
     if verdict != _verdict(mx - shift, boundary_tol):
         raise NonConvergenceError(
@@ -237,6 +224,27 @@ def measure_certificate(mu: RealMeasure, order: int, boundary_tol: float = 1e-8)
         raise InvalidInputError("mu must be a RealMeasure")
     moments = [moment(mu, k) for k in range(2 * order + 1)]
     return univalence_certificate(moments, order, boundary_tol)
+
+
+def _spectrum(a: np.ndarray, order: int) -> tuple[np.ndarray, np.ndarray, float, float]:
+    """The symmetrised Grunsky matrix of the moments a, its eigenvalues, their
+    largest modulus, and the Weyl shift that bounds how far rounding moves them."""
+    # Huge finite moments overflow mid-pipeline; the non-finite checks below
+    # turn that into a refusal, so numpy need not warn about it.
+    with np.errstate(over="ignore", invalid="ignore"):
+        alpha, scale = _alpha_and_scale(a)
+        cmat = _grunsky_matrix(alpha, order)
+        sym = 0.5 * (cmat + cmat.T)
+        # the binomial sums round alpha by up to ~4 eps times their scale
+        dev = _grunsky_matrix(alpha + 4.0 * _EPS * scale, order) - sym
+    if not np.all(np.isfinite(sym)):
+        raise NonConvergenceError("Grunsky matrix overflowed")
+    # The exact matrix is symmetric; dev holds the rounding of alpha and the
+    # skew part the pipeline's own rounding left in cmat, and by Weyl's
+    # inequality no eigenvalue of sym moves by more than its spectral norm.
+    eigs = np.linalg.eigvalsh(sym)
+    shift = float(np.linalg.norm(dev, 2)) if np.all(np.isfinite(dev)) else np.inf
+    return sym, eigs, float(np.max(np.abs(eigs))), shift
 
 
 def _grunsky_matrix(alpha: np.ndarray, order: int) -> np.ndarray:

@@ -81,13 +81,12 @@ by their own sweep count and sweeping a shrinking prefix took the 10k-lane
 delta_0 batch from 89 to 112 ms (2-core Xeon).  Two drivers exist:
 piecewise-constant measure families and a moving atom along a
 piecewise-linear path.  A piecewise-constant driver evaluates the Cauchy
-transform by ``RealMeasure.cauchy``: atoms exactly,
-named densities in closed form, and only segments given as a bare callable
-by their quadrature nodes.  The certified bound covers the first two; it
-has no term for the node error of the third, which grows within a node gap
-of the support.  The atom's integrand is ``1/(B - U)``; no substep
-straddles a knot, so ``U`` is affine on each substep and known at the
-nodes.
+transform by ``RealMeasure.cauchy``: atoms exactly and each segment by its
+closed form.  A segment given as a bare callable (no ``cauchy``) is
+refused when the driver is built, since no bound covers the error of its
+node sum, which grows within a node gap of the support.  The atom's
+integrand is ``1/(B - U)``; no substep straddles a knot, so ``U`` is
+affine on each substep and known at the nodes.
 
 Both drivers integrate one way: each sweep samples the integrand at the
 N = 40 Lobatto nodes, and ``_picard`` integrates its degree-(N-1)
@@ -278,6 +277,9 @@ class DriverFamily:
                 raise InvalidInputError("driver measures must be RealMeasure instances")
             if not mu.is_probability:
                 raise InvalidInputError("driver measures must have unit mass")
+            if any(seg.cauchy is None for seg in mu.segments):
+                raise InvalidInputError("driver measures need a closed-form cauchy for every "
+                                        "segment (the solver cannot bound a node sum)")
         hor = _horizon(horizon, math.inf)
         if hor < b[-1]:
             raise InvalidInputError("horizon lies before the last breakpoint")

@@ -279,7 +279,7 @@ def test_exchange_matches_the_reference_on_the_interval_cloud():
 
 
 def test_fekete_seed_fills_the_exchange_table():
-    # the (4096, 64) table of logs is 2.1 MB; rebuilding it after the seed
+    # the (64, 4096) table of logs is 2.1 MB; rebuilding it after the seed
     # from a complex difference array peaked at 6.3 MB
     pts = boundary_image(semicircle(), resolution=2048, epsilon=4e-3).points
     tracemalloc.start()

@@ -313,6 +313,23 @@ def test_certificate_semicircle_order_24_refuses():
         univalence_certificate(moments, 24)
 
 
+def test_certificate_refusal_pins_no_intermediate_matrices():
+    # a kept refusal holds its traceback, and with it the locals of each
+    # grunsky frame: a, ks, sym and eigs (9,224 bytes at order 32), not the
+    # pipeline's alpha, scale, cmat and dev as well (26,648 bytes)
+    moments = [moment(semicircle(), n) for n in range(65)]
+    with pytest.raises(NonConvergenceError, match="moment rounding") as info:
+        univalence_certificate(moments, 32)
+    pinned = 0
+    tb = info.value.__traceback__
+    while tb is not None:
+        if tb.tb_frame.f_code.co_filename == grunsky.__file__:
+            pinned += sum(v.nbytes for v in tb.tb_frame.f_locals.values()
+                          if isinstance(v, np.ndarray))
+        tb = tb.tb_next
+    assert 0 < pinned < 12 * 1024
+
+
 def test_certificate_bernoulli_half_fails_at_order_32():
     # top eigenvalue of the leading 2x2 block is 1.0625, so fail at any order
     report = univalence_certificate([moment(bernoulli(0.5), n) for n in range(65)], 32)
