@@ -13,8 +13,8 @@ is exact at n, a closed form scaled by (B-A)/2; only the image side
 samples, by a discrete Fekete exchange over the trace.  The exchange
 keeps its table node-major, shape (n, points): row k holds the
 log-distances from the k-th selected point to every sample, so a gain
-reads one contiguous row and a swap rewrites one row and re-sums the
-table, O(n * points).  The trace takes G
+reads one contiguous row and a swap rewrites one row and updates each
+candidate's total in place, O(points).  The trace takes G
 from ``RealMeasure.cauchy``: exact for the atoms and the named densities,
 and only segments given by a bare density callable are resampled finely
 enough for the trace height.  The crossing test sorts the segments once by
@@ -32,7 +32,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import InvalidInputError
+from .errors import InvalidInputError, NonConvergenceError
 from .measures import RealMeasure
 from .numerics import count, finite_interval
 
@@ -154,7 +154,9 @@ def boundary_image(
     is ``mu.cauchy``: the exact transform of the atoms and the named
     densities, and for segments given by a bare density callable a
     midpoint resampling at spacing ``epsilon/4``, fine enough to stay
-    accurate this close to the axis.
+    accurate this close to the axis.  A trace point that is not finite
+    (G overflowing on an atom at a subnormal ``epsilon``, say) raises
+    NonConvergenceError.
     """
     lo, hi = _support(mu)
     width = hi - lo
@@ -169,7 +171,10 @@ def boundary_image(
     xs = 0.5 * (lo + hi) + 0.5 * width * np.cos(theta)
     z = xs + 1j * epsilon
 
-    top = 1.0 / mu.cauchy(z, _CLOUD_SPACING * epsilon)
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+        top = 1.0 / mu.cauchy(z, _CLOUD_SPACING * epsilon)
+    if not np.isfinite(top).all():
+        raise NonConvergenceError("boundary trace is not finite at this epsilon")
     points = np.concatenate([top, np.conj(top)[::-1]])
 
     # np.median of the 2*resolution values, without the numpy.ma import
@@ -194,8 +199,11 @@ def discrete_transfinite_diameter(points, n: int, sweeps: int = 20) -> float:
 
     The table ``la`` is node-major: row k holds log |p - p_sel[k]| over the
     cloud, so each seed pick writes one row and each gain reads one row.  A
-    swap costs one row of logs, O(points), and the re-sum of the table into
-    each candidate's total, O(n * points).
+    swap costs O(points): one row of logs ``new``, and each candidate's
+    total updated in place by ``new - la[j]``.  Where the old row held
+    log 0, at the swapped-out point, that update reads -inf + inf = nan,
+    and only the columns left nan are re-summed from the table.
+    A sweep, n gains over the table, costs O(n * points).
     """
     pts = np.asarray(points, dtype=complex).ravel()
     n = count(n, "n")
@@ -206,6 +214,8 @@ def discrete_transfinite_diameter(points, n: int, sweeps: int = 20) -> float:
         raise InvalidInputError("sample cloud smaller than n")
     if sweeps < 0:
         raise InvalidInputError("sweeps must be non-negative")
+    if not np.isfinite(pts).all():
+        raise InvalidInputError("sample cloud must be finite")
 
     # -inf marks a candidate colliding with a selected point; the masking
     # below keeps any inf-inf artifacts out of the argmax.
@@ -234,8 +244,13 @@ def discrete_transfinite_diameter(points, n: int, sweeps: int = 20) -> float:
                 if not _GAIN_FLOOR < gain[best] < np.inf:
                     continue
                 sel[j] = best
-                la[j] = np.log(np.abs(pts - pts[best]))
-                rows = la.sum(axis=0)
+                new = np.log(np.abs(pts - pts[best]))
+                rows += new - la[j]
+                la[j] = new
+                # where the old row held log 0, at the swapped-out point,
+                # the update read -inf + inf = nan
+                fix = np.flatnonzero(np.isnan(rows))
+                rows[fix] = la[:, fix].sum(axis=0)
                 swapped = True
             if not swapped:
                 break

@@ -70,7 +70,12 @@ def _measure_arg(path: str) -> _measures.RealMeasure:
 
 
 def _emit_json(obj: dict) -> None:
-    sys.stdout.write(json.dumps(obj, sort_keys=True, indent=2) + "\n")
+    # strict JSON: a NaN or Infinity field refuses instead of printing
+    try:
+        text = json.dumps(obj, sort_keys=True, indent=2, allow_nan=False)
+    except ValueError as exc:
+        raise NonConvergenceError("report holds a value that is not finite") from exc
+    sys.stdout.write(text + "\n")
 
 
 # -- subcommand handlers ----------------------------------------------------

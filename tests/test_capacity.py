@@ -22,7 +22,7 @@ from chordal.capacity import (
     discrete_transfinite_diameter,
     hayman_report,
 )
-from chordal.errors import InvalidInputError
+from chordal.errors import InvalidInputError, NonConvergenceError
 from chordal.measures import (
     DensitySegment,
     RealMeasure,
@@ -258,6 +258,10 @@ def test_diameter_validation():
         discrete_transfinite_diameter(cloud, 4, sweeps=2.7)
     with pytest.raises(InvalidInputError):
         discrete_transfinite_diameter(cloud, float("nan"))
+    # an inf returned nan, and a nan was refused as a repeated point
+    for bad in (math.inf, math.nan):
+        with pytest.raises(InvalidInputError, match="^sample cloud must be finite$"):
+            discrete_transfinite_diameter([0, 1, bad, 2j, 3], 3)
     # integral values of any numeric type are fine
     d = discrete_transfinite_diameter(cloud, 4)
     assert discrete_transfinite_diameter(cloud, 4.0, sweeps=np.int64(20)) == d
@@ -278,15 +282,36 @@ def test_exchange_matches_the_reference_on_the_interval_cloud():
     assert discrete_transfinite_diameter(cloud, 64) == reference_diameter(cloud, 64)
 
 
+@pytest.mark.parametrize("seed", range(12))
+def test_exchange_matches_the_reference_on_duplicate_heavy_clouds(seed):
+    # a closed curve sampled at random points and rounded to a coarse
+    # lattice repeats many of them; the exchange still swaps, and each swap
+    # re-sums the columns its in-place update left nan
+    rng = np.random.default_rng(300 + seed)
+    m = int(rng.integers(100, 500))
+    k = np.arange(-3, 4)
+    c = (rng.standard_normal(7) + 1j * rng.standard_normal(7)) / (1.0 + np.abs(k)) ** 2
+    c[4] += 2.0
+    curve = np.exp(1j * np.outer(rng.uniform(0.0, 2.0 * math.pi, m), k)) @ c
+    cloud = 0.05 * np.round(curve / 0.05)
+    distinct = np.unique(cloud).size
+    assert distinct < m
+    for n in (2, int(rng.integers(3, min(distinct, 64) + 1)), distinct):
+        assert discrete_transfinite_diameter(cloud, n) == reference_diameter(cloud, n)
+        assert discrete_transfinite_diameter(cloud, n, 3) == reference_diameter(cloud, n, 3)
+
+
 def test_fekete_seed_fills_the_exchange_table():
     # the (64, 4096) table of logs is 2.1 MB; rebuilding it after the seed
-    # from a complex difference array peaked at 6.3 MB
-    pts = boundary_image(semicircle(), resolution=2048, epsilon=4e-3).points
-    tracemalloc.start()
-    discrete_transfinite_diameter(pts, 64)
-    peak = tracemalloc.get_traced_memory()[1]
-    tracemalloc.stop()
-    assert peak < 3.5e6
+    # from a complex difference array peaked at 6.3 MB.  The arcsine trace
+    # swaps 295 times, each swap updating the totals in place
+    for mu in (semicircle(), arcsine()):
+        pts = boundary_image(mu, resolution=2048, epsilon=4e-3).points
+        tracemalloc.start()
+        discrete_transfinite_diameter(pts, 64)
+        peak = tracemalloc.get_traced_memory()[1]
+        tracemalloc.stop()
+        assert peak < 3.5e6
 
 
 # ---------------------------------------------------------------------------
@@ -598,6 +623,14 @@ def test_hayman_validation():
         hayman_report([1, 2, 3])
     with pytest.raises(InvalidInputError):
         hayman_report(RealMeasure())
+
+
+def test_hayman_refuses_a_trace_that_is_not_finite():
+    # G overflows on the atoms at a subnormal height; d_image read NaN
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(NonConvergenceError, match="^boundary trace is not finite"):
+            hayman_report(bernoulli(1.0), epsilon=1e-310)
 
 
 @pytest.mark.parametrize("kw", [

@@ -563,3 +563,14 @@ def test_internal_fault_is_not_reported_as_bad_input(monkeypatch, capsys, atom_p
     with pytest.raises(np.linalg.LinAlgError):
         run(["transform", "--measure", atom_path, "--z", "2i"])
     assert capsys.readouterr().err == ""
+
+
+@pytest.mark.parametrize("value", [complex(math.nan, 1.0), complex(math.inf, 0.0)])
+def test_a_non_finite_report_field_refuses_with_empty_stdout(monkeypatch, capsys, atom_path,
+                                                             value):
+    # json.dumps writes NaN and Infinity by default, which is not JSON
+    monkeypatch.setattr("chordal.measures._transform_bound", lambda mu, z, reciprocal: (value, 0.0))
+    assert run(["transform", "--measure", atom_path, "--z", "2i"]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "non-convergence: report holds a value that is not finite\n"

@@ -248,6 +248,10 @@ ROWS = [
         1, err="non-convergence: F(i) is not finite"),
     row("nevanlinna-rungs", nevanlinna({"atoms": [[-1e150, 0.5], [1e150, 0.5]]}),
         1, err="non-convergence: linear-coefficient ladder did not settle"),
+    # at a subnormal eps G overflows on the atoms: three RuntimeWarnings and
+    # "d_image": NaN came with exit 0
+    row("hayman-subnormal-eps", ["hayman", "--measure", BERNOULLI_1, "--eps", "1e-310"],
+        1, err="non-convergence: boundary trace is not finite at this epsilon"),
 ]
 
 
