@@ -14,7 +14,10 @@ samples, by a discrete Fekete exchange over the trace.  The exchange
 keeps its table node-major, shape (n, points): row k holds the
 log-distances from the k-th selected point to every sample, so a gain
 reads one contiguous row and a swap rewrites one row and updates each
-candidate's total in place, O(points).  The trace takes G
+candidate's total in place, O(points).  It stops after the first sweep
+that raises log d_n by less than 1e-3 * RATIO_BAND, far inside the
+O(log n / n) gap between d_n and the capacity; ``sweeps`` is only a cap.
+The trace takes G
 from ``RealMeasure.cauchy``: exact for the atoms and the named densities,
 and only segments given by a bare density callable are resampled finely
 enough for the trace height.  The crossing test sorts the segments once by
@@ -50,6 +53,7 @@ _CLOUD_SPACING = 0.25      # bare-segment node spacing as a fraction of epsilon
 _PAIR_BATCH = 1 << 18      # most segment pairs one crossing-test batch holds
 _MAX_EXCHANGE = 1 << 24    # most entries (2*resolution x n) of one exchange table
 RATIO_BAND = 0.05          # |ratio - 1| within this reads consistent_with_univalence
+_SETTLED = 1e-3 * RATIO_BAND  # a sweep raising log d_n by less ends the exchange
 
 
 @dataclass(frozen=True)
@@ -154,7 +158,8 @@ def boundary_image(
     is ``mu.cauchy``: the exact transform of the atoms and the named
     densities, and for segments given by a bare density callable a
     midpoint resampling at spacing ``epsilon/4``, fine enough to stay
-    accurate this close to the axis.  A trace point that is not finite
+    accurate this close to the axis; an ``epsilon`` whose quarter
+    underflows to 0 is refused for them.  A trace point that is not finite
     (G overflowing on an atom at a subnormal ``epsilon``, say) raises
     NonConvergenceError.
     """
@@ -171,8 +176,13 @@ def boundary_image(
     xs = 0.5 * (lo + hi) + 0.5 * width * np.cos(theta)
     z = xs + 1j * epsilon
 
+    # only a density given by a bare callable is resampled, at epsilon/4
+    bare = any(seg.cauchy is None for seg in mu.segments)
+    spacing = _CLOUD_SPACING * epsilon if bare else None
+    if spacing == 0.0:
+        raise InvalidInputError("epsilon is too small: epsilon/4, the resampling spacing, is 0")
     with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
-        top = 1.0 / mu.cauchy(z, _CLOUD_SPACING * epsilon)
+        top = 1.0 / mu.cauchy(z, spacing)
     if not np.isfinite(top).all():
         raise NonConvergenceError("boundary trace is not finite at this epsilon")
     points = np.concatenate([top, np.conj(top)[::-1]])
@@ -193,16 +203,21 @@ def discrete_transfinite_diameter(points, n: int, sweeps: int = 20) -> float:
 
     Greedy seeding maximizes the product of distances to the points chosen
     so far; exchange sweeps then try every (selected, candidate) swap and
-    keep improvements, at most ``sweeps`` sweeps and none after one that
-    swaps nothing.  Returns the geometric mean of pairwise distances,
-    d_n = (prod |p_i - p_j|)^(2/(n(n-1))).
+    keep improvements, each gain the exact rise of the log pair-sum.  The
+    exchange stops after the first sweep whose gains raise log d_n by less
+    than 1e-3 * RATIO_BAND (a sweep that swaps nothing among them), and
+    after ``sweeps`` sweeps at most: discrete diameters approach the
+    capacity only as O(log n / n), far above the rises left.  Returns the
+    geometric mean of pairwise distances, d_n = (prod |p_i - p_j|)^(2/(n(n-1))).
 
     The table ``la`` is node-major: row k holds log |p - p_sel[k]| over the
     cloud, so each seed pick writes one row and each gain reads one row.  A
     swap costs O(points): one row of logs ``new``, and each candidate's
     total updated in place by ``new - la[j]``.  Where the old row held
-    log 0, at the swapped-out point, that update reads -inf + inf = nan,
-    and only the columns left nan are re-summed from the table.
+    log 0, at the swapped-out point and any exact duplicate of it, that
+    update reads -inf + inf = nan, and only the columns left nan are
+    re-summed from the table.  A duplicate of the point in slot j reads a
+    gain of -inf - (-inf) = nan for that slot; it counts as no gain.
     A sweep, n gains over the table, costs O(n * points).
     """
     pts = np.asarray(points, dtype=complex).ravel()
@@ -218,7 +233,7 @@ def discrete_transfinite_diameter(points, n: int, sweeps: int = 20) -> float:
         raise InvalidInputError("sample cloud must be finite")
 
     # -inf marks a candidate colliding with a selected point; the masking
-    # below keeps any inf-inf artifacts out of the argmax.
+    # below keeps it, and any inf-inf artifact, out of the argmax.
     with np.errstate(divide="ignore", invalid="ignore"):
         # greedy seed, translation-equivariant start; each pick fills a row
         sel = np.empty(n, dtype=int)
@@ -230,29 +245,34 @@ def discrete_transfinite_diameter(points, n: int, sweeps: int = 20) -> float:
             score = la[0] if k == 0 else score + la[k]
         iu = np.triu_indices(n, k=1)
         # a repeated point enters only the seed, when no distinct point is
-        # left: no exchange swaps one in, as its gain is -inf or nan
+        # left: no exchange swaps one in, as it gains -inf or nothing
         if np.any(la[:, sel].T[iu] == -np.inf):
             raise InvalidInputError("sample cloud has fewer than n distinct points")
         rows = la.sum(axis=0)
+        # log d_n is 2/(n(n-1)) times the log pair-sum that each gain raises
+        settled = 0.5 * _SETTLED * n * (n - 1)
         for _ in range(sweeps):
-            swapped = False
+            raised = 0.0
             for j in range(n):
                 s_j = np.delete(la[j, sel], j).sum()
                 gain = rows - la[j] - s_j
                 gain[sel] = -np.inf
                 best = int(np.argmax(gain))
+                if math.isnan(gain[best]):  # duplicates of p_sel[j]: no gain
+                    gain[np.isnan(gain)] = -np.inf
+                    best = int(np.argmax(gain))
                 if not _GAIN_FLOOR < gain[best] < np.inf:
                     continue
+                raised += gain[best]
                 sel[j] = best
                 new = np.log(np.abs(pts - pts[best]))
                 rows += new - la[j]
                 la[j] = new
-                # where the old row held log 0, at the swapped-out point,
-                # the update read -inf + inf = nan
+                # where the old row held log 0, at the swapped-out point
+                # and its duplicates, the update read -inf + inf = nan
                 fix = np.flatnonzero(np.isnan(rows))
                 rows[fix] = la[:, fix].sum(axis=0)
-                swapped = True
-            if not swapped:
+            if raised < settled:
                 break
 
     # entry (a, b) of la[:, sel].T is log|p_sel[a] - p_sel[b]|; the upper
@@ -296,6 +316,9 @@ def hayman_report(
     boundary is traced, as does a support whose width B - A overflows.
     The interval side is exact at n, scaled from [-1, 1] by (B-A)/2; only
     the image side samples, so ``resolution`` and ``sweeps`` act on it alone.
+    ``sweeps`` caps the exchange, which stops earlier, after the first sweep
+    that raises log d_image by less than 1e-3 * RATIO_BAND (1, 3 and 2
+    sweeps on the semicircle, arcsine and bernoulli(1) at the defaults).
     """
     lo, hi = _support(mu)
     n = count(n, "n")

@@ -121,6 +121,10 @@ ROWS = [
     row("hayman-largest-resolution",
         ["hayman", "--measure", SEMI, "--resolution", "1048576", "--n", "8"],
         out='"n_points": 8', timeout=20),
+    # the semicircle's transform is exact, so no resampling spacing is asked
+    # for; eps/4 underflowed to 0 and exit 2 read "spacing must be positive"
+    row("hayman-smallest-eps", ["hayman", "--measure", SEMI, "--eps", "5e-324"],
+        out='"verdict": "consistent_with_univalence"'),
     # the sum times n times eps, taken left to right, overflowed to Infinity
     row("huge-atoms-finite-bound", transform(HUGE_ATOMS, "1i"), out=positive_bound),
     # the closed form's coefficients overflow (and warned): the segment falls
