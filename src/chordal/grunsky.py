@@ -203,11 +203,13 @@ def univalence_certificate(mu_moments, order: int, boundary_tol: float = 1e-8) -
         raise InvalidInputError(
             "even moments exceed the support window [-2, 2]; certificate not applicable"
         )
-    # the refusal below raises from this frame, so a kept traceback pins a,
-    # ks, sym and eigs, not the helper's intermediate matrices
+    # the refusal below raises from this frame, so a kept traceback pins its
+    # locals but not the helper's intermediate matrices; it drops sym and
+    # eigs first, and pins only a and ks
     sym, eigs, mx, shift = _spectrum(a, order)
     verdict = _verdict(mx + shift, boundary_tol)
     if verdict != _verdict(mx - shift, boundary_tol):
+        del sym, eigs
         raise NonConvergenceError(
             f"moment rounding could change the verdict (max |eigenvalue| {mx:.6g} +- {shift:.1e})"
         )

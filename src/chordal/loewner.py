@@ -64,7 +64,13 @@ real product ``tails @ F.view(float)`` per sweep over the real and
 imaginary parts side by side, written into ``B``: no complex copy of
 ``tails``, half the multiply-adds of a complex product, and no array
 allocated per sweep but the integrand's value, kept only until its product
-has run.  A driver is a ``DriverFamily`` subclass that supplies its
+has run.  A round with one lane left, as every round of a one-point solve,
+counts its sweeps and its certified tail in floats, with the remainder
+table's operations in the table's order, so both match the table bit for
+bit.  The pointwise entry points check their one lane in floats too, and
+send a lane that fails any check through the array checks, which refuse
+it with their own class and message.  A driver is a
+``DriverFamily`` subclass that supplies its
 measure lookup, its knot table (the pieces no substep may straddle, with
 the hull of the support at each, the slope at which the atom path moves it
 and the path's running variation),
@@ -482,6 +488,28 @@ def _picard(
     values, shape ``(nodes, points)``, and the certified remainder per
     point.
     """
+    if w0.size == 1 and h[0] * L[0] <= 1.0:
+        sweeps, tail = _lane_sweeps(float(h[0]), float(M[0]), float(L[0]), float(target[0]))
+    else:
+        sweeps, tail = _table_sweeps(h, M, L, target)
+    _, quad = cheb_grid(_NODES)
+    B = np.repeat(w0[None, :], _NODES, axis=0)
+    real = B.view(float)  # (nodes, 2 points): re and im side by side
+    half_h = 0.5 * h
+    for _ in range(sweeps):
+        F = np.ascontiguousarray(integrand(B), dtype=complex)
+        # cheb_grid's tails act on re and im alike: one real product,
+        # written into B, whose old values F has replaced
+        np.matmul(quad, F.view(float), out=real)
+        del F
+        B *= half_h
+        np.subtract(w0, B, out=B)
+    return B, tail
+
+
+def _table_sweeps(h, M, L, target):
+    # the least sweep count n that brings every lane within its target, and
+    # the certified remainder per lane after n sweeps
     L_col = L[:, None]
     h_col = h[:, None]
     # after sweep n the remainder is M h prod_{k=2}^{n+1} (L h)/k over
@@ -501,20 +529,21 @@ def _picard(
     else:
         raise NonConvergenceError("Picard iteration failed to certify within 64 sweeps")
     col = int(done.argmax())
-    tail = tails[:, col]
-    _, quad = cheb_grid(_NODES)
-    B = np.repeat(w0[None, :], _NODES, axis=0)
-    real = B.view(float)  # (nodes, 2 points): re and im side by side
-    half_h = 0.5 * h
-    for _ in range(lo + col + 1):
-        F = np.ascontiguousarray(integrand(B), dtype=complex)
-        # cheb_grid's tails act on re and im alike: one real product,
-        # written into B, whose old values F has replaced
-        np.matmul(quad, F.view(float), out=real)
-        del F
-        B *= half_h
-        np.subtract(w0, B, out=B)
-    return B, tail
+    return lo + col + 1, tails[:, col]
+
+
+def _lane_sweeps(h: float, M: float, L: float, target: float) -> tuple[int, np.ndarray]:
+    # _table_sweeps for one lane, in floats: the table's operations in its
+    # order, so the count and the tail are its own bit for bit, without its
+    # arrays; L h <= 1 keeps every divisor positive, as floats need
+    Mh, hL = M * h, h * L
+    prod = 1.0
+    for n in range(1, _MAX_PICARD + 1):
+        prod *= h * (L / (n + 1.0))
+        tail = prod * Mh / (1.0 - hL / (n + 2.0))
+        if tail <= target:
+            return n, np.array([tail])
+    raise NonConvergenceError("Picard iteration failed to certify within 64 sweeps")
 
 
 def _evolve(
@@ -661,6 +690,20 @@ def _solve_many(
     return w.reshape(shape), e.reshape(shape)
 
 
+def _solve_one(family: DriverFamily, a, b, z, config: SolverConfig | None) -> tuple[complex, float]:
+    # _solve_many at one point: its checks in floats, and a lane that fails
+    # one goes through _solve_many, which refuses with its class and message
+    cfg = config or _DEFAULT_CONFIG
+    a, b, z = float(a), float(b), complex(z)
+    if (isinstance(family, DriverFamily) and 0.0 <= a <= b <= family.horizon
+            and b < math.inf and abs(z.real) < math.inf and cfg.min_imag <= z.imag < math.inf):
+        with np.errstate(over="ignore", invalid="ignore"):
+            w, e = _evolve(family, np.array([a]), np.array([b]), np.array([z]), cfg)
+    else:
+        w, e = _solve_many(family, a, b, z, cfg)
+    return w.item(), e.item()
+
+
 # ---------------------------------------------------------------------------
 # Public solver API
 
@@ -673,8 +716,7 @@ def solve_transition(
     config: SolverConfig | None = None,
 ) -> complex:
     """B(a, b; z) with absolute error at most ``config.tol``."""
-    w, _ = _solve_many(family, float(a), float(b), complex(z), config)
-    return complex(w)
+    return _solve_one(family, a, b, z, config)[0]
 
 
 def transition_grid(
@@ -722,8 +764,7 @@ class TransitionMap:
 
     def evaluate(self, z: complex) -> tuple[complex, float]:
         """Value and certified error bound at one point."""
-        w, e = _solve_many(self.family, self.a, self.b, complex(z), self.config)
-        return complex(w), float(e)
+        return _solve_one(self.family, self.a, self.b, z, self.config)
 
     def grid(self, zs) -> tuple[np.ndarray, np.ndarray]:
         return _solve_many(self.family, self.a, self.b, zs, self.config)

@@ -725,10 +725,11 @@ def reference_picard(w0, h, M, L, target, integrand):
     raise NonConvergenceError("Picard iteration failed to certify within 64 sweeps")
 
 
-def _picard_case(seed, kind):
+def _picard_case(seed, kind, lanes=slice(None)):
     # random lanes with one at the contraction cap and one far above the
     # axis, and the integrand of an affine atom path or of the semicircle,
-    # with the atom constants M = 1/eta and L = 1/eta^2
+    # with the atom constants M = 1/eta and L = 1/eta^2; of them, the lanes
+    # that ``lanes`` picks
     rng = np.random.default_rng(seed)
     n = 48
     eta = rng.uniform(0.05, 4.0, n)
@@ -740,7 +741,7 @@ def _picard_case(seed, kind):
     xstd, _ = cheb_grid(loewner._NODES)
     if kind == "atom":  # node-major, as the iterates
         u = (rng.uniform(-2.0, 2.0, (n, 1))
-             + 0.5 * (xstd + 1.0) * rng.uniform(-1.0, 1.0, (n, 1))).T
+             + 0.5 * (xstd + 1.0) * rng.uniform(-1.0, 1.0, (n, 1))).T[:, lanes]
         f = lambda V: 1.0 / (V - u)
     else:
         f = semicircle().cauchy
@@ -752,7 +753,8 @@ def _picard_case(seed, kind):
 
     with np.errstate(over="ignore"):  # eta^2 = inf far above the axis: 1/eta^2 = 0
         inv_eta2 = 1.0 / (eta * eta)
-    return (w0, h, 1.0 / eta, inv_eta2, target), integrand, calls
+    args = tuple(x[lanes] for x in (w0, h, 1.0 / eta, inv_eta2, target))
+    return args, integrand, calls
 
 
 @pytest.mark.parametrize("nodes", [24, 40])
@@ -817,6 +819,35 @@ def test_picard_refuses_just_past_the_last_column(kind):
     args[4][0] = np.nextafter(full_table(*args[1:4])[0, -1], 0.0)
     with pytest.raises(NonConvergenceError, match="within 64 sweeps"):
         loewner._picard(*args, integrand)
+    assert calls == []
+
+
+@pytest.mark.parametrize("kind", ["atom", "semicircle"])
+def test_one_lane_picard_matches_the_table(kind):
+    # each lane alone, as a round with one lane left runs it, sweeps as often
+    # as its row of the full table asks and returns that row's tail and the
+    # reference loop's iterates, bit for bit; so does the lane at the cap
+    # sent to a second, third and last block
+    args, _, _ = _picard_case(5, kind)
+    tails = full_table(*args[1:4])
+    runs = [(j, None) for j in range(args[0].size)]
+    runs += [(0, depth) for depth in (1e-30, 1e-60, tails[0, -1])]
+    for j, depth in runs:
+        lane, integrand, calls = _picard_case(5, kind, slice(j, j + 1))
+        if depth is not None:
+            lane[4][0] = depth
+        want = int(np.argmax(tails[j] <= lane[4][0])) + 1
+        B, tail = loewner._picard(*lane, integrand)
+        assert len(calls) == want
+        assert tail.shape == (1,) and tail[0] == tails[j, want - 1]
+        B_ref, _ = reference_picard(*lane, integrand)
+        assert len(calls) == 2 * want and np.array_equal(B, B_ref)
+    assert want == loewner._MAX_PICARD
+    # one lane past the last column refuses before its first sweep
+    lane, integrand, calls = _picard_case(5, kind, slice(0, 1))
+    lane[4][0] = np.nextafter(tails[0, -1], 0.0)
+    with pytest.raises(NonConvergenceError, match="within 64 sweeps"):
+        loewner._picard(*lane, integrand)
     assert calls == []
 
 
@@ -955,6 +986,26 @@ def test_evaluate_map_is_time_zero_start():
     assert evaluate_map(DELTA0, 1.7, z) == solve_transition(DELTA0, 0.0, 1.7, z)
 
 
+@pytest.mark.parametrize("fam", [
+    DELTA0,
+    DriverFamily.constant(semicircle(), horizon=4.0),
+    DriverFamily.piecewise_constant([0.0, 0.8], [point_mass(0.0), semicircle()], horizon=4.0),
+    DriverFamily.moving_atom(LINEAR_ATOM),
+    DriverFamily.moving_atom(SEAMED_ATOM),
+], ids=["delta0", "semicircle", "delta0-semicircle", "atom", "seamed-atom"])
+def test_pointwise_calls_equal_the_grid_at_one_point(fam):
+    # the pointwise entry points skip the array set-up, not a bit of the
+    # value or of its bound
+    zs = small_grid()[::5]
+    for t in (0.25, 1.0, 2.0):
+        tm = TransitionMap(fam, 0.0, t)
+        for z in zs:
+            w, e = transition_grid(fam, 0.0, t, z)
+            assert solve_transition(fam, 0.0, t, z) == w
+            assert evaluate_map(fam, t, z) == w
+            assert tm(z) == w and tm.evaluate(z) == (w, e)
+
+
 def test_transition_map_wrapper():
     tm = TransitionMap(DELTA0, 0.5, 2.0)
     z = 1.0 + 1.0j
@@ -1056,6 +1107,47 @@ def test_rejects_points_at_or_below_axis():
                       lambda: TransitionMap(DELTA0, 0.0, 1.0).evaluate(z)):
             with pytest.raises(InvalidInputError, match=message):
                 solve()
+
+
+SOLVER_REFUSALS = {
+    "a-nan": (DELTA0, math.nan, 1.0, 1j, InvalidInputError, "times must be finite"),
+    "b-inf": (DELTA0, 0.0, math.inf, 1j, InvalidInputError, "times must be finite"),
+    "b-inf-no-horizon": (DriverFamily.constant(point_mass()), 0.0, math.inf, 1j,
+                         InvalidInputError, "times must be finite"),
+    "a-negative": (DELTA0, -0.5, 0.5, 1j, InvalidInputError, "times must be non-negative"),
+    "a-after-b": (DELTA0, 1.0, 0.5, 1j, InvalidInputError, "need a <= b"),
+    "b-past-horizon": (DELTA0, 0.0, 9.0, 1j, InvalidInputError,
+                       "b lies beyond the driver horizon"),
+    "z-nan": (DELTA0, 0.0, 1.0, complex(math.nan, 1.0), InvalidInputError, "z must be finite"),
+    "z-inf": (DELTA0, 0.0, 1.0, complex(0.0, math.inf), InvalidInputError, "z must be finite"),
+    "z-on-axis": (DELTA0, 0.0, 1.0, 1.0 + 0.0j, InvalidInputError,
+                  "z must lie in the open upper half-plane"),
+    "z-below-axis": (DELTA0, 0.0, 1.0, 1.0 - 1.0j, InvalidInputError,
+                     "z must lie in the open upper half-plane"),
+    "z-under-floor": (DELTA0, 0.0, 1.0, 1.0 + 1e-5j, InvalidInputError,
+                      "Im z below the solver floor 0.000316 for tol 1e-09"),
+    "not-a-family": ("not a family", 0.0, 1.0, 1j, InvalidInputError,
+                     "family must be a DriverFamily"),
+    "span-too-long": (DriverFamily.constant(point_mass()), 0.0, 1e200, 1j, NonConvergenceError,
+                      "time span too long for the requested tolerance"),
+    "too-steep": (DriverFamily.moving_atom([(0.0, 0.0), (1.0, 1e12)]), 0.0, 1.0, 1j,
+                  NonConvergenceError, "substep count exceeded the global cap"),
+}
+
+
+@pytest.mark.parametrize("name", SOLVER_REFUSALS)
+def test_one_point_refusals_agree_across_entry_points(name):
+    # one class and one message whichever door a single point comes in by
+    fam, a, b, z, error, message = SOLVER_REFUSALS[name]
+    calls = [lambda: solve_transition(fam, a, b, z), lambda: transition_grid(fam, a, b, z)]
+    if a == 0.0:
+        calls.append(lambda: evaluate_map(fam, b, z))
+    if name.startswith("z-"):
+        calls.append(lambda: TransitionMap(fam, a, b).evaluate(z))
+    for call in calls:
+        with pytest.raises(error) as info:
+            call()
+        assert type(info.value) is error and str(info.value) == message
 
 
 def test_no_config_means_the_default_config():
