@@ -67,9 +67,15 @@ allocated per sweep but the integrand's value, kept only until its product
 has run.  A round with one lane left, as every round of a one-point solve,
 counts its sweeps and its certified tail in floats, with the remainder
 table's operations in the table's order, so both match the table bit for
-bit.  The pointwise entry points check their one lane in floats too, and
-send a lane that fails any check through the array checks, which refuse
-it with their own class and message.  A driver is a
+bit.  A solve with one lane to move runs its rounds on floats too
+(``_lane_rounds``): the substep rule's expressions in the lockstep loop's
+order, numpy only where Python rounds differently (the power of
+``_solve_rho`` and hypot), so its values, bounds and substep counts are
+the lockstep loop's bit for bit; the span refusals before the rounds run
+on arrays for one lane as for many.  The pointwise entry points check
+their one lane in floats too, and send a lane that fails any check, or
+that floats cannot read, through the array checks, which refuse it with
+their own class and message.  A driver is a
 ``DriverFamily`` subclass that supplies its
 measure lookup, its knot table (the pieces no substep may straddle, with
 the hull of the support at each, the slope at which the atom path moves it
@@ -150,6 +156,7 @@ took 27,810.
 from __future__ import annotations
 
 import math
+from bisect import bisect_left
 from dataclasses import dataclass, replace
 from typing import Callable, ClassVar, Sequence
 
@@ -181,6 +188,9 @@ _MAX_ROUNDS = 200_000  # most substeps of one lane
 _MIN_STEP = 1e-12
 _SPEED_SLACK = 3.0    # c of the substep rule's ellipse height (module docstring)
 _UNIT_ATOM = point_mass()  # its g_bounds are the atom constants
+_ROUND_CAP = "substep count exceeded the global cap"
+_UNDERFLOW = ("substep size underflow: evaluation too close to the hull "
+              "for the requested tolerance")
 
 
 @dataclass(frozen=True)
@@ -554,7 +564,8 @@ def _evolve(
     cfg: SolverConfig,
 ) -> tuple[np.ndarray, np.ndarray]:
     # Runs under _solve_many's errstate: far above the axis eta^2 overflows
-    # to inf and 1/eta^2 = 0 is the right limit there; a nan step refuses.
+    # to inf and 1/eta^2 = 0 is the right limit there, as is h0 = inf where
+    # K underflows to 0 (the max_step cap holds it); a nan step refuses.
     w = z.astype(complex, copy=True)
     err = np.zeros(z.size)
     span = np.maximum(b - a, _MIN_STEP)  # budget scale only; a == b never iterates
@@ -576,10 +587,15 @@ def _evolve(
     variation = np.interp(b, knots, cumvar) - np.interp(a, knots, cumvar)
     too_steep = 1.5 * _SPEED_SLACK * variation > _MAX_ROUNDS * eta_max
     if (b - a > _MAX_ROUNDS * cfg.max_step).any() or too_steep.any():
-        raise NonConvergenceError("substep count exceeded the global cap")
+        raise NonConvergenceError(_ROUND_CAP)
 
     # the lockstep set act, with its s, a and span; act[0] entered first
     queue = np.flatnonzero(b > a)
+    if queue.size == 1:
+        i = queue[0]
+        w[i], err[i] = _lane_rounds(family, float(b[i]), float(a[i]), float(span[i]),
+                                    complex(w[i]), cfg)
+        return w, err
     act, queue = queue[:_CHUNK], queue[_CHUNK:]
     lanes = (b, a, span)
     s, a, span = (x[act] for x in lanes)
@@ -587,7 +603,7 @@ def _evolve(
     r = 0
     while act.size:
         if r - entered[act[0]] >= _MAX_ROUNDS:
-            raise NonConvergenceError("substep count exceeded the global cap")
+            raise NonConvergenceError(_ROUND_CAP)
         eta = w.imag[act]
         # the piece under the substep: the last knot below s (s > a >= 0)
         piece = np.searchsorted(knots, s, side="left") - 1
@@ -614,10 +630,7 @@ def _evolve(
             # follows the piece's variation, which the test above caps.
             short = (knots[piece + 1] - knots[piece] < _MIN_STEP) & (s - h0 < s)
             if not ((h0 >= _MIN_STEP) | short).all():
-                raise NonConvergenceError(
-                    "substep size underflow: evaluation too close to the hull "
-                    "for the requested tolerance"
-                )
+                raise NonConvergenceError(_UNDERFLOW)
 
         # no substep straddles a knot; exact arrival at a, no fp drift
         start = knots[piece]
@@ -656,6 +669,66 @@ def _evolve(
     return w, err
 
 
+def _lane_rounds(
+    family: DriverFamily,
+    s: float,
+    a: float,
+    span: float,
+    w: complex,
+    cfg: SolverConfig,
+) -> tuple[complex, float]:
+    # _evolve's rounds for one lane, in floats: the lockstep rule's
+    # expressions in its order, so every value, bound and substep count is
+    # its own bit for bit.  numpy keeps what Python rounds differently (the
+    # power in _solve_rho and hypot), and the driver gets one-element arrays.
+    # Python's min and max keep their first argument when a later one is
+    # nan, where np.minimum and np.maximum pass it on: each operand that can
+    # carry a nan comes first, and a nan contraction cap refuses by itself.
+    knots, slopes = family._knots.tolist(), family._slopes.tolist()
+    lows, highs = family._lows.tolist(), family._highs.tolist()
+    err = 0.0
+    for _ in range(_MAX_ROUNDS):
+        eta = w.imag
+        k = bisect_left(knots, s) - 1
+        piece = np.array([k])
+        M, K, L = (x.item() for x in family._bounds(piece, np.array([eta])))
+        v = slopes[k]
+        two_over_eta2 = 2.0 / (eta * eta)
+        amp_cap = math.sqrt(1.0 + (s - a) * two_over_eta2)
+        R = 60.0 * span * amp_cap * K / cfg.tol
+        rho = _solve_rho(np.array([R])).item()
+        spread = (rho - 1.0 / rho) * (0.5 * K + _SPEED_SLACK * abs(v))
+        h0 = eta / spread if spread else math.inf  # eta / 0, as numpy has it
+        cap = cfg.contraction_margin / max(L, _TINY)
+        h0 = min(h0, cap, cfg.max_step) if cap == cap else cap
+        if not h0 >= _MIN_STEP and not (knots[k + 1] - knots[k] < _MIN_STEP and s - h0 < s):
+            raise NonConvergenceError(_UNDERFLOW)
+
+        start = knots[k]
+        land = max(s - h0, start, a)
+        h = s - land
+        shift = v * (land - start)
+        u0, du = lows[k] + shift, v * h
+        x = w.real
+        gap = max(u0 + min(du, 0.0) - x, x - (highs[k] + shift + max(du, 0.0)), 0.0)
+        d = np.hypot(np.array([gap]), eta).item()
+        near = max(d - M * h, eta)
+        L = min(1.0 / (near * near), L)
+
+        amp = math.sqrt(1.0 + (land - a) * two_over_eta2)
+        budget = cfg.tol * h / (span * amp)
+        # the driver's arguments as _evolve passes them, one-element arrays;
+        # the certified Picard tail gets 0.8 of the budget, as there
+        lane = np.array([u0, du, h, min(1.0 / d, M), L, 0.8 * budget])[:, None]
+        Bn, tail = family._substep(piece, *lane[:3], np.array([w]), *lane[3:])
+        w = complex(Bn[0, 0])
+        err += (tail.item() + 0.2 * budget) * amp
+        if not land > a:
+            return w, err
+        s = land
+    raise NonConvergenceError(_ROUND_CAP)
+
+
 def _solve_many(
     family: DriverFamily,
     a,
@@ -685,19 +758,25 @@ def _solve_many(
             f"Im z below the solver floor {floor:.3g} for tol {cfg.tol:.3g}"
         )
 
-    with np.errstate(over="ignore", invalid="ignore"):
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
         w, e = _evolve(family, a_arr, b_arr, z_arr, cfg)
     return w.reshape(shape), e.reshape(shape)
 
 
 def _solve_one(family: DriverFamily, a, b, z, config: SolverConfig | None) -> tuple[complex, float]:
     # _solve_many at one point: its checks in floats, and a lane that fails
-    # one goes through _solve_many, which refuses with its class and message
+    # one, or that floats cannot read, goes through _solve_many, which
+    # refuses with its class and message
     cfg = config or _DEFAULT_CONFIG
-    a, b, z = float(a), float(b), complex(z)
-    if (isinstance(family, DriverFamily) and 0.0 <= a <= b <= family.horizon
-            and b < math.inf and abs(z.real) < math.inf and cfg.min_imag <= z.imag < math.inf):
-        with np.errstate(over="ignore", invalid="ignore"):
+    try:
+        a, b, z = float(a), float(b), complex(z)
+    except (TypeError, ValueError, OverflowError):
+        fits = False
+    else:
+        fits = (isinstance(family, DriverFamily) and 0.0 <= a <= b <= family.horizon
+                and b < math.inf and abs(z.real) < math.inf and cfg.min_imag <= z.imag < math.inf)
+    if fits:
+        with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
             w, e = _evolve(family, np.array([a]), np.array([b]), np.array([z]), cfg)
     else:
         w, e = _solve_many(family, a, b, z, cfg)
@@ -754,6 +833,8 @@ class TransitionMap:
     config: SolverConfig = _DEFAULT_CONFIG
 
     def __post_init__(self) -> None:
+        if not isinstance(self.family, DriverFamily):
+            raise InvalidInputError("family must be a DriverFamily")
         if not (0 <= self.a <= self.b):
             raise InvalidInputError("need 0 <= a <= b")
         if self.b > self.family.horizon:

@@ -986,13 +986,17 @@ def test_evaluate_map_is_time_zero_start():
     assert evaluate_map(DELTA0, 1.7, z) == solve_transition(DELTA0, 0.0, 1.7, z)
 
 
-@pytest.mark.parametrize("fam", [
+# the benchmark's five drivers
+FIVE_DRIVERS = pytest.mark.parametrize("fam", [
     DELTA0,
     DriverFamily.constant(semicircle(), horizon=4.0),
     DriverFamily.piecewise_constant([0.0, 0.8], [point_mass(0.0), semicircle()], horizon=4.0),
     DriverFamily.moving_atom(LINEAR_ATOM),
     DriverFamily.moving_atom(SEAMED_ATOM),
 ], ids=["delta0", "semicircle", "delta0-semicircle", "atom", "seamed-atom"])
+
+
+@FIVE_DRIVERS
 def test_pointwise_calls_equal_the_grid_at_one_point(fam):
     # the pointwise entry points skip the array set-up, not a bit of the
     # value or of its bound
@@ -1004,6 +1008,87 @@ def test_pointwise_calls_equal_the_grid_at_one_point(fam):
             assert solve_transition(fam, 0.0, t, z) == w
             assert evaluate_map(fam, t, z) == w
             assert tm(z) == w and tm.evaluate(z) == (w, e)
+
+
+@FIVE_DRIVERS
+def test_one_lane_rounds_match_the_lockstep_loop(monkeypatch, fam):
+    # a lane alone runs its rounds on floats, a lane beside its twin runs
+    # them on arrays: both give the same value and bound, and the same h and
+    # sweep count at every substep, bit for bit
+    picard = loewner._picard
+    substeps = []
+
+    def counted(w0, h, M, L, target, integrand):
+        calls = []
+
+        def spy(B):
+            calls.append(1)
+            return integrand(B)
+        out = picard(w0, h, M, L, target, spy)
+        substeps.append((tuple(h), len(calls)))
+        return out
+
+    monkeypatch.setattr(loewner, "_picard", counted)
+    for t in (0.25, 1.0, 2.0):
+        for z in small_grid():
+            substeps.clear()
+            w, e = transition_grid(fam, 0.0, t, [z])
+            alone = [(h * 2, sweeps) for h, sweeps in substeps]
+            substeps.clear()
+            twins = transition_grid(fam, 0.0, t, [z, z])
+            assert np.array_equal(twins[0], [w[0], w[0]])
+            assert np.array_equal(twins[1], [e[0], e[0]])
+            assert alone == substeps and len(alone) > 0
+
+
+@pytest.mark.parametrize("where, message", [
+    ("M", "Picard iteration failed to certify within 64 sweeps"),
+    ("K", "substep size underflow"),
+    ("L", "substep size underflow"),
+    ("re w", "Picard iteration failed to certify within 64 sweeps"),
+    ("im w", "substep size underflow"),
+])
+def test_nan_steps_refuse_alike_on_one_lane_and_in_lockstep(monkeypatch, where, message):
+    # Python's min and max drop a nan that np.minimum and np.maximum pass
+    # on: a nan regularity constant, or a nan landing after the first
+    # substep, refuses a lane alone as it refuses the lane beside its twin
+    if where in ("M", "K", "L"):
+        bounds = DriverFamily._bounds
+
+        def nan_bounds(self, piece, eta):
+            out = list(bounds(self, piece, eta))
+            out["MKL".index(where)] = np.full(eta.shape, np.nan)
+            return tuple(out)
+        monkeypatch.setattr(DriverFamily, "_bounds", nan_bounds)
+    else:
+        substep = loewner._MovingAtom._substep
+
+        def nan_landing(self, *args):
+            B, tail = substep(self, *args)
+            (B.real if where == "re w" else B.imag)[0] = np.nan
+            return B, tail
+        monkeypatch.setattr(loewner._MovingAtom, "_substep", nan_landing)
+    fam = DriverFamily.moving_atom(LINEAR_ATOM)
+    z = 0.5 + 1.0j  # two substeps at least: h <= Im z^2 / 2
+    for zs in ([z], [z, z]):
+        with pytest.raises(NonConvergenceError, match=message):
+            transition_grid(fam, 0.0, 1.0, zs)
+
+
+@pytest.mark.parametrize("fam, z", [
+    (DELTA0, 1e200j),
+    (DriverFamily.constant(semicircle(radius=1e-6), horizon=4.0), 1.7e308j),
+], ids=["delta0", "narrow-semicircle"])
+def test_lanes_far_above_the_axis_answer_at_every_entry_point(fam, z):
+    # eta^2 overflows to inf there, and under a density of peak 6e5 K
+    # underflows to 0 too (h0 = eta / 0 = inf, which max_step caps): each
+    # entry point answers as the lockstep loop does, with no warning
+    w, e = transition_grid(fam, 0.0, 1.0, [z, z])
+    assert w[0] == w[1] and e[0] == e[1] <= SolverConfig().tol
+    alone = transition_grid(fam, 0.0, 1.0, [z])
+    assert np.array_equal(alone[0], w[:1]) and np.array_equal(alone[1], e[:1])
+    assert solve_transition(fam, 0.0, 1.0, z) == evaluate_map(fam, 1.0, z) == w[0]
+    assert TransitionMap(fam, 0.0, 1.0).evaluate(z) == (w[0], e[0])
 
 
 def test_transition_map_wrapper():
@@ -1126,24 +1211,32 @@ SOLVER_REFUSALS = {
                      "z must lie in the open upper half-plane"),
     "z-under-floor": (DELTA0, 0.0, 1.0, 1.0 + 1e-5j, InvalidInputError,
                       "Im z below the solver floor 0.000316 for tol 1e-09"),
+    "z-none": (DELTA0, 0.0, 1.0, None, InvalidInputError, "z must be finite"),
     "not-a-family": ("not a family", 0.0, 1.0, 1j, InvalidInputError,
                      "family must be a DriverFamily"),
     "span-too-long": (DriverFamily.constant(point_mass()), 0.0, 1e200, 1j, NonConvergenceError,
                       "time span too long for the requested tolerance"),
     "too-steep": (DriverFamily.moving_atom([(0.0, 0.0), (1.0, 1e12)]), 0.0, 1.0, 1j,
                   NonConvergenceError, "substep count exceeded the global cap"),
+    # a trailing config; Im z = 1e-6 is the floor at tol 1e-14
+    "underflow": (DELTA0, 0.0, 1.0, 0.3 + 1e-6j, NonConvergenceError,
+                  "substep size underflow: evaluation too close to the hull "
+                  "for the requested tolerance", SolverConfig(tol=1e-14)),
 }
 
 
 @pytest.mark.parametrize("name", SOLVER_REFUSALS)
 def test_one_point_refusals_agree_across_entry_points(name):
-    # one class and one message whichever door a single point comes in by
-    fam, a, b, z, error, message = SOLVER_REFUSALS[name]
-    calls = [lambda: solve_transition(fam, a, b, z), lambda: transition_grid(fam, a, b, z)]
+    # one class and one message whichever door a single point comes in by,
+    # alone or beside its twin
+    fam, a, b, z, error, message, *cfg = SOLVER_REFUSALS[name]
+    calls = [lambda: solve_transition(fam, a, b, z, *cfg),
+             lambda: transition_grid(fam, a, b, z, *cfg),
+             lambda: transition_grid(fam, a, b, [z, z], *cfg)]
     if a == 0.0:
-        calls.append(lambda: evaluate_map(fam, b, z))
-    if name.startswith("z-"):
-        calls.append(lambda: TransitionMap(fam, a, b).evaluate(z))
+        calls.append(lambda: evaluate_map(fam, b, z, *cfg))
+    if not name.startswith(("a-", "b-")):  # TransitionMap checks times its own way
+        calls.append(lambda: TransitionMap(fam, a, b, *cfg).evaluate(z))
     for call in calls:
         with pytest.raises(error) as info:
             call()
