@@ -58,10 +58,12 @@ times at most
 One Picard loop, ``_picard``, serves every driver.  Per substep the
 iterates live on a Chebyshev-Lobatto grid, node-major: an ``(N, lanes)``
 array whose first row, at the lower end of the substep, is where each lane
-lands.  The loop takes from the driver only ``integrand(B)``: the driver's
-integrand at the node values ``B``.  The quadrature is the loop's own, one
-real product ``tails @ F.view(float)`` per sweep over the real and
-imaginary parts side by side, written into ``B``: no complex copy of
+lands, and that row is what the loop returns.  The loop takes from the
+driver only ``integrand(*args, B)``: the driver's integrand at the node
+values ``B``, after per-lane arguments (the moving atom's node positions)
+that the loop cuts to the lanes still sweeping.  The quadrature is the
+loop's own, one real product ``tails @ F.view(float)`` per sweep over the
+real and imaginary parts side by side, written into ``B``: no complex copy of
 ``tails``, half the multiply-adds of a complex product, and no array
 allocated per sweep but the integrand's value, kept only until its product
 has run.  A round with one lane left, as every round of a one-point solve,
@@ -86,11 +88,18 @@ lane's piece.  ``_evolve`` moves at most ``_CHUNK`` lanes at once, in
 lockstep, a substep each per round, and looks each lane's piece up in the
 table once per round and hands it to both.  A lane that lands gives its
 slot to the next one waiting, in index order, and ``_MAX_ROUNDS`` caps each
-lane's substeps from the round it entered; a round sweeps as often as its
-neediest lane asks, so a value depends on its set within its bound, not bit
-for bit.  The extra sweeps cost less than skipping them: sorting the lanes
-by their own sweep count and sweeping a shrinking prefix took the 10k-lane
-delta_0 batch from 89 to 112 ms (2-core Xeon).  Two drivers exist:
+lane's substeps from the round it entered.  Within a round each lane has its
+own sweep count, since the remainder above is a per-lane quantity.  Before
+sweep j of a round's n, the lanes whose count is at most j leave the sweep
+once the k (n - j) lane-sweeps that k of them save reach ``_DROP_GAIN``;
+the loop keeps each one's landing value and cuts the iterates and the
+per-lane arguments to the lanes left.  A cut copies those arrays: 9 us at
+16 lanes and 18 us at 200 (2-core Xeon), more than the few lane-sweeps it
+would save in the small rounds that make up most of a 200-point grid, so
+there done lanes sweep on beside the others.  A lane swept past its count
+keeps its count's remainder as its bound, which still covers it: the
+remainder after more sweeps sums a tail of the same series.  So a value
+depends on its set within its bound, not bit for bit.  Two drivers exist:
 piecewise-constant measure families and a moving atom along a
 piecewise-linear path.  A piecewise-constant driver evaluates the Cauchy
 transform by ``RealMeasure.cauchy``: atoms exactly and each segment by its
@@ -158,6 +167,7 @@ from __future__ import annotations
 import math
 from bisect import bisect_left
 from dataclasses import dataclass, replace
+from functools import partial
 from typing import Callable, ClassVar, Sequence
 
 import numpy as np
@@ -184,6 +194,7 @@ _NODES = 40           # Chebyshev-Lobatto collocation points per substep
 _CHUNK = 1024         # most lanes moving at once (module docstring)
 _MAX_PICARD = 64
 _SWEEP_BLOCK = 16     # columns of the Picard remainder table built at a time
+_DROP_GAIN = 128      # lane-sweeps a cut of the Picard arrays must save
 _MAX_ROUNDS = 200_000  # most substeps of one lane
 _MIN_STEP = 1e-12
 _SPEED_SLACK = 3.0    # c of the substep rule's ellipse height (module docstring)
@@ -365,8 +376,9 @@ class DriverFamily:
         ``L`` of ``_picard``.  The moving atom sits at ``u0`` at the lower
         end of each and moves by ``du`` over it; other drivers ignore both.
 
-        Returns the node values, node-major as ``_picard`` leaves them,
-        and the certified Picard tail, which is at most ``target``.
+        Returns each lane's value at the lower end of its substep, where
+        it lands, and the certified Picard tail, which is at most
+        ``target``.
         """
         raise NotImplementedError
 
@@ -401,10 +413,10 @@ class _MovingAtom(DriverFamily):
         xstd, _ = cheb_grid(_NODES)
         u = u0 + (0.5 * (xstd[:, None] + 1.0)) * du
 
-        def integrand(V):  # 1/(V - u), in place
+        def integrand(u, V):  # 1/(V - u), in place
             d = V - u
             return np.divide(1.0, d, out=d)
-        return _picard(w0, h, M, L, target, integrand)
+        return _picard(w0, h, M, L, target, integrand, u)
 
 
 def driver_measure_at(family: DriverFamily, t: float) -> RealMeasure:
@@ -483,45 +495,94 @@ def _picard(
     M: np.ndarray,
     L: np.ndarray,
     target: np.ndarray,
-    integrand: Callable[[np.ndarray], np.ndarray],
+    integrand: Callable[..., np.ndarray],
+    *args: np.ndarray,
 ) -> tuple[np.ndarray, np.ndarray]:
     """Fixed-point iteration for one substep per point.
 
     Iterates live as values on the Lobatto grid, node-major: row j holds
-    every point's value at node j.  ``integrand`` maps them to the driver's
-    integrand there (the Cauchy transform, or 1/(B - U)); each sweep
+    every point's value at node j.  ``integrand(*args, B)`` maps them to the
+    driver's integrand there (the Cauchy transform, or 1/(B - U)), where
+    each of ``args`` holds per-point values on its last axis; each sweep
     integrates it over the standard grid as one real product with
     ``tails``.  ``M`` bounds |G| at ``w0`` and ``L`` bounds |G'| where
     the iterates go.  The certified remainder after n sweeps depends on
-    ``(h, M, L, n)`` only, so the sweep count is fixed before the first
-    sweep: the least n that brings every point within its target.  Returns the accepted node
-    values, shape ``(nodes, points)``, and the certified remainder per
-    point.
+    ``(h, M, L, n)`` only, so each point's sweep count is fixed before the
+    first sweep: the least n that brings it within its target.  A point
+    that has had its count leaves the sweep, with ``B``, ``w0``, ``h`` and
+    ``args`` cut to the points still sweeping, once the sweeps that saves
+    reach ``_DROP_GAIN``; until then it sweeps on beside the others and
+    keeps its own count's remainder, which still covers it.  Returns each
+    point's value at the lower end of the substep and its certified
+    remainder.
     """
     if w0.size == 1 and h[0] * L[0] <= 1.0:
         sweeps, tail = _lane_sweeps(float(h[0]), float(M[0]), float(L[0]), float(target[0]))
+        stops = [sweeps]
     else:
-        sweeps, tail = _table_sweeps(h, M, L, target)
+        counts, tail = _table_sweeps(h, M, L, target)
+        stops = _sweep_stops(counts)
     _, quad = cheb_grid(_NODES)
     B = np.repeat(w0[None, :], _NODES, axis=0)
-    real = B.view(float)  # (nodes, 2 points): re and im side by side
     half_h = 0.5 * h
-    for _ in range(sweeps):
-        F = np.ascontiguousarray(integrand(B), dtype=complex)
-        # cheb_grid's tails act on re and im alike: one real product,
-        # written into B, whose old values F has replaced
-        np.matmul(quad, F.view(float), out=real)
-        del F
-        B *= half_h
-        np.subtract(w0, B, out=B)
-    return B, tail
+    land = lane = None  # once a point has left: every landing, and who sweeps
+    done = 0
+    for stop in stops:
+        if done:  # the points whose count is at most done leave
+            keep = counts > done
+            if lane is None:
+                land, lane = np.empty(w0.size, dtype=complex), np.arange(w0.size)
+            land[lane[~keep]] = B[0, ~keep]
+            # compress copies C-contiguous, as the view of B as floats needs
+            lane, counts, w0, half_h, B = (x.compress(keep, axis=-1)
+                                           for x in (lane, counts, w0, half_h, B))
+            args = tuple(x.compress(keep, axis=-1) for x in args)
+        real = B.view(float)  # (nodes, 2 points): re and im side by side
+        f = partial(integrand, *args)  # bound once: a call with *args costs 0.1 us a sweep
+        for _ in range(stop - done):
+            F = np.ascontiguousarray(f(B), dtype=complex)
+            # cheb_grid's tails act on re and im alike: one real product,
+            # written into B, whose old values F has replaced
+            np.matmul(quad, F.view(float), out=real)
+            del F
+            B *= half_h
+            np.subtract(w0, B, out=B)
+        done = stop
+    if lane is None:
+        return B[0], tail
+    land[lane] = B[0]
+    return land, tail
+
+
+def _sweep_stops(counts: np.ndarray) -> list[int]:
+    # the sweeps j, in order, before which the points done by then leave, and
+    # last the largest count: k of them leaving at j save k (sweeps - j)
+    # point-sweeps, and cutting the arrays costs about as much as _DROP_GAIN
+    # point-sweeps do.  All points but one at most leave, none before the
+    # least count: most rounds stop at the first test.
+    sweeps = int(counts.max())
+    if (counts.size - 1) * (sweeps - 1) < _DROP_GAIN:
+        return [sweeps]
+    low = int(counts.min())
+    if (counts.size - 1) * (sweeps - low) < _DROP_GAIN:
+        return [sweeps]
+    ready = np.bincount(counts, minlength=sweeps).cumsum().tolist()  # counts <= j
+    stops, left = [], 0
+    for j in range(low, sweeps):
+        if (ready[j] - left) * (sweeps - j) >= _DROP_GAIN:
+            stops.append(j)
+            left = ready[j]
+    return stops + [sweeps]
 
 
 def _table_sweeps(h, M, L, target):
-    # the least sweep count n that brings every lane within its target, and
-    # the certified remainder per lane after n sweeps
+    # each lane's sweep count and its certified remainder after that many
+    # sweeps: the remainder falls from column to column of the table, so the
+    # count, 1 plus the columns where the remainder is not within the target,
+    # is 1 plus the first column where it is; a nan never is, and refuses
     L_col = L[:, None]
     h_col = h[:, None]
+    blocks, within = [], []
     # after sweep n the remainder is M h prod_{k=2}^{n+1} (L h)/k over
     # 1 - (L h)/(n+2), with L h not rounded once and reused, lest its rounding
     # compound; each block seeds its cumprod with the last of the one before
@@ -533,13 +594,15 @@ def _table_sweeps(h, M, L, target):
         prods = np.cumprod(factors, axis=1, out=factors)
         tails = prods * (M * h)[:, None]
         tails /= 1.0 - h_col * L_col / (k + 1.0)
-        done = (tails <= target[:, None]).all(axis=0)
-        if done.any():
-            break
-    else:
-        raise NonConvergenceError("Picard iteration failed to certify within 64 sweeps")
-    col = int(done.argmax())
-    return lo + col + 1, tails[:, col]
+        ok = tails <= target[:, None]
+        blocks.append(tails)
+        within.append(ok)
+        if ok[:, -1].all():  # every lane within its target by the last column
+            if lo:
+                tails, ok = np.concatenate(blocks, axis=1), np.concatenate(within, axis=1)
+            col = ok.argmax(axis=1)
+            return col + 1, tails[np.arange(h.size), col]
+    raise NonConvergenceError("Picard iteration failed to certify within 64 sweeps")
 
 
 def _lane_sweeps(h: float, M: float, L: float, target: float) -> tuple[int, np.ndarray]:
@@ -654,9 +717,10 @@ def _evolve(
         budget = cfg.tol * h / (span * amp)
         # the certified Picard tail gets 0.8 of the budget; the rule above
         # keeps the interpolation error under the other 0.2
-        Bn, tail = family._substep(piece, u0, du, h, w0, np.minimum(M, 1.0 / d), L, 0.8 * budget)
+        landed, tail = family._substep(piece, u0, du, h, w0, np.minimum(M, 1.0 / d), L,
+                                       0.8 * budget)
 
-        w[act] = Bn[0]
+        w[act] = landed
         err[act] += (tail + 0.2 * budget) * amp
         moving = land > a
         act, s, a, span = act[moving], land[moving], a[moving], span[moving]
@@ -720,8 +784,8 @@ def _lane_rounds(
         # the driver's arguments as _evolve passes them, one-element arrays;
         # the certified Picard tail gets 0.8 of the budget, as there
         lane = np.array([u0, du, h, min(1.0 / d, M), L, 0.8 * budget])[:, None]
-        Bn, tail = family._substep(piece, *lane[:3], np.array([w]), *lane[3:])
-        w = complex(Bn[0, 0])
+        landed, tail = family._substep(piece, *lane[:3], np.array([w]), *lane[3:])
+        w = landed.item()
         err += (tail.item() + 0.2 * budget) * amp
         if not land > a:
             return w, err
@@ -778,6 +842,8 @@ def _solve_one(family: DriverFamily, a, b, z, config: SolverConfig | None) -> tu
     if fits:
         with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
             w, e = _evolve(family, np.array([a]), np.array([b]), np.array([z]), cfg)
+    elif np.size(z) != 1:
+        raise InvalidInputError("z must be a single point")
     else:
         w, e = _solve_many(family, a, b, z, cfg)
     return w.item(), e.item()
@@ -835,9 +901,15 @@ class TransitionMap:
     def __post_init__(self) -> None:
         if not isinstance(self.family, DriverFamily):
             raise InvalidInputError("family must be a DriverFamily")
-        if not (0 <= self.a <= self.b):
+        try:
+            a, b = float(self.a), float(self.b)
+        except (TypeError, ValueError, OverflowError):
+            a = b = math.nan
+        if not (math.isfinite(a) and math.isfinite(b)):
+            raise InvalidInputError("times must be finite")
+        if not (0 <= a <= b):
             raise InvalidInputError("need 0 <= a <= b")
-        if self.b > self.family.horizon:
+        if b > self.family.horizon:
             raise InvalidInputError("b lies beyond the driver horizon")
 
     def __call__(self, z: complex) -> complex:

@@ -63,15 +63,17 @@ def _node_sum(pos: np.ndarray, wts: np.ndarray, z: np.ndarray) -> np.ndarray:
     """sum_j wts_j / (z - pos_j) at every point of the complex array z.
 
     Points go in blocks so the (point, node) temporaries stay under
-    _CAUCHY_BLOCK pairs; a row's sum does not depend on the blocking.
+    _CAUCHY_BLOCK pairs; a row's sum does not depend on the blocking.  A
+    term that overflows gives a non-finite sum, which the callers refuse.
     """
-    if z.size * pos.size <= _CAUCHY_BLOCK:
-        return (wts / (z[..., None] - pos)).sum(axis=-1)
-    flat = z.ravel()
-    out = np.empty(flat.size, dtype=complex)
-    step = max(1, _CAUCHY_BLOCK // pos.size)
-    for lo in range(0, flat.size, step):
-        out[lo:lo + step] = (wts / (flat[lo:lo + step, None] - pos)).sum(axis=-1)
+    with np.errstate(over="ignore", invalid="ignore"):
+        if z.size * pos.size <= _CAUCHY_BLOCK:
+            return (wts / (z[..., None] - pos)).sum(axis=-1)
+        flat = z.ravel()
+        out = np.empty(flat.size, dtype=complex)
+        step = max(1, _CAUCHY_BLOCK // pos.size)
+        for lo in range(0, flat.size, step):
+            out[lo:lo + step] = (wts / (flat[lo:lo + step, None] - pos)).sum(axis=-1)
     return out.reshape(z.shape)
 
 
@@ -133,7 +135,8 @@ def _mapped(seg: DensitySegment, t: np.ndarray, w) -> tuple[np.ndarray, np.ndarr
         dens = _eval_array(seg.density, x)
     if np.any(dens < -1e-12) or not np.all(np.isfinite(dens)):
         raise InvalidInputError("density must be finite and nonnegative on nodes")
-    return x, dens * jac * w
+    with np.errstate(over="ignore"):  # callers refuse a weight past the float range
+        return x, dens * jac * w
 
 
 def _midpoint_nodes(seg: DensitySegment, spacing: float) -> tuple[np.ndarray, np.ndarray]:
@@ -415,6 +418,9 @@ def named_density(name: str, lo: float, hi: float, order: int = 64) -> DensitySe
     lo, hi = finite_interval(lo, hi, "segment")  # before the bounds divide by the width
     mid = 0.5 * (lo + hi)
     rad = 0.5 * (hi - lo)
+    if name in ("semicircle", "arcsine") and rad * rad < _TINY:
+        # both densities divide by the squared half-width, or clamp below it
+        raise InvalidInputError(f"{name} segment too narrow: its half-width squared underflows")
     if name == "semicircle":
         def dens(x):
             return 2.0 / (np.pi * rad * rad) * np.sqrt(np.maximum(rad * rad - (x - mid) ** 2, 0.0))

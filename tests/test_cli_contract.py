@@ -29,6 +29,7 @@ MOVING = {"type": "moving_atom", "samples": [[0.0, 0.0], [2.0, 1.0]]}
 D0_DRIVER = {"horizon": 2.0, "driver": ATOM_PIECES}
 SEMI_DRIVER = {"horizon": 1.0, "driver": {**ATOM_PIECES, "measures": [SEMI]}}
 SEMI_SEGMENT = SEMI["segments"][0]
+NARROW_SEMI = {"segments": [{"interval": [0.0, 1e-300], "density": "semicircle"}]}
 EPS_LADDER = ",".join(str(0.4 / 2**k) for k in range(8))
 NUMBERS = "must hold numbers, not strings, booleans or objects"
 
@@ -168,6 +169,16 @@ ROWS = [
         2, err="error: density must be finite and nonnegative on nodes"),
     row("poly-overflow-0-3", transform(huge_poly(0.0, 3.0), "1i"),
         2, err="error: density must be finite and nonnegative on nodes"),
+    # the semicircle's density divided by rad * rad, which underflows to 0
+    # here: transform and hayman ended in a ZeroDivisionError traceback
+    row("semicircle-too-narrow", transform(NARROW_SEMI, "1i"),
+        2, err="error: semicircle segment too narrow: its half-width squared underflows"),
+    row("hayman-semicircle-too-narrow", ["hayman", "--measure", NARROW_SEMI],
+        2, err="error: semicircle segment too narrow: its half-width squared underflows"),
+    # the node weights overflow: a RuntimeWarning came before the refusal
+    row("poly-weights-overflow", transform(
+        {"segments": [{"interval": [1e-300, 1e300], "density": "poly:0,1"}]}, "1i"),
+        2, err="error: total mass overflows"),
     # the uniform density's bound 1/(hi - lo) ended in a ZeroDivisionError traceback
     row("segment-on-a-point",
         transform({"segments": [{"interval": [1.0, 1.0], "density": "uniform"}]}, "i"),
@@ -252,6 +263,12 @@ ROWS = [
         1, err="non-convergence: F(i) is not finite"),
     row("nevanlinna-rungs", nevanlinna({"atoms": [[-1e150, 0.5], [1e150, 0.5]]}),
         1, err="non-convergence: linear-coefficient ladder did not settle"),
+    # at eps 1e-300 the atoms' terms 1e300/(x + 1e-300i - x_j) overflow: a
+    # RuntimeWarning came before the refusal
+    row("invert-huge-atoms-tiny-eps",
+        ["invert", "--measure", {"atoms": [[0.0, 1e300], [1.0, 1e300]]}, "--interval", "-2,2",
+         "--eps-ladder", "1e-300,1e-301"],
+        1, err="non-convergence: adaptive Simpson met a non-finite value"),
     # at a subnormal eps G overflows on the atoms: three RuntimeWarnings and
     # "d_image": NaN came with exit 0
     row("hayman-subnormal-eps", ["hayman", "--measure", BERNOULLI_1, "--eps", "1e-310"],

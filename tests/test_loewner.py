@@ -450,12 +450,12 @@ def _node_sum_substep(self, piece, u0, du, h, w0, M, L, target):
     # _PiecewiseConstant._substep as it was before the exact transforms:
     # the Cauchy transform summed over the frozen quadrature nodes, with
     # the caller's constants M and L
-    B = np.empty((loewner._NODES, w0.size), dtype=complex)
+    B = np.empty(w0.size, dtype=complex)
     tail = np.empty(w0.size)
     for k in np.unique(piece):
         m = piece == k
         pos, wts = self.measures[k].nodes()
-        B[:, m], tail[m] = loewner._picard(
+        B[m], tail[m] = loewner._picard(
             w0[m], h[m], M[m], L[m], target[m],
             lambda V: (wts / (V[:, :, None] - pos)).sum(axis=2),
         )
@@ -600,26 +600,39 @@ def test_certified_bound_covers_picard_increments(monkeypatch):
     # M h (L h)^(n-1) / n! of the module docstring, with each piece's own M
     # and L: at most the atom constants 1/eta, 1/eta^2 for the atoms, the
     # density bounds for the semicircle, near the support too, and strictly
-    # less from the distance to the support on the lanes far off it
+    # less from the distance to the support on the lanes far off it.  The
+    # lanes' indices ride along as one more integrand argument, so the spy
+    # knows whose iterates it sees once done lanes have left the sweep; each
+    # lane's last sweep is redone from its last iterate, and its first node
+    # is the lane's landing value
     real_picard = loewner._picard
+    _, quad = cheb_grid(loewner._NODES)
     records = []
 
-    def recording(w0, h, M, L, target, integrand):
+    def recording(w0, h, M, L, target, integrand, *args):
         iterates = []
 
-        def spy(B):
-            iterates.append(B.copy())
-            return integrand(B)
+        def spy(*rest):
+            *rest, lane, B = rest
+            iterates.append((lane.copy(), B.copy()))
+            return integrand(*rest, B)
 
-        B, tail = real_picard(w0, h, M, L, target, spy)
-        records[-1][1].append((w0.imag, h, M, L, iterates + [B]))
-        return B, tail
+        land, tail = real_picard(w0, h, M, L, target, spy, *args, np.arange(w0.size))
+        last = np.empty((loewner._NODES, w0.size), dtype=complex)
+        for lane, B in iterates:
+            last[:, lane] = B
+        final = w0 - (quad @ integrand(*args, last).view(float)).view(complex) * (0.5 * h)
+        assert np.allclose(final[0], land, rtol=1e-14, atol=0.0)
+        records[-1][1].append((w0.imag, h, M, L, iterates + [(np.arange(w0.size), final)], last))
+        return land, tail
 
     monkeypatch.setattr(loewner, "_picard", recording)
     semi = DriverFamily.constant(semicircle(), horizon=2.0)
     near = np.array([0.01j, 1.99 + 0.001j, 2.0 + 0.001j])
     for kind, fam, b, zs in (
         ("atom", DELTA0, 2.0, small_grid()),
+        ("atom", DELTA0, 1.0, np.random.default_rng(5).uniform(-4.0, 4.0, 300)
+         + 1j * np.random.default_rng(6).uniform(0.2, 4.0, 300)),
         ("atom", DriverFamily.moving_atom([(0.0, 0.0), (2.0, 1.0)]), 2.0, small_grid()[:8]),
         ("density", semi, 1.0, np.concatenate([small_grid()[:10], near])),
         ("far", DELTA0, 2.0, np.array([6.0 + 0.3j])),
@@ -627,9 +640,10 @@ def test_certified_bound_covers_picard_increments(monkeypatch):
     ):
         records.append((kind, []))
         transition_grid(fam, 0.0, b, zs)
+    cut = 0
     for kind, substeps in records:
         sweeps = 0
-        for eta, h, M, L, iterates in substeps:
+        for eta, h, M, L, iterates, last in substeps:
             if kind == "density":  # peak 1/pi: L = min(1/eta, 1/eta^2)
                 assert np.all(L <= np.minimum(1.0 / eta, 1.0 / eta**2) * (1.0 + 1e-12))
                 assert np.all(M <= 1.0 / eta)
@@ -637,12 +651,22 @@ def test_certified_bound_covers_picard_increments(monkeypatch):
                 assert np.all(M <= 1.0 / eta) and np.all(L <= 1.0 / (eta * eta))
             else:
                 assert np.all(M < 1.0 / eta) and np.all(L < 1.0 / (eta * eta))
+            seen = np.zeros(eta.size, dtype=int)  # sweeps each lane has had
             for n in range(1, len(iterates)):
-                observed = np.abs(iterates[n] - iterates[n - 1]).max(axis=0)
-                bound = M * h * (L * h) ** (n - 1) / math.factorial(n)
+                (before, B0), (lane, B1) = iterates[n - 1], iterates[n]
+                if n == len(iterates) - 1:  # every lane's own last sweep
+                    B0, before = last, lane
+                cut += lane.size < before.size
+                seen[lane] += 1
+                B0 = B0[:, np.searchsorted(before, lane)]
+                observed = np.abs(B1 - B0).max(axis=0)
+                k = seen[lane]
+                bound = (M * h)[lane] * (L * h)[lane] ** (k - 1) / np.array(
+                    [math.factorial(i) for i in k])
                 assert np.all(observed <= bound * (1.0 + 1e-9) + 1e-15)
                 sweeps += 1
         assert sweeps > 10
+    assert cut > 0  # done lanes left the sweep on the 300-lane grid
 
 
 # lanes off the support: |Re z| up to 40, Im z down to 0.05
@@ -707,31 +731,49 @@ def test_lanes_over_the_support_keep_the_eta_constants(fam):
 
 # the Picard loop as it was when it tested the tail after every sweep, kept
 # as it was but for the constants M and L in place of 1/eta and 1/eta^2,
-# the node-major layout and the real product with the tails: the sweep
-# count fixed before the sweeps must agree with it
-def reference_picard(w0, h, M, L, target, integrand):
+# the node-major layout and the real product with the tails, and for its
+# lanes: each lane's count is the first sweep whose tail meets its own
+# target, found before the sweeps, since the rule below needs the round's
+# largest count n; before sweep j the lanes done by then leave the sweep
+# with the value they reached, once they would save 128 lane-sweeps between
+# them.  The sweep counts fixed by the table must agree with it.
+def reference_picard(w0, h, M, L, target, integrand, *args):
     _, tails = cheb_grid(loewner._NODES)
-    B = np.repeat(w0[None, :], loewner._NODES, axis=0)
-    half_h = 0.5 * h
+    counts = np.zeros(w0.size, dtype=int)
+    tail = np.empty(w0.size)
     bound = M * h
     for n in range(1, loewner._MAX_PICARD + 1):
-        Bn = w0 - (tails @ integrand(B).view(float)).view(complex) * half_h
         bound = bound * h * L / (n + 1.0)
         q = h * L / (n + 2.0)
-        tail = bound / (1.0 - q)
-        B = Bn
-        if np.all(tail <= target):
-            return B, tail
-    raise NonConvergenceError("Picard iteration failed to certify within 64 sweeps")
+        met = (counts == 0) & (bound / (1.0 - q) <= target)
+        counts[met], tail[met] = n, (bound / (1.0 - q))[met]
+        if counts.all():
+            break
+    else:
+        raise NonConvergenceError("Picard iteration failed to certify within 64 sweeps")
+    sweeps = counts.max()
+    land = np.empty(w0.size, dtype=complex)
+    lane = np.arange(w0.size)
+    B = np.repeat(w0[None, :], loewner._NODES, axis=0)
+    for j in range(sweeps):
+        done = counts[lane] <= j
+        if done.sum() * (sweeps - j) >= 128:
+            land[lane[done]] = B[0, done]
+            lane = lane[~done]
+            B = np.ascontiguousarray(B[:, ~done])
+        sub = tuple(np.ascontiguousarray(x[..., lane]) for x in args)
+        B = w0[lane] - (tails @ integrand(*sub, B).view(float)).view(complex) * (0.5 * h[lane])
+    land[lane] = B[0]
+    return land, tail, counts
 
 
-def _picard_case(seed, kind, lanes=slice(None)):
-    # random lanes with one at the contraction cap and one far above the
-    # axis, and the integrand of an affine atom path or of the semicircle,
-    # with the atom constants M = 1/eta and L = 1/eta^2; of them, the lanes
-    # that ``lanes`` picks
+def _picard_case(seed, kind, lanes=slice(None), n=48):
+    # n random lanes with one at the contraction cap and one far above the
+    # axis, and the integrand of an affine atom path, whose node positions
+    # are the one further argument, or of the semicircle, with the atom
+    # constants M = 1/eta and L = 1/eta^2; of them, the lanes that ``lanes``
+    # picks, as _picard's arguments
     rng = np.random.default_rng(seed)
-    n = 48
     eta = rng.uniform(0.05, 4.0, n)
     h = rng.uniform(0.01, 0.5, n) * eta * eta
     h[0] = 0.5 * eta[0] * eta[0]
@@ -739,52 +781,78 @@ def _picard_case(seed, kind, lanes=slice(None)):
     w0 = rng.uniform(-3.0, 3.0, n) + 1j * eta
     target = 10.0 ** rng.uniform(-14.0, -6.0, n) * h
     xstd, _ = cheb_grid(loewner._NODES)
-    if kind == "atom":  # node-major, as the iterates
-        u = (rng.uniform(-2.0, 2.0, (n, 1))
-             + 0.5 * (xstd + 1.0) * rng.uniform(-1.0, 1.0, (n, 1))).T[:, lanes]
-        f = lambda V: 1.0 / (V - u)
-    else:
-        f = semicircle().cauchy
+    # node-major, as the iterates
+    u = (rng.uniform(-2.0, 2.0, (n, 1))
+         + 0.5 * (xstd + 1.0) * rng.uniform(-1.0, 1.0, (n, 1))).T[:, lanes]
+    f = (lambda u, V: 1.0 / (V - u)) if kind == "atom" else (
+        lambda u, V: semicircle().cauchy(V))
     calls = []
 
-    def integrand(V):
-        calls.append(1)
-        return f(V)
+    def integrand(u, V):
+        calls.append(V.shape[1])
+        return f(u, V)
 
     with np.errstate(over="ignore"):  # eta^2 = inf far above the axis: 1/eta^2 = 0
         inv_eta2 = 1.0 / (eta * eta)
     args = tuple(x[lanes] for x in (w0, h, 1.0 / eta, inv_eta2, target))
-    return args, integrand, calls
+    return [*args, integrand, u], calls
+
+
+def _matches_the_reference_loop(monkeypatch, nodes, kind, seed, n=48):
+    # the same lanes sweep at every sweep, and give the same landing values;
+    # returns how many lanes each sweep swept
+    monkeypatch.setattr(loewner, "_NODES", nodes)
+    args, calls = _picard_case(seed, kind, n=n)
+    land, tail = loewner._picard(*args)
+    sweeps = list(calls)
+    land_ref, tail_ref, counts = reference_picard(*args)
+    assert calls[len(sweeps):] == sweeps and len(sweeps) > 1
+    assert np.array_equal(land, land_ref)
+    # both tails are products of the same factors, rounded in another
+    # order: at most 3 roundings a sweep on each side, plus the ends
+    assert np.all(np.abs(tail - tail_ref) <= (6 * counts + 6) * 2.0**-53 * tail_ref)
+    assert np.all(tail <= args[4])
+    return sweeps
 
 
 @pytest.mark.parametrize("nodes", [24, 40])
 @pytest.mark.parametrize("kind", ["atom", "semicircle"])
 @pytest.mark.parametrize("seed", [0, 1, 2])
 def test_picard_matches_the_reference_loop(monkeypatch, nodes, kind, seed):
-    monkeypatch.setattr(loewner, "_NODES", nodes)
-    args, integrand, calls = _picard_case(seed, kind)
-    B, tail = loewner._picard(*args, integrand)
-    sweeps = len(calls)
-    B_ref, tail_ref = reference_picard(*args, integrand)
-    assert sweeps == len(calls) - sweeps > 1  # the reference swept as often
-    assert np.array_equal(B, B_ref)
-    # both tails are products of the same factors, rounded in another
-    # order: at most 3 roundings a sweep on each side, plus the ends
-    assert np.all(np.abs(tail - tail_ref) <= (6 * sweeps + 6) * 2.0**-53 * tail_ref)
-    assert np.all(tail <= args[4])
+    _matches_the_reference_loop(monkeypatch, nodes, kind, seed)
+
+
+@pytest.mark.parametrize("nodes", [24, 40])
+@pytest.mark.parametrize("kind", ["atom", "semicircle"])
+@pytest.mark.parametrize("seed", [0, 1])
+def test_picard_matches_the_reference_loop_as_lanes_leave(monkeypatch, nodes, kind, seed):
+    # 512 lanes: done lanes leave the sweep twice at least
+    sweeps = _matches_the_reference_loop(monkeypatch, nodes, kind, seed, 512)
+    assert len(set(sweeps)) > 2
+
+
+@pytest.mark.parametrize("counts, stops", [
+    ([1] * 16 + [9], [1, 9]),         # 16 lanes leaving after 1 of 9 sweeps save 128
+    ([1] * 15 + [9], [9]),            # 15 save 120: they sweep on
+    ([2] * 64 + [3] * 64 + [5], [2, 3, 5]),
+    ([3] * 8 + [4] * 8 + [20], [3, 4, 20]),  # 8 save 136 at 3, the next 8 save 128 at 4
+    ([3] * 7 + [4] * 8 + [20], [4, 20]),     # 7 save 119 at 3: all 15 leave at 4
+])
+def test_done_lanes_leave_once_they_save_128_lane_sweeps(counts, stops):
+    assert loewner._sweep_stops(np.array(counts)) == stops
 
 
 @pytest.mark.parametrize("kind", ["atom", "semicircle"])
 def test_picard_refuses_before_the_first_sweep(kind):
     # a lane at the cap that 64 sweeps cannot bring within 1e-250
-    args, integrand, calls = _picard_case(3, kind)
+    args, calls = _picard_case(3, kind)
     args[4][0] = 1e-250
     with pytest.raises(NonConvergenceError) as new:
-        loewner._picard(*args, integrand)
+        loewner._picard(*args)
     assert calls == []
     with pytest.raises(NonConvergenceError) as ref:
-        reference_picard(*args, integrand)
-    assert len(calls) == loewner._MAX_PICARD
+        reference_picard(*args)
+    assert calls == []
     assert str(new.value) == str(ref.value)
 
 
@@ -802,23 +870,29 @@ def full_table(h, M, L):
 @pytest.mark.parametrize("depth,sweeps", [(1e-30, (16, 32)), (1e-60, (32, 48)),
                                           ("last", (63, 64))])
 def test_picard_table_in_blocks_matches_the_full_table(kind, depth, sweeps):
-    # the lane at the contraction cap needs a second, third or last block
-    args, integrand, calls = _picard_case(4, kind)
-    w0, h, M, L, target = args
+    # the lane at the contraction cap needs a second, third or last block;
+    # every lane counts the sweeps up to the first column of the full table
+    # within its target, and its tail is that column's bit for bit
+    args, calls = _picard_case(4, kind)
+    w0, h, M, L, target = args[:5]
     tails = full_table(h, M, L)
     target[0] = tails[0, -1] if depth == "last" else depth
-    _, tail = loewner._picard(*args, integrand)
-    want = int((tails <= target[:, None]).all(axis=0).argmax()) + 1
-    assert len(calls) == want and sweeps[0] < want <= sweeps[1]
-    assert np.array_equal(tail, tails[:, want - 1])
+    want = (tails <= target[:, None]).argmax(axis=1) + 1
+    assert (tails <= target[:, None]).any(axis=1).all()
+    counts, tail = loewner._table_sweeps(h, M, L, target)
+    assert np.array_equal(counts, want)
+    assert np.array_equal(tail, tails[np.arange(w0.size), want - 1])
+    _, tail = loewner._picard(*args)
+    assert len(calls) == want.max() == want[0] and sweeps[0] < want[0] <= sweeps[1]
+    assert np.array_equal(tail, tails[np.arange(w0.size), want - 1])
 
 
 @pytest.mark.parametrize("kind", ["atom", "semicircle"])
 def test_picard_refuses_just_past_the_last_column(kind):
-    args, integrand, calls = _picard_case(4, kind)
+    args, calls = _picard_case(4, kind)
     args[4][0] = np.nextafter(full_table(*args[1:4])[0, -1], 0.0)
     with pytest.raises(NonConvergenceError, match="within 64 sweeps"):
-        loewner._picard(*args, integrand)
+        loewner._picard(*args)
     assert calls == []
 
 
@@ -826,28 +900,28 @@ def test_picard_refuses_just_past_the_last_column(kind):
 def test_one_lane_picard_matches_the_table(kind):
     # each lane alone, as a round with one lane left runs it, sweeps as often
     # as its row of the full table asks and returns that row's tail and the
-    # reference loop's iterates, bit for bit; so does the lane at the cap
-    # sent to a second, third and last block
-    args, _, _ = _picard_case(5, kind)
+    # reference loop's landing value, bit for bit; so does the lane at the
+    # cap sent to a second, third and last block
+    args, _ = _picard_case(5, kind)
     tails = full_table(*args[1:4])
     runs = [(j, None) for j in range(args[0].size)]
     runs += [(0, depth) for depth in (1e-30, 1e-60, tails[0, -1])]
     for j, depth in runs:
-        lane, integrand, calls = _picard_case(5, kind, slice(j, j + 1))
+        lane, calls = _picard_case(5, kind, slice(j, j + 1))
         if depth is not None:
             lane[4][0] = depth
         want = int(np.argmax(tails[j] <= lane[4][0])) + 1
-        B, tail = loewner._picard(*lane, integrand)
+        land, tail = loewner._picard(*lane)
         assert len(calls) == want
-        assert tail.shape == (1,) and tail[0] == tails[j, want - 1]
-        B_ref, _ = reference_picard(*lane, integrand)
-        assert len(calls) == 2 * want and np.array_equal(B, B_ref)
+        assert tail.shape == land.shape == (1,) and tail[0] == tails[j, want - 1]
+        land_ref, _, _ = reference_picard(*lane)
+        assert len(calls) == 2 * want and np.array_equal(land, land_ref)
     assert want == loewner._MAX_PICARD
     # one lane past the last column refuses before its first sweep
-    lane, integrand, calls = _picard_case(5, kind, slice(0, 1))
+    lane, calls = _picard_case(5, kind, slice(0, 1))
     lane[4][0] = np.nextafter(tails[0, -1], 0.0)
     with pytest.raises(NonConvergenceError, match="within 64 sweeps"):
-        loewner._picard(*lane, integrand)
+        loewner._picard(*lane)
     assert calls == []
 
 
@@ -915,6 +989,39 @@ def test_delta0_chunk_peak_memory():
     peak = tracemalloc.get_traced_memory()[1]
     tracemalloc.stop()
     assert peak <= 1.15 * 2.02e6
+
+
+def test_delta0_chunk_sweeps_each_lane_as_its_remainder_asks(monkeypatch):
+    # the chunk above: lanes that are done leave the sweep, so the chunk
+    # takes at least 30% fewer lane-sweeps than sweeping every lane of a
+    # round as often as its neediest lane asks (16,175 against 24,503), and
+    # every lane stays within its bound of the slit map and of its own
+    # pointwise solve
+    rng = np.random.default_rng(5)
+    zs = rng.uniform(-4.0, 4.0, 1024) + 1j * rng.uniform(0.2, 4.0, 1024)
+    picard = loewner._picard
+    swept, lockstep = [], []
+
+    def counted(w0, h, M, L, target, integrand, *args):
+        calls = []
+
+        def spy(*args):
+            calls.append(args[-1].shape[1])
+            return integrand(*args)
+        out = picard(w0, h, M, L, target, spy, *args)
+        swept.append(sum(calls))
+        lockstep.append(w0.size * len(calls))
+        return out
+
+    monkeypatch.setattr(loewner, "_picard", counted)
+    vals, errs = transition_grid(DELTA0, 0.0, 1.0, zs)
+    monkeypatch.undo()
+    assert sum(swept) <= 0.7 * sum(lockstep)
+    assert np.all(np.abs(vals - slit_map(1.0, zs)) <= errs)
+    assert errs.max() <= SolverConfig().tol
+    for k in rng.choice(zs.size, 32, replace=False):
+        w, e = TransitionMap(DELTA0, 0.0, 1.0).evaluate(zs[k])
+        assert abs(vals[k] - w) <= errs[k] + e
 
 
 def _short_lanes():
@@ -1018,13 +1125,13 @@ def test_one_lane_rounds_match_the_lockstep_loop(monkeypatch, fam):
     picard = loewner._picard
     substeps = []
 
-    def counted(w0, h, M, L, target, integrand):
+    def counted(w0, h, M, L, target, integrand, *args):
         calls = []
 
-        def spy(B):
+        def spy(*args):
             calls.append(1)
-            return integrand(B)
-        out = picard(w0, h, M, L, target, spy)
+            return integrand(*args)
+        out = picard(w0, h, M, L, target, spy, *args)
         substeps.append((tuple(h), len(calls)))
         return out
 
@@ -1196,6 +1303,7 @@ def test_rejects_points_at_or_below_axis():
 
 SOLVER_REFUSALS = {
     "a-nan": (DELTA0, math.nan, 1.0, 1j, InvalidInputError, "times must be finite"),
+    "a-none": (DELTA0, None, 1.0, 1j, InvalidInputError, "times must be finite"),
     "b-inf": (DELTA0, 0.0, math.inf, 1j, InvalidInputError, "times must be finite"),
     "b-inf-no-horizon": (DriverFamily.constant(point_mass()), 0.0, math.inf, 1j,
                          InvalidInputError, "times must be finite"),
@@ -1212,6 +1320,9 @@ SOLVER_REFUSALS = {
     "z-under-floor": (DELTA0, 0.0, 1.0, 1.0 + 1e-5j, InvalidInputError,
                       "Im z below the solver floor 0.000316 for tol 1e-09"),
     "z-none": (DELTA0, 0.0, 1.0, None, InvalidInputError, "z must be finite"),
+    # one point per call: a grid takes both
+    "z-two-points": (DELTA0, 0.0, 1.0, np.array([1j, 2j]), InvalidInputError,
+                     "z must be a single point"),
     "not-a-family": ("not a family", 0.0, 1.0, 1j, InvalidInputError,
                      "family must be a DriverFamily"),
     "span-too-long": (DriverFamily.constant(point_mass()), 0.0, 1e200, 1j, NonConvergenceError,
@@ -1230,13 +1341,15 @@ def test_one_point_refusals_agree_across_entry_points(name):
     # one class and one message whichever door a single point comes in by,
     # alone or beside its twin
     fam, a, b, z, error, message, *cfg = SOLVER_REFUSALS[name]
-    calls = [lambda: solve_transition(fam, a, b, z, *cfg),
-             lambda: transition_grid(fam, a, b, z, *cfg),
-             lambda: transition_grid(fam, a, b, [z, z], *cfg)]
+    calls = [lambda: solve_transition(fam, a, b, z, *cfg)]
+    if name != "z-two-points":
+        calls += [lambda: transition_grid(fam, a, b, z, *cfg),
+                  lambda: transition_grid(fam, a, b, [z, z], *cfg)]
     if a == 0.0:
         calls.append(lambda: evaluate_map(fam, b, z, *cfg))
-    if not name.startswith(("a-", "b-")):  # TransitionMap checks times its own way
-        calls.append(lambda: TransitionMap(fam, a, b, *cfg).evaluate(z))
+    if name not in ("a-negative", "a-after-b"):  # TransitionMap orders times its own way
+        calls += [lambda: TransitionMap(fam, a, b, *cfg).evaluate(z),
+                  lambda: TransitionMap(fam, a, b, *cfg)(z)]
     for call in calls:
         with pytest.raises(error) as info:
             call()
