@@ -70,11 +70,17 @@ has run.  A round with one lane left, as every round of a one-point solve,
 counts its sweeps and its certified tail in floats, with the remainder
 table's operations in the table's order, so both match the table bit for
 bit.  A solve with one lane to move runs its rounds on floats too
-(``_lane_rounds``): the substep rule's expressions in the lockstep loop's
-order, numpy only where Python rounds differently (the power of
-``_solve_rho`` and hypot), so its values, bounds and substep counts are
-the lockstep loop's bit for bit; the span refusals before the rounds run
-on arrays for one lane as for many.  The pointwise entry points check
+(``_lane_rounds``).  One substep rule serves both loops: ``_substep_rule``
+writes it once, and binds it to numpy's operations for the lockstep loop
+and to float ones for the lane.  The float ones round as numpy's do:
+``_solve_rho``'s power and hypot stay numpy, on one-element arrays, where
+Python rounds differently, and min and max pass a nan on, as np.minimum
+and np.maximum do and Python's do not (they keep their first argument),
+so that a nan constant or landing refuses a lane alone as it refuses the
+lane beside its twin.  A lane's values, bounds and substep counts are
+thus the same on floats as in lockstep, bit for bit; each loop keeps only
+its own bookkeeping, and the span refusals before the rounds run on
+arrays for one lane as for many.  The pointwise entry points check
 their one lane in floats too, and send a lane that fails any check, or
 that floats cannot read, through the array checks, which refuse it with
 their own class and message.  A driver is a
@@ -619,6 +625,79 @@ def _lane_sweeps(h: float, M: float, L: float, target: float) -> tuple[int, np.n
     raise NonConvergenceError("Picard iteration failed to certify within 64 sweeps")
 
 
+def _substep_rule(minimum, maximum, sqrt, hypot, divide, solve_rho, every):
+    # The substep rule, written once and bound below to numpy's operations
+    # for the lockstep loop and to one lane's floats for _lane_rounds; each
+    # calls it once a round with the knot table (knots, slopes, lows, highs)
+    # and the piece of each lane in it.
+    def rule(cfg, tables, piece, s, a, span, eta, x, M, K, L):
+        knots, slopes, lows, highs = tables
+        # The Picard contraction wants h <= margin / L; the interpolation
+        # error of the N-node iterate wants a Bernstein parameter rho large
+        # enough that its tail stays under a fifth of the substep budget, on
+        # an ellipse of half-height eta / (2 (K + 2 c |v|)) with v the
+        # piece's slope (module docstring); the max_step cap limits it far
+        # above the axis.
+        v = slopes[piece]
+        two_over_eta2 = 2.0 / (eta * eta)
+        amp_cap = sqrt(1.0 + (s - a) * two_over_eta2)
+        R = 60.0 * span * amp_cap * K / cfg.tol
+        rho = solve_rho(R)
+        h0 = divide(eta, (rho - 1.0 / rho) * (0.5 * K + _SPEED_SLACK * abs(v)))
+        # L = 0 far above the axis, where the cap is moot
+        h0 = minimum(h0, cfg.contraction_margin / maximum(L, _TINY))
+        h0 = minimum(h0, cfg.max_step)
+        start = knots[piece]
+        if not every(h0 >= _MIN_STEP):
+            # A piece shorter than _MIN_STEP (a jump in the atom path) may
+            # take shorter substeps as long as each one moves s: their count
+            # follows the piece's variation, which _evolve caps.
+            short = (knots[piece + 1] - start < _MIN_STEP) & (s - h0 < s)
+            if not every((h0 >= _MIN_STEP) | short):
+                raise NonConvergenceError(_UNDERFLOW)
+
+        # no substep straddles a knot; exact arrival at a, no fp drift
+        land = maximum(maximum(s - h0, start), a)
+        h = s - land
+
+        # Sweep constants from d, the distance from w to the hull of the
+        # support under the substep: G at w is at most 1/d, and every
+        # iterate stays within M h of w (module docstring)
+        shift = v * (land - start)
+        u0, du = lows[piece] + shift, v * h
+        gap = maximum(maximum(u0 + minimum(du, 0.0) - x,
+                              x - (highs[piece] + shift + maximum(du, 0.0))), 0.0)
+        d = hypot(gap, eta)
+        near = maximum(d - M * h, eta)
+        L = minimum(L, 1.0 / (near * near))
+
+        amp = sqrt(1.0 + (land - a) * two_over_eta2)
+        budget = cfg.tol * h / (span * amp)
+        return land, h, u0, du, minimum(M, 1.0 / d), L, amp, budget
+    return rule
+
+
+_array_rule = _substep_rule(np.minimum, np.maximum, np.sqrt, np.hypot, np.divide, _solve_rho,
+                            np.ndarray.all)
+# Python's min and max keep their first argument when a later one is nan;
+# these pass a nan on, as np.minimum and np.maximum do (their second
+# argument on a tie, too), so a nan constant or landing refuses one lane as
+# it refuses the lane beside its twin.  numpy keeps what Python rounds
+# differently: the power in _solve_rho, and hypot.
+_float_rule = _substep_rule(
+    lambda x, y: x if x < y or x != x else y,
+    lambda x, y: x if x > y or x != x else y,
+    math.sqrt,
+    lambda x, y: np.hypot(np.array([x]), y).item(),
+    lambda x, y: x / y if y else math.inf,  # x / 0, as numpy has it for x > 0
+    lambda R: _solve_rho(np.array([R])).item(),
+    bool)
+
+
+# Far above the axis eta^2 overflows to inf and 1/eta^2 = 0 is the right
+# limit there, as is h0 = inf where K underflows to 0 (the max_step cap
+# holds it); a nan step refuses.
+@np.errstate(over="ignore", invalid="ignore", divide="ignore")
 def _evolve(
     family: DriverFamily,
     a: np.ndarray,
@@ -626,17 +705,13 @@ def _evolve(
     z: np.ndarray,
     cfg: SolverConfig,
 ) -> tuple[np.ndarray, np.ndarray]:
-    # Runs under _solve_many's errstate: far above the axis eta^2 overflows
-    # to inf and 1/eta^2 = 0 is the right limit there, as is h0 = inf where
-    # K underflows to 0 (the max_step cap holds it); a nan step refuses.
     w = z.astype(complex, copy=True)
     err = np.zeros(z.size)
     span = np.maximum(b - a, _MIN_STEP)  # budget scale only; a == b never iterates
-    knots, slopes, cumvar = family._knots, family._slopes, family._cumvar
-    lows, highs = family._lows, family._highs
+    knots, cumvar = family._knots, family._cumvar
     # Im w never decreases along the path, and K <= 2/Im w, so the substep
-    # parameter R of the loop below is at most this: refuse here if it
-    # overflows rather than iterate on infinities.
+    # parameter R of the rule is at most this: refuse here if it overflows
+    # rather than iterate on infinities.
     worst_r = 120.0 * span * np.sqrt(1.0 + 2.0 * (b - a) / (z.imag * z.imag)) / (
         z.imag * cfg.tol)
     if not np.isfinite(worst_r).all():
@@ -659,6 +734,7 @@ def _evolve(
         w[i], err[i] = _lane_rounds(family, float(b[i]), float(a[i]), float(span[i]),
                                     complex(w[i]), cfg)
         return w, err
+    tables = knots, family._slopes, family._lows, family._highs
     act, queue = queue[:_CHUNK], queue[_CHUNK:]
     lanes = (b, a, span)
     s, a, span = (x[act] for x in lanes)
@@ -668,57 +744,15 @@ def _evolve(
         if r - entered[act[0]] >= _MAX_ROUNDS:
             raise NonConvergenceError(_ROUND_CAP)
         eta = w.imag[act]
+        w0 = w[act]
         # the piece under the substep: the last knot below s (s > a >= 0)
         piece = np.searchsorted(knots, s, side="left") - 1
-
-        # Substep rule: the Picard contraction wants h <= margin / L;
-        # the interpolation error of the N-node iterate wants a Bernstein
-        # parameter rho large enough that its tail stays under a fifth of
-        # the substep budget, on an ellipse of half-height
-        # eta / (2 (K + 2 c |v|)) with v the piece's slope (module docstring);
-        # the max_step cap limits it far above the axis.
         M, K, L = family._bounds(piece, eta)
-        v = slopes[piece]
-        two_over_eta2 = 2.0 / (eta * eta)
-        amp_cap = np.sqrt(1.0 + (s - a) * two_over_eta2)
-        R = 60.0 * span * amp_cap * K / cfg.tol
-        rho = _solve_rho(R)
-        h0 = eta / ((rho - 1.0 / rho) * (0.5 * K + _SPEED_SLACK * np.abs(v)))
-        # L = 0 far above the axis, where the cap is moot
-        h0 = np.minimum(h0, cfg.contraction_margin / np.maximum(L, _TINY))
-        h0 = np.minimum(h0, cfg.max_step)
-        if not (h0 >= _MIN_STEP).all():
-            # A piece shorter than _MIN_STEP (a jump in the atom path) may
-            # take shorter substeps as long as each one moves s: their count
-            # follows the piece's variation, which the test above caps.
-            short = (knots[piece + 1] - knots[piece] < _MIN_STEP) & (s - h0 < s)
-            if not ((h0 >= _MIN_STEP) | short).all():
-                raise NonConvergenceError(_UNDERFLOW)
-
-        # no substep straddles a knot; exact arrival at a, no fp drift
-        start = knots[piece]
-        land = np.maximum(np.maximum(s - h0, start), a)
-        h = s - land
-
-        # Sweep constants from d, the distance from w to the hull of the
-        # support under the substep: G at w is at most 1/d, and every
-        # iterate stays within M h of w (module docstring)
-        shift = v * (land - start)
-        u0, du = lows[piece] + shift, v * h
-        w0 = w[act]
-        x = w0.real
-        gap = np.maximum(np.maximum(u0 + np.minimum(du, 0.0) - x,
-                                    x - (highs[piece] + shift + np.maximum(du, 0.0))), 0.0)
-        d = np.hypot(gap, eta)
-        near = np.maximum(d - M * h, eta)
-        L = np.minimum(L, 1.0 / (near * near))
-
-        amp = np.sqrt(1.0 + (land - a) * two_over_eta2)
-        budget = cfg.tol * h / (span * amp)
-        # the certified Picard tail gets 0.8 of the budget; the rule above
-        # keeps the interpolation error under the other 0.2
-        landed, tail = family._substep(piece, u0, du, h, w0, np.minimum(M, 1.0 / d), L,
-                                       0.8 * budget)
+        land, h, u0, du, M, L, amp, budget = _array_rule(cfg, tables, piece, s, a, span, eta,
+                                                         w0.real, M, K, L)
+        # the certified Picard tail gets 0.8 of the budget; the rule keeps
+        # the interpolation error under the other 0.2
+        landed, tail = family._substep(piece, u0, du, h, w0, M, L, 0.8 * budget)
 
         w[act] = landed
         err[act] += (tail + 0.2 * budget) * amp
@@ -741,49 +775,20 @@ def _lane_rounds(
     w: complex,
     cfg: SolverConfig,
 ) -> tuple[complex, float]:
-    # _evolve's rounds for one lane, in floats: the lockstep rule's
-    # expressions in its order, so every value, bound and substep count is
-    # its own bit for bit.  numpy keeps what Python rounds differently (the
-    # power in _solve_rho and hypot), and the driver gets one-element arrays.
-    # Python's min and max keep their first argument when a later one is
-    # nan, where np.minimum and np.maximum pass it on: each operand that can
-    # carry a nan comes first, and a nan contraction cap refuses by itself.
-    knots, slopes = family._knots.tolist(), family._slopes.tolist()
-    lows, highs = family._lows.tolist(), family._highs.tolist()
+    # _evolve's rounds for one lane, on floats: the same rule, so every
+    # value, bound and substep count is the lockstep loop's bit for bit;
+    # the driver gets one-element arrays
+    knots = family._knots.tolist()
+    tables = knots, family._slopes.tolist(), family._lows.tolist(), family._highs.tolist()
     err = 0.0
     for _ in range(_MAX_ROUNDS):
         eta = w.imag
         k = bisect_left(knots, s) - 1
         piece = np.array([k])
         M, K, L = (x.item() for x in family._bounds(piece, np.array([eta])))
-        v = slopes[k]
-        two_over_eta2 = 2.0 / (eta * eta)
-        amp_cap = math.sqrt(1.0 + (s - a) * two_over_eta2)
-        R = 60.0 * span * amp_cap * K / cfg.tol
-        rho = _solve_rho(np.array([R])).item()
-        spread = (rho - 1.0 / rho) * (0.5 * K + _SPEED_SLACK * abs(v))
-        h0 = eta / spread if spread else math.inf  # eta / 0, as numpy has it
-        cap = cfg.contraction_margin / max(L, _TINY)
-        h0 = min(h0, cap, cfg.max_step) if cap == cap else cap
-        if not h0 >= _MIN_STEP and not (knots[k + 1] - knots[k] < _MIN_STEP and s - h0 < s):
-            raise NonConvergenceError(_UNDERFLOW)
-
-        start = knots[k]
-        land = max(s - h0, start, a)
-        h = s - land
-        shift = v * (land - start)
-        u0, du = lows[k] + shift, v * h
-        x = w.real
-        gap = max(u0 + min(du, 0.0) - x, x - (highs[k] + shift + max(du, 0.0)), 0.0)
-        d = np.hypot(np.array([gap]), eta).item()
-        near = max(d - M * h, eta)
-        L = min(1.0 / (near * near), L)
-
-        amp = math.sqrt(1.0 + (land - a) * two_over_eta2)
-        budget = cfg.tol * h / (span * amp)
-        # the driver's arguments as _evolve passes them, one-element arrays;
-        # the certified Picard tail gets 0.8 of the budget, as there
-        lane = np.array([u0, du, h, min(1.0 / d, M), L, 0.8 * budget])[:, None]
+        land, h, u0, du, M, L, amp, budget = _float_rule(cfg, tables, k, s, a, span, eta,
+                                                         w.real, M, K, L)
+        lane = np.array([u0, du, h, M, L, 0.8 * budget])[:, None]
         landed, tail = family._substep(piece, *lane[:3], np.array([w]), *lane[3:])
         w = landed.item()
         err += (tail.item() + 0.2 * budget) * amp
@@ -793,37 +798,54 @@ def _lane_rounds(
     raise NonConvergenceError(_ROUND_CAP)
 
 
+def _check_times(family: DriverFamily, a, b, point: bool) -> tuple[np.ndarray, np.ndarray]:
+    # a and b as float arrays, finite with 0 <= a <= b <= the horizon, and
+    # with point one time each; what numpy cannot read is not a finite time
+    try:
+        a, b = np.asarray(a, dtype=float), np.asarray(b, dtype=float)
+    except (TypeError, ValueError, OverflowError):
+        a = b = np.array(math.nan)
+    if not (np.isfinite(a).all() and np.isfinite(b).all()) or point and a.size * b.size != 1:
+        raise InvalidInputError("times must be finite")
+    if (a < 0).any():
+        raise InvalidInputError("times must be non-negative")
+    if (a > b).any():
+        raise InvalidInputError("need a <= b")
+    if (b > family.horizon).any():
+        raise InvalidInputError("b lies beyond the driver horizon")
+    return a, b
+
+
 def _solve_many(
     family: DriverFamily,
     a,
     b,
     z,
     config: SolverConfig | None = None,
+    point: bool = False,
 ) -> tuple[np.ndarray, np.ndarray]:
+    # every check of the times before any of z, in TransitionMap's order;
+    # with point, a, b or z of any size but one refuses
     cfg = config or _DEFAULT_CONFIG
     if not isinstance(family, DriverFamily):
         raise InvalidInputError("family must be a DriverFamily")
-    a_arr, b_arr, z_arr = np.broadcast_arrays(
-        np.asarray(a, dtype=float), np.asarray(b, dtype=float), np.asarray(z, dtype=complex))
+    a_arr, b_arr = _check_times(family, a, b, point)
+    try:
+        z_arr = np.asarray(z, dtype=complex)
+    except (TypeError, ValueError, OverflowError) as exc:
+        raise InvalidInputError("z must be finite") from exc
+    if point and z_arr.size != 1:
+        raise InvalidInputError("z must be a single point")
+    a_arr, b_arr, z_arr = np.broadcast_arrays(a_arr, b_arr, z_arr)
     shape = a_arr.shape
     a_arr, b_arr, z_arr = a_arr.ravel(), b_arr.ravel(), z_arr.ravel()
-    if not (np.isfinite(a_arr).all() and np.isfinite(b_arr).all()):
-        raise InvalidInputError("times must be finite")
-    if (a_arr < 0).any():
-        raise InvalidInputError("times must be non-negative")
-    if (a_arr > b_arr).any():
-        raise InvalidInputError("need a <= b")
-    if (b_arr > family.horizon).any():
-        raise InvalidInputError("b lies beyond the driver horizon")
     _require_upper(z_arr)
     floor = cfg.min_imag
     if (z_arr.imag < floor).any():
         raise InvalidInputError(
             f"Im z below the solver floor {floor:.3g} for tol {cfg.tol:.3g}"
         )
-
-    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-        w, e = _evolve(family, a_arr, b_arr, z_arr, cfg)
+    w, e = _evolve(family, a_arr, b_arr, z_arr, cfg)
     return w.reshape(shape), e.reshape(shape)
 
 
@@ -840,12 +862,9 @@ def _solve_one(family: DriverFamily, a, b, z, config: SolverConfig | None) -> tu
         fits = (isinstance(family, DriverFamily) and 0.0 <= a <= b <= family.horizon
                 and b < math.inf and abs(z.real) < math.inf and cfg.min_imag <= z.imag < math.inf)
     if fits:
-        with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-            w, e = _evolve(family, np.array([a]), np.array([b]), np.array([z]), cfg)
-    elif np.size(z) != 1:
-        raise InvalidInputError("z must be a single point")
+        w, e = _evolve(family, np.array([a]), np.array([b]), np.array([z]), cfg)
     else:
-        w, e = _solve_many(family, a, b, z, cfg)
+        w, e = _solve_many(family, a, b, z, cfg, point=True)
     return w.item(), e.item()
 
 
@@ -901,16 +920,7 @@ class TransitionMap:
     def __post_init__(self) -> None:
         if not isinstance(self.family, DriverFamily):
             raise InvalidInputError("family must be a DriverFamily")
-        try:
-            a, b = float(self.a), float(self.b)
-        except (TypeError, ValueError, OverflowError):
-            a = b = math.nan
-        if not (math.isfinite(a) and math.isfinite(b)):
-            raise InvalidInputError("times must be finite")
-        if not (0 <= a <= b):
-            raise InvalidInputError("need 0 <= a <= b")
-        if b > self.family.horizon:
-            raise InvalidInputError("b lies beyond the driver horizon")
+        _check_times(self.family, self.a, self.b, point=True)
 
     def __call__(self, z: complex) -> complex:
         return solve_transition(self.family, self.a, self.b, z, self.config)

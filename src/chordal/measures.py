@@ -430,8 +430,12 @@ def named_density(name: str, lo: float, hi: float, order: int = 64) -> DensitySe
         return DensitySegment(lo, hi, dens, order, True, transform,
                               _finite_or_none(2.0 / (np.pi * rad)))
     if name == "arcsine":
+        # a clamp against rounding at the ends, relative to rad^2 so that it
+        # scales with the segment: eps rad^2 >= eps _TINY never underflows
+        floor = _EPS * rad * rad
+
         def dens(x):
-            return 1.0 / (np.pi * np.sqrt(np.maximum(rad * rad - (x - mid) ** 2, 1e-300)))
+            return 1.0 / (np.pi * np.sqrt(np.maximum(rad * rad - (x - mid) ** 2, floor)))
 
         def transform(z):
             return 1.0 / _sqrt_pair(z, lo, hi)

@@ -13,7 +13,7 @@ from chordal.capacity import RATIO_BAND
 from chordal.cli import parse_complex, run
 from chordal.errors import InvalidInputError
 from chordal.loewner import DriverFamily, transition_grid
-from chordal.measures import point_mass
+from chordal.measures import MASS_TOL, DensitySegment, arcsine, measure_from_dict, point_mass
 from chordal.numerics import SETTLE_TOL
 
 from oracles import semicircle_transition
@@ -87,6 +87,28 @@ def test_transform_cauchy_point_mass(capsys, atom_path):
     # G(2i) for a unit atom at 0 is 1/(2i) = -i/2
     assert abs(complex(*out["value"]) - (-0.5j)) < 1e-15
     assert 0.0 < out["roundoff_bound"] < 1e-12
+
+
+def test_arcsine_on_a_narrow_segment_keeps_unit_mass(capsys, tmp_path):
+    # the arcsine density clamps rad^2 - (x - mid)^2 relative to rad^2: an
+    # absolute clamp at 1e-300 caught every node of a segment 2e-150 wide,
+    # and left it a mass of 2/pi
+    narrow = {"segments": [{"interval": [0.0, 2e-150], "density": "arcsine"}]}
+    assert abs(measure_from_dict(narrow).total_mass - 1.0) <= MASS_TOL
+    path = tmp_path / "narrow.json"
+    path.write_text(json.dumps(narrow))
+    out = run_json(capsys, ["transform", "--measure", str(path), "--z", "1+1i"])
+    # a unit mass within 2e-150 of 0 has G(1+i) = 0.5 - 0.5i; the node sum
+    # also carries the quadrature's mass error, which the roundoff bound
+    # leaves out (ROADMAP D1): 1.7e-14 here, against a bound of 1.1e-14
+    miss = abs(complex(*out["value"]) - (0.5 - 0.5j))
+    assert miss <= out["roundoff_bound"] + MASS_TOL * abs(0.5 - 0.5j)
+    # no node of the arcsine on [-2, 2] nears either clamp: its nodes and
+    # weights are the unclamped density's
+    unclamped = DensitySegment(-2.0, 2.0, lambda x: 1.0 / (np.pi * np.sqrt(4.0 - x ** 2)),
+                               64, True)
+    for got, want in zip(arcsine().segments[0].nodes(), unclamped.nodes()):
+        assert np.array_equal(got, want)
 
 
 def test_transform_reciprocal_semicircle(capsys, semi_path):

@@ -2,7 +2,8 @@
 or 2, with strict JSON or CSV on stdout for 0 and one message line on
 stderr otherwise, and never an uncaught exception or a numpy warning.
 Also over the solver: random moving-atom paths keep every error within the
-reported bound."""
+reported bound, and one point drawn from good and malformed input gets one
+answer, or one refusal, through every library entry point."""
 
 import contextlib
 import io
@@ -16,7 +17,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from chordal.cli import run
-from chordal.loewner import DriverFamily, SolverConfig, transition_grid
+from chordal.errors import InvalidInputError, NonConvergenceError
+from chordal.loewner import (
+    DriverFamily, SolverConfig, TransitionMap, evaluate_map, solve_transition, transition_grid,
+)
+from chordal.measures import point_mass
 
 from oracles import moving_atom_transition
 
@@ -151,7 +156,65 @@ def atom_paths(draw):
                    min_size=1, max_size=4))
 def test_moving_atom_error_within_bound(samples, zs):
     t = samples[-1][0]
-    vals, errs = transition_grid(DriverFamily.moving_atom(samples), 0.0, t, np.array(zs))
+    fam = DriverFamily.moving_atom(samples)
+    vals, errs = transition_grid(fam, 0.0, t, np.array(zs))
     ref = np.array([moving_atom_transition(samples, 0.0, t, z) for z in zs])
     assert np.all(np.abs(vals - ref) <= errs)
     assert errs.max() <= SolverConfig().tol
+    # one substep rule serves a lane alone (on floats) and beside its twin
+    # (on arrays): both rows of the twins are the lone lane bit for bit
+    alone = transition_grid(fam, 0.0, t, [zs[0]])
+    twins = transition_grid(fam, 0.0, t, [zs[0], zs[0]])
+    for one, two in zip(alone, twins):
+        assert one.tobytes() * 2 == two.tobytes()
+
+
+# ---------------------------------------------------------------------------
+# one point through every library entry point
+
+
+# (values a one-point solve answers at, values it refuses) for a, b and z
+STARTS = ([0.0, 0.25], [-0.5, math.nan, -math.inf])
+ENDS = ([0.25, 1.0], [9.0, math.inf, math.nan])
+POINTS = ([1j, 0.5 + 1.0j, -1.0 + 0.3j, 2.0 + 0.5j],
+          [1.0, 1.0 - 1.0j, 1e-5j, complex(math.nan, 1.0), complex(0.0, math.inf)])
+NOT_NUMBERS = [None, "x", "abc", "", [1j, [2j]]]  # a ragged list is neither times nor points
+
+
+def one_point_inputs(values):
+    # a good value three times in five, plain, as a string or as a 0-d
+    # array; else any value as a 2-element array, or a bad value or no
+    # number at all
+    good, bad = values
+    good, any_value = st.sampled_from(good), st.sampled_from(good + bad)
+    return st.one_of(good, good.map(str), good.map(np.array),
+                     any_value.map(lambda v: np.array([v, v])), st.sampled_from(bad + NOT_NUMBERS))
+
+
+def _outcome(call):
+    # the value and bound (None for a bare value) that a call answers, or
+    # the class and message it refuses with
+    try:
+        w, e = call()
+    except (InvalidInputError, NonConvergenceError) as exc:
+        return type(exc), str(exc)
+    return complex(np.asarray(w).item()), None if e is None else float(np.asarray(e).item())
+
+
+@settings(max_examples=150, deadline=None)
+@given(fam=st.sampled_from([DriverFamily.constant(point_mass(0.0), horizon=4.0),
+                            DriverFamily.moving_atom(DRIVERS["atom"]["samples"])]),
+       a=one_point_inputs(STARTS), b=one_point_inputs(ENDS), z=one_point_inputs(POINTS))
+def test_one_point_entry_points_agree(fam, a, b, z):
+    # every pointwise door and a one-point grid answer alike, or refuse with
+    # one class and one message; a 2-element array makes a grid of two
+    # lanes, which only the pointwise doors refuse
+    calls = [lambda: (solve_transition(fam, a, b, z), None),
+             lambda: TransitionMap(fam, a, b).evaluate(z)]
+    if type(a) is float and a == 0.0:
+        calls.append(lambda: (evaluate_map(fam, b, z), None))
+    if not any(isinstance(x, np.ndarray) and x.size == 2 for x in (a, b, z)):
+        calls.append(lambda: transition_grid(fam, a, b, z))
+    outcomes = [_outcome(call) for call in calls]
+    assert len({value for value, _ in outcomes}) == 1, outcomes
+    assert len({bound for _, bound in outcomes} - {None}) == 1, outcomes

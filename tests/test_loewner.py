@@ -1304,6 +1304,8 @@ def test_rejects_points_at_or_below_axis():
 SOLVER_REFUSALS = {
     "a-nan": (DELTA0, math.nan, 1.0, 1j, InvalidInputError, "times must be finite"),
     "a-none": (DELTA0, None, 1.0, 1j, InvalidInputError, "times must be finite"),
+    # what numpy cannot read is no finite time, nor a finite z
+    "a-string": (DELTA0, "x", 1.0, 1j, InvalidInputError, "times must be finite"),
     "b-inf": (DELTA0, 0.0, math.inf, 1j, InvalidInputError, "times must be finite"),
     "b-inf-no-horizon": (DriverFamily.constant(point_mass()), 0.0, math.inf, 1j,
                          InvalidInputError, "times must be finite"),
@@ -1320,6 +1322,8 @@ SOLVER_REFUSALS = {
     "z-under-floor": (DELTA0, 0.0, 1.0, 1.0 + 1e-5j, InvalidInputError,
                       "Im z below the solver floor 0.000316 for tol 1e-09"),
     "z-none": (DELTA0, 0.0, 1.0, None, InvalidInputError, "z must be finite"),
+    "z-string": (DELTA0, 0.0, 1.0, "abc", InvalidInputError, "z must be finite"),
+    "z-ragged": (DELTA0, 0.0, 1.0, [1j, [2j]], InvalidInputError, "z must be finite"),
     # one point per call: a grid takes both
     "z-two-points": (DELTA0, 0.0, 1.0, np.array([1j, 2j]), InvalidInputError,
                      "z must be a single point"),
@@ -1347,9 +1351,8 @@ def test_one_point_refusals_agree_across_entry_points(name):
                   lambda: transition_grid(fam, a, b, [z, z], *cfg)]
     if a == 0.0:
         calls.append(lambda: evaluate_map(fam, b, z, *cfg))
-    if name not in ("a-negative", "a-after-b"):  # TransitionMap orders times its own way
-        calls += [lambda: TransitionMap(fam, a, b, *cfg).evaluate(z),
-                  lambda: TransitionMap(fam, a, b, *cfg)(z)]
+    calls += [lambda: TransitionMap(fam, a, b, *cfg).evaluate(z),
+              lambda: TransitionMap(fam, a, b, *cfg)(z)]
     for call in calls:
         with pytest.raises(error) as info:
             call()
