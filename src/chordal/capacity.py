@@ -37,7 +37,7 @@ import numpy as np
 
 from .errors import InvalidInputError, NonConvergenceError
 from .measures import RealMeasure
-from .numerics import count, finite_interval
+from .numerics import count, finite_interval, floats, number
 
 __all__ = [
     "BoundaryCurve",
@@ -95,6 +95,12 @@ def _proper_crossings(pts: np.ndarray) -> bool:
     O(n log n + K) for K pairs overlapping in x: near linear for a boundary
     trace, which a vertical line meets a few times, quadratic for a raster.
     """
+    # the sign tests multiply coordinates twice over; a power of two, which
+    # keeps every sign, brings the largest part into [2^253, 2^254), where
+    # no product overflows, as near 1e300, or underflows, as near 1e-300
+    reach = max(np.abs(pts.real).max(initial=0.0), np.abs(pts.imag).max(initial=0.0))
+    shift = 254 - math.frexp(reach)[1]
+    pts = np.ldexp(pts.real, shift) + 1j * np.ldexp(pts.imag, shift)
     p = pts[:-1]
     r = pts[1:] - p
     e = p + r  # the far ends as the predicate sees them, rounding included
@@ -165,7 +171,7 @@ def boundary_image(
     """
     lo, hi = _support(mu)
     width = hi - lo
-    epsilon = float(epsilon)
+    epsilon = number(epsilon, "epsilon must lie in (0, 0.1*(B-A))")
     if not (0.0 < epsilon < 0.1 * width):
         raise InvalidInputError("epsilon must lie in (0, 0.1*(B-A))")
     resolution = count(resolution, "resolution")
@@ -218,15 +224,18 @@ def discrete_transfinite_diameter(points, n: int, sweeps: int = 20) -> float:
     update reads -inf + inf = nan, and only the columns left nan are
     re-summed from the table.  A duplicate of the point in slot j reads a
     gain of -inf - (-inf) = nan for that slot; it counts as no gain.
-    A sweep, n gains over the table, costs O(n * points).
+    A sweep, n gains over the table, costs O(n * points).  A table of more
+    than 2^24 entries (n times the cloud size) is refused before it is made.
     """
-    pts = np.asarray(points, dtype=complex).ravel()
+    pts = floats(points, "sample cloud must be finite", dtype=complex).ravel()
     n = count(n, "n")
     sweeps = count(sweeps, "sweeps")
     if n < 2:
         raise InvalidInputError("need n >= 2 Fekete points")
     if pts.size < n:
         raise InvalidInputError("sample cloud smaller than n")
+    if n * pts.size > _MAX_EXCHANGE:
+        raise InvalidInputError("n * len(points) exceeds 2^24, the size of the exchange table")
     if sweeps < 0:
         raise InvalidInputError("sweeps must be non-negative")
     if not np.isfinite(pts).all():

@@ -134,7 +134,7 @@ def _cmd_evolve(args) -> None:
         # each (re, im) row read as one complex, with no arithmetic to turn inf into nan
         zs = pairs.view(complex).ravel()
     config = _loewner.SolverConfig(tol=args.tol) if args.tol is not None else None
-    t = float(args.t)
+    t = args.t
     values, bounds = _loewner.transition_grid(family, 0.0, t, zs, config)
     out = ["t,re_z,im_z,re_f,im_f,err_bound"]
     for z, w, e in zip(zs, values, bounds):
@@ -184,8 +184,16 @@ def _cmd_hayman(args) -> None:
     })
 
 
+class _Parser(argparse.ArgumentParser):
+    # a bad, missing or unknown flag ends in one "error: ..." line and exit
+    # 2, like any other invalid input, not in argparse's usage message;
+    # add_subparsers makes each subcommand's parser of this class too
+    def error(self, message):
+        raise InvalidInputError(message)
+
+
 def _build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="chordal",
         description="Loewner flows, univalence certificates, and capacity "
                     "diagnostics for measure transforms.",
@@ -254,12 +262,10 @@ def run(argv) -> int:
     parser = _build_parser()
     try:
         args = parser.parse_args(_join_negative_values(parser, list(argv)))
-    except SystemExit as exc:
-        code = exc.code
-        return int(code) if code is not None else 0
-    try:
         args.func(args)
         return 0
+    except SystemExit as exc:  # --help
+        return exc.code or 0
     except NonConvergenceError as exc:
         print(f"non-convergence: {exc}", file=sys.stderr)
         return 1

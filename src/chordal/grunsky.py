@@ -20,7 +20,7 @@ import numpy as np
 
 from .errors import InvalidInputError, NonConvergenceError
 from .measures import RealMeasure, moment
-from .numerics import count
+from .numerics import count, floats, number
 
 SUPPORT_HALF_WIDTH = 2.0  # certificate applies to measures supported in [-2, 2]
 _SERIES_LEADING_TOL = 1e-12
@@ -36,12 +36,12 @@ class SeriesCoefficients:
     coeffs: tuple
 
     def __init__(self, coeffs):
-        arr = tuple(float(c) for c in coeffs)
-        if len(arr) < 1:
+        arr = floats(coeffs, "series coefficients must be a list of numbers", ndim=1)
+        if arr.size < 1:
             raise InvalidInputError("series needs at least the leading coefficient")
-        if abs(arr[0] - 1.0) > _SERIES_LEADING_TOL:
+        if not abs(arr[0] - 1.0) <= _SERIES_LEADING_TOL:
             raise InvalidInputError("series must have leading coefficient 1")
-        object.__setattr__(self, "coeffs", arr)
+        object.__setattr__(self, "coeffs", tuple(arr.tolist()))
 
     @property
     def tail_length(self) -> int:
@@ -84,7 +84,7 @@ def moments_to_alpha(moments) -> np.ndarray:
     alpha_n = sum_k a_(n-2k) (-1)^k binom(n-k, n-2k), the resummation of
     1/(psi(z) - x) in powers of 1/z.
     """
-    a = np.asarray(list(moments), dtype=float)
+    a = floats(moments, "moments must be a list of numbers", ndim=1)
     if a.size == 0:
         raise InvalidInputError("need at least the zeroth moment")
     return _alpha_and_scale(a)[0]
@@ -165,7 +165,7 @@ def symmetric_eigenvalues(matrix) -> np.ndarray:
     The input may be asymmetric up to 1e-9; it is symmetrized before
     ``numpy.linalg.eigvalsh`` runs.
     """
-    a = np.array(matrix, dtype=float)
+    a = floats(matrix, "need a square matrix")
     if a.ndim != 2 or a.shape[0] != a.shape[1]:
         raise InvalidInputError("need a square matrix")
     if not np.all(np.isfinite(a)):
@@ -187,8 +187,9 @@ def univalence_certificate(mu_moments, order: int, boundary_tol: float = 1e-8) -
     three-valued; max |eigenvalue| within boundary_tol of 1 reports
     "boundary", never "pass", so boundary_tol must lie in (0, 1).
     """
-    a = np.asarray(list(mu_moments), dtype=float)
+    a = floats(mu_moments, "moments must be a list of numbers", ndim=1)
     order = _check_order(order)
+    boundary_tol = number(boundary_tol, "boundary_tol must lie in (0, 1)")
     if not 0 < boundary_tol < 1:
         raise InvalidInputError("boundary_tol must lie in (0, 1)")
     if a.size < 2 * order + 1:
@@ -213,7 +214,7 @@ def univalence_certificate(mu_moments, order: int, boundary_tol: float = 1e-8) -
         raise NonConvergenceError(
             f"moment rounding could change the verdict (max |eigenvalue| {mx:.6g} +- {shift:.1e})"
         )
-    return GrunskyReport(order, sym, eigs, mx, verdict, float(boundary_tol))
+    return GrunskyReport(order, sym, eigs, mx, verdict, boundary_tol)
 
 
 def measure_certificate(mu: RealMeasure, order: int, boundary_tol: float = 1e-8) -> GrunskyReport:

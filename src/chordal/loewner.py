@@ -180,7 +180,7 @@ import numpy as np
 
 from .errors import InvalidInputError, NonConvergenceError
 from .measures import _TINY, RealMeasure, _require_upper, measure_from_dict, point_mass
-from .numerics import Y_LADDER, cheb_grid, floats, json_keys, json_numbers, y_limit
+from .numerics import Y_LADDER, cheb_grid, floats, json_keys, json_numbers, number, y_limit
 
 __all__ = [
     "SolverConfig",
@@ -229,6 +229,8 @@ class SolverConfig:
     contraction_margin: float = 0.5
 
     def __post_init__(self) -> None:
+        for name in ("tol", "max_step", "contraction_margin"):
+            object.__setattr__(self, name, number(getattr(self, name), f"{name} must be a number"))
         if not (self.tol >= 1e-14 and math.isfinite(self.tol)):
             raise InvalidInputError("tol must be positive, finite and at least 1e-14")
         if not (self.max_step > 0 and math.isfinite(self.max_step)):
@@ -243,16 +245,6 @@ class SolverConfig:
 
 
 _DEFAULT_CONFIG = SolverConfig()
-
-
-def _horizon(horizon, default: float) -> float:
-    try:
-        hor = default if horizon is None else float(horizon)
-    except (TypeError, ValueError, OverflowError) as exc:
-        raise InvalidInputError("horizon must be a number") from exc
-    if not hor > 0 or math.isnan(hor):
-        raise InvalidInputError("horizon must be positive")
-    return hor
 
 
 @dataclass(frozen=True, eq=False)
@@ -295,8 +287,8 @@ class DriverFamily:
         measures: Sequence[RealMeasure],
         horizon: float | None = None,
     ) -> "DriverFamily":
-        b = floats(breaks, "breaks must be a non-empty 1-d finite array")
-        if b.ndim != 1 or b.size == 0 or not np.all(np.isfinite(b)):
+        b = floats(breaks, "breaks must be a non-empty 1-d finite array", ndim=1)
+        if b.size == 0 or not np.all(np.isfinite(b)):
             raise InvalidInputError("breaks must be a non-empty 1-d finite array")
         if b[0] != 0.0:
             raise InvalidInputError("first breakpoint must be 0")
@@ -313,7 +305,9 @@ class DriverFamily:
             if any(seg.cauchy is None for seg in mu.segments):
                 raise InvalidInputError("driver measures need a closed-form cauchy for every "
                                         "segment (the solver cannot bound a node sum)")
-        hor = _horizon(horizon, math.inf)
+        hor = math.inf if horizon is None else number(horizon, "horizon must be a number")
+        if not hor > 0:
+            raise InvalidInputError("horizon must be positive")
         if hor < b[-1]:
             raise InvalidInputError("horizon lies before the last breakpoint")
         # unit mass guarantees every support is non-empty
@@ -342,7 +336,9 @@ class DriverFamily:
             raise InvalidInputError("first sample time must be 0")
         if np.any(np.diff(times) <= 0):
             raise InvalidInputError("sample times must be strictly increasing")
-        hor = _horizon(horizon, float(times[-1]))
+        hor = float(times[-1]) if horizon is None else number(horizon, "horizon must be a number")
+        if not hor > 0:
+            raise InvalidInputError("horizon must be positive")
         if hor > times[-1]:
             raise InvalidInputError("samples do not reach the requested horizon")
         with np.errstate(over="ignore"):  # inf refuses in the substep rule
@@ -355,8 +351,8 @@ class DriverFamily:
     # -- queries -----------------------------------------------------------
 
     def measure_at(self, t: float) -> RealMeasure:
-        t = float(t)
-        if math.isnan(t) or t < 0:
+        t = number(t, "time must be non-negative")
+        if not t >= 0:
             raise InvalidInputError("time must be non-negative")
         if t > self.horizon:
             raise InvalidInputError(f"time {t} lies beyond the driver horizon {self.horizon}")
@@ -801,10 +797,9 @@ def _lane_rounds(
 def _check_times(family: DriverFamily, a, b, point: bool) -> tuple[np.ndarray, np.ndarray]:
     # a and b as float arrays, finite with 0 <= a <= b <= the horizon, and
     # with point one time each; what numpy cannot read is not a finite time
-    try:
-        a, b = np.asarray(a, dtype=float), np.asarray(b, dtype=float)
-    except (TypeError, ValueError, OverflowError):
-        a = b = np.array(math.nan)
+    if not isinstance(family, DriverFamily):
+        raise InvalidInputError("family must be a DriverFamily")
+    a, b = floats(a, "times must be finite"), floats(b, "times must be finite")
     if not (np.isfinite(a).all() and np.isfinite(b).all()) or point and a.size * b.size != 1:
         raise InvalidInputError("times must be finite")
     if (a < 0).any():
@@ -827,19 +822,16 @@ def _solve_many(
     # every check of the times before any of z, in TransitionMap's order;
     # with point, a, b or z of any size but one refuses
     cfg = config or _DEFAULT_CONFIG
-    if not isinstance(family, DriverFamily):
-        raise InvalidInputError("family must be a DriverFamily")
     a_arr, b_arr = _check_times(family, a, b, point)
-    try:
-        z_arr = np.asarray(z, dtype=complex)
-    except (TypeError, ValueError, OverflowError) as exc:
-        raise InvalidInputError("z must be finite") from exc
+    z_arr = _require_upper(z)
     if point and z_arr.size != 1:
         raise InvalidInputError("z must be a single point")
-    a_arr, b_arr, z_arr = np.broadcast_arrays(a_arr, b_arr, z_arr)
+    try:
+        a_arr, b_arr, z_arr = np.broadcast_arrays(a_arr, b_arr, z_arr)
+    except ValueError as exc:
+        raise InvalidInputError("a, b and z must broadcast to one shape") from exc
     shape = a_arr.shape
     a_arr, b_arr, z_arr = a_arr.ravel(), b_arr.ravel(), z_arr.ravel()
-    _require_upper(z_arr)
     floor = cfg.min_imag
     if (z_arr.imag < floor).any():
         raise InvalidInputError(
@@ -918,8 +910,6 @@ class TransitionMap:
     config: SolverConfig = _DEFAULT_CONFIG
 
     def __post_init__(self) -> None:
-        if not isinstance(self.family, DriverFamily):
-            raise InvalidInputError("family must be a DriverFamily")
         _check_times(self.family, self.a, self.b, point=True)
 
     def __call__(self, z: complex) -> complex:
@@ -947,9 +937,7 @@ def hydrodynamic_parameter(
     reported as non-convergent.
     """
     cfg = config or _DEFAULT_CONFIG
-    t = float(t)
-    if t < 0 or math.isnan(t):
-        raise InvalidInputError("t must be non-negative")
+    _, t = _check_times(family, t, t, point=True)
     if t == 0.0:
         return 0.0
     tight = replace(cfg, tol=min(cfg.tol, 1e-12))
@@ -971,9 +959,9 @@ def semigroup_defect(
     config: SolverConfig | None = None,
 ) -> float:
     """max over zs of |B(a,c;z) - B(a,b;B(b,c;z))|."""
+    a, b, c = (number(v, "need 0 <= a <= b <= c") for v in (a, b, c))
     if not (0 <= a <= b <= c):
         raise InvalidInputError("need 0 <= a <= b <= c")
-    zs = np.asarray(zs, dtype=complex)
     direct, _ = _solve_many(family, a, c, zs, config)
     inner, _ = _solve_many(family, b, c, zs, config)
     outer, _ = _solve_many(family, a, b, inner, config)
@@ -993,9 +981,7 @@ def univalence_probe(
     Pairs must sit at Im z >= 0.1.
     """
     cfg = config or _DEFAULT_CONFIG
-    arr = np.asarray(pairs, dtype=complex)
-    if arr.ndim != 2 or arr.shape[1] != 2:
-        raise InvalidInputError("pairs must be an iterable of (z1, z2)")
+    arr = floats(pairs, "pairs must be an iterable of (z1, z2)", pairs=True, dtype=complex)
     if np.any(arr.imag < 0.1):
         raise InvalidInputError("probe points must satisfy Im z >= 0.1")
     resolved = np.abs(arr[:, 0] - arr[:, 1]) > 1e-6

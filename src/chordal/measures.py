@@ -29,7 +29,7 @@ from numpy.polynomial import polynomial as _poly
 from .errors import InvalidInputError, NonConvergenceError
 from .numerics import (
     Y_LADDER, adaptive_simpson, count, finite_interval, floats, gauss_legendre, json_keys,
-    json_numbers, neville_zero, settled, y_limit,
+    json_numbers, neville_zero, number, settled, y_limit,
 )
 
 MASS_TOL = 1e-12
@@ -166,10 +166,10 @@ class RealMeasure:
             total = float(self._wts.sum())
         if not math.isfinite(total):
             raise InvalidInputError("total mass overflows")
-        if mass is not None and abs(total - float(mass)) > MASS_TOL:
-            raise InvalidInputError(
-                f"declared mass {mass} but quadrature gives {total!r}"
-            )
+        if mass is not None:
+            mass = number(mass, "declared mass must be a number")
+            if abs(total - mass) > MASS_TOL:
+                raise InvalidInputError(f"declared mass {mass} but quadrature gives {total!r}")
         self._mass = total
         # g_bounds' data: the sum of the density bounds, and the mass that
         # has none (all of it when no segment is bounded)
@@ -449,10 +449,7 @@ def named_density(name: str, lo: float, hi: float, order: int = 64) -> DensitySe
         return DensitySegment(lo, hi, dens, order, False, transform,
                               _finite_or_none(1.0 / (hi - lo)))
     if name.startswith("poly:"):
-        try:
-            coeffs = [float(c) for c in name[5:].split(",")]
-        except ValueError as exc:
-            raise InvalidInputError(f"bad polynomial density {name!r}") from exc
+        coeffs = floats(name[5:].split(","), f"bad polynomial density {name!r}")
         def dens(x):
             return _poly.polyval(np.asarray(x, dtype=float), coeffs)
         a = _xi_coeffs(coeffs, lo, hi)
@@ -482,32 +479,28 @@ def measure_from_dict(obj: dict) -> RealMeasure:
         if not isinstance(s, dict):
             raise InvalidInputError("segment must be a JSON object")
         json_keys(s, ("interval", "density", "order"), "segment")
-        interval = json_numbers(s.get("interval"), "segment interval")
-        try:
-            lo, hi = (float(v) for v in interval)
-        except (TypeError, ValueError, OverflowError) as exc:
-            raise InvalidInputError("segment needs an [lo, hi] interval") from exc
+        # one [lo, hi] pair, read as the only row of a list of pairs
+        lo, hi = floats([json_numbers(s.get("interval"), "segment interval")],
+                        "segment needs an [lo, hi] interval", pairs=True)[0]
         name = s.get("density")
         if not isinstance(name, str):
             raise InvalidInputError("segment density must be a name string")
         segs.append(named_density(name, lo, hi, s.get("order", 64)))
     mass = json_numbers(obj.get("mass"), "declared mass")
-    try:
-        mass = None if mass is None else float(mass)
-    except (TypeError, ValueError, OverflowError) as exc:
-        raise InvalidInputError("declared mass must be a number") from exc
     return RealMeasure(json_numbers(obj.get("atoms", []), "atoms"), segs, mass=mass)
 
 
 # ---------------------------------------------------------------------------
 # transform calculus
 
-def _require_upper(z):
-    zz = np.asarray(z)
+def _require_upper(z) -> np.ndarray:
+    # z as a complex array of finite points in the open upper half-plane
+    zz = floats(z, "z must be finite", dtype=complex)
     if not np.isfinite(zz).all():
         raise InvalidInputError("z must be finite")
     if (zz.imag <= 0).any():
         raise InvalidInputError("z must lie in the open upper half-plane")
+    return zz
 
 
 def _scaled(mu: RealMeasure, z) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -523,9 +516,8 @@ def _scaled(mu: RealMeasure, z) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     at most twice the larger part, stays below 2^1022 and its reciprocal
     stays normal.
     """
-    _require_upper(z)
+    zz = _require_upper(z)
     pos, wts = mu.nodes()
-    zz = np.asarray(z, dtype=complex)
     reach = max(np.abs(zz.real).max(initial=0.0), np.abs(zz.imag).max(initial=0.0),
                 np.abs(pos).max(initial=0.0))
     shift = max(math.frexp(reach)[1] - 1020, 0)
@@ -690,11 +682,12 @@ def stieltjes_invert(G, interval: tuple[float, float], eps_ladder: Sequence[floa
     level and slice; a G that raises TypeError on an array, or returns the
     wrong shape, is called point by point instead.
     """
-    a, b = finite_interval(*interval, "interval")
-    eps = np.asarray(list(eps_ladder), dtype=float)
+    a, b = floats([interval], "interval must be a pair (a, b)", pairs=True)[0]
+    a, b = finite_interval(a, b, "interval")
+    eps = floats(eps_ladder, "eps ladder must be finite")
     if not np.all(np.isfinite(eps)):
         raise InvalidInputError("eps ladder must be finite")
-    if eps.size < 2 or np.any(eps <= 0) or np.any(np.diff(eps) >= 0):
+    if eps.ndim != 1 or eps.size < 2 or np.any(eps <= 0) or np.any(np.diff(eps) >= 0):
         raise InvalidInputError("eps ladder must be positive, strictly decreasing, length >= 2")
     tol = 1e-10 * max(1.0, b - a)
     vals = []
@@ -707,6 +700,7 @@ def stieltjes_invert(G, interval: tuple[float, float], eps_ladder: Sequence[floa
 
 def affine_pushforward(mu: RealMeasure, scale: float, shift: float) -> RealMeasure:
     """Image measure under x -> scale*x + shift, scale > 0."""
+    scale, shift = number(scale, "scale must be positive"), number(shift, "shift must be a number")
     if not scale > 0:
         raise InvalidInputError("scale must be positive")
     atoms = [(scale * x + shift, w) for x, w in mu.atoms]

@@ -2,11 +2,16 @@
 spectral integration on Chebyshev grids, adaptive Simpson, and the one home
 of ladder limits.
 
-Callers' arguments are read by three readers: ``count`` for counts and
-orders (any integral number, 64.0 and numpy integers included), ``floats``
-for lists of floats and of pairs, and ``finite_interval`` for the ends of
-an interval (finite, lo < hi, and a finite width hi - lo). Each raises
-InvalidInputError naming the argument. JSON objects are checked first by
+Every number a caller passes is read here, by one of four readers:
+``count`` for counts and orders (any integral number, 64.0 and numpy
+integers included), ``number`` for one float, ``floats`` for arrays of
+floats, of complex points (``dtype=complex``), flat lists (``ndim=1``) and
+lists of pairs (``pairs``), and ``finite_interval`` for the ends of an
+interval (finite, lo < hi, and a finite width hi - lo). None, a string
+that is not a number, a ragged list, an object and a number past the
+float range are refused alike, with InvalidInputError and a message that
+names the argument; so no public function lets the bare TypeError or
+ValueError of a conversion out. JSON objects are checked first by
 ``json_keys``, which refuses a key the object kind does not name, and their
 number fields by ``json_numbers``, which refuses strings and booleans that
 ``float()`` and numpy would read as numbers.
@@ -26,6 +31,7 @@ from __future__ import annotations
 
 import math
 import numbers
+from collections.abc import Iterator
 from functools import lru_cache
 
 import numpy as np
@@ -44,22 +50,37 @@ def count(value, name: str) -> int:
     raise InvalidInputError(f"{name} must be an integer")
 
 
-def floats(values, message: str, pairs: bool = False) -> np.ndarray:
-    """``values`` as a float array; InvalidInputError(message) for strings
-    that are not numbers, ragged lists and numbers past the float range.
+def floats(values, message: str, pairs: bool = False, dtype=float,
+           ndim: int | None = None) -> np.ndarray:
+    """``values`` as an array of ``dtype`` (float or complex);
+    InvalidInputError(message) for None, strings that are not numbers,
+    ragged lists, objects and numbers past the float range.
 
-    With ``pairs`` the values must be a list of pairs, returned with shape
-    (n, 2); an empty list reads as no pairs.
+    With ``ndim`` the array must have that many dimensions: 0 for one
+    number, 1 for a flat list. With ``pairs`` the values must be a list of
+    pairs, returned with shape (n, 2); an empty list reads as no pairs.
     """
     try:
-        out = np.asarray(values, dtype=float)
+        if values is None:  # numpy would read it as nan
+            raise TypeError
+        if isinstance(values, Iterator):  # a generator, say: numpy takes lists
+            values = list(values)
+        out = np.asarray(values, dtype=dtype)
     except (TypeError, ValueError, OverflowError) as exc:
         raise InvalidInputError(message) from exc
+    if ndim is not None and out.ndim != ndim:
+        raise InvalidInputError(message)
     if pairs and out.shape[1:] != (2,):
         if out.shape != (0,):
             raise InvalidInputError(message)
         out = out.reshape(0, 2)
     return out
+
+
+def number(value, message: str) -> float:
+    """``value`` as one float; InvalidInputError(message) where ``floats``
+    refuses it or it is a list or array rather than one number."""
+    return floats(value, message, ndim=0).item()
 
 
 def json_keys(obj: dict, keys: tuple[str, ...], kind: str) -> None:
@@ -85,7 +106,7 @@ def json_numbers(value, what: str):
 def finite_interval(lo, hi, what: str) -> tuple[float, float]:
     """(lo, hi) as floats; InvalidInputError naming ``what`` unless both
     ends are finite, lo < hi and the width hi - lo is finite."""
-    lo, hi = float(lo), float(hi)
+    lo, hi = (number(v, f"{what} endpoints must be finite") for v in (lo, hi))
     if not (math.isfinite(lo) and math.isfinite(hi)):
         raise InvalidInputError(f"{what} endpoints must be finite")
     if not hi > lo:

@@ -279,6 +279,21 @@ def test_diameter_validation():
     assert discrete_transfinite_diameter(cloud, 4.0, sweeps=np.int64(20)) == d
 
 
+def test_diameter_refuses_a_table_past_2_24_entries_before_making_it():
+    # 8192 points at n = 4097 ask for a table of 2^25 + 2^13 entries (268 MB);
+    # only hayman_report checked the cap, so a direct call went on to fill it
+    cloud = np.arange(8192) * 1j
+    tracemalloc.start()
+    try:
+        with pytest.raises(InvalidInputError, match=r"^n \* len\(points\) exceeds 2\^24, "
+                                                    r"the size of the exchange table$"):
+            discrete_transfinite_diameter(cloud, 4097)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20
+
+
 @pytest.mark.parametrize("seed", range(8))
 def test_exchange_matches_the_reference_exactly(seed):
     rng = np.random.default_rng(100 + seed)
@@ -548,6 +563,18 @@ def test_crossings_match_the_reference_loop_on_seeded_curves():
     assert got == want
     # both answers occur
     assert 0.2 < sum(want) / len(want) < 0.8
+
+
+def test_crossings_are_independent_of_a_power_of_two_scale():
+    # coordinates near 1e300 overflowed the sign tests' products, with
+    # RuntimeWarnings, and coordinates near 1e-300 underflowed them to 0:
+    # either read as no crossing
+    curves = seeded_curves(40)
+    want = [_proper_crossings(c) for c in curves]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for k in (-1000, 800, 1000):
+            assert [_proper_crossings(c * 2.0 ** k) for c in curves] == want
 
 
 @pytest.mark.parametrize("batch", [1 << 6, 1 << 9])

@@ -2,6 +2,7 @@
 formats, exit codes.  What a call prints as its own process is the table in
 ``test_cli_contract.py``."""
 
+import cmath
 import json
 import math
 
@@ -203,6 +204,28 @@ def test_evolve_single_point_csv(capsys, driver_path):
     assert (t, re_z, im_z) == (1.0, 0.0, 1.0)
     assert abs(complex(re_f, im_f) - 1j * math.sqrt(3.0)) < 1e-8
     assert 0.0 < err < 1e-6
+
+
+def test_evolve_rows_under_delta0_lie_within_their_bounds(capsys, tmp_path, driver_path):
+    # f(1; z) is the upper branch of sqrt(z^2 - 2): at 0+1i alone, and on a
+    # 20 x 20 grid whose done lanes leave the Picard sweep early, every row
+    # lies within its err_bound, and every bound within the default tol 1e-9
+    def upper(z):
+        w = cmath.sqrt(z * z - 2.0)
+        return w if w.imag > 0 else -w
+
+    grid = tmp_path / "grid.json"
+    grid.write_text(json.dumps([[-4 + 8 * i / 19, 0.2 + 3.8 * j / 19]
+                                for i in range(20) for j in range(20)]))
+    for source, count in ((["--z", "0+1i"], 1), (["--grid", str(grid)], 400)):
+        assert run(["evolve", "--driver", driver_path, "--t", "1", *source]) == 0
+        captured = capsys.readouterr()
+        assert captured.err == ""
+        rows = [[float(v) for v in line.split(",")]
+                for line in captured.out.strip().split("\n")[1:]]
+        assert len(rows) == count
+        for _, re_z, im_z, re_f, im_f, bound in rows:
+            assert abs(complex(re_f, im_f) - upper(complex(re_z, im_z))) <= bound <= 1e-9
 
 
 def test_evolve_grid_matches_library(capsys, tmp_path, driver_path):

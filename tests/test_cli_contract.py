@@ -126,6 +126,11 @@ ROWS = [
     # for; eps/4 underflowed to 0 and exit 2 read "spacing must be positive"
     row("hayman-smallest-eps", ["hayman", "--measure", SEMI, "--eps", "5e-324"],
         out='"verdict": "consistent_with_univalence"'),
+    # two atoms 1e300 apart: the crossing test's products overflowed with two
+    # RuntimeWarnings and missed the crossing, so the verdict read inconclusive
+    row("hayman-atoms-1e300-apart", ["hayman", "--measure", {"atoms": [[0.0, 0.5], [1e300, 0.5]]},
+                                     "--n", "4", "--resolution", "16"],
+        out='"verdict": "inconsistent"'),
     # the sum times n times eps, taken left to right, overflowed to Infinity
     row("huge-atoms-finite-bound", transform(HUGE_ATOMS, "1i"), out=positive_bound),
     # the closed form's coefficients overflow (and warned): the segment falls
@@ -140,6 +145,15 @@ ROWS = [
         out=positive_bound),
 
     # -- input errors: exit 2
+    # argparse printed its usage line before its message: three lines for a
+    # bad or missing flag, two for no subcommand or an unknown flag
+    row("order-not-an-integer", ["grunsky", "--moments", "1,0,1", "--order", "x"],
+        2, err="error: argument --order: invalid int value: 'x'"),
+    row("transform-without-measure", ["transform"],
+        2, err="error: the following arguments are required: --measure"),
+    row("no-subcommand", [], 2, err="error: the following arguments are required: subcommand"),
+    row("unknown-flag", transform(D0, "1i", "--bogus"),
+        2, err="error: unrecognized arguments: --bogus"),
     # argparse took "-i" for an option string and printed its usage message
     row("z-minus-i", transform(SEMI, "-i"),
         2, err="error: z must lie in the open upper half-plane"),

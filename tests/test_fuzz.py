@@ -11,6 +11,7 @@ import json
 import math
 import warnings
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -89,6 +90,98 @@ def test_grunsky_moments_fuzz(case):
         report = json.loads(out, parse_constant=_reject_constant)
         assert report["verdict"] in ("pass", "boundary", "fail")
         assert len(report["eigenvalues"]) == order
+
+
+# ---------------------------------------------------------------------------
+# measure files through transform, invert, grunsky and hayman
+
+
+COORDS = [0.0, 1.0, -1.0, 1e300, -1e300, 1e-300, 5e-324]
+COORD = st.sampled_from(COORDS) | st.floats(-4.0, 4.0)
+WIDTHS = [1e-300, 1e-150, 1e-3, 1.0, 4.0, 1e300]
+WEIGHTS = [0.0, 1e-300, 0.5, 1.0, 1e300]
+DENSITIES = ["semicircle", "arcsine", "uniform"]
+
+
+@st.composite
+def segments(draw, odd=True):
+    # a named or poly: density on [lo, lo + width], or an odd segment: a
+    # reversed or empty interval, one with a missing, infinite or extra end,
+    # an unknown or malformed name, or an order outside [2, 2048]
+    lo, width = draw(COORD), draw(st.sampled_from(WIDTHS))
+    interval = [lo, lo + width]
+    if not odd:
+        return {"interval": interval, "density": draw(st.sampled_from(DENSITIES))}
+    coeffs = draw(st.lists(COORD, min_size=1, max_size=3))
+    density = draw(st.sampled_from(DENSITIES) | st.just("poly:" + ",".join(map(repr, coeffs))))
+    seg = {"interval": interval, "density": density}
+    kind = draw(st.sampled_from([None] * 6 + ["reversed", "empty", "short", "long", "inf",
+                                              "null", "name", "poly", "order"]))
+    if kind == "reversed":
+        seg["interval"] = interval[::-1]
+    elif kind == "empty":
+        seg["interval"] = [lo, lo]
+    elif kind in ("short", "long"):
+        seg["interval"] = interval[:1] if kind == "short" else [*interval, lo]
+    elif kind in ("inf", "null"):
+        seg["interval"] = [lo, math.inf if kind == "inf" else None]
+    elif kind in ("name", "poly"):
+        seg["density"] = "cauchy" if kind == "name" else "poly:1,x"
+    elif kind == "order" or draw(st.booleans()):
+        seg["order"] = draw(st.sampled_from([0, 1, 2, 3, 8, 2.5, 2049]))
+    return seg
+
+
+@st.composite
+def measure_files(draw):
+    # half of them probability measures, which every subcommand takes: one
+    # named density, or one or two atoms of weight 1 or 1/2 each
+    if draw(st.booleans()):
+        if draw(st.booleans()):
+            return {"segments": [draw(segments(odd=False))]}
+        xs = draw(st.lists(COORD, min_size=1, max_size=2))
+        return {"atoms": [[x, 1.0 / len(xs)] for x in xs]}
+    obj = {}
+    atoms = draw(st.lists(st.tuples(COORD, st.sampled_from(WEIGHTS)), max_size=3))
+    if atoms:
+        obj["atoms"] = [list(a) for a in atoms]
+    segs = draw(st.lists(segments(), max_size=2))
+    if segs or not atoms:
+        obj["segments"] = segs
+    if draw(st.booleans()):
+        obj["mass"] = draw(st.sampled_from([1.0, 0.5, 1e300]))
+    return obj
+
+
+MEASURE_CALLS = [
+    ["transform", "--z", "1i"],
+    ["transform", "--z", "0.5+0.001i", "--op", "reciprocal"],
+    ["transform", "--op", "nevanlinna"],
+    ["invert", "--interval", "-1,1", "--eps-ladder", "0.4,0.2"],
+    ["grunsky", "--order", "2"],
+    ["hayman", "--n", "4", "--resolution", "16"],
+]
+
+
+# derandomized: an atom of weight 1e300 keeps invert's Simpson refining
+# to its evaluation cap, 0.4-4 s a call, so a random draw of a few of them
+# would stretch the run from about 1 s to 30 s
+@settings(max_examples=100, deadline=None, derandomize=True)
+@given(measure=measure_files())
+def test_measure_file_fuzz(tmp_path_factory, measure):
+    # json.dumps writes math.inf as Infinity, which the CLI's reader takes
+    path = tmp_path_factory.getbasetemp() / "fuzzed-measure.json"
+    path.write_text(json.dumps(measure))
+    for call in MEASURE_CALLS:
+        code, out = run_captured([*call, "--measure", str(path)])
+        if code == 0:
+            report = json.loads(out, parse_constant=_reject_constant)
+        if code == 0 and call == MEASURE_CALLS[0] and not measure.get("segments"):
+            # atoms alone: G(i) within its roundoff bound of the exact sum
+            with mpmath.workdps(40):
+                exact = mpmath.fsum(mpmath.mpf(w) / (1j - mpmath.mpf(x))
+                                    for x, w in measure.get("atoms", []))
+                assert abs(exact - mpmath.mpc(*report["value"])) <= report["roundoff_bound"]
 
 
 # ---------------------------------------------------------------------------

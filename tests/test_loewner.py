@@ -1327,6 +1327,9 @@ SOLVER_REFUSALS = {
     # one point per call: a grid takes both
     "z-two-points": (DELTA0, 0.0, 1.0, np.array([1j, 2j]), InvalidInputError,
                      "z must be a single point"),
+    # two times against three points: numpy's bare "shape mismatch" escaped
+    "no-broadcast": (DELTA0, np.array([0.0, 0.5]), 1.0, np.array([1j, 2j, 3j]),
+                     InvalidInputError, "a, b and z must broadcast to one shape"),
     "not-a-family": ("not a family", 0.0, 1.0, 1j, InvalidInputError,
                      "family must be a DriverFamily"),
     "span-too-long": (DriverFamily.constant(point_mass()), 0.0, 1e200, 1j, NonConvergenceError,
@@ -1343,16 +1346,18 @@ SOLVER_REFUSALS = {
 @pytest.mark.parametrize("name", SOLVER_REFUSALS)
 def test_one_point_refusals_agree_across_entry_points(name):
     # one class and one message whichever door a single point comes in by,
-    # alone or beside its twin
+    # alone or beside its twin; lanes that do not broadcast reach only a grid
     fam, a, b, z, error, message, *cfg = SOLVER_REFUSALS[name]
-    calls = [lambda: solve_transition(fam, a, b, z, *cfg)]
+    calls = []
     if name != "z-two-points":
         calls += [lambda: transition_grid(fam, a, b, z, *cfg),
                   lambda: transition_grid(fam, a, b, [z, z], *cfg)]
-    if a == 0.0:
-        calls.append(lambda: evaluate_map(fam, b, z, *cfg))
-    calls += [lambda: TransitionMap(fam, a, b, *cfg).evaluate(z),
-              lambda: TransitionMap(fam, a, b, *cfg)(z)]
+    if name != "no-broadcast":
+        calls.append(lambda: solve_transition(fam, a, b, z, *cfg))
+        if a == 0.0:
+            calls.append(lambda: evaluate_map(fam, b, z, *cfg))
+        calls += [lambda: TransitionMap(fam, a, b, *cfg).evaluate(z),
+                  lambda: TransitionMap(fam, a, b, *cfg)(z)]
     for call in calls:
         with pytest.raises(error) as info:
             call()

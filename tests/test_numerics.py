@@ -295,6 +295,23 @@ def test_floats_reads_pairs_and_refuses_other_shapes():
     assert numerics.floats([1, "2.5"], "bad").tolist() == [1.0, 2.5]
 
 
+def test_floats_reads_complex_points_flat_lists_and_generators():
+    assert numerics.floats([1j, "2+1j"], "bad", dtype=complex).tolist() == [1j, 2 + 1j]
+    assert numerics.floats((x for x in (1, 2)), "bad", ndim=1).tolist() == [1.0, 2.0]
+    for values, ndim in ((None, None), (1.0, 1), ([[1.0]], 1), ([1.0], 0), ({"a": 1}, None)):
+        with pytest.raises(InvalidInputError, match="^bad$"):
+            numerics.floats(values, "bad", ndim=ndim)
+
+
+def test_number_reads_one_float():
+    for value in (2, 2.0, np.float32(2.0), np.array(2.0), "2"):
+        got = numerics.number(value, "bad")
+        assert got == 2.0 and type(got) is float
+    for value in (None, "x", [2.0], np.array([2.0]), 2j, 10**400):
+        with pytest.raises(InvalidInputError, match="^bad$"):
+            numerics.number(value, "bad")
+
+
 @pytest.mark.parametrize("lo, hi, message", [
     (-math.inf, 1.0, "x endpoints must be finite"),
     (0.0, math.nan, "x endpoints must be finite"),
@@ -310,3 +327,84 @@ def test_finite_interval_refusals(lo, hi, message):
 def test_finite_interval_returns_floats():
     lo, hi = numerics.finite_interval(np.int64(-1), 2, "x")
     assert (lo, hi) == (-1.0, 2.0) and type(lo) is float and type(hi) is float
+
+
+# ---------------------------------------------------------------------------
+# every public function reads its numbers through these readers
+
+
+def _malformed_argument_calls():
+    # each numeric argument of the public functions, as a call on one value;
+    # the set marks the arguments whose default, and so whose None, is valid
+    from chordal import capacity, grunsky, loewner
+
+    fam = loewner.DriverFamily.constant(point_mass(), horizon=2.0)
+    mu = measures.semicircle()
+    series = grunsky.SeriesCoefficients([1.0, 0.0, 1.0, 0.0, 0.0])
+    moments = [1.0, 0.0, 1.0, 0.0, 2.0]
+    calls = {
+        "measure_at.t": lambda v: fam.measure_at(v),
+        "hydrodynamic_parameter.t": lambda v: loewner.hydrodynamic_parameter(fam, v),
+        "semigroup_defect.a": lambda v: loewner.semigroup_defect(fam, v, 0.5, 1.0, [1j]),
+        "semigroup_defect.b": lambda v: loewner.semigroup_defect(fam, 0.0, v, 1.0, [1j]),
+        "semigroup_defect.c": lambda v: loewner.semigroup_defect(fam, 0.0, 0.5, v, [1j]),
+        "semigroup_defect.zs": lambda v: loewner.semigroup_defect(fam, 0.0, 0.5, 1.0, v),
+        "univalence_probe.t": lambda v: loewner.univalence_probe(fam, v, [[1j, 2j]]),
+        "univalence_probe.pairs": lambda v: loewner.univalence_probe(fam, 1.0, v),
+        "solve_transition.a": lambda v: loewner.solve_transition(fam, v, 1.0, 1j),
+        "solve_transition.z": lambda v: loewner.solve_transition(fam, 0.0, 1.0, v),
+        "transition_grid.b": lambda v: loewner.transition_grid(fam, 0.0, v, [1j]),
+        "transition_grid.zs": lambda v: loewner.transition_grid(fam, 0.0, 1.0, v),
+        "TransitionMap.a": lambda v: loewner.TransitionMap(fam, v, 1.0),
+        "TransitionMap.grid.zs": lambda v: loewner.TransitionMap(fam, 0.0, 1.0).grid(v),
+        "SolverConfig.tol": lambda v: loewner.SolverConfig(tol=v),
+        "SolverConfig.max_step": lambda v: loewner.SolverConfig(max_step=v),
+        "SolverConfig.contraction_margin": lambda v: loewner.SolverConfig(contraction_margin=v),
+        "constant.horizon": lambda v: loewner.DriverFamily.constant(mu, horizon=v),
+        "piecewise_constant.breaks": lambda v: loewner.DriverFamily.piecewise_constant(v, [mu]),
+        "moving_atom.samples": lambda v: loewner.DriverFamily.moving_atom(v),
+        "cauchy_transform.z": lambda v: measures.cauchy_transform(mu, v),
+        "reciprocal_cauchy.z": lambda v: measures.reciprocal_cauchy(mu, v),
+        "stieltjes_invert.interval": lambda v: stieltjes_invert(
+            lambda z: cauchy_transform(mu, z), v, EPS_LADDER),
+        "stieltjes_invert.eps_ladder": lambda v: stieltjes_invert(
+            lambda z: cauchy_transform(mu, z), (-1.0, 1.0), v),
+        "affine_pushforward.scale": lambda v: measures.affine_pushforward(mu, v, 0.0),
+        "affine_pushforward.shift": lambda v: measures.affine_pushforward(mu, 1.0, v),
+        "RealMeasure.atoms": lambda v: measures.RealMeasure(v),
+        "RealMeasure.mass": lambda v: measures.RealMeasure([(0.0, 1.0)], mass=v),
+        "finite_interval.lo": lambda v: numerics.finite_interval(v, 1.0, "x"),
+        "finite_interval.hi": lambda v: numerics.finite_interval(0.0, v, "x"),
+        "moments_to_alpha.moments": lambda v: grunsky.moments_to_alpha(v),
+        "univalence_certificate.mu_moments": lambda v: grunsky.univalence_certificate(v, 2),
+        "univalence_certificate.boundary_tol":
+            lambda v: grunsky.univalence_certificate(moments, 2, v),
+        "SeriesCoefficients.coeffs": lambda v: grunsky.SeriesCoefficients(v),
+        "faber_polynomials.n_max": lambda v: grunsky.faber_polynomials(series, v),
+        "symmetric_eigenvalues.matrix": lambda v: grunsky.symmetric_eigenvalues(v),
+        "boundary_image.epsilon": lambda v: capacity.boundary_image(mu, 64, v),
+        "discrete_transfinite_diameter.points":
+            lambda v: capacity.discrete_transfinite_diameter(v, 2),
+        "discrete_transfinite_diameter.n":
+            lambda v: capacity.discrete_transfinite_diameter([0, 1, 2j], v),
+        "hayman_report.epsilon": lambda v: capacity.hayman_report(mu, 8, 64, v),
+    }
+    return calls, {"constant.horizon", "RealMeasure.mass", "hayman_report.epsilon"}
+
+
+MALFORMED = {"none": None, "string": "abc", "ragged": [1j, [2j]], "dict": {"a": 1}}
+
+
+@pytest.mark.parametrize("kind", MALFORMED)
+def test_public_functions_refuse_what_they_cannot_read(kind):
+    # a value no reader takes refuses as InvalidInputError, never as the
+    # bare TypeError or ValueError of a conversion
+    calls, none_is_default = _malformed_argument_calls()
+    for name, call in calls.items():
+        if kind == "none" and name in none_is_default:
+            continue
+        try:
+            call(MALFORMED[kind])
+        except InvalidInputError:
+            continue
+        pytest.fail(f"{name} took {MALFORMED[kind]!r}")
