@@ -14,16 +14,17 @@ samples, by a discrete Fekete exchange over the trace.  The exchange
 keeps its table node-major, shape (n, points): row k holds the
 log-distances from the k-th selected point to every sample, so a gain
 reads one contiguous row and a swap rewrites one row and updates each
-candidate's total in place, O(points).  It stops after the first sweep
-that raises log d_n by less than 1e-3 * RATIO_BAND, far inside the
-O(log n / n) gap between d_n and the capacity; ``sweeps`` is only a cap.
-The trace takes G
-from ``RealMeasure.cauchy``: exact for the atoms and the named densities,
-and only segments given by a bare density callable are resampled finely
-enough for the trace height.  The crossing test sorts the segments once by
-left x and sweeps, at most ``_PAIR_BATCH`` pairs a batch: O(n log n + K)
-for K segment pairs overlapping in x, near linear for a trace, quadratic
-for a raster.
+candidate's total in place, O(points).  Its points are distinct, as
+repeats are dropped on entry, and a slot's own entry counts as 0 rather
+than log 0, so every entry and every total is finite.  It stops after the
+first sweep that raises log d_n by less than 1e-3 * RATIO_BAND, far
+inside the O(log n / n) gap between d_n and the capacity; ``sweeps`` is
+only a cap.  The trace takes G from ``RealMeasure.cauchy``: exact for the
+atoms and the named densities, and only segments given by a bare density
+callable are resampled finely enough for the trace height.  The crossing
+test sorts the segments once by left x and sweeps, at most
+``_PAIR_BATCH`` pairs a batch: O(n log n + K) for K segment pairs
+overlapping in x, near linear for a trace, quadratic for a raster.
 Everything here is deterministic: greedy seeding and exchange sweeps break
 ties by lowest sample index.
 """
@@ -36,7 +37,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import InvalidInputError, NonConvergenceError
-from .measures import RealMeasure
+from .measures import RealMeasure, _measure
 from .numerics import count, finite_interval, floats, number
 
 __all__ = [
@@ -146,9 +147,7 @@ def _proper_crossings(pts: np.ndarray) -> bool:
 def _support(mu: RealMeasure) -> tuple[float, float]:
     """The hull [A, B] of a probability measure's support; InvalidInputError
     unless it is a nondegenerate interval of finite width."""
-    if not isinstance(mu, RealMeasure):
-        raise InvalidInputError("mu must be a RealMeasure")
-    if not mu.is_probability:
+    if not _measure(mu).is_probability:
         raise InvalidInputError("mu must be a probability measure")
     return finite_interval(*mu.support, "support")
 
@@ -216,16 +215,19 @@ def discrete_transfinite_diameter(points, n: int, sweeps: int = 20) -> float:
     capacity only as O(log n / n), far above the rises left.  Returns the
     geometric mean of pairwise distances, d_n = (prod |p_i - p_j|)^(2/(n(n-1))).
 
-    The table ``la`` is node-major: row k holds log |p - p_sel[k]| over the
-    cloud, so each seed pick writes one row and each gain reads one row.  A
-    swap costs O(points): one row of logs ``new``, and each candidate's
-    total updated in place by ``new - la[j]``.  Where the old row held
-    log 0, at the swapped-out point and any exact duplicate of it, that
-    update reads -inf + inf = nan, and only the columns left nan are
-    re-summed from the table.  A duplicate of the point in slot j reads a
-    gain of -inf - (-inf) = nan for that slot; it counts as no gain.
-    A sweep, n gains over the table, costs O(n * points).  A table of more
-    than 2^24 entries (n times the cloud size) is refused before it is made.
+    Repeated points are dropped first, each first occurrence kept in cloud
+    order; the seed starts from the whole cloud's centre, so every tie
+    breaks as it would over the full cloud.  A cloud with fewer than n
+    distinct points is refused before the table is made.  The table ``la``
+    is node-major: row k holds log |p - p_sel[k]| over the cloud, so each
+    seed pick writes one row and each gain reads one row.  Slot k's own
+    entry, log 0, counts as 0: every entry and every total ``rows`` is
+    finite, and a selected point's total is the log distance to its
+    partners, so slot j's gain is ``rows - la[j] - rows[sel[j]]``.  A swap
+    costs O(points): one row of logs ``new`` with 0 at its own point, and
+    each candidate's total updated in place by ``new - la[j]``.  A sweep,
+    n gains over the table, costs O(n * points).  A table of more than
+    2^24 entries (n times the cloud size) is refused before it is made.
     """
     pts = floats(points, "sample cloud must be finite", dtype=complex).ravel()
     n = count(n, "n")
@@ -241,52 +243,51 @@ def discrete_transfinite_diameter(points, n: int, sweeps: int = 20) -> float:
     if not np.isfinite(pts).all():
         raise InvalidInputError("sample cloud must be finite")
 
-    # -inf marks a candidate colliding with a selected point; the masking
-    # below keeps it, and any inf-inf artifact, out of the argmax.
-    with np.errstate(divide="ignore", invalid="ignore"):
-        # greedy seed, translation-equivariant start; each pick fills a row
+    # the seed's centre is the whole cloud's; repeats then go, first
+    # occurrences kept in cloud order, so ties break as on the full cloud
+    center = pts.mean()
+    order = np.argsort(pts, kind="stable")
+    srt = pts[order]
+    pts = pts[np.sort(order[np.r_[True, srt[1:] != srt[:-1]]])]
+    if pts.size < n:
+        raise InvalidInputError("sample cloud has fewer than n distinct points")
+
+    with np.errstate(divide="ignore"):
+        # greedy seed, translation-equivariant start; each pick fills a row,
+        # and a picked point scores log 0 = -inf, so it is never picked again
         sel = np.empty(n, dtype=int)
         la = np.empty((n, pts.size))
-        score = np.abs(pts - pts.mean())
+        score = np.abs(pts - center)
         for k in range(n):
             sel[k] = int(np.argmax(score))
             la[k] = np.log(np.abs(pts - pts[sel[k]]))
             score = la[0] if k == 0 else score + la[k]
-        iu = np.triu_indices(n, k=1)
-        # a repeated point enters only the seed, when no distinct point is
-        # left: no exchange swaps one in, as it gains -inf or nothing
-        if np.any(la[:, sel].T[iu] == -np.inf):
-            raise InvalidInputError("sample cloud has fewer than n distinct points")
+        # a slot's own entry counts as 0, so every entry and total is finite
+        # and a selected point's total is its log distance to its partners
+        la[np.arange(n), sel] = 0.0
         rows = la.sum(axis=0)
         # log d_n is 2/(n(n-1)) times the log pair-sum that each gain raises
         settled = 0.5 * _SETTLED * n * (n - 1)
         for _ in range(sweeps):
             raised = 0.0
             for j in range(n):
-                s_j = np.delete(la[j, sel], j).sum()
-                gain = rows - la[j] - s_j
+                gain = rows - la[j] - rows[sel[j]]
                 gain[sel] = -np.inf
                 best = int(np.argmax(gain))
-                if math.isnan(gain[best]):  # duplicates of p_sel[j]: no gain
-                    gain[np.isnan(gain)] = -np.inf
-                    best = int(np.argmax(gain))
                 if not _GAIN_FLOOR < gain[best] < np.inf:
                     continue
                 raised += gain[best]
                 sel[j] = best
                 new = np.log(np.abs(pts - pts[best]))
+                new[best] = 0.0
                 rows += new - la[j]
                 la[j] = new
-                # where the old row held log 0, at the swapped-out point
-                # and its duplicates, the update read -inf + inf = nan
-                fix = np.flatnonzero(np.isnan(rows))
-                rows[fix] = la[:, fix].sum(axis=0)
             if raised < settled:
                 break
 
     # entry (a, b) of la[:, sel].T is log|p_sel[a] - p_sel[b]|; the upper
     # triangle, row by row, is each pair once
-    return float(np.exp(2.0 * la[:, sel].T[iu].sum() / (n * (n - 1))))
+    return float(np.exp(2.0 * la[:, sel].T[np.triu_indices(n, 1)].sum() / (n * (n - 1))))
 
 
 def _unit_interval_diameter(n: int) -> float:

@@ -125,13 +125,19 @@ def faber_polynomials(g: SeriesCoefficients, n_max: int) -> list[np.ndarray]:
     n_max = count(n_max, "polynomial order")
     if n_max < 0:
         raise InvalidInputError("polynomial order must be nonnegative")
-    tail = np.asarray(g.coeffs[1 : n_max + 1], dtype=float)
+    tail = np.asarray(_series(g).coeffs[1 : n_max + 1], dtype=float)
     P = np.zeros((n_max + 2, n_max + 2))
     P[0, 0] = 1.0
     P[1 : tail.size + 1, 0] = tail
     P[1, 1] = -1.0
     D = _log_rows(P)
     return [np.array([1.0])] + [-D[n, : n + 1] for n in range(1, n_max + 1)]
+
+
+def _series(g) -> SeriesCoefficients:
+    if not isinstance(g, SeriesCoefficients):
+        raise InvalidInputError("g must be a SeriesCoefficients")
+    return g
 
 
 def _check_order(order) -> int:
@@ -150,7 +156,7 @@ def grunsky_coefficients(g: SeriesCoefficients, order: int) -> np.ndarray:
     is needed.
     """
     order = _check_order(order)
-    if g.tail_length < 2 * order:
+    if _series(g).tail_length < 2 * order:
         raise InvalidInputError(f"series carries {g.tail_length} tail coefficients, needs {2 * order}")
     i = np.arange(order + 1)
     P = -np.asarray(g.coeffs, dtype=float)[i[:, None] + i[None, :]]
@@ -223,8 +229,6 @@ def measure_certificate(mu: RealMeasure, order: int, boundary_tol: float = 1e-8)
     The order is checked before any moment is integrated.
     """
     order = _check_order(order)
-    if not isinstance(mu, RealMeasure):
-        raise InvalidInputError("mu must be a RealMeasure")
     moments = [moment(mu, k) for k in range(2 * order + 1)]
     return univalence_certificate(moments, order, boundary_tol)
 

@@ -294,9 +294,12 @@ class DriverFamily:
             raise InvalidInputError("first breakpoint must be 0")
         if np.any(np.diff(b) <= 0):
             raise InvalidInputError("breakpoints must be strictly increasing")
-        if len(measures) != b.size:
+        try:
+            ms = tuple(measures)
+        except TypeError:
+            raise InvalidInputError("driver measures must be a list") from None
+        if len(ms) != b.size:
             raise InvalidInputError("need exactly one measure per breakpoint")
-        ms = tuple(measures)
         for mu in ms:
             if not isinstance(mu, RealMeasure):
                 raise InvalidInputError("driver measures must be RealMeasure instances")
@@ -423,6 +426,8 @@ class _MovingAtom(DriverFamily):
 
 def driver_measure_at(family: DriverFamily, t: float) -> RealMeasure:
     """Measure governing the family at time ``t`` (right-continuous)."""
+    if not isinstance(family, DriverFamily):
+        raise InvalidInputError("family must be a DriverFamily")
     return family.measure_at(t)
 
 

@@ -109,6 +109,8 @@ class DensitySegment:
         if not 2 <= order <= _MAX_ORDER:
             raise InvalidInputError(f"quadrature order must be an integer in [2, {_MAX_ORDER}]")
         object.__setattr__(self, "order", order)
+        if not callable(self.density):
+            raise InvalidInputError("segment density must be callable")
         if self.cauchy is not None and not callable(self.cauchy):
             raise InvalidInputError("segment cauchy transform must be callable")
         if self.peak is not None and not (isinstance(self.peak, (int, float))
@@ -157,7 +159,10 @@ class RealMeasure:
         if (pairs[:, 1] < 0).any():
             raise InvalidInputError("atom weights must be nonnegative")
         self._atoms = tuple(map(tuple, pairs.tolist()))
-        self._segments = tuple(segments)
+        try:
+            self._segments = tuple(segments)
+        except TypeError:
+            raise InvalidInputError("segments must be a list") from None
         if not all(isinstance(seg, DensitySegment) for seg in self._segments):
             raise InvalidInputError("segments must be DensitySegment instances")
         frozen = [seg.nodes() for seg in self._segments]
@@ -219,6 +224,9 @@ class RealMeasure:
     def g_bounds(self, eta):
         """Bounds (M, K, L) on G over Im w >= eta, elementwise in eta.
 
+        ``eta`` must be positive; it is not checked here, as the solver
+        calls this on every sweep and round.
+
         Write ``free`` for the mass of the atoms and of the segments with no
         density bound (the arcsine, bare callables), and P for the sum of
         the bounds ``DensitySegment.peak`` of the other segments, which hold
@@ -276,7 +284,7 @@ class RealMeasure:
         Needed when the transform is evaluated closer to the support than the
         declared-order node gap; atoms are kept exact.
         """
-        return self._resampled(self._segments, spacing)
+        return self._resampled(self._segments, number(spacing, "spacing must be positive"))
 
 
 def _lone_node(x: float, w: float, z: np.ndarray) -> np.ndarray:
@@ -415,6 +423,8 @@ def named_density(name: str, lo: float, hi: float, order: int = 64) -> DensitySe
     xi = (x - mid)/rad from the ends and the critical points; the arcsine
     has none.
     """
+    if not isinstance(name, str):
+        raise InvalidInputError("segment density must be a name string")
     lo, hi = finite_interval(lo, hi, "segment")  # before the bounds divide by the width
     mid = 0.5 * (lo + hi)
     rad = 0.5 * (hi - lo)
@@ -482,10 +492,7 @@ def measure_from_dict(obj: dict) -> RealMeasure:
         # one [lo, hi] pair, read as the only row of a list of pairs
         lo, hi = floats([json_numbers(s.get("interval"), "segment interval")],
                         "segment needs an [lo, hi] interval", pairs=True)[0]
-        name = s.get("density")
-        if not isinstance(name, str):
-            raise InvalidInputError("segment density must be a name string")
-        segs.append(named_density(name, lo, hi, s.get("order", 64)))
+        segs.append(named_density(s.get("density"), lo, hi, s.get("order", 64)))
     mass = json_numbers(obj.get("mass"), "declared mass")
     return RealMeasure(json_numbers(obj.get("atoms", []), "atoms"), segs, mass=mass)
 
@@ -503,6 +510,12 @@ def _require_upper(z) -> np.ndarray:
     return zz
 
 
+def _measure(mu) -> RealMeasure:
+    if not isinstance(mu, RealMeasure):
+        raise InvalidInputError("mu must be a RealMeasure")
+    return mu
+
+
 def _scaled(mu: RealMeasure, z) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """The nodes, weights and points of G(z), after the domain check.
 
@@ -516,8 +529,8 @@ def _scaled(mu: RealMeasure, z) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     at most twice the larger part, stays below 2^1022 and its reciprocal
     stays normal.
     """
+    pos, wts = _measure(mu).nodes()
     zz = _require_upper(z)
-    pos, wts = mu.nodes()
     reach = max(np.abs(zz.real).max(initial=0.0), np.abs(zz.imag).max(initial=0.0),
                 np.abs(pos).max(initial=0.0))
     shift = max(math.frexp(reach)[1] - 1020, 0)
@@ -541,7 +554,7 @@ def cauchy_transform(mu: RealMeasure, z):
 
 
 def _probability(mu: RealMeasure) -> RealMeasure:
-    if not mu.is_probability:
+    if not _measure(mu).is_probability:
         raise InvalidInputError("reciprocal transform needs a probability measure")
     return mu
 
@@ -615,7 +628,7 @@ def moment(mu: RealMeasure, n: int) -> float:
     n = count(n, "moment order")
     if n < 0:
         raise InvalidInputError("moment order must be a nonnegative integer")
-    pos, wts = mu.nodes()
+    pos, wts = _measure(mu).nodes()
     with np.errstate(over="ignore", invalid="ignore"):  # the certificate refuses inf and nan
         return float((wts * pos ** n).sum())
 
@@ -628,6 +641,8 @@ def class_r_constant(F) -> float:
     ``numerics.Y_LADDER``; NonConvergenceError unless it settles within
     ``numerics.settle_tol(C)`` = 1e-3 max(1, C).
     """
+    if not callable(F):
+        raise InvalidInputError("F must be callable")
     vals = np.array([abs(1j * y * (1j * y - F(1j * y))) for y in Y_LADDER])
     return max(float(y_limit(vals, "class-r ladder")), 0.0)
 
@@ -652,6 +667,8 @@ def nevanlinna_triple(F) -> NevanlinnaTriple:
     ``numerics.Y_LADDER``; NonConvergenceError unless it settles within
     ``numerics.settle_tol(c)`` = 1e-3 max(1, |c|), and unless F(i) is finite.
     """
+    if not callable(F):
+        raise InvalidInputError("F must be callable")
     fi = complex(F(1j))
     b = fi.real
     vals = np.array([complex(F(1j * y)).imag / y for y in Y_LADDER])
@@ -678,10 +695,19 @@ def stieltjes_invert(G, interval: tuple[float, float], eps_ladder: Sequence[floa
     Interior atoms count twice, endpoint atoms once, matching the
     open/closed average.
 
+    Each integral is taken to 1e-10 max(1, b - a) times max(1, y |G(iy)|)
+    at y = max(1, |a|, |b|), where G is read once per call; the factor
+    counts as 1 when that reading is not finite.  As y |G(iy)| is at most
+    the mass, a measure of mass at most 1 keeps the tolerance
+    1e-10 max(1, b - a), and a heavier one is integrated to the same
+    relative accuracy instead of refining to Simpson's evaluation cap.
+
     G is called on 1-D complex arrays of points, one call per Simpson
     level and slice; a G that raises TypeError on an array, or returns the
     wrong shape, is called point by point instead.
     """
+    if not callable(G):
+        raise InvalidInputError("G must be callable")
     a, b = floats([interval], "interval must be a pair (a, b)", pairs=True)[0]
     a, b = finite_interval(a, b, "interval")
     eps = floats(eps_ladder, "eps ladder must be finite")
@@ -689,7 +715,10 @@ def stieltjes_invert(G, interval: tuple[float, float], eps_ladder: Sequence[floa
         raise InvalidInputError("eps ladder must be finite")
     if eps.ndim != 1 or eps.size < 2 or np.any(eps <= 0) or np.any(np.diff(eps) >= 0):
         raise InvalidInputError("eps ladder must be positive, strictly decreasing, length >= 2")
-    tol = 1e-10 * max(1.0, b - a)
+    y = max(1.0, abs(a), abs(b))
+    with np.errstate(over="ignore", invalid="ignore"):  # a non-finite reading counts as 1
+        scale = y * float(np.abs(_eval_array(G, np.array([1j * y]), complex)[0]))
+    tol = 1e-10 * max(1.0, b - a) * (scale if 1.0 < scale < math.inf else 1.0)
     vals = []
     for e in eps:
         integrand = lambda x, _e=e: _eval_array(G, x + 1j * _e, complex).imag
@@ -703,7 +732,7 @@ def affine_pushforward(mu: RealMeasure, scale: float, shift: float) -> RealMeasu
     scale, shift = number(scale, "scale must be positive"), number(shift, "shift must be a number")
     if not scale > 0:
         raise InvalidInputError("scale must be positive")
-    atoms = [(scale * x + shift, w) for x, w in mu.atoms]
+    atoms = [(scale * x + shift, w) for x, w in _measure(mu).atoms]
     segs = []
     for seg in mu.segments:
         def dens(y, _d=seg.density, _s=scale, _c=shift):
@@ -720,14 +749,19 @@ def affine_pushforward(mu: RealMeasure, scale: float, shift: float) -> RealMeasu
 
 # convenience constructors used throughout tests and the CLI docs
 
-def semicircle(radius: float = 2.0, center: float = 0.0, order: int = 64) -> RealMeasure:
-    seg = named_density("semicircle", center - radius, center + radius, order)
+def _centred(name: str, radius, center, order) -> RealMeasure:
+    radius = number(radius, "radius must be a number")
+    center = number(center, "center must be a number")
+    seg = named_density(name, center - radius, center + radius, order)
     return RealMeasure([], [seg], mass=1.0)
+
+
+def semicircle(radius: float = 2.0, center: float = 0.0, order: int = 64) -> RealMeasure:
+    return _centred("semicircle", radius, center, order)
 
 
 def arcsine(radius: float = 2.0, center: float = 0.0, order: int = 64) -> RealMeasure:
-    seg = named_density("arcsine", center - radius, center + radius, order)
-    return RealMeasure([], [seg], mass=1.0)
+    return _centred("arcsine", radius, center, order)
 
 
 def point_mass(x: float = 0.0) -> RealMeasure:
@@ -735,4 +769,6 @@ def point_mass(x: float = 0.0) -> RealMeasure:
 
 
 def bernoulli(spread: float = 1.0, center: float = 0.0) -> RealMeasure:
+    spread = number(spread, "spread must be a number")
+    center = number(center, "center must be a number")
     return RealMeasure([(center - spread, 0.5), (center + spread, 0.5)], mass=1.0)

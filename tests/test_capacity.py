@@ -292,6 +292,17 @@ def test_diameter_refuses_a_table_past_2_24_entries_before_making_it():
     finally:
         tracemalloc.stop()
     assert peak < 1 << 20
+    # 2^20 copies of one point at n = 16 fit the cap; the repeats were found
+    # only after the seed had filled the 2^24-entry table (168 MB traced)
+    tracemalloc.start()
+    try:
+        with pytest.raises(InvalidInputError,
+                           match="^sample cloud has fewer than n distinct points$"):
+            discrete_transfinite_diameter(np.zeros(1 << 20), 16)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 26
 
 
 @pytest.mark.parametrize("seed", range(8))
@@ -312,8 +323,8 @@ def test_exchange_matches_the_reference_on_the_interval_cloud():
 @pytest.mark.parametrize("seed", range(12))
 def test_exchange_matches_the_reference_on_duplicate_heavy_clouds(seed):
     # a closed curve sampled at random points and rounded to a coarse
-    # lattice repeats many of them; the exchange still swaps, and each swap
-    # re-sums the columns its in-place update left nan
+    # lattice repeats many of them; the exchange drops the repeats and
+    # still swaps as the reference does over the full cloud
     rng = np.random.default_rng(300 + seed)
     m = int(rng.integers(100, 500))
     k = np.arange(-3, 4)

@@ -118,6 +118,12 @@ ROWS = [
     row("invert-full-support",
         ["invert", "--measure", SEMI, "--interval", "-2,2", "--eps-ladder", EPS_LADDER],
         out=lambda o: abs(report(o)["value"] - 2.0) <= 1e-3, timeout=20),
+    # Simpson's tolerance scales with the mass: at 1e-10 absolute, an atom
+    # of weight 1e300 refined every rung to the evaluation cap and exit 1
+    row("invert-heavy-atom",
+        ["invert", "--measure", {"atoms": [[0.0, 1e300]]}, "--interval=-1,1",
+         "--eps-ladder", EPS_LADDER],
+        out=lambda o: abs(report(o)["value"] - 2e300) <= 2e297, timeout=20),
     # the largest resolution the 2^24 exchange table admits at n = 8
     row("hayman-largest-resolution",
         ["hayman", "--measure", SEMI, "--resolution", "1048576", "--n", "8"],

@@ -163,9 +163,11 @@ MEASURE_CALLS = [
 ]
 
 
-# derandomized: an atom of weight 1e300 keeps invert's Simpson refining
-# to its evaluation cap, 0.4-4 s a call, so a random draw of a few of them
-# would stretch the run from about 1 s to 30 s
+# derandomized, so that every run draws the same 100 measures and a failure
+# reproduces. A random draw costs about the same: invert's Simpson tolerance
+# scales with the mass, so an atom of weight 1e300 no longer refines to the
+# evaluation cap (ten seeded random runs took 1.1-1.3 s on 2 cores, where
+# that cap stretched them to 1.4-20 s)
 @settings(max_examples=100, deadline=None, derandomize=True)
 @given(measure=measure_files())
 def test_measure_file_fuzz(tmp_path_factory, measure):

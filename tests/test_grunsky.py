@@ -5,6 +5,8 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from chordal import grunsky
 from chordal.errors import InvalidInputError, NonConvergenceError
@@ -19,7 +21,9 @@ from chordal.grunsky import (
     symmetric_eigenvalues,
     univalence_certificate,
 )
-from chordal.measures import arcsine, bernoulli, moment, point_mass, semicircle
+from chordal.measures import (
+    RealMeasure, arcsine, bernoulli, moment, point_mass, semicircle,
+)
 
 from oracles import chebyshev_u, faber_oracle, grunsky_oracle
 
@@ -519,6 +523,35 @@ def test_certificate_skew_part_enters_the_weyl_bound(monkeypatch, moments, delta
     report = univalence_certificate(moments, 8)
     assert report.verdict == verdict
     assert np.array_equal(report.c_matrix, report.c_matrix.T)
+
+
+ATOMS = st.lists(st.tuples(st.floats(-1.9, 1.9), st.floats(0.01, 1.0)), min_size=1, max_size=5)
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(atoms=ATOMS)
+def test_max_eigenvalue_never_falls_as_the_order_grows(atoms):
+    # the order-n matrix is the leading block of the order-(n + 1) one, so
+    # by Cauchy interlacing max|eig| cannot fall as the order grows, up to
+    # the two orders' Weyl shifts; refused orders are skipped
+    total = math.fsum(w for _, w in atoms)
+    atoms = [(x, w / total) for x, w in atoms]
+    mu = RealMeasure(atoms)
+    exact = [1.0] + [math.fsum(w * x**k for x, w in atoms) for k in range(1, 33)]
+    for certificate, moments in (
+        (lambda order: univalence_certificate(exact, order), exact),
+        (lambda order: measure_certificate(mu, order), [moment(mu, k) for k in range(33)]),
+    ):
+        below = None
+        for order in range(2, 17, 2):
+            try:
+                mx = certificate(order).max_abs_eigenvalue
+            except NonConvergenceError:
+                continue
+            shift = grunsky._spectrum(np.asarray(moments[: 2 * order + 1]), order)[3]
+            if below is not None:
+                assert mx >= below[0] - below[1] - shift, (order, below, mx, shift)
+            below = (mx, shift)
 
 
 def test_asymmetric_user_matrix_is_an_input_error():

@@ -118,9 +118,11 @@ def test_g_is_called_on_arrays_once_per_level_and_slice():
     stieltjes_invert(g, (-1.0, 1.0), EPS_LADDER)
     assert all(len(s) == 1 for s in shapes)
     assert max(s[0] for s in shapes) <= numerics._SLICE
-    # 27600 points in all; at most _MAX_DEPTH + 2 calls per rung
-    assert sum(s[0] for s in shapes) == 27600
-    assert len(shapes) <= len(EPS_LADDER) * 50
+    # 27600 Simpson points in all, after the one point iy that scales the
+    # tolerance; at most _MAX_DEPTH + 2 calls per rung
+    assert shapes[0] == (1,)
+    assert sum(s[0] for s in shapes) == 1 + 27600
+    assert len(shapes) <= 1 + len(EPS_LADDER) * 50
 
 
 def test_scalar_only_g_matches_the_vectorised_call():
@@ -388,6 +390,28 @@ def _malformed_argument_calls():
         "discrete_transfinite_diameter.n":
             lambda v: capacity.discrete_transfinite_diameter([0, 1, 2j], v),
         "hayman_report.epsilon": lambda v: capacity.hayman_report(mu, 8, 64, v),
+        "semicircle.radius": lambda v: measures.semicircle(v),
+        "semicircle.center": lambda v: measures.semicircle(2.0, v),
+        "arcsine.radius": lambda v: measures.arcsine(v),
+        "arcsine.center": lambda v: measures.arcsine(2.0, v),
+        "bernoulli.spread": lambda v: measures.bernoulli(v),
+        "bernoulli.center": lambda v: measures.bernoulli(1.0, v),
+        "named_density.name": lambda v: measures.named_density(v, -1.0, 1.0),
+        "RealMeasure.segments": lambda v: measures.RealMeasure([(0.0, 1.0)], v),
+        "DensitySegment.density": lambda v: measures.DensitySegment(-1.0, 1.0, v),
+        "RealMeasure.dense_nodes.spacing": lambda v: mu.dense_nodes(v),
+        "cauchy_transform.mu": lambda v: measures.cauchy_transform(v, 1j),
+        "reciprocal_cauchy.mu": lambda v: measures.reciprocal_cauchy(v, 1j),
+        "moment.mu": lambda v: measures.moment(v, 2),
+        "affine_pushforward.mu": lambda v: measures.affine_pushforward(v, 1.0, 0.0),
+        "piecewise_constant.measures":
+            lambda v: loewner.DriverFamily.piecewise_constant([0.0], v),
+        "driver_measure_at.family": lambda v: loewner.driver_measure_at(v, 0.0),
+        "grunsky_coefficients.g": lambda v: grunsky.grunsky_coefficients(v, 2),
+        "faber_polynomials.g": lambda v: grunsky.faber_polynomials(v, 2),
+        "class_r_constant.F": lambda v: measures.class_r_constant(v),
+        "nevanlinna_triple.F": lambda v: measures.nevanlinna_triple(v),
+        "stieltjes_invert.G": lambda v: stieltjes_invert(v, (-1.0, 1.0), EPS_LADDER),
     }
     return calls, {"constant.horizon", "RealMeasure.mass", "hayman_report.epsilon"}
 
