@@ -228,6 +228,10 @@ def discrete_transfinite_diameter(points, n: int, sweeps: int = 20) -> float:
     each candidate's total updated in place by ``new - la[j]``.  A sweep,
     n gains over the table, costs O(n * points).  A table of more than
     2^24 entries (n times the cloud size) is refused before it is made.
+    A cloud whose size times its largest coordinate reaches 2^1022 is
+    scaled by a power of two before all this, so that no difference
+    overflows (subnormal points it merges count once), and d_n is scaled
+    back; a d_n past the float range is refused.
     """
     pts = floats(points, "sample cloud must be finite", dtype=complex).ravel()
     n = count(n, "n")
@@ -242,6 +246,14 @@ def discrete_transfinite_diameter(points, n: int, sweeps: int = 20) -> float:
         raise InvalidInputError("sweeps must be non-negative")
     if not np.isfinite(pts).all():
         raise InvalidInputError("sample cloud must be finite")
+
+    # d_n scales with the cloud: a power of two that brings the cloud's
+    # size times its largest part below 2^1022 keeps the centre's sum and
+    # every |p - q| finite, and multiplies d_n back at the end
+    reach = max(np.abs(pts.real).max(), np.abs(pts.imag).max())
+    shift = max(math.frexp(reach)[1] + pts.size.bit_length() - 1022, 0)
+    if shift:
+        pts = np.ldexp(pts.real, -shift) + 1j * np.ldexp(pts.imag, -shift)
 
     # the seed's centre is the whole cloud's; repeats then go, first
     # occurrences kept in cloud order, so ties break as on the full cloud
@@ -287,7 +299,11 @@ def discrete_transfinite_diameter(points, n: int, sweeps: int = 20) -> float:
 
     # entry (a, b) of la[:, sel].T is log|p_sel[a] - p_sel[b]|; the upper
     # triangle, row by row, is each pair once
-    return float(np.exp(2.0 * la[:, sel].T[np.triu_indices(n, 1)].sum() / (n * (n - 1))))
+    d = float(np.exp(2.0 * la[:, sel].T[np.triu_indices(n, 1)].sum() / (n * (n - 1))))
+    try:
+        return math.ldexp(d, shift)
+    except OverflowError:
+        raise InvalidInputError("transfinite diameter of the cloud overflows") from None
 
 
 def _unit_interval_diameter(n: int) -> float:

@@ -46,6 +46,9 @@ _POLY_SERIES_TERMS = 64    # 2**-64 < eps/100 at the radius
 _POLY_PEAK_DEGREE = 64     # past it a poly: peak is the coefficient sum (roots cost O(deg^3))
 _EPS = float(np.finfo(float).eps)
 _TINY = float(np.finfo(float).tiny)
+# on the closed-form sups of |G| and |G'|, which are attained, so that their
+# rounding, and that of an affine image's rescaling, stays below the bound
+_SUP_ROOM = 1.0 + 16.0 * _EPS
 
 
 def _eval_array(fn, x: np.ndarray, dtype=float) -> np.ndarray:
@@ -93,6 +96,15 @@ class DensitySegment:
     reads it to bound |G| and |G'| near the support, and the Loewner solver
     sizes its substeps by those bounds; a segment without it counts like an
     atom there.
+
+    Two forms ride on the named densities' callables rather than on fields.
+    The semicircle's and the arcsine's `cauchy` carries the exact sups of
+    |G| and |G'| at distance at least y from the segment, which
+    `g_bounds` prefers where they are smaller (`named_density` gives the
+    proof); their `density` carries density * dx/dtheta in theta, sin^2
+    and 1/2, which the cos-substituted rule weighs its nodes by, free of the
+    cancellation in rad^2 - (x - mid)^2 at the rounded node x. A callable
+    that is replaced or wrapped loses its form and falls back on the fields.
     """
 
     lo: float
@@ -121,6 +133,15 @@ class DensitySegment:
         return _mapped(self, *gauss_legendre(self.order))
 
 
+def _theta_form(seg: DensitySegment):
+    # the named density's density * dx/dtheta as a function of theta, for a
+    # chebyshev segment on the interval that density was named on; else None
+    form = getattr(seg.density, "_theta", None)
+    if seg.chebyshev and form is not None and form[:2] == (seg.lo, seg.hi):
+        return form[2]
+    return None
+
+
 def _mapped(seg: DensitySegment, t: np.ndarray, w) -> tuple[np.ndarray, np.ndarray]:
     # the rule (t, w) on [-1, 1] mapped onto seg, through the cos
     # substitution for chebyshev segments: its nodes and density weights
@@ -129,6 +150,9 @@ def _mapped(seg: DensitySegment, t: np.ndarray, w) -> tuple[np.ndarray, np.ndarr
     if seg.chebyshev:
         theta = 0.5 * np.pi * (t + 1.0)
         x = mid + rad * np.cos(theta)
+        form = _theta_form(seg)
+        if form is not None:
+            return x, form(theta) * w
         jac = rad * np.sin(theta) * (0.5 * np.pi)
     else:
         x = mid + rad * t
@@ -182,6 +206,13 @@ class RealMeasure:
         dense = sum(float(w.sum()) for seg, (_, w) in zip(self._segments, frozen)
                     if seg.peak is not None)
         self._free = max(total - dense, 0.0) if self._peak else 1.0
+        # and the closed-form sups, with the mass of the atoms and of the
+        # segments whose transform carries none
+        self._sups = tuple(seg.cauchy._sups for seg in self._segments
+                           if hasattr(seg.cauchy, "_sups"))
+        self._lone = sum(w for _, w in self._atoms) + sum(
+            float(w.sum()) for seg, (_, w) in zip(self._segments, frozen)
+            if not hasattr(seg.cauchy, "_sups"))
         # G: the closed forms plus one node sum over the atoms and the
         # segments that have no closed form ("bare" segments)
         self._closed = tuple(seg.cauchy for seg in self._segments if seg.cauchy is not None)
@@ -243,20 +274,38 @@ class RealMeasure:
         pi P / y. As asinh u <= u, M(y) <= 1/y and L(y) <= 1/y^2, the atom
         constants, which a measure with no density bound (free = 1, P = 0)
         gets exactly. As asinh is concave and vanishes at 0, K <= 2 M(eta).
+
+        Where segments carry the closed-form sups of their transforms (the
+        semicircle, the arcsine and their affine images; `named_density`),
+        a second column holds the sum of those sups at y (at eta/2 for K)
+        and the atom terms of the rest of the mass, and each constant is
+        the smaller of the two columns, so no constant rises. Near the
+        support that column is of order 1 and 1/sqrt(eta) where the first
+        is of order log(1/eta) and 1/eta. Measures without such segments
+        get the first column bit for bit.
         """
         if not self.is_probability:
             raise InvalidInputError("bounds on G need a probability measure")
         inv = 1.0 / eta
         eta2 = eta * eta
         if not self._peak:  # the atom constants
-            return inv, 2.0 * inv, 1.0 / eta2
-        free, peak = self._free, self._peak
-        dense = 1.0 - free
-        spread = np.maximum(peak * eta, _TINY)  # 2P (eta/2)
-        M = np.minimum(free * inv + 2.0 * peak * np.arcsinh(0.5 * dense / spread), inv)
-        K = np.minimum(2.0 * free * inv + 2.0 * peak * np.arcsinh(dense / spread), 2.0 * inv)
-        L = np.minimum(free / eta2 + np.minimum(np.pi * peak * inv, dense / eta2), 1.0 / eta2)
-        return M, K, L
+            M, K, L = inv, 2.0 * inv, 1.0 / eta2
+        else:
+            free, peak = self._free, self._peak
+            dense = 1.0 - free
+            spread = np.maximum(peak * eta, _TINY)  # 2P (eta/2)
+            M = np.minimum(free * inv + 2.0 * peak * np.arcsinh(0.5 * dense / spread), inv)
+            K = np.minimum(2.0 * free * inv + 2.0 * peak * np.arcsinh(dense / spread),
+                           2.0 * inv)
+            L = np.minimum(free / eta2 + np.minimum(np.pi * peak * inv, dense / eta2),
+                           1.0 / eta2)
+        if not self._sups:
+            return M, K, L
+        cols = [sups(eta) for sups in self._sups]
+        if self._lone:  # the atom constants of the rest of the mass
+            cols.append((self._lone * inv, 2.0 * self._lone * inv, self._lone / eta2))
+        M2, K2, L2 = (sum(col[1:], col[0]) for col in zip(*cols))
+        return np.minimum(M, M2), np.minimum(K, K2), np.minimum(L, L2)
 
     def cauchy(self, z, spacing: float | None = None) -> np.ndarray:
         """G(z) = integral of 1/(z - x) dmu(x) at every point of an array.
@@ -345,6 +394,57 @@ def _sqrt_pair(z, lo, hi):
     return np.sqrt(z - hi) * np.sqrt(z - lo)
 
 
+def _root_m(t):
+    # sqrt(m(t)), m(t) = 2t for t <= 1 and 1 + t^2 for t >= 1: the least
+    # |zeta^2 - 1| at distance >= t from [-1, 1] (named_density)
+    return np.where(t <= 1.0, np.sqrt(2.0 * t), np.hypot(1.0, t))
+
+
+# Each closed form's sups: y -> (M(y), M(y/2), L(y)), its bounds on |G| at
+# distance >= y and >= y/2 from the segment and on |G'| at distance >= y
+
+
+def _semicircle_sups(rad):
+    top = _SUP_ROOM * 2.0 / rad
+
+    def sups(y):
+        inv = 1.0 / y
+        L = np.minimum(top / (rad * _root_m(y / rad)), inv * inv)
+        return np.minimum(top, inv), np.minimum(top, 2.0 * inv), L
+    return sups
+
+
+def _arcsine_sups(rad):
+    def sups(y):
+        inv = 1.0 / y
+        t = y / rad
+        root = rad * _root_m(t)  # rad sqrt(m)
+        # sqrt(1 + m) / (rad^2 m^(3/2)) = sqrt(1 + 1/m) / (rad sqrt(m))^2
+        L = np.minimum(_SUP_ROOM * np.hypot(1.0, rad / root) / (root * root), inv * inv)
+        return (np.minimum(_SUP_ROOM / root, inv),
+                np.minimum(_SUP_ROOM / (rad * _root_m(0.5 * t)), 2.0 * inv), L)
+    return sups
+
+
+def _pushed_sups(sups, scale):
+    # the sups of G((z - shift)/scale)/scale: its argument lies at 1/scale
+    # times the distance, and G' gains one more factor 1/scale
+    room = _SUP_ROOM / scale
+
+    def pushed(y):
+        M, K, L = sups(y / scale)
+        return room * M, room * K, room * L / scale
+    return pushed
+
+
+def _sin2(theta):
+    return np.sin(theta) ** 2
+
+
+def _half(theta):
+    return np.full_like(theta, 0.5)
+
+
 def _poly_peak(a) -> float | None:
     # max |P| over [-1, 1] for P(xi) with ascending coefficients a: at an end
     # or a real root of P' (complex roots only add their clipped real parts,
@@ -422,6 +522,28 @@ def named_density(name: str, lo: float, hi: float, order: int = 64) -> DensitySe
     for `poly:`, the maximum of |p| on [lo, hi], taken in the variable
     xi = (x - mid)/rad from the ends and the critical points; the arcsine
     has none.
+
+    The semicircle's and the arcsine's transforms carry ``_sups``: y ->
+    (M(y), L(y)), the sups of |G| and |G'| at distance at least y from the
+    segment. With t = y/rad, that region is zeta at distance >= t from
+    [-1, 1], where |zeta^2 - 1| >= m(t) = 2t (t <= 1) or 1 + t^2 (t >= 1):
+    1/(zeta^2 - 1) is analytic there and vanishes at infinity, so its sup
+    lies on the boundary. At height t the least |zeta^2 - 1| is 2t at
+    (Re zeta)^2 = 1 - t^2 when t <= 1, and 1 + t^2 at Re zeta = 0
+    otherwise; the arcs round the ends give more, as |zeta - 1| = t and
+    |zeta + 1|^2 >= 4 + t^2 on the right one. So |q|^2 >= m, and
+
+    - semicircle: G = (2/rad) / (zeta + q) with |zeta + q| >= 1, and
+      G' = -(2/rad^2) g/q with g = 1/(zeta + q), so
+      M = min(2/rad, 1/y) and L = min(2/(rad^2 sqrt(m)), 1/y^2);
+    - arcsine: G = 1/(rad q) and G' = -zeta/(rad^2 q^3) with
+      |zeta|^2 <= |q|^2 + 1, so M = min(1/(rad sqrt(m)), 1/y) and
+      L = min(sqrt(1 + m)/(rad^2 m^(3/2)), 1/y^2),
+
+    1/y and 1/y^2 being a unit mass's at distance y. Both are attained
+    (the semicircle's L at zeta = i), so each takes a few ulps of headroom.
+    Their densities carry ``_theta``: (lo, hi, density * dx/dtheta) with
+    x = mid + rad cos(theta), which is sin^2(theta) and 1/2 exactly.
     """
     if not isinstance(name, str):
         raise InvalidInputError("segment density must be a name string")
@@ -437,6 +559,7 @@ def named_density(name: str, lo: float, hi: float, order: int = 64) -> DensitySe
 
         def transform(z):
             return 2.0 / ((z - mid) + _sqrt_pair(z, lo, hi))
+        dens._theta, transform._sups = (lo, hi, _sin2), _semicircle_sups(rad)
         return DensitySegment(lo, hi, dens, order, True, transform,
                               _finite_or_none(2.0 / (np.pi * rad)))
     if name == "arcsine":
@@ -449,6 +572,7 @@ def named_density(name: str, lo: float, hi: float, order: int = 64) -> DensitySe
 
         def transform(z):
             return 1.0 / _sqrt_pair(z, lo, hi)
+        dens._theta, transform._sups = (lo, hi, _half), _arcsine_sups(rad)
         return DensitySegment(lo, hi, dens, order, True, transform)
     if name == "uniform":
         def dens(x):
@@ -735,15 +859,22 @@ def affine_pushforward(mu: RealMeasure, scale: float, shift: float) -> RealMeasu
     atoms = [(scale * x + shift, w) for x, w in _measure(mu).atoms]
     segs = []
     for seg in mu.segments:
+        lo, hi = scale * seg.lo + shift, scale * seg.hi + shift
+
         def dens(y, _d=seg.density, _s=scale, _c=shift):
             return _eval_array(_d, (np.asarray(y, dtype=float) - _c) / _s) / _s
+        # density * dx/dtheta is the same in the image's theta
+        form = _theta_form(seg)
+        if form is not None:
+            dens._theta = (lo, hi, form)
         transform = None
         if seg.cauchy is not None:
             def transform(z, _g=seg.cauchy, _s=scale, _c=shift):
                 return _g((z - _c) / _s) / _s
+            if hasattr(seg.cauchy, "_sups"):
+                transform._sups = _pushed_sups(seg.cauchy._sups, scale)
         peak = None if seg.peak is None else _finite_or_none(seg.peak / scale)
-        segs.append(DensitySegment(scale * seg.lo + shift, scale * seg.hi + shift, dens,
-                                   seg.order, seg.chebyshev, transform, peak))
+        segs.append(DensitySegment(lo, hi, dens, seg.order, seg.chebyshev, transform, peak))
     return RealMeasure(atoms, segs)
 
 

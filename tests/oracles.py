@@ -284,3 +284,38 @@ def _named_cauchy(name, lo, hi, z, coeffs):
         dens = lambda x: mpmath.polyval([mpmath.mpf(c) for c in coeffs[::-1]], x)
     x0 = min(max(z.real, lo), hi)
     return _quad_near(lambda x: dens(x) / (z - x), lo, hi, x0)
+
+
+# ---------------------------------------------------------------------------
+# standing arcsine law on [-2, 2]: G(w) = 1/s(w), and H(w) = w s(w)/2 -
+# 2 log(w + s(w)) has H' = s = 1/G, so H(B(a, b; z)) = H(z) - (b - a). The
+# points w + s(w) stay in the upper half-plane, where the principal log is
+# continuous.
+
+
+def _arcsine_h(w):
+    s = _semi_s(w)
+    return w * s / 2 - 2 * mpmath.log(w + s)
+
+
+def arcsine_transition(t, z):
+    """B(0, t; z) for the standing arcsine law, to 40 digits.
+
+    Newton on H(B) = H(z) - t at 50 digits, started from an RK4 solve of
+    dB/da = G(B) whose steps shrink with the distance to [-2, 2], where G
+    grows like its inverse square root. The residual is checked, so a bad
+    start raises.
+    """
+    g = lambda w: 1.0 / (np.sqrt(w - 2.0) * np.sqrt(w + 2.0))
+    w = rk4_constant_flow(g, [z], t, -2.0, 2.0, rel=0.2)[0]
+    with mpmath.workdps(DIGITS):
+        target = _arcsine_h(mpmath.mpc(z)) - t
+        w = mpmath.mpc(w)
+        for _ in range(60):
+            step = (_arcsine_h(w) - target) / _semi_s(w)
+            w -= step
+            if abs(step) < mpmath.mpf(10) ** (-45):
+                break
+        if not (abs(_arcsine_h(w) - target) < mpmath.mpf(10) ** (-40) and w.imag > 0):
+            raise ArithmeticError("arcsine first integral did not converge")
+        return complex(w)

@@ -254,6 +254,23 @@ def test_euclidean_invariance_and_scaling():
     assert abs(discrete_transfinite_diameter(base * -2.5, 6) - 2.5 * d0) < 1e-12
 
 
+def test_diameter_of_a_cloud_near_the_float_limit():
+    # |1e308 - (-1e308)| overflowed, and d_n came back inf with numpy
+    # warnings; the exchange now runs on the cloud scaled by a power of two
+    # and scales d_n back, refusing a d_n past the float range in one line
+    cloud = np.array([1e308, -1e308, 0.0, 1.0, 2j, 3.0])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(InvalidInputError,
+                           match="^transfinite diameter of the cloud overflows$"):
+            discrete_transfinite_diameter(cloud, 2)  # d_2 = 2e308
+        for n in (3, 4):
+            # the same cloud at 2^-1020 runs unscaled; the logs near 709
+            # round by about 1e-13 relative
+            small = 2.0 ** 1020 * discrete_transfinite_diameter(cloud * 2.0 ** -1020, n)
+            assert abs(discrete_transfinite_diameter(cloud, n) / small - 1.0) < 1e-12
+
+
 def test_diameter_validation():
     cloud = interval_cloud(32)
     with pytest.raises(InvalidInputError):

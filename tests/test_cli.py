@@ -15,7 +15,7 @@ from chordal.cli import parse_complex, run
 from chordal.errors import InvalidInputError
 from chordal.loewner import DriverFamily, transition_grid
 from chordal.measures import MASS_TOL, DensitySegment, arcsine, measure_from_dict, point_mass
-from chordal.numerics import SETTLE_TOL
+from chordal.numerics import SETTLE_TOL, gauss_legendre
 
 from oracles import semicircle_transition
 
@@ -104,12 +104,13 @@ def test_arcsine_on_a_narrow_segment_keeps_unit_mass(capsys, tmp_path):
     # leaves out (ROADMAP D1): 1.7e-14 here, against a bound of 1.1e-14
     miss = abs(complex(*out["value"]) - (0.5 - 0.5j))
     assert miss <= out["roundoff_bound"] + MASS_TOL * abs(0.5 - 0.5j)
-    # no node of the arcsine on [-2, 2] nears either clamp: its nodes and
-    # weights are the unclamped density's
+    # the arcsine on [-2, 2] has the unclamped density's nodes, and weights
+    # from density * dx/dtheta = 1/2, which no clamp or rounded node touches
     unclamped = DensitySegment(-2.0, 2.0, lambda x: 1.0 / (np.pi * np.sqrt(4.0 - x ** 2)),
                                64, True)
-    for got, want in zip(arcsine().segments[0].nodes(), unclamped.nodes()):
-        assert np.array_equal(got, want)
+    (x, w), (x_want, _) = arcsine().segments[0].nodes(), unclamped.nodes()
+    assert np.array_equal(x, x_want)
+    assert np.array_equal(w, 0.5 * gauss_legendre(64)[1])
 
 
 def test_transform_reciprocal_semicircle(capsys, semi_path):

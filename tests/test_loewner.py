@@ -25,12 +25,13 @@ from chordal.loewner import (
     univalence_probe,
 )
 from chordal.measures import (
-    DensitySegment, RealMeasure, arcsine, bernoulli, measure_from_dict, named_density, point_mass,
-    semicircle,
+    DensitySegment, RealMeasure, affine_pushforward, arcsine, bernoulli, measure_from_dict,
+    named_density, point_mass, semicircle,
 )
 from chordal.numerics import cheb_grid
 
 from oracles import (
+    arcsine_transition,
     moving_atom_transition,
     rk4_constant_flow,
     rk4_transition,
@@ -412,6 +413,55 @@ def test_semicircle_near_the_support_within_bound(zs, order, tol):
     assert np.all(np.abs(got - want) <= bound)
 
 
+# on the support, at its end, off it, and at its middle
+NEAR_SUPPORT = np.array([2.0 + 0.001j, 2.5 + 0.001j, 0.5 + 0.01j, 0.01j])
+
+
+@pytest.mark.parametrize("mu, want", [
+    (semicircle(), semicircle_transition),
+    (arcsine(), arcsine_transition),
+    # x -> x/2 + 1 maps the flow to B(0, t; z) = 1 + B_semi(0, 4t; 2(z - 1))/2
+    (affine_pushforward(semicircle(), 0.5, 1.0),
+     lambda t, z: 1.0 + 0.5 * semicircle_transition(4.0 * t, 2.0 * (z - 1.0))),
+], ids=["semicircle", "arcsine", "semicircle-pushed"])
+def test_closed_form_sups_keep_near_support_lanes_within_bound(mu, want):
+    # the substeps these lanes take from the sups of |G| and |G'| at their
+    # distance from the segment still leave every error within its bound
+    ts = np.array([0.25, 1.0])
+    got, bound = transition_grid(DriverFamily.constant(mu, horizon=1.0), 0.0, ts[:, None],
+                                 NEAR_SUPPORT[None, :])
+    ref = np.array([[want(t, z) for z in NEAR_SUPPORT] for t in ts])
+    assert np.all(np.abs(got - ref) <= bound)
+    assert bound.max() <= SolverConfig().tol
+
+
+def _picard_rounds(monkeypatch, fam, t, zs):
+    # the lockstep loop's rounds from 0 to t, one _picard call each
+    picard = loewner._picard
+    rounds = [0]
+
+    def counted(*args):
+        rounds[0] += 1
+        return picard(*args)
+
+    monkeypatch.setattr(loewner, "_picard", counted)
+    vals, errs = transition_grid(fam, 0.0, t, zs)
+    monkeypatch.undo()
+    return rounds[0], vals, errs
+
+
+@pytest.mark.parametrize("mu, t, zs, want, most", [
+    # the bathtub and atom constants took 124 and 377 rounds; the sups, 29 and 21
+    (semicircle(), 1.0, [0.01j, 1.99 + 0.001j, 2.0 + 0.001j], semicircle_transition, 40),
+    (arcsine(), 0.5, [0.5 + 0.01j], arcsine_transition, 40),
+], ids=["semicircle", "arcsine"])
+def test_near_support_lanes_take_few_rounds(monkeypatch, mu, t, zs, want, most):
+    rounds, vals, errs = _picard_rounds(monkeypatch, DriverFamily.constant(mu, horizon=2.0), t,
+                                        np.array(zs))
+    assert rounds <= most
+    assert np.all(np.abs(vals - [want(t, z) for z in zs]) <= errs)
+
+
 # the band at Im z from the solver floor to 1e-2, on the support (0, 1.99),
 # at its end (2) and off it (2.5). The floor lanes at 2.5 barely rise, so
 # their rounds grow linearly in t: the band stops at t = 0.05.
@@ -505,11 +555,20 @@ def _regularity(free, peak, eta):
     return M, K, L
 
 
+CLOSED_SUPS = ("semicircle", "arcsine", "semicircle-pushed", "arcsine-pushed")
+
+
 def test_g_bounds_match_the_regularity_columns_bit_for_bit(g_bound_measures):
+    # measures whose transforms carry no closed-form sups keep the columns
+    # bit for bit; those that do never get a larger constant, and at
+    # eta = 1e-6 one at least five times smaller
     eta = np.concatenate(([1e-6, 1e6], 10.0 ** np.random.default_rng(41).uniform(-6.0, 6.0, 500)))
     for name, mu in g_bound_measures.items():
         for got, want in zip(mu.g_bounds(eta), _regularity(*_regularity_columns(mu), eta)):
-            assert np.array_equal(got, want), name
+            if name in CLOSED_SUPS:
+                assert np.all(got <= want) and got[0] < 0.2 * want[0], name
+            else:
+                assert np.array_equal(got, want), name
 
 
 def test_driver_build_evaluates_no_density():

@@ -13,6 +13,7 @@ import pickle
 import tracemalloc
 from fractions import Fraction
 
+import mpmath
 import numpy as np
 import pytest
 
@@ -35,6 +36,7 @@ from chordal.measures import (
     semicircle,
     stieltjes_invert,
 )
+from chordal.numerics import gauss_legendre
 
 from oracles import named_cauchy
 
@@ -224,6 +226,66 @@ def test_g_bounds_bound_the_transform(g_bound_measures, eta):
         assert np.abs(mu.cauchy(w)).max() <= M, name
         assert np.abs(_g_prime(mu, w, eta)).max() <= L * (1.0 + 1e-6), name
         assert np.abs(mu.cauchy(re + 0.5j * eta)).max() <= K, name
+
+
+def test_named_weights_come_from_theta_on_their_own_interval_only():
+    # density * dx/dtheta is 1/2 for the arcsine, on its image under an
+    # affine map too; a named density moved to another interval has no
+    # theta form there, and weighs its nodes by density times jacobian
+    _, w = gauss_legendre(64)
+    for mu in (arcsine(), affine_pushforward(arcsine(), 0.5, 1.0)):
+        assert np.array_equal(mu.segments[0].nodes()[1], 0.5 * w)
+    semi = named_density("semicircle", -2.0, 2.0)
+    moved = DensitySegment(-1.0, 1.0, semi.density, 64, True)
+    plain = DensitySegment(-1.0, 1.0, lambda x: semi.density(x), 64, True)
+    assert np.array_equal(moved.nodes()[1], plain.nodes()[1])
+    assert abs(moved.nodes()[1].sum() - 1.0) > 0.1  # the density of [-2, 2]
+
+
+def _exact_g(name, lo, hi, w):
+    # G and G' of the named density on [lo, hi] at w, at 40 digits from the
+    # closed forms in zeta = (w - mid)/rad, with s = sqrt(zeta - 1) sqrt(zeta + 1)
+    with mpmath.workdps(40):
+        lo, hi = mpmath.mpf(lo), mpmath.mpf(hi)
+        mid, rad = (lo + hi) / 2, (hi - lo) / 2
+        zeta = (mpmath.mpc(w) - mid) / rad
+        s = mpmath.sqrt(zeta - 1) * mpmath.sqrt(zeta + 1)
+        if name == "semicircle":  # G = 2 (zeta - s) / rad
+            return abs(2 * (zeta - s) / rad), abs(2 * (1 - zeta / s) / rad ** 2)
+        return abs(1 / (rad * s)), abs(zeta / (rad ** 2 * s ** 3))
+
+
+@pytest.mark.parametrize("name", ["semicircle", "arcsine"])
+@pytest.mark.parametrize("pushed", [False, True], ids=["plain", "pushed"])
+def test_closed_form_sups_bound_g_on_the_distance_boundary(name, pushed):
+    # |G| <= M(y), K(2y) and |G'| <= L(y) on {dist(w, [lo, hi]) = y}: the
+    # top edge (whose points lie at distance y exactly) and both end arcs
+    # (at a radius past y by more than the rounding of an end plus the
+    # arc), G and G' exact; nearest the segment the sups are attained, so
+    # the ratios reach past 0.95
+    mu = {"semicircle": semicircle, "arcsine": arcsine}[name]()
+    if pushed:
+        mu = affine_pushforward(mu, 0.5, 1.0)
+    seg = mu.segments[0]
+    lo, hi, rad = seg.lo, seg.hi, 0.5 * (seg.hi - seg.lo)
+    for y in rad * 10.0 ** np.array([-7.0, -3.0, -1.0, 0.0, 1.0, 4.0]):
+        top = np.linspace(lo, hi, 401)
+        if y < rad:  # where the semicircle's L is attained
+            half = rad * math.sqrt(1.0 - (y / rad) ** 2)
+            top = np.append(top, [0.5 * (lo + hi) - half, 0.5 * (lo + hi) + half])
+        reach = y * (1.0 + 8.0 * np.finfo(float).eps) + 2.0 * np.spacing(max(-lo, hi))
+        arc = reach * np.exp(1j * np.linspace(0.0, 0.5 * np.pi, 101))
+        ws = np.concatenate([top + 1j * y, hi + arc, lo - arc.conjugate()])
+        # K = M(y/2), so the K at 2y bounds |G| at distance y too
+        M, _, L = (x.item() for x in seg.cauchy._sups(np.array([y])))
+        K = seg.cauchy._sups(np.array([2.0 * y]))[1].item()
+        with mpmath.workdps(40):
+            assert all(min(abs(mpmath.mpc(w) - lo), abs(mpmath.mpc(w) - hi)) >= y
+                       for w in ws if not lo <= w.real <= hi)
+        g, dg = np.array([_exact_g(name, lo, hi, w) for w in ws], dtype=float).T
+        assert g.max() <= min(M, K) and dg.max() <= L, y
+        if y < 1e-2 * rad:
+            assert g.max() > 0.95 * M and dg.max() > 0.95 * L, y
 
 
 def test_g_bounds_need_a_probability_measure():
