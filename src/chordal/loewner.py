@@ -81,24 +81,30 @@ and np.maximum do and Python's do not (they keep their first argument),
 so that a nan constant or landing refuses a lane alone as it refuses the
 lane beside its twin.  A lane's values, bounds and substep counts are
 thus the same on floats as in lockstep, bit for bit; each loop keeps only
-its own bookkeeping, and the span refusals before the rounds run on
-arrays for one lane as for many.  The pointwise entry points check
-their one lane in floats too, and send a lane that fails any check, or
-that floats cannot read, through the array checks, which refuse it with
-their own class and message.  A driver is a
-``DriverFamily`` subclass that supplies its
-measure lookup, its knot table (the pieces no substep may straddle, with
-the hull of the support at each, the slope at which the atom path moves it
-and the path's running variation),
-``_substep``, which builds ``integrand`` and runs the loop, and, unless
-the atom constants serve, ``_bounds``, the regularity constants of each
-lane's piece.  ``_evolve`` moves at most ``_CHUNK`` lanes at once, in
-lockstep, a substep each per round, and looks each lane's piece up in the
-table once per round and hands it to both.  A lane that lands gives its
-slot to the next one waiting, in index order, and ``_MAX_ROUNDS`` caps each
-lane's substeps from the round it entered.  Within a round each lane has its
-own sweep count, since the remainder above is a per-lane quantity.  Before
-sweep j of a round's n, the lanes whose count is at most j leave the sweep
+its own bookkeeping.  The span refusals before the first round (a span
+whose substep parameter would overflow, or that the round cap cannot
+cross) are written once too, in ``_span_rule``, and bound to numpy's
+operations for ``_evolve`` and to floats for the pointwise entry points.
+Those check their one lane in floats, refuse its span in floats and send
+it straight to ``_lane_rounds``; a lane that fails any check, or that
+floats cannot read, goes through the array checks, which refuse it with
+their own class and message.
+
+A driver is a ``DriverFamily`` subclass that supplies its measure lookup,
+its knot table (the pieces no substep may straddle, with the hull of the
+support at each, the slope at which the atom path moves it and the path's
+running variation), ``_substep``, which builds ``integrand`` and runs the
+loop, and, unless the atom constants serve, ``_bounds``, the regularity
+constants of each lane's piece.  ``_evolve`` moves at most ``_CHUNK``
+lanes at once, in lockstep, a substep each per round, and looks each
+lane's piece up in the table once per round and hands it to both.  A
+piecewise-constant driver sorts the lanes by piece only where they may
+straddle two: one lane, or every lane of a driver with one measure, goes
+to its piece without a reduction over the lanes.  A lane that lands gives
+its slot to the next one waiting, in index order, and ``_MAX_ROUNDS`` caps
+each lane's substeps from the round it entered.  Within a round each lane
+has its own sweep count, since the remainder above is a per-lane quantity.
+Before sweep j of a round's n, the lanes whose count is at most j leave the sweep
 once the k (n - j) lane-sweeps that k of them save reach ``_DROP_GAIN``;
 the loop keeps each one's landing value and cuts the iterates and the
 per-lane arguments to the lanes left.  A cut copies those arrays: 9 us at
@@ -404,11 +410,26 @@ class _PiecewiseConstant(DriverFamily):
         return self.measures[int(np.searchsorted(self._knots[:-1], t, side="right")) - 1]
 
     def _bounds(self, piece, eta):
-        return _by_piece(piece, lambda k, e: self.measures[k].g_bounds(e), eta)
+        return self._by_piece(piece, lambda k, e: self.measures[k].g_bounds(e), eta)
 
     def _substep(self, piece, u0, du, h, w0, M, L, target):
-        return _by_piece(piece, lambda k, *lanes: _picard(*lanes, self.measures[k].cauchy),
-                         w0, h, M, L, target)
+        return self._by_piece(piece, lambda k, *lanes: _picard(*lanes, self.measures[k].cauchy),
+                              w0, h, M, L, target)
+
+    def _by_piece(self, piece, solve, *lanes):
+        # solve(k, *lanes of piece k) for each piece k under the lanes, its
+        # arrays (lanes on the last axis) put back in lane order; lanes that
+        # cannot straddle two pieces (one lane, or one measure) or that share
+        # one need no masks
+        if piece.size == 1 or len(self.measures) == 1 or piece.min() == piece.max():
+            return solve(piece[0], *lanes)
+        masks = {k: piece == k for k in np.unique(piece)}
+        parts = [solve(k, *(x[m] for x in lanes)) for k, m in masks.items()]
+        out = tuple(np.empty(p.shape[:-1] + piece.shape, p.dtype) for p in parts[0])
+        for m, part in zip(masks.values(), parts):
+            for o, p in zip(out, part):
+                o[..., m] = p
+        return out
 
 
 @dataclass(frozen=True, eq=False)
@@ -480,21 +501,6 @@ def driver_from_dict(obj: dict) -> DriverFamily:
 
 # ---------------------------------------------------------------------------
 # Substep machinery
-
-
-def _by_piece(piece, solve, *lanes):
-    # solve(k, *lanes of piece k) for each piece k under the lanes, its
-    # arrays (lanes on the last axis) put back in lane order; every lane in
-    # one piece needs no masks
-    if piece.min() == piece.max():
-        return solve(piece[0], *lanes)
-    masks = {k: piece == k for k in np.unique(piece)}
-    parts = [solve(k, *(x[m] for x in lanes)) for k, m in masks.items()]
-    out = tuple(np.empty(p.shape[:-1] + piece.shape, p.dtype) for p in parts[0])
-    for m, part in zip(masks.values(), parts):
-        for o, p in zip(out, part):
-            o[..., m] = p
-    return out
 
 
 def _solve_rho(R: np.ndarray) -> np.ndarray:
@@ -684,6 +690,35 @@ def _substep_rule(minimum, maximum, sqrt, hypot, divide, solve_rho, every):
     return rule
 
 
+def _span_rule(maximum, sqrt, isfinite, every, some):
+    # _evolve's refusals of a span that its rounds cannot cross, written once
+    # like the substep rule and bound below to numpy's operations for the
+    # lockstep loop and to one lane's floats for _solve_one; each takes the
+    # lanes' times and Im z before the first round and returns their span,
+    # the budget's scale (a == b never iterates).
+    def refuse(family, a, b, y, cfg):
+        span = maximum(b - a, _MIN_STEP)
+        # Im w never decreases along the path, and K <= 2/Im w, so the
+        # substep parameter R of the rule is at most this: refuse here if it
+        # overflows rather than iterate on infinities.
+        worst_r = 120.0 * span * sqrt(1.0 + 2.0 * (b - a) / (y * y)) / (y * cfg.tol)
+        if not every(isfinite(worst_r)):
+            raise NonConvergenceError("time span too long for the requested tolerance")
+        # No substep is longer than max_step, nor (rho >= 2) longer than
+        # eta / (1.5 (K/2 + c v)) < eta / (1.5 c v) on a piece of slope v,
+        # while Im w^2 grows by at most 2 per unit time: a span, or a path
+        # whose variation sum |dU| is too large to cross within the round
+        # cap, refuses here (an overflow to nan never does).
+        eta_max = sqrt(y * y + 2.0 * (b - a))
+        knots, cumvar = family._knots, family._cumvar
+        variation = np.interp(b, knots, cumvar) - np.interp(a, knots, cumvar)
+        too_steep = 1.5 * _SPEED_SLACK * variation > _MAX_ROUNDS * eta_max
+        if some(b - a > _MAX_ROUNDS * cfg.max_step) or some(too_steep):
+            raise NonConvergenceError(_ROUND_CAP)
+        return span
+    return refuse
+
+
 _array_rule = _substep_rule(np.minimum, np.maximum, np.sqrt, np.hypot, np.divide, _solve_rho,
                             np.ndarray.all)
 # Python's min and max keep their first argument when a later one is nan;
@@ -700,11 +735,17 @@ _float_rule = _substep_rule(
     lambda R: _solve_rho(np.array([R])).item(),
     bool)
 
+_array_span = _span_rule(np.maximum, np.sqrt, np.isfinite, np.ndarray.all, np.ndarray.any)
+# the span rule's one max takes b - a, which a lane that fits holds finite
+_float_span = _span_rule(max, math.sqrt, math.isfinite, bool, bool)
 
 # Far above the axis eta^2 overflows to inf and 1/eta^2 = 0 is the right
 # limit there, as is h0 = inf where K underflows to 0 (the max_step cap
 # holds it); a nan step refuses.
-@np.errstate(over="ignore", invalid="ignore", divide="ignore")
+_QUIET = {"over": "ignore", "invalid": "ignore", "divide": "ignore"}
+
+
+@np.errstate(**_QUIET)
 def _evolve(
     family: DriverFamily,
     a: np.ndarray,
@@ -714,25 +755,7 @@ def _evolve(
 ) -> tuple[np.ndarray, np.ndarray]:
     w = z.astype(complex, copy=True)
     err = np.zeros(z.size)
-    span = np.maximum(b - a, _MIN_STEP)  # budget scale only; a == b never iterates
-    knots, cumvar = family._knots, family._cumvar
-    # Im w never decreases along the path, and K <= 2/Im w, so the substep
-    # parameter R of the rule is at most this: refuse here if it overflows
-    # rather than iterate on infinities.
-    worst_r = 120.0 * span * np.sqrt(1.0 + 2.0 * (b - a) / (z.imag * z.imag)) / (
-        z.imag * cfg.tol)
-    if not np.isfinite(worst_r).all():
-        raise NonConvergenceError("time span too long for the requested tolerance")
-    # No substep is longer than max_step, nor (rho >= 2) longer than
-    # eta / (1.5 (K/2 + c v)) < eta / (1.5 c v) on a piece of slope v, while
-    # Im w^2 grows by at most 2 per unit time: a span, or a path whose
-    # variation sum |dU| is too large to cross within the round cap,
-    # refuses here (an overflow to nan never does).
-    eta_max = np.sqrt(z.imag * z.imag + 2.0 * (b - a))
-    variation = np.interp(b, knots, cumvar) - np.interp(a, knots, cumvar)
-    too_steep = 1.5 * _SPEED_SLACK * variation > _MAX_ROUNDS * eta_max
-    if (b - a > _MAX_ROUNDS * cfg.max_step).any() or too_steep.any():
-        raise NonConvergenceError(_ROUND_CAP)
+    span = _array_span(family, a, b, z.imag, cfg)
 
     # the lockstep set act, with its s, a and span; act[0] entered first
     queue = np.flatnonzero(b > a)
@@ -741,6 +764,7 @@ def _evolve(
         w[i], err[i] = _lane_rounds(family, float(b[i]), float(a[i]), float(span[i]),
                                     complex(w[i]), cfg)
         return w, err
+    knots = family._knots
     tables = knots, family._slopes, family._lows, family._highs
     act, queue = queue[:_CHUNK], queue[_CHUNK:]
     lanes = (b, a, span)
@@ -853,9 +877,10 @@ def _solve_many(
 
 
 def _solve_one(family: DriverFamily, a, b, z, config: SolverConfig | None) -> tuple[complex, float]:
-    # _solve_many at one point: its checks in floats, and a lane that fails
-    # one, or that floats cannot read, goes through _solve_many, which
-    # refuses with its class and message
+    # _solve_many at one point, all on floats: its checks, _evolve's span
+    # refusals and the lane's rounds.  A lane that fails a check, or that
+    # floats cannot read, goes through _solve_many, which refuses with its
+    # class and message.
     cfg = config or _DEFAULT_CONFIG
     try:
         a, b, z = float(a), float(b), complex(z)
@@ -864,11 +889,14 @@ def _solve_one(family: DriverFamily, a, b, z, config: SolverConfig | None) -> tu
     else:
         fits = (isinstance(family, DriverFamily) and 0.0 <= a <= b <= family.horizon
                 and b < math.inf and abs(z.real) < math.inf and cfg.min_imag <= z.imag < math.inf)
-    if fits:
-        w, e = _evolve(family, np.array([a]), np.array([b]), np.array([z]), cfg)
-    else:
+    if not fits:
         w, e = _solve_many(family, a, b, z, cfg, point=True)
-    return w.item(), e.item()
+        return w.item(), e.item()
+    if a == b:  # a span no refusal reaches, which never iterates
+        return z, 0.0
+    with np.errstate(**_QUIET):
+        span = _float_span(family, a, b, z.imag, cfg)
+        return _lane_rounds(family, b, a, span, z, cfg)
 
 
 # ---------------------------------------------------------------------------

@@ -99,11 +99,12 @@ def test_arcsine_on_a_narrow_segment_keeps_unit_mass(capsys, tmp_path):
     path = tmp_path / "narrow.json"
     path.write_text(json.dumps(narrow))
     out = run_json(capsys, ["transform", "--measure", str(path), "--z", "1+1i"])
-    # a unit mass within 2e-150 of 0 has G(1+i) = 0.5 - 0.5i; the node sum
-    # also carries the quadrature's mass error, which the roundoff bound
-    # leaves out (ROADMAP D1): 1.7e-14 here, against a bound of 1.1e-14
+    # a unit mass within 2e-150 of 0 has G(1+i) = 0.5 - 0.5i; its weights in
+    # theta give the segment a mass of 1.0, so the node sum carries none of
+    # the mass error that the roundoff bound leaves out (ROADMAP D1), and
+    # transform prints exactly 0.5 - 0.5i, against a bound of 1.05e-14
     miss = abs(complex(*out["value"]) - (0.5 - 0.5j))
-    assert miss <= out["roundoff_bound"] + MASS_TOL * abs(0.5 - 0.5j)
+    assert miss <= out["roundoff_bound"]
     # the arcsine on [-2, 2] has the unclamped density's nodes, and weights
     # from density * dx/dtheta = 1/2, which no clamp or rounded node touches
     unclamped = DensitySegment(-2.0, 2.0, lambda x: 1.0 / (np.pi * np.sqrt(4.0 - x ** 2)),

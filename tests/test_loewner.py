@@ -1018,10 +1018,11 @@ def test_delta0_grid_substeps_at_the_contraction_cap(monkeypatch):
 
 
 def test_semicircle_grid_substeps_by_its_density_bound(monkeypatch):
-    # the semicircle's bounds |G| <= 2P asinh(1/(2P eta)) and
-    # |G'| <= pi P/eta (P = 1/pi) size these substeps: 19 rounds, where
-    # the atom constants 1/eta and 1/eta^2 took 85
-    assert _grid_rounds(monkeypatch, DriverFamily.constant(semicircle(), horizon=4.0), 2.0) <= 25
+    # the semicircle's closed-form sups of |G| and |G'| size these
+    # substeps: 8 rounds, where the bathtub bounds |G| <= 2P asinh(1/(2P eta))
+    # and |G'| <= pi P/eta (P = 1/pi) took 19 and the atom constants 1/eta
+    # and 1/eta^2 took 85
+    assert _grid_rounds(monkeypatch, DriverFamily.constant(semicircle(), horizon=4.0), 2.0) <= 10
 
 
 def test_seamed_atom_grid_at_tight_tol_within_bound():
@@ -1395,6 +1396,8 @@ SOLVER_REFUSALS = {
                       "time span too long for the requested tolerance"),
     "too-steep": (DriverFamily.moving_atom([(0.0, 0.0), (1.0, 1e12)]), 0.0, 1.0, 1j,
                   NonConvergenceError, "substep count exceeded the global cap"),
+    "max-step-cap": (DriverFamily.constant(point_mass()), 0.0, 3e5, 1j, NonConvergenceError,
+                     "substep count exceeded the global cap"),
     # a trailing config; Im z = 1e-6 is the floor at tol 1e-14
     "underflow": (DELTA0, 0.0, 1.0, 0.3 + 1e-6j, NonConvergenceError,
                   "substep size underflow: evaluation too close to the hull "
